@@ -15,7 +15,6 @@ from .cyt import (
     canonical_ricci_class,
     cyt_defect,
     lambda_trace,
-    lambda_trace_general,
     primitive_route_check,
     solve_scale,
     solve_symmetric_ansatz,
@@ -25,7 +24,6 @@ from .errors import CytForgeError
 from .reproduce import reproduce_paper
 from .scalars import (
     QuadraticNumber,
-    Rational,
     Scalar,
     exact_sign,
     format_scalar,
@@ -52,8 +50,6 @@ from .surfaces import (
     parse_class,
     projective_plane,
     quadric,
-    snf,
-    solve_integer_linear,
 )
 from .topology import (
     SpectralTables,

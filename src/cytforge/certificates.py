@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from .cone import ConeCertificate
-from .cyt import CytCertificate, RicciPolynomial
+from .cyt import CytCertificate
 from .scalars import format_scalar
 from .skt import SktReport
 from .surfaces import CohClass, Model, model_to_dict
@@ -124,13 +124,6 @@ def topology_doc(cert: TopologyCertificate) -> dict:
         "spin_mod2": cert.spin_mod2,
         "diffeo_label": cert.diffeo_label,
         "tables": tables_doc(cert.tables),
-    }
-
-
-def ricci_doc(poly: RicciPolynomial) -> dict:
-    return {
-        "constant_class": class_doc(poly.constant_class),
-        "linear_class": class_doc(poly.linear_class),
     }
 
 

@@ -25,8 +25,8 @@ from .cyt import (
 from .cone import is_kahler
 from .errors import CytForgeError, MismatchAgainstExpected
 from .reproduce import SECTIONS, reproduce_paper
-from .scalars import approx_str, format_scalar, is_rational, pretty_scalar
-from .search import SearchQuery, resolve_threads, search
+from .scalars import approx_str, format_scalar, is_rational
+from .search import SearchQuery, search
 from .skt import hodge_obstruction, verify_skt
 from .surfaces import SurfaceModel, parse_class, resolve_model
 from .topology import UNCLASSIFIED, topology_certificate
@@ -164,7 +164,7 @@ def _cmd_solve_scale(args) -> int:
     )
     if args.format == "text":
         if found:
-            print(f"scale = {pretty_scalar(scale)}")
+            print(f"scale = {scale}")
         else:
             print("scale = NONE")
     _emit(cert, args.format)
@@ -193,9 +193,9 @@ def _cmd_solve_ansatz(args) -> int:
         verdict=True,
     )
     if args.format == "text":
-        print(f"n = {pretty_scalar(sol.n)}  {approx_str(sol.n)}")
-        print(f"n_1..4 = {pretty_scalar(sol.n_first4)}  {approx_str(sol.n_first4)}")
-        print(f"n_rest = {pretty_scalar(sol.n_rest)}  {approx_str(sol.n_rest)}")
+        print(f"n = {sol.n}  {approx_str(sol.n)}")
+        print(f"n_1..4 = {sol.n_first4}  {approx_str(sol.n_first4)}")
+        print(f"n_rest = {sol.n_rest}  {approx_str(sol.n_rest)}")
     _emit(cert, args.format)
     return 0
 
@@ -241,9 +241,12 @@ def _cmd_search(args) -> int:
     else:
         for rec in records:
             print(rec.to_line())
+    if stats.exhausted:
+        outcome = f"search exhausted coefficient bound {stats.bound}"
+    else:
+        outcome = f"search stopped at --limit {args.limit}"
     print(
-        f"search exhausted coefficient bound {stats.bound}: "
-        f"{stats.pairs_evaluated} pairs evaluated, {stats.records_emitted} records",
+        f"{outcome}: {stats.pairs_evaluated} pairs evaluated, {stats.records_emitted} records",
         file=sys.stderr,
     )
     return 0 if records else 1
@@ -265,6 +268,18 @@ def _cmd_reproduce(args) -> int:
         print(str(err), file=sys.stderr)
         return 1
     return 0
+
+
+def _count(least: int):
+    """argparse type: an integer >= least (argparse turns the errors into exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", action="append", choices=("cyt", "skt", "balanced", "topology", "spin"))
     p.add_argument("--ray")
     p.add_argument("--out", help="catalog file (line-delimited records)")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--threads", type=int, default=resolve_threads())
+    p.add_argument("--limit", type=_count(0))
+    p.add_argument("--threads", type=_count(1), help="worker processes (default: up to 4)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("reproduce-paper", help="rerun a worked construction against frozen values")

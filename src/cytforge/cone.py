@@ -12,7 +12,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import MissingAmpleWitness, MissingCurveData, RankMismatch
-from .scalars import Scalar, exact_div, exact_sign, is_rational
+from .scalars import Scalar, exact_sign, is_rational, ratio_of
 from .surfaces import (
     REGIME_ENUMERATE,
     REGIME_EXPLICIT,
@@ -115,20 +115,10 @@ def negative_curves(model: SurfaceModel) -> list[CohClass]:
 
 def positively_proportional(x: CohClass, y: CohClass) -> bool:
     """x = t*y for some rational t > 0."""
-    if x.rank != y.rank or y.is_zero():
+    if x.rank != y.rank:
         return False
-    ratio = None
-    for a, b in zip(x.coeffs, y.coeffs):
-        if b == 0:
-            if a != 0:
-                return False
-            continue
-        t = exact_div(a, b)
-        if ratio is None:
-            ratio = t
-        elif t != ratio:
-            return False
-    return ratio is not None and is_rational(ratio) and exact_sign(ratio) > 0
+    t = ratio_of(x.coeffs, y.coeffs)
+    return t is not None and is_rational(t) and exact_sign(t) > 0
 
 
 def is_kahler(

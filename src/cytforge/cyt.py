@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import intlinalg
 from .cone import ConeCertificate, is_kahler, positively_proportional
-from .errors import InvalidBundle, NotPositiveRay, NullClass
-from .scalars import Scalar, exact_div, exact_sign, is_rational, solve_quadratic
+from .errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass
+from .scalars import Scalar, exact_div, exact_sign, is_rational, ratio_of, solve_quadratic
 from .surfaces import (
     CohClass,
     Model,
@@ -32,7 +33,6 @@ from .surfaces import (
     SurfaceModel,
     blowup_cp2,
     intersect,
-    solve_integer_linear,
 )
 
 BASE_COMPLEX_DIMENSION = 2  # all built-in bases are surfaces
@@ -68,23 +68,20 @@ def lambda_trace(model: Model, omega: CohClass, f: CohClass) -> Scalar:
     return exact_div(BASE_COMPLEX_DIMENSION * intersect(model, omega, f), ff)
 
 
-def lambda_trace_general(n: int, omega_top: Scalar, f_top: Scalar) -> Scalar:
-    """Trace hook for complex base dimension n, from externally supplied top
-    intersection numbers [omega][F]^(n-1) and [F]^n."""
-    if f_top == 0:
-        raise NullClass("[F]^n = 0")
-    return exact_div(n * omega_top, f_top)
+def _traced_sum(bundle: BundleSpec, f: CohClass) -> tuple[tuple[Scalar, ...], CohClass]:
+    """The traces of the curvature classes against f, and sum(trace_l * w_l)."""
+    lambdas = tuple(lambda_trace(bundle.base, w, f) for w in bundle.curvatures)
+    traced = CohClass.zero(bundle.base.rank)
+    for lam, w in zip(lambdas, bundle.curvatures):
+        if lam != 0:
+            traced = traced + lam * w
+    return lambdas, traced
 
 
 def cyt_defect(bundle: BundleSpec, f: CohClass) -> CohClass:
     """c1(X) minus the traced curvature sum; zero iff the bundle with this
     Kaehler class satisfies the torsion Calabi-Yau condition in cohomology."""
-    defect = bundle.base.c1
-    for w in bundle.curvatures:
-        lam = lambda_trace(bundle.base, w, f)
-        if lam != 0:
-            defect = defect - lam * w
-    return defect
+    return bundle.base.c1 - _traced_sum(bundle, f)[1]
 
 
 @dataclass(frozen=True)
@@ -107,11 +104,7 @@ class RicciPolynomial:
 def canonical_ricci_class(bundle: BundleSpec, f: CohClass) -> RicciPolynomial:
     """The family t -> c1 + (t-1)/2 * sum(trace_l w_l); t = 1 recovers the
     Chern Ricci class c1, t = -1 the torsion-connection class c1 - sum."""
-    traced = CohClass.zero(bundle.base.rank)
-    for w in bundle.curvatures:
-        lam = lambda_trace(bundle.base, w, f)
-        if lam != 0:
-            traced = traced + lam * w
+    traced = _traced_sum(bundle, f)[1]
     half = Fraction(1, 2)
     return RicciPolynomial(
         constant_class=bundle.base.c1 - half * traced,
@@ -148,11 +141,8 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
             reason="null_class",
             verdict=False,
         )
-    lambdas = tuple(lambda_trace(base, w, f) for w in bundle.curvatures)
-    defect = base.c1
-    for lam, w in zip(lambdas, bundle.curvatures):
-        if lam != 0:
-            defect = defect - lam * w
+    lambdas, traced = _traced_sum(bundle, f)
+    defect = base.c1 - traced
     defect_zero = defect.is_zero()
     integral = all(w.is_integral() for w in bundle.curvatures)
     cone = is_kahler(base, f) if isinstance(base, SurfaceModel) else None
@@ -197,26 +187,8 @@ def solve_scale(bundle: BundleSpec, ray: CohClass) -> Optional[Scalar]:
     rr = intersect(base, ray, ray)
     if exact_sign(rr) <= 0:
         raise NotPositiveRay("ray needs positive self-intersection")
-    traced = CohClass.zero(base.rank)
-    for w in bundle.curvatures:
-        lam = lambda_trace(base, w, ray)
-        if lam != 0:
-            traced = traced + lam * w
-    if traced.is_zero():
-        return None
     # traced = s * c1 componentwise, s rational and positive
-    c1 = base.c1
-    s: Optional[Scalar] = None
-    for t, c in zip(traced.coeffs, c1.coeffs):
-        if c == 0:
-            if t != 0:
-                return None
-            continue
-        ratio = exact_div(t, c)
-        if s is None:
-            s = ratio
-        elif ratio != s:
-            return None
+    s = ratio_of(_traced_sum(bundle, ray)[1].coeffs, base.c1.coeffs)
     if s is None or not is_rational(s) or exact_sign(s) <= 0:
         return None
     return s
@@ -262,10 +234,9 @@ def solve_symmetric_ansatz(k: int) -> Optional[AnsatzSolution]:
         cone_cert = is_kahler(base, f)
         if not cone_cert.verdict:
             continue
-        # the defining pairings must hold exactly
-        assert intersect(base, f, f) == 4
-        assert intersect(base, w1, f) == 2
-        assert intersect(base, w2, f) == 2
+        pairings = (intersect(base, f, f), intersect(base, w1, f), intersect(base, w2, f))
+        if pairings != (4, 2, 2):
+            raise InvariantViolation(f"ansatz pairings {pairings} at k={k}, expected (4, 2, 2)")
         return AnsatzSolution(
             k=k,
             n=n,
@@ -285,7 +256,7 @@ def c1_bundle_triviality(bundle: BundleSpec) -> bool:
     base = bundle.base
     cols = [w.as_int_vector() for w in bundle.curvatures]
     mat = [[col[i] for col in cols] for i in range(base.rank)]
-    return solve_integer_linear(mat, base.c1.as_int_vector()) is not None
+    return intlinalg.solve_integer_linear(mat, base.c1.as_int_vector()) is not None
 
 
 def balanced_check(bundle: BundleSpec, f: CohClass) -> bool:

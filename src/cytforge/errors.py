@@ -81,6 +81,11 @@ class BoundTooLarge(CytForgeError):
     pass
 
 
+class InvariantViolation(CytForgeError):
+    """An exact check that a verdict rests on failed: a defect in the library,
+    never a verdict.  Raised explicitly so it survives ``python -O``."""
+
+
 class CorruptRecord(CytForgeError):
     """Unreadable catalog line; .line_number is 1-based."""
 

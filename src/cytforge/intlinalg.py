@@ -8,7 +8,9 @@ index) so decompositions are deterministic across runs.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
+
+from .errors import InvariantViolation
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -184,8 +186,25 @@ class IntegerSolver:
             elif t2[i] != 0:
                 return None
         x = mat_vec(v, y)
-        assert mat_vec(self.mat, x) == list(map(int, target))
+        if mat_vec(self.mat, x) != list(map(int, target)):
+            raise InvariantViolation(f"integer solve left a residual for target {target}")
         return x
+
+    def in_row_space(self, vec: Sequence[int]) -> bool:
+        """True iff vec is an integer combination of the matrix rows.  With
+        U * mat * V = S the rows of mat span those of S * V^-1, so vec
+        qualifies iff vec * V lies in the row span of the diagonal S."""
+        if len(vec) != self.n:
+            raise ValueError("vector length does not match column count")
+        if self.n == 0:
+            return True
+        v, diag = self._snf.v, self._snf.diagonal
+        for j in range(self.n):
+            t = sum(vec[i] * v[i][j] for i in range(self.n))
+            d = diag[j] if j < len(diag) else 0
+            if (t % d) if d else t:
+                return False
+        return True
 
 
 def solve_integer_linear(mat: IntMatrix, target: IntVector) -> Optional[IntVector]:

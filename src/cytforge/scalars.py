@@ -13,11 +13,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Union
+from typing import Optional, Sequence, Union
 
 from .errors import DegenerateAllZero, MixedFieldError, NoRealRoots, ScalarParseError
-
-Rational = Fraction
 
 _SQUAREFREE_CACHE: dict[int, bool] = {}
 
@@ -240,11 +238,6 @@ def is_integer(x: Scalar) -> bool:
     return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
 
 
-def field_radicand(x: Scalar) -> int | None:
-    """The d of the extension x lives in, or None for rational x."""
-    return x.d if isinstance(x, QuadraticNumber) else None
-
-
 def exact_sign(x: Scalar) -> int:
     """Sign in {-1, 0, +1} of the real number x, decided exactly."""
     if isinstance(x, QuadraticNumber):
@@ -257,6 +250,19 @@ def exact_div(x: Scalar, y: Scalar) -> Scalar:
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
     return x / y
+
+
+def ratio_of(x: Sequence[Scalar], y: Sequence[Scalar]) -> Optional[Scalar]:
+    """The t with x = t*y coefficientwise; None when y is zero or x is not a
+    multiple of y.  Parallelism is tested by cross-multiplication, so a
+    division happens only for the returned t."""
+    p = next((i for i, b in enumerate(y) if b != 0), None)
+    if p is None:
+        return None
+    a0, b0 = x[p], y[p]
+    if any(a * b0 != a0 * b for a, b in zip(x, y)):
+        return None
+    return exact_div(a0, b0)
 
 
 def sqrt_fraction(q) -> Scalar:
@@ -339,15 +345,6 @@ def parse_scalar(text: str) -> Scalar:
     if m:
         return quadratic(0, Fraction(m.group("b")), int(m.group("d")))
     raise ScalarParseError(f"not an exact scalar: {text!r}")
-
-
-def pretty_scalar(x: Scalar) -> str:
-    """Short human form (drops /1); not for certificates."""
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
 
 
 def approx_str(x: Scalar, digits: int = 4) -> str:

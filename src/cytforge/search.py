@@ -10,9 +10,11 @@ solver-aware: along a ray R the condition forces
 so for fixed w1 the admissible w2 are finitely many explicit integer vectors
 (one per value of Q(w2,R)) plus the trace-free ones when w1 is proportional
 to c1.  Every candidate is then re-verified through the full certificate
-path, so emitted records never rest on the shortcut.  Work is partitioned by
-the leading coefficient of w1 and merged in order, which keeps parallel runs
-bit-identical to serial ones.
+path, so emitted records never rest on the shortcut.  Enumeration, dedup
+and the skt and spin pre-filters run on integer tuples; classes are built
+only for the pairs that reach the solver and topology checks.  Work is
+partitioned by the leading coefficient of w1 and merged in order, which
+keeps parallel runs bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from multiprocessing import Pool, cpu_count
 from typing import Callable, Iterable, Optional
 
 from .catalog import CatalogRecord, VerdictFlags
+from .intlinalg import gf2_in_span
 from .cone import is_kahler
 from .cyt import (
     BundleSpec,
@@ -35,17 +38,9 @@ from .cyt import (
     solve_symmetric_ansatz,
     verify_cyt,
 )
-from .errors import BoundTooLarge, NotPositiveRay
-from .scalars import format_scalar
-from .skt import verify_skt
-from .surfaces import (
-    REGIME_ON_CUBIC,
-    CohClass,
-    SurfaceModel,
-    intersect,
-    mod2_membership,
-    pairing_row,
-)
+from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
+from .scalars import format_scalar, ratio_of
+from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect, pairing_row
 from .topology import UNCLASSIFIED, topology_certificate
 
 VALID_FILTERS = ("cyt", "skt", "balanced", "topology", "spin")
@@ -71,6 +66,8 @@ class SearchQuery:
             raise ValueError(f"unknown filters: {sorted(bad)}")
         if self.model.rank > 6 and self.coeff_bound > 6:
             raise BoundTooLarge("coeff_bound <= 6 required for models of rank > 6")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError("limit must be nonnegative")
 
 
 @dataclass
@@ -86,34 +83,42 @@ def resolve_threads(requested: Optional[int] = None) -> int:
     cap = os.environ.get("CYT_FORGE_THREADS")
     n = requested if requested is not None else min(4, cpu_count())
     if cap is not None:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"CYT_FORGE_THREADS must be an integer, got {cap!r}") from None
     return max(1, n)
 
 
 # -- canonical form ------------------------------------------------------
 
 
-def _is_blowup_basis(model: SurfaceModel) -> bool:
+def _permutes_exceptionals(model: SurfaceModel) -> bool:
     labels = model.basis_labels
-    return labels[0] == "H" and all(lab.startswith("E") for lab in labels[1:])
+    return model.rank > 1 and labels[0] == "H" and all(lab.startswith("E") for lab in labels[1:])
+
+
+def _canonical_key(a: tuple[int, ...], b: tuple[int, ...], permute: bool) -> str:
+    """Least of the pair and its swap, with the exceptional coordinates
+    sorted column-wise when permute is set, as 'a0,a1,..|b0,b1,..'."""
+
+    def canon(x: tuple, y: tuple) -> tuple:
+        if permute:
+            xs, ys = zip(*sorted(zip(x[1:], y[1:])))
+            return (x[0], *xs, y[0], *ys)
+        return x + y
+
+    best = min(canon(a, b), canon(b, a))
+    half = len(a)
+    return ",".join(map(str, best[:half])) + "|" + ",".join(map(str, best[half:]))
 
 
 def canonical_form(model: SurfaceModel, w1: CohClass, w2: CohClass) -> str:
     """Deduplication key, invariant under simultaneous permutation of the
     exceptional coordinates and swapping the pair order."""
-    a = tuple(w1.as_int_vector())
-    b = tuple(w2.as_int_vector())
-
-    def canon(x: tuple, y: tuple) -> tuple:
-        if _is_blowup_basis(model) and model.rank > 1:
-            cols = sorted(zip(x[1:], y[1:]))
-            x = (x[0],) + tuple(c[0] for c in cols)
-            y = (y[0],) + tuple(c[1] for c in cols)
-        return x + y
-
-    best = min(canon(a, b), canon(b, a))
-    half = len(best) // 2
-    return ",".join(map(str, best[:half])) + "|" + ",".join(map(str, best[half:]))
+    return _canonical_key(
+        tuple(w1.as_int_vector()), tuple(w2.as_int_vector()), _permutes_exceptionals(model)
+    )
 
 
 # -- candidate generation ------------------------------------------------
@@ -126,22 +131,6 @@ def _all_vectors(rank: int, bound: int) -> Iterable[tuple[int, ...]]:
 def _vectors_with_lead(lead: int, rank: int, bound: int) -> Iterable[tuple[int, ...]]:
     for rest in itertools.product(range(-bound, bound + 1), repeat=rank - 1):
         yield (lead,) + rest
-
-
-def _rational_ratio(x: tuple, y: tuple) -> Optional[Fraction]:
-    """x = t*y over the integers, t a nonzero rational; None if not parallel."""
-    ratio: Optional[Fraction] = None
-    for a, b in zip(x, y):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        t = Fraction(a, b)
-        if ratio is None:
-            ratio = t
-        elif t != ratio:
-            return None
-    return ratio if ratio not in (None, 0) else None
 
 
 class _RayData:
@@ -216,7 +205,7 @@ class _RayData:
                 if ok:
                     out.append(tuple(vec))
         # parallel branch: w1 proportional to c1 frees w2 to the trace-free locus
-        if q1 != 0 and _rational_ratio(w1, tuple(c1)) is not None:
+        if q1 != 0 and ratio_of(w1, c1) is not None:
             out.extend(self.perp_vectors(rank))
         return out
 
@@ -224,141 +213,157 @@ class _RayData:
 # -- per-pair evaluation -------------------------------------------------
 
 
-def _evaluate_pair(
-    query: SearchQuery,
-    rays: list[tuple[str, CohClass]],
-    ray_cone_ok: dict[str, bool],
-    ansatz_pair: Optional[tuple[CohClass, CohClass]],
-    w1: CohClass,
-    w2: CohClass,
-    key: str,
-) -> Optional[CatalogRecord]:
-    model = query.model
-    filters = query.filters
-    bundle = BundleSpec(model, (w1, w2))
-    flags = {}
+class _Chunk:
+    """Per-chunk state shared by every pair: the cyt rays with their cone
+    verdicts and candidate generators, the ansatz pair, and a cache of
+    integer self-intersections."""
 
-    if "skt" in filters:
-        report = verify_skt(bundle)
-        if not report.verdict:
-            return None
-        flags["skt"] = True
+    def __init__(self, query: SearchQuery):
+        model = query.model
+        rank, bound = model.rank, query.coeff_bound
+        self.query = query
+        self.c1 = tuple(model.c1.as_int_vector())
+        self.squares: dict[tuple[int, ...], int] = {}
+        self.rays: list[tuple[str, CohClass]] = []
+        self.ray_cone_ok: dict[str, bool] = {}
+        self.ray_datas: list[_RayData] = []
+        if "cyt" in query.filters:
+            if query.ray is not None:
+                self.rays.append(("ray", query.ray))
+            if model.c1 != query.ray and not model.c1.is_zero():
+                self.rays.append(("anticanonical_ray", model.c1))
+            for name, ray in self.rays:
+                self.ray_cone_ok[name] = is_kahler(model, ray).verdict
+                data = _RayData(model, ray, bound)
+                if data.usable():
+                    self.ray_datas.append(data)
 
-    if "spin" in filters:
-        if not mod2_membership(model, model.c1, (w1, w2)):
-            return None
-        flags["spin"] = True
+        self.ansatz_pair: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+        if "cyt" in query.filters and model.curve_regime == REGIME_ON_CUBIC and rank - 1 >= 9:
+            pair = tuple(tuple(w.as_int_vector()) for w in ansatz_curvatures(rank - 1))
+            if all(abs(c) <= bound for v in pair for c in v):
+                self.ansatz_pair = pair
 
-    kahler: Optional[CohClass] = None
-    if "cyt" in filters:
-        route = None
-        for route_name, ray in rays:
-            # cone membership is invariant under the positive solved scale,
-            # so the per-ray verdict stands in for is_kahler(s * ray)
-            if not ray_cone_ok[route_name]:
-                continue
-            try:
-                s = solve_scale(bundle, ray)
-            except NotPositiveRay:
-                continue
-            if s is None:
-                continue
-            kahler, route = s * ray, route_name
-            flags["scale"] = format_scalar(s)
-            break
-        if (
-            kahler is None
-            and ansatz_pair is not None
-            and (w1, w2) in (ansatz_pair, (ansatz_pair[1], ansatz_pair[0]))
-        ):
-            sol = solve_symmetric_ansatz(model.rank - 1)
-            if sol is not None and verify_cyt(bundle, sol.kahler_class).verdict:
-                kahler, route = sol.kahler_class, "ansatz"
-        if kahler is None:
-            return None
-        flags["cyt"] = True
-        flags["cyt_route"] = route
+        self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
+        if "cyt" not in query.filters and "skt" in query.filters:
+            self.skt_buckets = {}
+            for v in _all_vectors(rank, bound):
+                self.skt_buckets.setdefault(self.square(v), []).append(v)
 
-    if "balanced" in filters:
-        f = kahler
-        if f is None:
-            f = query.ray if query.ray is not None else model.c1
-            if intersect(model, f, f) == 0:
+    def square(self, v: tuple[int, ...]) -> int:
+        q = self.squares.get(v)
+        if q is None:
+            gram = self.query.model.gram
+            q = sum(x * g * y for x, row in zip(v, gram) if x for g, y in zip(row, v))
+            self.squares[v] = q
+        return q
+
+    def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        if self.ray_datas or self.ansatz_pair is not None:
+            cand: set[tuple[int, ...]] = set()
+            for data in self.ray_datas:
+                cand.update(data.candidates_for(v1))
+            if self.ansatz_pair is not None:
+                a1, a2 = self.ansatz_pair
+                if v1 == a1:
+                    cand.add(a2)
+                elif v1 == a2:
+                    cand.add(a1)
+            return sorted(cand)
+        if self.skt_buckets is not None:
+            return self.skt_buckets.get(-self.square(v1), [])
+        return _all_vectors(len(v1), self.query.coeff_bound)
+
+    def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str) -> Optional[CatalogRecord]:
+        query = self.query
+        model = query.model
+        filters = query.filters
+        flags = {}
+
+        # integer pre-filters on the coefficient tuples
+        if "skt" in filters:
+            if self.square(v1) + self.square(v2) != 0:
                 return None
-        if not balanced_check(bundle, f):
-            return None
-        flags["balanced"] = True
+            flags["skt"] = True
+        if "spin" in filters:
+            if not gf2_in_span(self.c1, [v1, v2]):
+                return None
+            flags["spin"] = True
 
-    if "topology" in filters:
-        cert = topology_certificate(bundle)
-        if cert.diffeo_label == UNCLASSIFIED:
-            return None
-        flags["topology_label"] = cert.diffeo_label
+        w1, w2 = CohClass.of(v1), CohClass.of(v2)
+        bundle = BundleSpec(model, (w1, w2))
+        kahler: Optional[CohClass] = None
+        if "cyt" in filters:
+            route = None
+            for route_name, ray in self.rays:
+                # cone membership is invariant under the positive solved scale,
+                # so the per-ray verdict stands in for is_kahler(s * ray)
+                if not self.ray_cone_ok[route_name]:
+                    continue
+                try:
+                    s = solve_scale(bundle, ray)
+                except NotPositiveRay:
+                    continue
+                if s is None:
+                    continue
+                kahler, route = s * ray, route_name
+                flags["scale"] = format_scalar(s)
+                break
+            if kahler is None and self.ansatz_pair is not None and (v1, v2) in (
+                self.ansatz_pair,
+                self.ansatz_pair[::-1],
+            ):
+                sol = solve_symmetric_ansatz(model.rank - 1)
+                if sol is not None and verify_cyt(bundle, sol.kahler_class).verdict:
+                    kahler, route = sol.kahler_class, "ansatz"
+            if kahler is None:
+                return None
+            flags["cyt"] = True
+            flags["cyt_route"] = route
 
-    if flags.get("cyt"):
-        # the record must stand on the full certificate, not the shortcut
-        assert verify_cyt(bundle, kahler).verdict
+        if "balanced" in filters:
+            f = kahler
+            if f is None:
+                f = query.ray if query.ray is not None else model.c1
+                if intersect(model, f, f) == 0:
+                    return None
+            if not balanced_check(bundle, f):
+                return None
+            flags["balanced"] = True
 
-    return CatalogRecord(
-        model=model.name,
-        omega1=tuple(w1.as_int_vector()),
-        omega2=tuple(w2.as_int_vector()),
-        kahler=tuple(kahler.serialize()) if kahler is not None else None,
-        flags=VerdictFlags(
-            cyt=flags.get("cyt"),
-            skt=flags.get("skt"),
-            balanced=flags.get("balanced"),
-            spin=flags.get("spin"),
-            topology_label=flags.get("topology_label"),
-            cyt_route=flags.get("cyt_route"),
-            scale=flags.get("scale"),
-        ),
-        canonical_key=key,
-    )
+        if "topology" in filters:
+            cert = topology_certificate(bundle)
+            if cert.diffeo_label == UNCLASSIFIED:
+                return None
+            flags["topology_label"] = cert.diffeo_label
+
+        if flags.get("cyt") and not verify_cyt(bundle, kahler).verdict:
+            raise InvariantViolation(
+                f"search record {key} on {model.name} does not stand on the full cyt certificate"
+            )
+
+        return CatalogRecord(
+            model=model.name,
+            omega1=v1,
+            omega2=v2,
+            kahler=tuple(kahler.serialize()) if kahler is not None else None,
+            flags=VerdictFlags(
+                cyt=flags.get("cyt"),
+                skt=flags.get("skt"),
+                balanced=flags.get("balanced"),
+                spin=flags.get("spin"),
+                topology_label=flags.get("topology_label"),
+                cyt_route=flags.get("cyt_route"),
+                scale=flags.get("scale"),
+            ),
+            canonical_key=key,
+        )
 
 
 def _chunk_worker(args) -> tuple[list[CatalogRecord], int]:
     query, lead = args
-    model = query.model
-    rank = model.rank
-    bound = query.coeff_bound
-
-    rays: list[tuple[str, CohClass]] = []
-    ray_datas: list[_RayData] = []
-    ray_cone_ok: dict[str, bool] = {}
-    if "cyt" in query.filters:
-        seen_rays = []
-        if query.ray is not None:
-            rays.append(("ray", query.ray))
-            seen_rays.append(query.ray)
-        if model.c1 not in seen_rays and not model.c1.is_zero():
-            rays.append(("anticanonical_ray", model.c1))
-        for name, ray in rays:
-            ray_cone_ok[name] = is_kahler(model, ray).verdict
-            data = _RayData(model, ray, bound)
-            if data.usable():
-                ray_datas.append(data)
-
-    ansatz_pair: Optional[tuple[CohClass, CohClass]] = None
-    if (
-        "cyt" in query.filters
-        and model.curve_regime == REGIME_ON_CUBIC
-        and rank - 1 >= 9
-    ):
-        pair = ansatz_curvatures(rank - 1)
-        if all(abs(c) <= bound for w in pair for c in w.as_int_vector()):
-            ansatz_pair = pair
-
-    skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
-    sq_cache: dict[tuple[int, ...], int] = {}
-    if "cyt" not in query.filters and "skt" in query.filters:
-        skt_buckets = {}
-        for v in _all_vectors(rank, bound):
-            cls = CohClass.of(v)
-            q = int(intersect(model, cls, cls))
-            sq_cache[v] = q
-            skt_buckets.setdefault(q, []).append(v)
-
+    chunk = _Chunk(query)
+    permute = _permutes_exceptionals(query.model)
     records: list[CatalogRecord] = []
     evaluated = 0
     passed_keys: set[str] = set()
@@ -369,34 +374,13 @@ def _chunk_worker(args) -> tuple[list[CatalogRecord], int]:
     # user-supplied ray can break the permutation symmetry, so dedup is only
     # keyed on passes when no such ray is present.
     early_dedup = query.ray is None
-    for v1 in _vectors_with_lead(lead, rank, bound):
-        w1 = CohClass.of(v1)
-        if ray_datas or ansatz_pair is not None:
-            cand: set[tuple[int, ...]] = set()
-            for data in ray_datas:
-                cand.update(data.candidates_for(v1))
-            if ansatz_pair is not None:
-                a1 = tuple(ansatz_pair[0].as_int_vector())
-                a2 = tuple(ansatz_pair[1].as_int_vector())
-                if v1 == a1:
-                    cand.add(a2)
-                elif v1 == a2:
-                    cand.add(a1)
-            candidates = sorted(cand)
-        elif skt_buckets is not None:
-            q1 = sq_cache[v1]
-            candidates = skt_buckets.get(-q1, [])
-        else:
-            candidates = _all_vectors(rank, bound)
-
-        for v2 in candidates:
+    for v1 in _vectors_with_lead(lead, query.model.rank, query.coeff_bound):
+        for v2 in chunk.candidates(v1):
             evaluated += 1
-            key = canonical_form(model, w1, CohClass.of(v2))
+            key = _canonical_key(v1, v2, permute)
             if early_dedup and key in passed_keys:
                 continue
-            rec = _evaluate_pair(
-                query, rays, ray_cone_ok, ansatz_pair, w1, CohClass.of(v2), key
-            )
+            rec = chunk.evaluate(v1, v2, key)
             if rec is not None:
                 passed_keys.add(key)
                 records.append(rec)
@@ -436,25 +420,26 @@ def search(
         if progress:
             progress(f"{len(leads)} chunks done on {min(nthreads, len(leads))} workers")
 
+    limit = query.limit
     merged: list[CatalogRecord] = []
     seen: set[str] = set()
     evaluated = 0
     for records, count in results:
+        if limit is not None and len(merged) >= limit:
+            break
         evaluated += count
         for rec in records:
             if rec.canonical_key in seen:
                 continue
+            if limit is not None and len(merged) >= limit:
+                break
             seen.add(rec.canonical_key)
             merged.append(rec)
-            if query.limit is not None and len(merged) >= query.limit:
-                break
-        if query.limit is not None and len(merged) >= query.limit:
-            break
     stats = SearchStats(
         bound=bound,
         chunks=len(leads),
         pairs_evaluated=evaluated,
         records_emitted=len(merged),
-        exhausted=query.limit is None or len(merged) < query.limit,
+        exhausted=limit is None or len(merged) < limit,
     )
     return merged, stats

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -108,6 +109,12 @@ class SurfaceModel:
     @property
     def rank(self) -> int:
         return len(self.basis_labels)
+
+    @cached_property
+    def gram_factors(self) -> tuple[int, ...]:
+        """Invariant factors of the Gram matrix, computed once per model: all
+        1 iff the form is unimodular, none 0 iff it is nondegenerate."""
+        return intlinalg.snf(self.gram).diagonal
 
     def __post_init__(self):
         b = self.rank
@@ -353,16 +360,6 @@ def resolve_model(spec: str) -> Model:
 
 
 # -- lattice services ---------------------------------------------------
-
-
-def snf(mat) -> intlinalg.SnfResult:
-    return intlinalg.snf([list(row) for row in mat])
-
-
-def solve_integer_linear(mat, target) -> Optional[CohClass]:
-    """Some integral x with mat . x = target, as a CohClass; None if unsolvable."""
-    x = intlinalg.solve_integer_linear([list(row) for row in mat], list(target))
-    return CohClass.of(x) if x is not None else None
 
 
 def basis_extension_check(model: Model, classes: Sequence[CohClass]) -> bool:

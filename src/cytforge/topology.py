@@ -52,27 +52,19 @@ def _pairing_matrix(bundle: BundleSpec) -> list[list[int]]:
     return [pairing_row(bundle.base, w) for w in bundle.curvatures]
 
 
-def _witnesses_from(solver: IntegerSolver) -> Optional[tuple[CohClass, CohClass]]:
-    alpha = None
-    for t in ([1, 0], [-1, 0]):
-        x = solver.solve(t)
-        if x is not None:
-            alpha = CohClass.of(x)
-            break
-    if alpha is None:
+def _witnesses(solver: IntegerSolver) -> Optional[tuple[CohClass, CohClass]]:
+    # the pairing map hits both unit vectors iff it is onto Z^2, i.e. iff its
+    # invariant factors are (1, 1); then every target is solvable
+    if solver.diagonal != (1, 1):
         return None
-    for t in ([0, 1], [0, -1]):
-        x = solver.solve(t)
-        if x is not None:
-            return alpha, CohClass.of(x)
-    return None
+    return CohClass.of(solver.solve([1, 0])), CohClass.of(solver.solve([0, 1]))
 
 
 def find_alpha_beta(bundle: BundleSpec) -> Optional[tuple[CohClass, CohClass]]:
-    """Integral classes with Q(w1,a) = +-1, Q(w2,a) = 0, Q(w2,b) = +-1,
-    Q(w1,b) = 0, trying the +1 sign first.  None iff the pairing map does not
-    hit a unimodular pair, i.e. is not onto Z^2."""
-    return _witnesses_from(IntegerSolver(_pairing_matrix(bundle)))
+    """Integral classes with Q(w1,a) = 1, Q(w2,a) = 0, Q(w2,b) = 1,
+    Q(w1,b) = 0.  None iff the pairing map does not hit a unimodular pair,
+    i.e. is not onto Z^2."""
+    return _witnesses(IntegerSolver(_pairing_matrix(bundle)))
 
 
 def _tables_for_rank(b: int) -> SpectralTables:
@@ -119,6 +111,16 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     The simple-connectivity surrogate (pairing matrix of SNF diag(1,1)) stands
     in for the sphere-representative argument, which is not decidable from
     lattice data; it agrees with it on every built-in example.
+
+    Everything integral comes from one Smith normal form, that of the pairing
+    matrix P = W G (rows Q(w_l, .)).  Witnesses exist iff P has invariant
+    factors (1, 1), which is the surrogate itself.  When the Gram matrix G is
+    unimodular, P and W have the same invariant factors (Newman, Integral
+    Matrices, 1972), so basis extension equals the surrogate; on any other
+    model it falls back to basis_extension_check, which factors W itself.
+    When G is nondegenerate, c1 lies in the span of the curvature classes iff
+    c1 G lies in the row span of P, read off the same factorization; a
+    degenerate G falls back to c1_bundle_triviality.
     """
     base = bundle.base
     if not isinstance(base, SurfaceModel):
@@ -130,22 +132,21 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
         raise HypothesesNotMet("simply_connected_base", f"{base.name} is not simply connected")
     solver = IntegerSolver(_pairing_matrix(bundle))
     pair_snf = solver.diagonal
-    surrogate = tuple(pair_snf) == (1, 1)
+    surrogate = pair_snf == (1, 1)
+    alpha, beta = _witnesses(solver) or (None, None)
 
-    witnesses = _witnesses_from(solver)
-    alpha, beta = witnesses if witnesses else (None, None)
-    extension = basis_extension_check(base, bundle.curvatures)
-    spin_integral = c1_bundle_triviality(bundle)
+    factors = base.gram_factors
+    if all(d == 1 for d in factors):
+        extension = surrogate
+    else:
+        extension = basis_extension_check(base, bundle.curvatures)
+    if all(factors):
+        spin_integral = solver.in_row_space(pairing_row(base, base.c1))
+    else:
+        spin_integral = c1_bundle_triviality(bundle)
     spin_mod2 = mod2_membership(base, base.c1, bundle.curvatures)
 
-    tables = None
-    if witnesses and extension:
-        tables = _tables_for_rank(base.rank)
-
-    if witnesses and extension and surrogate and spin_mod2:
-        label = diffeo_label_for(base.rank - 2)
-    else:
-        label = UNCLASSIFIED
+    classified = surrogate and extension
     return TopologyCertificate(
         basis_extension=extension,
         alpha=alpha,
@@ -154,6 +155,6 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
         simply_connected_surrogate=surrogate,
         spin_integral=spin_integral,
         spin_mod2=spin_mod2,
-        diffeo_label=label,
-        tables=tables,
+        diffeo_label=diffeo_label_for(base.rank - 2) if classified and spin_mod2 else UNCLASSIFIED,
+        tables=_tables_for_rank(base.rank) if classified else None,
     )

@@ -227,3 +227,30 @@ def test_text_format_renders(capsys):
     )
     assert code == 0
     assert "verdict: True" in out
+
+
+def test_bad_thread_settings_exit_2(tmp_path, capsys, monkeypatch):
+    search = ["search", "--model", "quadric", "--bound", "1", "--filter", "skt"]
+    monkeypatch.setenv("CYT_FORGE_THREADS", "abc")
+    code, _, err = run(capsys, *search, "--threads", "1")
+    assert code == 2 and "CYT_FORGE_THREADS" in err
+    # only the search reads the variable
+    assert run(capsys, "solve-ansatz", "--k", "9")[0] == 0
+    monkeypatch.delenv("CYT_FORGE_THREADS")
+    for bad in (["--threads", "0"], ["--threads", "-2"], ["--threads", "x"], ["--limit", "-1"]):
+        code, _, err = run(capsys, *search, *bad)
+        assert code == 2, bad
+        assert "Traceback" not in err
+
+
+def test_search_reports_limit(tmp_path, capsys):
+    out_path = tmp_path / "cat.jsonl"
+    search = ["search", "--model", "quadric", "--bound", "1", "--filter", "skt", "--threads", "1"]
+    code, _, err = run(capsys, *search, "--limit", "0", "--out", str(out_path))
+    assert code == 1
+    assert load_catalog(str(out_path)) == ([], [])
+    assert "search stopped at --limit 0: " in err and "exhausted" not in err
+    code, out, err = run(capsys, *search, "--limit", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 2
+    assert "search stopped at --limit 2: " in err and "exhausted" not in err

@@ -10,7 +10,6 @@ from cytforge.cyt import (
     canonical_ricci_class,
     cyt_defect,
     lambda_trace,
-    lambda_trace_general,
     primitive_route_check,
     solve_scale,
     solve_symmetric_ansatz,
@@ -63,12 +62,6 @@ def test_lambda_trace_examples():
     assert lambda_trace(m5, m5.c1, m5.c1) == 2  # trace of F against itself is the dimension
     with pytest.raises(NullClass):
         lambda_trace(q, parse_class(q, "C"), parse_class(q, "C"))
-
-
-def test_lambda_trace_general_hook():
-    assert lambda_trace_general(3, Fraction(5), Fraction(2)) == Fraction(15, 2)
-    with pytest.raises(NullClass):
-        lambda_trace_general(3, Fraction(1), Fraction(0))
 
 
 def test_cyt_defect_quadric():
@@ -267,3 +260,12 @@ def test_lambda_scale_covariance():
         base = lambda_trace(m, w, f)
         for s in scales:
             assert lambda_trace(m, w, s * f) == base / s
+
+
+def test_ansatz_pairing_check_is_explicit(monkeypatch):
+    import cytforge.cyt as cyt_module
+    from cytforge.errors import InvariantViolation
+
+    monkeypatch.setattr(cyt_module, "intersect", lambda model, x, y: 0)
+    with pytest.raises(InvariantViolation):
+        solve_symmetric_ansatz(9)

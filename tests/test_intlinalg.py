@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from cytforge.intlinalg import (
+    IntegerSolver,
     gf2_in_span,
     identity_matrix,
     mat_mul,
@@ -154,3 +155,26 @@ def test_gf2_span():
     assert gf2_in_span([0, 0, 0], [])
     assert gf2_in_span([2, 4, 6], [])  # even vectors vanish mod 2
     assert gf2_in_span([1, 1, 0], [[1, 0, 0], [0, 1, 0]])
+
+
+def test_solver_residual_check_is_explicit(monkeypatch):
+    from cytforge.errors import InvariantViolation
+
+    solver = IntegerSolver([[1, 2, 3], [0, 1, 4]])
+    assert solver.solve([1, 0]) is not None
+    monkeypatch.setattr(solver, "mat", [[2, 4, 6], [0, 2, 8]])
+    with pytest.raises(InvariantViolation):
+        solver.solve([1, 0])
+
+
+def test_row_space_membership():
+    rng = random.Random(31)
+    for _ in range(200):
+        rows = random_matrix(rng, 2, 4, -2, 2)
+        solver = IntegerSolver(rows)
+        y = [rng.randint(-3, 3) for _ in range(2)]
+        combo = [sum(y[i] * rows[i][j] for i in range(2)) for j in range(4)]
+        assert solver.in_row_space(combo)
+        vec = [rng.randint(-4, 4) for _ in range(4)]
+        cols = [[rows[i][j] for i in range(2)] for j in range(4)]
+        assert solver.in_row_space(vec) == (solve_integer_linear(cols, vec) is not None)

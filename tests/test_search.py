@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -139,6 +140,10 @@ def test_limit_and_threads_env(monkeypatch):
     q = SearchQuery(model=quadric(), coeff_bound=1, filters=frozenset({"skt"}), limit=3)
     records, stats = search(q, threads=1)
     assert len(records) == 3 and not stats.exhausted
+    records, stats = search(dataclasses.replace(q, limit=0), threads=1)
+    assert records == [] and not stats.exhausted
+    with pytest.raises(ValueError):
+        dataclasses.replace(q, limit=-1)
     monkeypatch.setenv("CYT_FORGE_THREADS", "2")
     assert resolve_threads(8) == 2
     assert resolve_threads(1) == 1
@@ -154,3 +159,44 @@ def test_skt_records_verify():
     for rec in records[:50]:
         bundle = BundleSpec(model, (CohClass.of(rec.omega1), CohClass.of(rec.omega2)))
         assert verify_skt(bundle).verdict
+
+
+def test_record_must_stand_on_full_certificate(monkeypatch):
+    import importlib
+    from types import SimpleNamespace
+
+    from cytforge.errors import InvariantViolation
+
+    # the package attribute `search` is the function, so reach the module by name
+    search_module = importlib.import_module("cytforge.search")
+
+    monkeypatch.setattr(search_module, "verify_cyt", lambda bundle, f: SimpleNamespace(verdict=False))
+    q = SearchQuery(model=blowup_cp2(2), coeff_bound=3, filters=frozenset({"cyt"}))
+    with pytest.raises(InvariantViolation):
+        search(q, threads=1)
+
+
+# sha256 of the catalog bytes `cytforge search --out` wrote for these queries
+# before search and topology moved to integer tuples; they must not move
+FROZEN_CATALOGS = (
+    (
+        frozenset({"cyt", "topology", "spin"}),
+        "4e6761a9ed00804bdec39da6b6964f3f304b6501e263610872b928edab65929f",
+    ),
+    (
+        frozenset({"skt"}),
+        "34d834b19d45f82414c3e96b359eac0b64d2025aa540be19f6e48a6de9862b24",
+    ),
+)
+
+
+@pytest.mark.parametrize("filters,digest", FROZEN_CATALOGS)
+def test_catalog_bytes_frozen(tmp_path, filters, digest):
+    import hashlib
+
+    from cytforge.catalog import append_records
+
+    records, _ = search(SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=filters), threads=1)
+    path = tmp_path / "catalog.jsonl"
+    append_records(str(path), records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

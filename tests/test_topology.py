@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from cytforge.cyt import BundleSpec, solve_symmetric_ansatz
+from cytforge.cyt import BundleSpec, c1_bundle_triviality, solve_symmetric_ansatz
 from cytforge.errors import HypothesesNotMet, WrongFiberRank
 from cytforge.surfaces import (
     CohClass,
+    basis_extension_check,
     blowup_cp2,
     custom_model,
     intersect,
     kummer_model,
     parse_class,
+    projective_plane,
     quadric,
 )
 from cytforge.topology import (
@@ -205,3 +207,51 @@ def test_diffeo_label_format():
     assert diffeo_label_for(0) == "S³×S³"
     assert diffeo_label_for(1) == "1(S²×S⁴) # 2(S³×S³)"
     assert diffeo_label_for(8) == "8(S²×S⁴) # 9(S³×S³)"
+
+
+def test_non_unimodular_gram_takes_the_general_path():
+    # G = diag(2,-1,-1): W = (e1, e2) extends to a basis, but the pairing
+    # matrix W G = [[2,0,0],[0,-1,0]] has invariant factors (1, 2)
+    m = custom_model("diag2", [[2, 0, 0], [0, -1, 0], [0, 0, -1]], [1, 1, 1],
+                     curves=[], ample_witness=[1, 0, 0], simply_connected=True)
+    cert = topology_certificate(BundleSpec(m, (parse_class(m, "e1"), parse_class(m, "e2"))))
+    assert cert.basis_extension
+    assert cert.pairing_snf == (1, 2)
+    assert not cert.simply_connected_surrogate
+    assert cert.alpha is None and cert.beta is None
+    assert cert.diffeo_label == UNCLASSIFIED
+
+
+FULL_BUILTIN_MODELS = (
+    [projective_plane(), quadric()]
+    + [blowup_cp2(k) for k in range(1, 9)]
+    + [blowup_cp2(k, "on_cubic") for k in (2, 5, 9, 12)]
+)
+OTHER_GRAMS = (
+    [[2, 0, 0], [0, -1, 0], [0, 0, -1]],  # nondegenerate, |det| = 2
+    [[0, 3], [3, 2]],  # nondegenerate, |det| = 9
+    [[1, 1, 0], [1, 1, 0], [0, 0, -1]],  # degenerate
+)
+
+
+@pytest.mark.parametrize(
+    "model",
+    FULL_BUILTIN_MODELS
+    + [custom_model(f"g{i}", g, [1] * len(g), curves=[], simply_connected=True)
+       for i, g in enumerate(OTHER_GRAMS)],
+    ids=lambda m: m.name,
+)
+def test_one_snf_certificate_matches_the_separate_checks(model):
+    rng = random.Random(model.name)
+    for _ in range(60):
+        w1, w2 = (CohClass.of([rng.randint(-3, 3) for _ in range(model.rank)]) for _ in range(2))
+        bundle = BundleSpec(model, (w1, w2))
+        cert = topology_certificate(bundle)
+        assert cert.basis_extension == basis_extension_check(model, (w1, w2))
+        assert cert.spin_integral == c1_bundle_triviality(bundle)
+        witnesses = find_alpha_beta(bundle)
+        assert (cert.alpha, cert.beta) == (witnesses or (None, None))
+        assert (witnesses is not None) == cert.simply_connected_surrogate
+        if witnesses:
+            assert pairings(model, bundle, cert.alpha) == [1, 0]
+            assert pairings(model, bundle, cert.beta) == [0, 1]
