@@ -246,7 +246,8 @@ def _cmd_search(args) -> int:
     else:
         outcome = f"search stopped at --limit {args.limit}"
     print(
-        f"{outcome}: {stats.pairs_evaluated} pairs evaluated, {stats.records_emitted} records",
+        f"{outcome}: {stats.pairs_evaluated} pairs visited, "
+        f"{stats.pairs_skipped} skipped by symmetry, {stats.records_emitted} records",
         file=sys.stderr,
     )
     return 0 if records else 1

@@ -15,8 +15,21 @@ and the skt and spin pre-filters run on integer tuples; classes are built
 only for the pairs that reach the solver and topology checks.  Work is
 partitioned by the leading coefficient of w1 and merged in order, which
 keeps parallel runs bit-identical to serial ones.
-"""
 
+Enumeration is isomorph-free up to the query's symmetry group (orderly
+generation in McKay's sense).  The pair swap always belongs to it: the ray
+condition above and every filter are symmetric in w1, w2.  The permutations
+S_k of the exceptional coordinates 1..k belong to it when the model's Gram
+matrix and c1 are fixed by them, the query's ray (if any) has equal
+exceptional coordinates, and the on-cubic ansatz pair is not in the box;
+then the candidate locus and every filter are S_k-invariant too.  The
+search visits only w1 with non-decreasing exceptional coordinates and
+evaluates a pair only when it is the lexicographic minimum of its orbit.
+That minimum is exactly the canonical key (column sort, then the least of
+the swap), and it is also the pair the unpruned lexicographic enumeration
+would emit first for the orbit, so records and catalog bytes are the same
+as without pruning.
+"""
 from __future__ import annotations
 
 import itertools
@@ -74,9 +87,10 @@ class SearchQuery:
 class SearchStats:
     bound: int
     chunks: int
-    pairs_evaluated: int
+    pairs_evaluated: int  # pairs visited by the enumeration
     records_emitted: int
     exhausted: bool = True
+    pairs_skipped: int = 0  # visited pairs the orbit rule did not evaluate
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
@@ -94,8 +108,17 @@ def resolve_threads(requested: Optional[int] = None) -> int:
 
 
 def _permutes_exceptionals(model: SurfaceModel) -> bool:
-    labels = model.basis_labels
-    return model.rank > 1 and labels[0] == "H" and all(lab.startswith("E") for lab in labels[1:])
+    """True iff every permutation of the coordinates 1..k fixes the Gram
+    matrix and c1, whatever the basis labels say."""
+    if model.rank < 2:
+        return False
+    g, c1, rest = model.gram, model.c1.coeffs, range(1, model.rank)
+    return (
+        len({c1[i] for i in rest}) == 1
+        and len({g[0][i] for i in rest}) == 1
+        and len({g[i][i] for i in rest}) == 1
+        and len({g[i][j] for i in rest for j in rest if i != j}) <= 1
+    )
 
 
 def _canonical_key(a: tuple[int, ...], b: tuple[int, ...], permute: bool) -> str:
@@ -128,8 +151,17 @@ def _all_vectors(rank: int, bound: int) -> Iterable[tuple[int, ...]]:
     return itertools.product(range(-bound, bound + 1), repeat=rank)
 
 
-def _vectors_with_lead(lead: int, rank: int, bound: int) -> Iterable[tuple[int, ...]]:
-    for rest in itertools.product(range(-bound, bound + 1), repeat=rank - 1):
+def _vectors_with_lead(
+    lead: int, rank: int, bound: int, sorted_rest: bool = False
+) -> Iterable[tuple[int, ...]]:
+    """The box vectors with first coordinate lead, in lexicographic order;
+    only those with non-decreasing later coordinates when sorted_rest."""
+    coords = range(-bound, bound + 1)
+    if sorted_rest:
+        rests = itertools.combinations_with_replacement(coords, rank - 1)
+    else:
+        rests = itertools.product(coords, repeat=rank - 1)
+    for rest in rests:
         yield (lead,) + rest
 
 
@@ -167,13 +199,21 @@ class _RayData:
         return self.r > 0 and self.d_pair > 0
 
     def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
+        """The box vectors v with Q(v,R) = 0, in lexicographic order: the
+        coordinate j of the last nonzero w_j is solved for, not scanned."""
         if self.perp is None:
-            w = self.w
-            self.perp = [
-                v
-                for v in _all_vectors(rank, self.bound)
-                if sum(a * b for a, b in zip(v, w)) == 0
-            ]
+            w, bound = self.w, self.bound
+            j = max((i for i, x in enumerate(w) if x), default=None)
+            if j is None:
+                self.perp = list(_all_vectors(rank, bound))
+                return self.perp
+            wj = w[j]
+            w_rest = w[:j] + w[j + 1 :]
+            self.perp = []
+            for rest in _all_vectors(rank - 1, bound):
+                x, rem = divmod(-sum(a * b for a, b in zip(rest, w_rest)), wj)
+                if not rem and -bound <= x <= bound:
+                    self.perp.append(rest[:j] + (x,) + rest[j:])
         return self.perp
 
     def candidates_for(self, w1: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -213,6 +253,18 @@ class _RayData:
 # -- per-pair evaluation -------------------------------------------------
 
 
+def _ansatz_pair(query: SearchQuery) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The on-cubic symmetric-ansatz pair when the query can use it and it
+    lies in the box; None otherwise."""
+    model = query.model
+    if "cyt" not in query.filters or model.curve_regime != REGIME_ON_CUBIC or model.rank - 1 < 9:
+        return None
+    pair = tuple(tuple(w.as_int_vector()) for w in ansatz_curvatures(model.rank - 1))
+    if all(abs(c) <= query.coeff_bound for v in pair for c in v):
+        return pair
+    return None
+
+
 class _Chunk:
     """Per-chunk state shared by every pair: the cyt rays with their cone
     verdicts and candidate generators, the ansatz pair, and a cache of
@@ -238,11 +290,7 @@ class _Chunk:
                 if data.usable():
                     self.ray_datas.append(data)
 
-        self.ansatz_pair: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-        if "cyt" in query.filters and model.curve_regime == REGIME_ON_CUBIC and rank - 1 >= 9:
-            pair = tuple(tuple(w.as_int_vector()) for w in ansatz_curvatures(rank - 1))
-            if all(abs(c) <= bound for v in pair for c in v):
-                self.ansatz_pair = pair
+        self.ansatz_pair = _ansatz_pair(query)
 
         self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
         if "cyt" not in query.filters and "skt" in query.filters:
@@ -360,31 +408,78 @@ class _Chunk:
         )
 
 
-def _chunk_worker(args) -> tuple[list[CatalogRecord], int]:
-    query, lead = args
+# -- orbit rule ----------------------------------------------------------
+
+# search_symmetry never returns NO_SYMMETRY; it evaluates every visited pair
+# and is the unpruned reference the tests compare against
+NO_SYMMETRY = "none"
+SWAP = "swap"
+PERMUTE_AND_SWAP = "exceptionals+swap"
+
+
+def search_symmetry(query: SearchQuery) -> str:
+    """The group the candidate locus and every filter of the query are
+    invariant under: always the pair swap, and the permutations of the
+    exceptional coordinates when the model, the ray and the ansatz pair are
+    fixed by them."""
+    ray = query.ray
+    if (
+        _permutes_exceptionals(query.model)
+        and (ray is None or all(c == ray.coeffs[1] for c in ray.coeffs[2:]))
+        and _ansatz_pair(query) is None
+    ):
+        return PERMUTE_AND_SWAP
+    return SWAP
+
+
+def _equal_runs(v: tuple[int, ...]) -> list[int]:
+    """Indices i >= 1 with v[i] == v[i + 1]."""
+    return [i for i in range(1, len(v) - 1) if v[i] == v[i + 1]]
+
+
+def _is_orbit_minimum(v1: tuple[int, ...], v2: tuple[int, ...], runs: list[int]) -> bool:
+    """Whether (v1, v2) is the least member of its orbit under the
+    exceptional permutations and the swap, given v1 with sorted exceptional
+    coordinates and runs = _equal_runs(v1)."""
+    for i in runs:
+        if v2[i] > v2[i + 1]:
+            return False
+    if v1[0] != v2[0]:
+        return v1[0] < v2[0]
+    xs, ys = zip(*sorted(zip(v2[1:], v1[1:])))
+    return v1[1:] + v2[1:] <= xs + ys
+
+
+def _chunk_worker(args) -> tuple[list[CatalogRecord], int, int]:
+    query, lead, symmetry = args
     chunk = _Chunk(query)
     permute = _permutes_exceptionals(query.model)
+    sorted_v1 = symmetry == PERMUTE_AND_SWAP
     records: list[CatalogRecord] = []
-    evaluated = 0
+    visited = skipped = 0
     passed_keys: set[str] = set()
-    # the filters are invariant under the dedup symmetries (exceptional-curve
-    # permutations fix the form, c1 and the default ray; the pair swap enters
-    # both conditions symmetrically), so once a pair passes, its whole orbit
-    # can be skipped without changing the emitted representative set.  A
-    # user-supplied ray can break the permutation symmetry, so dedup is only
-    # keyed on passes when no such ray is present.
-    early_dedup = query.ray is None
-    for v1 in _vectors_with_lead(lead, query.model.rank, query.coeff_bound):
+    for v1 in _vectors_with_lead(lead, query.model.rank, query.coeff_bound, sorted_v1):
+        runs = _equal_runs(v1) if sorted_v1 else []
         for v2 in chunk.candidates(v1):
-            evaluated += 1
+            visited += 1
+            if sorted_v1:
+                if not _is_orbit_minimum(v1, v2, runs):
+                    skipped += 1
+                    continue
+            elif symmetry == SWAP and v2 < v1:
+                skipped += 1
+                continue
             key = _canonical_key(v1, v2, permute)
-            if early_dedup and key in passed_keys:
+            # without the permutations in the group the key still merges
+            # permuted pairs; the merge keeps the first, so later ones can go
+            if key in passed_keys:
+                skipped += 1
                 continue
             rec = chunk.evaluate(v1, v2, key)
             if rec is not None:
                 passed_keys.add(key)
                 records.append(rec)
-    return records, evaluated
+    return records, visited, skipped
 
 
 def search(
@@ -407,7 +502,8 @@ def search(
 
     leads = list(range(-bound, bound + 1))
     nthreads = resolve_threads(threads)
-    tasks = [(query, lead) for lead in leads]
+    symmetry = search_symmetry(query)
+    tasks = [(query, lead, symmetry) for lead in leads]
     if nthreads <= 1 or len(leads) <= 1:
         results = []
         for t in tasks:
@@ -423,11 +519,12 @@ def search(
     limit = query.limit
     merged: list[CatalogRecord] = []
     seen: set[str] = set()
-    evaluated = 0
-    for records, count in results:
+    visited = skipped = 0
+    for records, chunk_visited, chunk_skipped in results:
         if limit is not None and len(merged) >= limit:
             break
-        evaluated += count
+        visited += chunk_visited
+        skipped += chunk_skipped
         for rec in records:
             if rec.canonical_key in seen:
                 continue
@@ -438,8 +535,9 @@ def search(
     stats = SearchStats(
         bound=bound,
         chunks=len(leads),
-        pairs_evaluated=evaluated,
+        pairs_evaluated=visited,
         records_emitted=len(merged),
         exhausted=limit is None or len(merged) < limit,
+        pairs_skipped=skipped,
     )
     return merged, stats

@@ -1,4 +1,5 @@
 import json
+import re
 
 from cytforge.catalog import load_catalog
 from cytforge.certificates import Certificate
@@ -118,7 +119,10 @@ def test_search_writes_catalog(tmp_path, capsys):
         "--out", str(out_path), "--threads", "1",
     )
     assert code == 0
-    assert "exhausted coefficient bound 3" in err
+    assert re.search(
+        r"search exhausted coefficient bound 3: \d+ pairs visited, \d+ skipped by symmetry, \d+ records",
+        err,
+    )
     records, errors = load_catalog(str(out_path))
     assert not errors and records
     pair = {(3, -1, -1), (1, -2, -1)}

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 
 import pytest
@@ -7,8 +8,12 @@ from cytforge.cyt import BundleSpec, verify_cyt
 from cytforge.errors import BoundTooLarge
 from cytforge.search import SearchQuery, canonical_form, resolve_threads, search
 from cytforge.skt import verify_skt
-from cytforge.surfaces import CohClass, blowup_cp2, parse_class, quadric
+from cytforge.surfaces import CohClass, blowup_cp2, custom_model, parse_class, quadric
 from cytforge.topology import topology_certificate
+
+
+# the package attribute `search` is the function, so reach the module by name
+search_module = importlib.import_module("cytforge.search")
 
 
 def keys_of(records):
@@ -162,13 +167,9 @@ def test_skt_records_verify():
 
 
 def test_record_must_stand_on_full_certificate(monkeypatch):
-    import importlib
     from types import SimpleNamespace
 
     from cytforge.errors import InvariantViolation
-
-    # the package attribute `search` is the function, so reach the module by name
-    search_module = importlib.import_module("cytforge.search")
 
     monkeypatch.setattr(search_module, "verify_cyt", lambda bundle, f: SimpleNamespace(verdict=False))
     q = SearchQuery(model=blowup_cp2(2), coeff_bound=3, filters=frozenset({"cyt"}))
@@ -200,3 +201,103 @@ def test_catalog_bytes_frozen(tmp_path, filters, digest):
     path = tmp_path / "catalog.jsonl"
     append_records(str(path), records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# -- orbit-pruned enumeration ----------------------------------------------
+
+NON_INVARIANT_GRAM = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]
+
+
+def test_symmetry_is_read_from_the_gram_not_the_labels():
+    # diag(1,-1,-1,-2) is not fixed by permuting E1..E3, so H/E labels must
+    # not merge pairs that a neutral labelling keeps apart
+    def run(labels, filters):
+        model = custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1], basis_labels=labels)
+        records, _ = search(SearchQuery(model=model, coeff_bound=2, filters=filters), threads=1)
+        return [r.to_line() for r in records]
+
+    for filters in (frozenset({"skt"}), frozenset({"skt", "spin"})):
+        assert run(["H", "E1", "E2", "E3"], filters) == run(["a", "b", "c", "d"], filters)
+
+
+def test_symmetry_predicate():
+    s = search_module
+    m3 = blowup_cp2(3)
+    cyt = frozenset({"cyt"})
+    assert s.search_symmetry(SearchQuery(model=m3, coeff_bound=2, filters=cyt)) == s.PERMUTE_AND_SWAP
+    sym_ray = SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-E1-E2-E3"))
+    assert s.search_symmetry(sym_ray) == s.PERMUTE_AND_SWAP
+    odd_ray = SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-2E1-E2-E3"))
+    assert s.search_symmetry(odd_ray) == s.SWAP
+    custom = custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1], basis_labels=["H", "E1", "E2", "E3"])
+    assert s.search_symmetry(SearchQuery(model=custom, coeff_bound=2, filters=cyt)) == s.SWAP
+    # the ansatz pair 4H-2(E1+..+E4)-(E5+..+E9), -H+E1+..+E4 is in the box at bound 4
+    cubic = blowup_cp2(9, "on_cubic")
+    assert s.search_symmetry(SearchQuery(model=cubic, coeff_bound=4, filters=cyt)) == s.SWAP
+    assert s.search_symmetry(SearchQuery(model=cubic, coeff_bound=3, filters=cyt)) == s.PERMUTE_AND_SWAP
+    assert s.search_symmetry(
+        SearchQuery(model=cubic, coeff_bound=4, filters=frozenset({"skt"}))
+    ) == s.PERMUTE_AND_SWAP
+
+
+def test_orbit_minimum_matches_the_canonical_key():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(3000):
+        k = rng.randint(1, 5)
+        v1 = (rng.randint(-2, 2),) + tuple(sorted(rng.randint(-2, 2) for _ in range(k)))
+        v2 = tuple(rng.randint(-2, 2) for _ in range(k + 1))
+        runs = search_module._equal_runs(v1)
+        is_min = search_module._canonical_key(v1, v2, True) == (
+            ",".join(map(str, v1)) + "|" + ",".join(map(str, v2))
+        )
+        assert search_module._is_orbit_minimum(v1, v2, runs) == is_min, (v1, v2)
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+@pytest.mark.parametrize(
+    "model,ray",
+    [(blowup_cp2(3), "H"), (blowup_cp2(3), "3H-E1"), (blowup_cp2(4), "2H-E2"), (blowup_cp2(3), "E1-E3")],
+)
+def test_perp_vectors_match_the_box_filter(model, ray, bound):
+    data = search_module._RayData(model, parse_class(model, ray), bound)
+    w = data.w
+    brute = [
+        v
+        for v in itertools.product(range(-bound, bound + 1), repeat=model.rank)
+        if sum(a * b for a, b in zip(v, w)) == 0
+    ]
+    assert 0 in w
+    assert data.perp_vectors(model.rank) == brute
+
+
+PRUNING_CASES = [
+    (blowup_cp2(2), 3, {"cyt"}, None),
+    (blowup_cp2(3), 3, {"cyt", "topology", "spin"}, None),
+    (blowup_cp2(4), 2, {"cyt", "topology", "spin"}, None),
+    (blowup_cp2(3), 2, {"skt"}, None),
+    (blowup_cp2(4), 2, {"skt", "spin"}, None),
+    (blowup_cp2(3), 3, {"cyt", "balanced"}, None),
+    (quadric(), 3, {"cyt", "skt"}, None),
+    (blowup_cp2(3), 2, {"cyt", "topology"}, "5H-E1-E2-E3"),
+    (blowup_cp2(2), 3, {"cyt"}, "4H-E1-2E2"),
+]
+
+
+@pytest.mark.parametrize("model,bound,filters,ray", PRUNING_CASES)
+def test_pruning_changes_no_output(monkeypatch, model, bound, filters, ray):
+    q = SearchQuery(
+        model=model,
+        coeff_bound=bound,
+        filters=frozenset(filters),
+        ray=parse_class(model, ray) if ray else None,
+    )
+    records, stats = search(q, threads=1)
+    lines = [r.to_line() for r in records]
+    assert stats.pairs_skipped > 0
+    for group in (search_module.SWAP, search_module.NO_SYMMETRY):
+        monkeypatch.setattr(search_module, "search_symmetry", lambda query, group=group: group)
+        unpruned, unpruned_stats = search(q, threads=1)
+        assert [r.to_line() for r in unpruned] == lines, group
+        assert unpruned_stats.pairs_evaluated >= stats.pairs_evaluated
