@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import CorruptRecord
@@ -25,27 +25,15 @@ class VerdictFlags:
     scale: Optional[str] = None  # exact scalar text
 
     def to_doc(self) -> dict:
-        return {
-            "cyt": self.cyt,
-            "skt": self.skt,
-            "balanced": self.balanced,
-            "spin": self.spin,
-            "topology_label": self.topology_label,
-            "cyt_route": self.cyt_route,
-            "scale": self.scale,
-        }
+        return {name: getattr(self, name) for name in _FLAG_NAMES}
 
     @staticmethod
     def from_doc(doc: dict) -> "VerdictFlags":
-        return VerdictFlags(
-            cyt=doc.get("cyt"),
-            skt=doc.get("skt"),
-            balanced=doc.get("balanced"),
-            spin=doc.get("spin"),
-            topology_label=doc.get("topology_label"),
-            cyt_route=doc.get("cyt_route"),
-            scale=doc.get("scale"),
-        )
+        return VerdictFlags(**{name: doc.get(name) for name in _FLAG_NAMES})
+
+
+# dataclasses.asdict deep-copies every value; records are written in bulk
+_FLAG_NAMES = tuple(f.name for f in fields(VerdictFlags))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -160,16 +160,7 @@ class Certificate:
 
     @staticmethod
     def from_doc(doc: dict) -> "Certificate":
-        return Certificate(
-            command=doc["command"],
-            model=doc["model"],
-            inputs=doc["inputs"],
-            results=doc["results"],
-            verdict=doc["verdict"],
-            tool_version=doc["tool_version"],
-            normalization_note=doc["normalization_note"],
-            timestamp=doc["timestamp"],
-        )
+        return Certificate(**{f.name: doc[f.name] for f in fields(Certificate)})
 
     @staticmethod
     def from_json(text: str) -> "Certificate":

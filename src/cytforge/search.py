@@ -12,9 +12,15 @@ so for fixed w1 the admissible w2 are finitely many explicit integer vectors
 to c1.  Every candidate is then re-verified through the full certificate
 path, so emitted records never rest on the shortcut.  Enumeration, dedup
 and the skt and spin pre-filters run on integer tuples; classes are built
-only for the pairs that reach the solver and topology checks.  Work is
-partitioned by the leading coefficient of w1 and merged in order, which
-keeps parallel runs bit-identical to serial ones.
+only for the pairs that reach the solver, balance and topology checks.
+
+A search builds one plan per query with everything the pairs share: the
+rays, the skt buckets, the ansatz pair and the symmetry group.  A ray (the
+query's, then the anticanonical) enters it only if it is Kaehler with
+Q(R,R) > 0 and Q(c1,R) > 0; pairing the condition with R shows that
+Q(c1,R) <= 0 forces s <= 0.  Work is split by the leading coefficient of w1;
+every chunk, serial or in a pool worker, runs on that one plan, and chunks
+merge in order, which keeps parallel runs bit-identical to serial ones.
 
 Enumeration is isomorph-free up to the query's symmetry group (orderly
 generation in McKay's sense).  The pair swap always belongs to it: the ray
@@ -36,7 +42,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from multiprocessing import Pool, cpu_count
 from typing import Callable, Iterable, Optional
 
@@ -52,13 +58,17 @@ from .cyt import (
     verify_cyt,
 )
 from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
-from .scalars import format_scalar, ratio_of
+from .scalars import exact_sign, format_scalar, ratio_of
 from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect, pairing_row
 from .topology import UNCLASSIFIED, topology_certificate
 
 VALID_FILTERS = ("cyt", "skt", "balanced", "topology", "spin")
 
+_CLASS_FILTERS = frozenset({"cyt", "balanced", "topology"})  # the ones that read classes
+
 _BRUTE_PAIR_CAP = 2_000_000
+
+_Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,8 @@ class SearchQuery:
             raise BoundTooLarge("coeff_bound <= 6 required for models of rank > 6")
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be nonnegative")
+        if self.ray is not None and exact_sign(intersect(self.model, self.ray, self.ray)) <= 0:
+            raise NotPositiveRay("search ray needs positive self-intersection")
 
 
 @dataclass
@@ -89,7 +101,7 @@ class SearchStats:
     chunks: int
     pairs_evaluated: int  # pairs visited by the enumeration
     records_emitted: int
-    exhausted: bool = True
+    exhausted: bool = True  # False only when --limit cut a record
     pairs_skipped: int = 0  # visited pairs the orbit rule did not evaluate
 
 
@@ -144,6 +156,45 @@ def canonical_form(model: SurfaceModel, w1: CohClass, w2: CohClass) -> str:
     )
 
 
+# -- orbit rule ----------------------------------------------------------
+
+# search_symmetry never returns NO_SYMMETRY; it evaluates every visited pair
+# and is the unpruned reference the tests compare against
+NO_SYMMETRY = "none"
+SWAP = "swap"
+PERMUTE_AND_SWAP = "exceptionals+swap"
+
+
+def search_symmetry(query: SearchQuery, permute: bool, ansatz_pair: Optional[_Pair]) -> str:
+    """The group the candidate locus and every filter of the query are
+    invariant under: always the pair swap, and the permutations of the
+    exceptional coordinates when they fix the model (permute), the ray and
+    the in-box ansatz pair (which they never fix)."""
+    ray = query.ray
+    symmetric_ray = ray is None or all(c == ray.coeffs[1] for c in ray.coeffs[2:])
+    return PERMUTE_AND_SWAP if permute and symmetric_ray and ansatz_pair is None else SWAP
+
+
+def _equal_runs(v: tuple[int, ...]) -> list[int]:
+    """Indices i >= 1 with v[i] == v[i + 1]."""
+    return [i for i in range(1, len(v) - 1) if v[i] == v[i + 1]]
+
+
+def _is_orbit_minimum(v1: tuple, v2: tuple, runs: list[int], permute: bool) -> bool:
+    """Whether (v1, v2) is the least member of its orbit under the swap and,
+    when permute is set, the exceptional permutations; then v1 must have
+    sorted exceptional coordinates and runs = _equal_runs(v1)."""
+    if not permute:
+        return v1 <= v2
+    for i in runs:
+        if v2[i] > v2[i + 1]:
+            return False
+    if v1[0] != v2[0]:
+        return v1[0] < v2[0]
+    xs, ys = zip(*sorted(zip(v2[1:], v1[1:])))
+    return v1[1:] + v2[1:] <= xs + ys
+
+
 # -- candidate generation ------------------------------------------------
 
 
@@ -166,18 +217,16 @@ def _vectors_with_lead(
 
 
 class _RayData:
-    """Integer data for solver-aware candidate generation along one ray."""
+    """One cyt route along a ray: its name and class, with the integer data
+    for solver-aware candidate generation."""
 
-    def __init__(self, model: SurfaceModel, ray: CohClass, bound: int):
+    def __init__(self, name: str, model: SurfaceModel, ray: CohClass, bound: int):
+        self.name = name
+        self.ray = ray
         vec = ray.coeffs
-        dens = [c.denominator if isinstance(c, Fraction) else 1 for c in vec]
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(c * lcm) for c in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        den = lcm(*(c.denominator if isinstance(c, Fraction) else 1 for c in vec))
+        ints = [int(c * den) for c in vec]
+        g = gcd(*ints)
         self.ray_int = [v // g for v in ints] if g else ints
         self.w = pairing_row(model, CohClass.of(self.ray_int))  # Q(., R) functional
         self.r = sum(a * b for a, b in zip(self.ray_int, self.w))  # Q(R,R)
@@ -194,9 +243,6 @@ class _RayData:
             for q2 in range(-self.q2_bound, self.q2_bound + 1):
                 if q2:
                     self.q2_by_residue.setdefault(q2 * q2 % self.d_pair, []).append(q2)
-
-    def usable(self) -> bool:
-        return self.r > 0 and self.d_pair > 0
 
     def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
         """The box vectors v with Q(v,R) = 0, in lexicographic order: the
@@ -250,10 +296,10 @@ class _RayData:
         return out
 
 
-# -- per-pair evaluation -------------------------------------------------
+# -- the plan ------------------------------------------------------------
 
 
-def _ansatz_pair(query: SearchQuery) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _ansatz_pair(query: SearchQuery) -> Optional[_Pair]:
     """The on-cubic symmetric-ansatz pair when the query can use it and it
     lies in the box; None otherwise."""
     model = query.model
@@ -265,10 +311,10 @@ def _ansatz_pair(query: SearchQuery) -> Optional[tuple[tuple[int, ...], tuple[in
     return None
 
 
-class _Chunk:
-    """Per-chunk state shared by every pair: the cyt rays with their cone
-    verdicts and candidate generators, the ansatz pair, and a cache of
-    integer self-intersections."""
+class _Plan:
+    """Everything the pairs of one query share, built once per search: the
+    rays a record can stand on, the skt buckets, the ansatz pair, the
+    symmetry group, and a cache of integer self-intersections."""
 
     def __init__(self, query: SearchQuery):
         model = query.model
@@ -276,21 +322,23 @@ class _Chunk:
         self.query = query
         self.c1 = tuple(model.c1.as_int_vector())
         self.squares: dict[tuple[int, ...], int] = {}
-        self.rays: list[tuple[str, CohClass]] = []
-        self.ray_cone_ok: dict[str, bool] = {}
-        self.ray_datas: list[_RayData] = []
-        if "cyt" in query.filters:
-            if query.ray is not None:
-                self.rays.append(("ray", query.ray))
-            if model.c1 != query.ray and not model.c1.is_zero():
-                self.rays.append(("anticanonical_ray", model.c1))
-            for name, ray in self.rays:
-                self.ray_cone_ok[name] = is_kahler(model, ray).verdict
-                data = _RayData(model, ray, bound)
-                if data.usable():
-                    self.ray_datas.append(data)
-
+        self.permute = _permutes_exceptionals(model)  # canonical keys
         self.ansatz_pair = _ansatz_pair(query)
+        symmetry = search_symmetry(query, self.permute, self.ansatz_pair)
+        self.prune = symmetry != NO_SYMMETRY
+        self.sorted_v1 = symmetry == PERMUTE_AND_SWAP
+
+        self.rays: list[_RayData] = []
+        if "cyt" in query.filters:
+            named = [("ray", query.ray)] if query.ray is not None else []
+            if model.c1 != query.ray and not model.c1.is_zero():
+                named.append(("anticanonical_ray", model.c1))
+            for name, ray in named:
+                data = _RayData(name, model, ray, bound)
+                # cone membership is invariant under the positive solved
+                # scale, so the ray's verdict stands in for is_kahler(s * ray)
+                if data.r > 0 and data.d_pair > 0 and is_kahler(model, ray).verdict:
+                    self.rays.append(data)
 
         self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
         if "cyt" not in query.filters and "skt" in query.filters:
@@ -307,9 +355,9 @@ class _Chunk:
         return q
 
     def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        if self.ray_datas or self.ansatz_pair is not None:
+        if "cyt" in self.query.filters:
             cand: set[tuple[int, ...]] = set()
-            for data in self.ray_datas:
+            for data in self.rays:
                 cand.update(data.candidates_for(v1))
             if self.ansatz_pair is not None:
                 a1, a2 = self.ansatz_pair
@@ -321,6 +369,32 @@ class _Chunk:
         if self.skt_buckets is not None:
             return self.skt_buckets.get(-self.square(v1), [])
         return _all_vectors(len(v1), self.query.coeff_bound)
+
+    def chunk(self, lead: int) -> tuple[list[CatalogRecord], int, int]:
+        """Records of the pairs whose w1 starts with lead, with the counts of
+        visited pairs and of those not evaluated."""
+        records: list[CatalogRecord] = []
+        visited = skipped = 0
+        passed_keys: set[str] = set()
+        rank, bound = self.query.model.rank, self.query.coeff_bound
+        for v1 in _vectors_with_lead(lead, rank, bound, self.sorted_v1):
+            runs = _equal_runs(v1) if self.sorted_v1 else []
+            for v2 in self.candidates(v1):
+                visited += 1
+                if self.prune and not _is_orbit_minimum(v1, v2, runs, self.sorted_v1):
+                    skipped += 1
+                    continue
+                key = _canonical_key(v1, v2, self.permute)
+                # without the permutations in the group the key still merges
+                # permuted pairs; the merge keeps the first, so later ones can go
+                if key in passed_keys:
+                    skipped += 1
+                    continue
+                rec = self.evaluate(v1, v2, key)
+                if rec is not None:
+                    passed_keys.add(key)
+                    records.append(rec)
+        return records, visited, skipped
 
     def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str) -> Optional[CatalogRecord]:
         query = self.query
@@ -338,23 +412,16 @@ class _Chunk:
                 return None
             flags["spin"] = True
 
-        w1, w2 = CohClass.of(v1), CohClass.of(v2)
-        bundle = BundleSpec(model, (w1, w2))
         kahler: Optional[CohClass] = None
+        if filters & _CLASS_FILTERS:
+            bundle = BundleSpec(model, (CohClass.of(v1), CohClass.of(v2)))
         if "cyt" in filters:
             route = None
-            for route_name, ray in self.rays:
-                # cone membership is invariant under the positive solved scale,
-                # so the per-ray verdict stands in for is_kahler(s * ray)
-                if not self.ray_cone_ok[route_name]:
-                    continue
-                try:
-                    s = solve_scale(bundle, ray)
-                except NotPositiveRay:
-                    continue
+            for data in self.rays:
+                s = solve_scale(bundle, data.ray)
                 if s is None:
                     continue
-                kahler, route = s * ray, route_name
+                kahler, route = s * data.ray, data.name
                 flags["scale"] = format_scalar(s)
                 break
             if kahler is None and self.ansatz_pair is not None and (v1, v2) in (
@@ -395,91 +462,21 @@ class _Chunk:
             omega1=v1,
             omega2=v2,
             kahler=tuple(kahler.serialize()) if kahler is not None else None,
-            flags=VerdictFlags(
-                cyt=flags.get("cyt"),
-                skt=flags.get("skt"),
-                balanced=flags.get("balanced"),
-                spin=flags.get("spin"),
-                topology_label=flags.get("topology_label"),
-                cyt_route=flags.get("cyt_route"),
-                scale=flags.get("scale"),
-            ),
+            flags=VerdictFlags(**flags),
             canonical_key=key,
         )
 
 
-# -- orbit rule ----------------------------------------------------------
-
-# search_symmetry never returns NO_SYMMETRY; it evaluates every visited pair
-# and is the unpruned reference the tests compare against
-NO_SYMMETRY = "none"
-SWAP = "swap"
-PERMUTE_AND_SWAP = "exceptionals+swap"
+_worker_plan: Optional[_Plan] = None  # set in each pool worker as it starts
 
 
-def search_symmetry(query: SearchQuery) -> str:
-    """The group the candidate locus and every filter of the query are
-    invariant under: always the pair swap, and the permutations of the
-    exceptional coordinates when the model, the ray and the ansatz pair are
-    fixed by them."""
-    ray = query.ray
-    if (
-        _permutes_exceptionals(query.model)
-        and (ray is None or all(c == ray.coeffs[1] for c in ray.coeffs[2:]))
-        and _ansatz_pair(query) is None
-    ):
-        return PERMUTE_AND_SWAP
-    return SWAP
+def _start_worker(plan: _Plan) -> None:
+    global _worker_plan
+    _worker_plan = plan
 
 
-def _equal_runs(v: tuple[int, ...]) -> list[int]:
-    """Indices i >= 1 with v[i] == v[i + 1]."""
-    return [i for i in range(1, len(v) - 1) if v[i] == v[i + 1]]
-
-
-def _is_orbit_minimum(v1: tuple[int, ...], v2: tuple[int, ...], runs: list[int]) -> bool:
-    """Whether (v1, v2) is the least member of its orbit under the
-    exceptional permutations and the swap, given v1 with sorted exceptional
-    coordinates and runs = _equal_runs(v1)."""
-    for i in runs:
-        if v2[i] > v2[i + 1]:
-            return False
-    if v1[0] != v2[0]:
-        return v1[0] < v2[0]
-    xs, ys = zip(*sorted(zip(v2[1:], v1[1:])))
-    return v1[1:] + v2[1:] <= xs + ys
-
-
-def _chunk_worker(args) -> tuple[list[CatalogRecord], int, int]:
-    query, lead, symmetry = args
-    chunk = _Chunk(query)
-    permute = _permutes_exceptionals(query.model)
-    sorted_v1 = symmetry == PERMUTE_AND_SWAP
-    records: list[CatalogRecord] = []
-    visited = skipped = 0
-    passed_keys: set[str] = set()
-    for v1 in _vectors_with_lead(lead, query.model.rank, query.coeff_bound, sorted_v1):
-        runs = _equal_runs(v1) if sorted_v1 else []
-        for v2 in chunk.candidates(v1):
-            visited += 1
-            if sorted_v1:
-                if not _is_orbit_minimum(v1, v2, runs):
-                    skipped += 1
-                    continue
-            elif symmetry == SWAP and v2 < v1:
-                skipped += 1
-                continue
-            key = _canonical_key(v1, v2, permute)
-            # without the permutations in the group the key still merges
-            # permuted pairs; the merge keeps the first, so later ones can go
-            if key in passed_keys:
-                skipped += 1
-                continue
-            rec = chunk.evaluate(v1, v2, key)
-            if rec is not None:
-                passed_keys.add(key)
-                records.append(rec)
-    return records, visited, skipped
+def _worker_chunk(lead: int) -> tuple[list[CatalogRecord], int, int]:
+    return _worker_plan.chunk(lead)
 
 
 def search(
@@ -500,44 +497,39 @@ def search(
                 "add a cyt or skt filter or shrink the bound"
             )
 
+    plan = _Plan(query)
     leads = list(range(-bound, bound + 1))
     nthreads = resolve_threads(threads)
-    symmetry = search_symmetry(query)
-    tasks = [(query, lead, symmetry) for lead in leads]
     if nthreads <= 1 or len(leads) <= 1:
         results = []
-        for t in tasks:
-            results.append(_chunk_worker(t))
+        for lead in leads:
+            results.append(plan.chunk(lead))
             if progress:
                 progress(f"chunk {len(results)}/{len(leads)} done")
     else:
-        with Pool(processes=min(nthreads, len(leads))) as pool:
-            results = pool.map(_chunk_worker, tasks)
+        workers = min(nthreads, len(leads))
+        with Pool(processes=workers, initializer=_start_worker, initargs=(plan,)) as pool:
+            results = pool.map(_worker_chunk, leads)
         if progress:
-            progress(f"{len(leads)} chunks done on {min(nthreads, len(leads))} workers")
+            progress(f"{len(leads)} chunks done on {workers} workers")
 
-    limit = query.limit
     merged: list[CatalogRecord] = []
     seen: set[str] = set()
     visited = skipped = 0
     for records, chunk_visited, chunk_skipped in results:
-        if limit is not None and len(merged) >= limit:
-            break
         visited += chunk_visited
         skipped += chunk_skipped
         for rec in records:
-            if rec.canonical_key in seen:
-                continue
-            if limit is not None and len(merged) >= limit:
-                break
-            seen.add(rec.canonical_key)
-            merged.append(rec)
+            if rec.canonical_key not in seen:
+                seen.add(rec.canonical_key)
+                merged.append(rec)
+    emitted = merged[: query.limit]
     stats = SearchStats(
         bound=bound,
         chunks=len(leads),
         pairs_evaluated=visited,
-        records_emitted=len(merged),
-        exhausted=limit is None or len(merged) < limit,
+        records_emitted=len(emitted),
+        exhausted=len(emitted) == len(merged),
         pairs_skipped=skipped,
     )
-    return merged, stats
+    return emitted, stats

@@ -258,3 +258,12 @@ def test_search_reports_limit(tmp_path, capsys):
     assert code == 0
     assert len(out.splitlines()) == 2
     assert "search stopped at --limit 2: " in err and "exhausted" not in err
+
+
+def test_search_rejects_non_positive_ray(capsys):
+    search = ["search", "--model", "blowup_cp2(2)", "--bound", "1", "--filter", "cyt", "--threads", "1"]
+    for ray in ("0", "E1"):
+        code, out, err = run(capsys, *search, "--ray", ray)
+        assert code == 2, ray
+        assert "positive self-intersection" in err and "Traceback" not in err
+        assert out == ""

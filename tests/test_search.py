@@ -222,37 +222,41 @@ def test_symmetry_is_read_from_the_gram_not_the_labels():
 
 def test_symmetry_predicate():
     s = search_module
+
+    def group(q):
+        return s.search_symmetry(q, s._permutes_exceptionals(q.model), s._ansatz_pair(q))
+
     m3 = blowup_cp2(3)
     cyt = frozenset({"cyt"})
-    assert s.search_symmetry(SearchQuery(model=m3, coeff_bound=2, filters=cyt)) == s.PERMUTE_AND_SWAP
+    assert group(SearchQuery(model=m3, coeff_bound=2, filters=cyt)) == s.PERMUTE_AND_SWAP
     sym_ray = SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-E1-E2-E3"))
-    assert s.search_symmetry(sym_ray) == s.PERMUTE_AND_SWAP
+    assert group(sym_ray) == s.PERMUTE_AND_SWAP
     odd_ray = SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-2E1-E2-E3"))
-    assert s.search_symmetry(odd_ray) == s.SWAP
+    assert group(odd_ray) == s.SWAP
     custom = custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1], basis_labels=["H", "E1", "E2", "E3"])
-    assert s.search_symmetry(SearchQuery(model=custom, coeff_bound=2, filters=cyt)) == s.SWAP
+    assert group(SearchQuery(model=custom, coeff_bound=2, filters=cyt)) == s.SWAP
     # the ansatz pair 4H-2(E1+..+E4)-(E5+..+E9), -H+E1+..+E4 is in the box at bound 4
     cubic = blowup_cp2(9, "on_cubic")
-    assert s.search_symmetry(SearchQuery(model=cubic, coeff_bound=4, filters=cyt)) == s.SWAP
-    assert s.search_symmetry(SearchQuery(model=cubic, coeff_bound=3, filters=cyt)) == s.PERMUTE_AND_SWAP
-    assert s.search_symmetry(
-        SearchQuery(model=cubic, coeff_bound=4, filters=frozenset({"skt"}))
-    ) == s.PERMUTE_AND_SWAP
+    assert group(SearchQuery(model=cubic, coeff_bound=4, filters=cyt)) == s.SWAP
+    assert group(SearchQuery(model=cubic, coeff_bound=3, filters=cyt)) == s.PERMUTE_AND_SWAP
+    assert group(SearchQuery(model=cubic, coeff_bound=4, filters=frozenset({"skt"}))) == s.PERMUTE_AND_SWAP
 
 
 def test_orbit_minimum_matches_the_canonical_key():
     import random
 
     rng = random.Random(5)
-    for _ in range(3000):
+    for permute in (True, False) * 3000:
         k = rng.randint(1, 5)
-        v1 = (rng.randint(-2, 2),) + tuple(sorted(rng.randint(-2, 2) for _ in range(k)))
+        v1 = (rng.randint(-2, 2),) + tuple(rng.randint(-2, 2) for _ in range(k))
+        if permute:
+            v1 = v1[:1] + tuple(sorted(v1[1:]))
         v2 = tuple(rng.randint(-2, 2) for _ in range(k + 1))
-        runs = search_module._equal_runs(v1)
-        is_min = search_module._canonical_key(v1, v2, True) == (
+        runs = search_module._equal_runs(v1) if permute else []
+        is_min = search_module._canonical_key(v1, v2, permute) == (
             ",".join(map(str, v1)) + "|" + ",".join(map(str, v2))
         )
-        assert search_module._is_orbit_minimum(v1, v2, runs) == is_min, (v1, v2)
+        assert search_module._is_orbit_minimum(v1, v2, runs, permute) == is_min, (v1, v2)
 
 
 @pytest.mark.parametrize("bound", [1, 3])
@@ -261,7 +265,7 @@ def test_orbit_minimum_matches_the_canonical_key():
     [(blowup_cp2(3), "H"), (blowup_cp2(3), "3H-E1"), (blowup_cp2(4), "2H-E2"), (blowup_cp2(3), "E1-E3")],
 )
 def test_perp_vectors_match_the_box_filter(model, ray, bound):
-    data = search_module._RayData(model, parse_class(model, ray), bound)
+    data = search_module._RayData("ray", model, parse_class(model, ray), bound)
     w = data.w
     brute = [
         v
@@ -297,7 +301,127 @@ def test_pruning_changes_no_output(monkeypatch, model, bound, filters, ray):
     lines = [r.to_line() for r in records]
     assert stats.pairs_skipped > 0
     for group in (search_module.SWAP, search_module.NO_SYMMETRY):
-        monkeypatch.setattr(search_module, "search_symmetry", lambda query, group=group: group)
+        monkeypatch.setattr(search_module, "search_symmetry", lambda *args, group=group: group)
         unpruned, unpruned_stats = search(q, threads=1)
         assert [r.to_line() for r in unpruned] == lines, group
         assert unpruned_stats.pairs_evaluated >= stats.pairs_evaluated
+
+
+# -- one plan per query ------------------------------------------------------
+
+
+def test_limit_cuts_records_not_counts():
+    q = SearchQuery(model=quadric(), coeff_bound=1, filters=frozenset({"skt"}))
+    full, full_stats = search(q, threads=1)
+    assert len(full) == 19 and full_stats.exhausted
+    exact, stats = search(dataclasses.replace(q, limit=19), threads=1)
+    assert exact == full and stats.exhausted
+    cut, stats = search(dataclasses.replace(q, limit=18), threads=1)
+    assert cut == full[:18] and stats.records_emitted == 18 and not stats.exhausted
+    # every chunk runs, so the visited and skipped counts do not depend on the limit
+    q = SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"skt"}))
+    _, full_stats = search(q, threads=1)
+    for threads in (1, 2):
+        records, stats = search(dataclasses.replace(q, limit=2), threads=threads)
+        assert len(records) == 2 and not stats.exhausted
+        assert (stats.pairs_evaluated, stats.pairs_skipped) == (
+            full_stats.pairs_evaluated,
+            full_stats.pairs_skipped,
+        )
+
+
+@pytest.mark.parametrize(
+    "model,bound,filters,ray",
+    [
+        (blowup_cp2(3), 3, {"cyt", "topology"}, "3H-2E1"),
+        (blowup_cp2(2), 3, {"cyt", "balanced"}, "4H-E1-2E2"),
+        (blowup_cp2(3), 2, {"skt"}, None),
+    ],
+)
+def test_serial_equals_two_workers(monkeypatch, model, bound, filters, ray):
+    q = SearchQuery(
+        model=model,
+        coeff_bound=bound,
+        filters=frozenset(filters),
+        ray=parse_class(model, ray) if ray else None,
+    )
+    for group in (None, search_module.NO_SYMMETRY):
+        if group is not None:
+            # unpruned, permuted and swapped pairs land in other chunks and
+            # only the merge removes them
+            monkeypatch.setattr(search_module, "search_symmetry", lambda *args, group=group: group)
+        serial, serial_stats = search(q, threads=1)
+        parallel, parallel_stats = search(q, threads=2)
+        assert [r.to_line() for r in parallel] == [r.to_line() for r in serial], group
+        assert parallel_stats == serial_stats
+
+
+def test_plan_is_built_once_per_search(monkeypatch):
+    import os
+
+    built = []
+    parent = os.getpid()
+    original = search_module._Plan.__init__
+
+    def counting_init(self, query):
+        if os.getpid() != parent:
+            raise RuntimeError("a pool worker rebuilt the plan")
+        built.append(query)
+        original(self, query)
+
+    monkeypatch.setattr(search_module._Plan, "__init__", counting_init)
+    for threads in (1, 2):
+        for q in (
+            SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"cyt", "topology"})),
+            SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"skt"})),
+        ):
+            built.clear()
+            search(q, threads=threads)
+            assert built == [q], threads
+
+
+def test_plan_keeps_only_rays_a_record_can_stand_on():
+    m3 = blowup_cp2(3)
+
+    def ray_names(model, ray=None, bound=2):
+        q = SearchQuery(
+            model=model,
+            coeff_bound=bound,
+            filters=frozenset({"cyt"}),
+            ray=parse_class(model, ray) if ray else None,
+        )
+        return [data.name for data in search_module._Plan(q).rays]
+
+    assert ray_names(m3) == ["anticanonical_ray"]
+    assert ray_names(m3, "5H-E1-E2-E3") == ["ray", "anticanonical_ray"]
+    # nef but not Kaehler: H pairs to 0 with every E_i
+    assert ray_names(m3, "H") == ["anticanonical_ray"]
+    # a query ray equal to c1 is not tried a second time as the anticanonical ray
+    assert ray_names(m3, "3H-E1-E2-E3") == ["ray"]
+    # c1^2 = 0 at nine points: no ray carries a record and no pair is visited
+    m9 = blowup_cp2(9)
+    assert ray_names(m9, bound=1) == []
+    _, stats = search(SearchQuery(model=m9, coeff_bound=1, filters=frozenset({"cyt"})), threads=1)
+    assert stats.pairs_evaluated == 0 and stats.exhausted
+
+
+def test_integer_filters_build_no_classes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("skt and spin run on integer tuples")
+
+    q = SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"skt", "spin"}))
+    expected, _ = search(q, threads=1)
+    assert expected
+    monkeypatch.setattr(search_module, "BundleSpec", refuse)
+    monkeypatch.setattr(CohClass, "of", staticmethod(refuse))
+    records, _ = search(q, threads=1)
+    assert records == expected
+
+
+@pytest.mark.parametrize("ray", ["0", "E1", "E1-E2", "H-E1"])
+def test_search_rejects_non_positive_rays(ray):
+    from cytforge.errors import NotPositiveRay
+
+    model = blowup_cp2(3)
+    with pytest.raises(NotPositiveRay):
+        SearchQuery(model=model, coeff_bound=1, filters=frozenset({"cyt"}), ray=parse_class(model, ray))
