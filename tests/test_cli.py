@@ -267,3 +267,434 @@ def test_search_rejects_non_positive_ray(capsys):
         assert code == 2, ray
         assert "positive self-intersection" in err and "Traceback" not in err
         assert out == ""
+
+
+# -- frozen command outputs -------------------------------------------------
+
+_QUADRIC = ["--model", "quadric", "--omega", "C", "--omega", "D"]
+_KUMMER = ["--model", "kummer", "--omega", "C1-C2", "--omega", "C3-C4", "--kahler", "F"]
+_TWO_POINT = ["--model", "blowup_cp2(2)", "--omega", "3H-E1-E2", "--omega", "H-2E1-E2"]
+
+# every certifying command runs once per --format
+_CERTIFYING = (
+    ["verify", *_QUADRIC, "--kahler", "1/2C+1/2D"],
+    ["verify", "--model", "quadric", "--omega", "C", "--omega", "-D", "--kahler", "C+D"],
+    ["verify", *_QUADRIC, "--expect", "cyt"],
+    ["verify", *_QUADRIC, "--expect", "skt"],
+    ["verify", "--model", "blowup_cp2(2)", "--omega", "H", "--omega", "H", "--expect", "skt"],
+    ["verify", *_TWO_POINT, "--kahler", "3H-E1-E2", "--expect", "skt"],
+    ["verify", *_KUMMER, "--expect", "skt"],
+    ["verify", *_KUMMER, "--expect", "balanced"],
+    ["verify", *_QUADRIC, "--expect", "balanced"],
+    ["verify", "--model", "no_such_model", "--omega", "C", "--omega", "D", "--kahler", "C"],
+    ["cone-check", "--model", "blowup_cp2(2)", "--class", "6H-2E1-2E2"],
+    ["cone-check", "--model", "blowup_cp2(2)", "--class", "E1"],
+    ["cone-check", "--model", "kummer", "--class", "F"],
+    ["cone-check", "--model", "blowup_cp2(3)", "--class", "3H-E1-E2-E3", "--witness", "H"],
+    ["solve-scale", *_TWO_POINT, "--ray", "3H-E1-E2"],
+    ["solve-scale", "--model", "quadric", "--omega", "C", "--omega", "C", "--ray", "C+D"],
+    ["solve-scale", *_TWO_POINT, "--ray", "E1"],
+    ["solve-ansatz", "--k", "9"],
+    ["solve-ansatz", "--k", "5"],
+    ["topology", "--model", "blowup_cp2(5)", "--omega", "3H-E1-E2-E3-E4-E5", "--omega", "E1-E2"],
+    ["topology", "--model", "blowup_cp2(2)", "--omega", "2H", "--omega", "E1"],
+    ["reproduce-paper", "--section", "4.1"],
+    ["reproduce-paper", "--section", "4.3"],
+    ["reproduce-paper", "--section", "4.3", "--k", "5"],
+    ["reproduce-paper", "--section", "4.4", "--k", "13"],
+    ["reproduce-paper", "--section", "maxroot"],
+)
+
+_SEARCH = ["search", "--threads", "1"]
+FROZEN_COMMANDS = [
+    *(argv + ["--format", fmt] for argv in _CERTIFYING for fmt in ("json", "text")),
+    [*_SEARCH, "--model", "kummer", "--bound", "1", "--filter", "skt"],
+    [*_SEARCH, "--model", "blowup_cp2(2)", "--bound", "1", "--filter", "cyt", "--ray", "[1+1*sqrt(2),0,0]"],
+    [*_SEARCH, "--model", "blowup_cp2(2)", "--bound", "1", "--filter", "cyt", "--ray", "0"],
+    [*_SEARCH, "--model", "blowup_cp2(2)", "--bound", "3", "--filter", "cyt", "--ray", "H"],
+    [*_SEARCH, "--model", "blowup_cp2(2)", "--bound", "3", "--filter", "cyt", "--filter", "topology"],
+    [*_SEARCH, "--model", "quadric", "--bound", "1", "--filter", "skt", "--limit", "2"],
+    [*_SEARCH, "--model", "quadric", "--bound", "1", "--filter", "bogus"],
+]
+
+
+def _frozen_view(argv, capsys):
+    """Exit code, certificate digest (JSON output), sha256 of stdout without
+    its timestamp line, and the last stderr line."""
+    import hashlib
+
+    code, out, err = run(capsys, *argv)
+    digest = json.loads(out)["digest"] if "json" in argv and out else None
+    kept = [
+        line for line in out.splitlines(keepends=True)
+        if not line.startswith("timestamp: ") and not line.startswith('  "timestamp": ')
+    ]
+    out_sha = hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
+    err_lines = err.splitlines()
+    return code, digest, out_sha, err_lines[-1] if err_lines else ""
+
+
+# (exit code, digest, stdout sha256, last stderr line) per command line, taken
+# before the subcommands shared one certificate path; they must not move
+FROZEN_VIEWS = {
+    'verify --model quadric --omega C --omega D --kahler 1/2C+1/2D --format json': (
+        0,
+        '897c37cdea60118438cdbb91d91e6f211fa5dfd8cc7a2924f9c5a006dd2b8076',
+        '28c1c1d33ea2cf85818bdfc1bd3b1b63af9c6852d5631268011e4291c18d5c78',
+        '',
+    ),
+    'verify --model quadric --omega C --omega D --kahler 1/2C+1/2D --format text': (
+        0,
+        None,
+        '8959a60eb9645a40ed03e4a63e5f571be75e8b4d4fb9477d000aa6552948f6e2',
+        '',
+    ),
+    'verify --model quadric --omega C --omega -D --kahler C+D --format json': (
+        1,
+        '35d5ef6467ed091b6e5493e085f38270b1c118ae505a81e0dd9269f564225606',
+        '6cf9681f17b4a32e559d3b8e5d2ed9bd30719700c1552b9ee8c18253ccfae1d1',
+        '',
+    ),
+    'verify --model quadric --omega C --omega -D --kahler C+D --format text': (
+        1,
+        None,
+        '3ba11c8d6b2725f211d18ed9a2bc5ca86248b20b2803f107c95c5bb3d05c9b33',
+        '',
+    ),
+    'verify --model quadric --omega C --omega D --expect cyt --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: --expect cyt needs --kahler',
+    ),
+    'verify --model quadric --omega C --omega D --expect cyt --format text': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: --expect cyt needs --kahler',
+    ),
+    'verify --model quadric --omega C --omega D --expect skt --format json': (
+        0,
+        'c1c79ea1980ce9577318a6a719175d330c1a97f2114f4d5a919e4015d5ce3352',
+        'a10e9c0be689ba87b500ef01639497fe69d934a0833fb5a2aeb1071337c12cbe',
+        '',
+    ),
+    'verify --model quadric --omega C --omega D --expect skt --format text': (
+        0,
+        None,
+        '2a7f59ea4b6e17dc030cc02fb5fa9909dd88c5b556f609f344d858a450d636c0',
+        '',
+    ),
+    'verify --model blowup_cp2(2) --omega H --omega H --expect skt --format json': (
+        1,
+        '3c147d574dde9ef2a0ad9b87be7d5863f1b429b959d1f307fed8c7dd9e334726',
+        'fd4dbc4eb94119558ae9c32bd0ba78e3c25f56538ef6ae9fc04fa94fd43f6cb0',
+        '',
+    ),
+    'verify --model blowup_cp2(2) --omega H --omega H --expect skt --format text': (
+        1,
+        None,
+        'eb641f73c540b60248a6dbdba96d0ea3f7b172e21800f4826f0c8453f2b6c1d1',
+        '',
+    ),
+    'verify --model blowup_cp2(2) --omega 3H-E1-E2 --omega H-2E1-E2 --kahler 3H-E1-E2 --expect skt --format json': (
+        1,
+        'df24a093a7c424d84e6d7a1d6a2d98375986ce341abff74db3647e8154d40fc3',
+        '9345c83ed779d0350154ec2331618f13fdd20499b8e9910f706ca17767ff2fb2',
+        '',
+    ),
+    'verify --model blowup_cp2(2) --omega 3H-E1-E2 --omega H-2E1-E2 --kahler 3H-E1-E2 --expect skt --format text': (
+        1,
+        None,
+        '3d6151eb3660d3cd810895e0e0c99259fc1186eb47d8539c6d27e186298e21bd',
+        '',
+    ),
+    'verify --model kummer --omega C1-C2 --omega C3-C4 --kahler F --expect skt --format json': (
+        1,
+        '325af027786eb4abfa11fe28c875a9def80b7f6bea401ba040c26aa588b275f8',
+        '60273e704837f73df741168b12fbf595d76707a131fe7e72a59b9a90e9051db3',
+        '',
+    ),
+    'verify --model kummer --omega C1-C2 --omega C3-C4 --kahler F --expect skt --format text': (
+        1,
+        None,
+        'f74e08eef00d315c08bc744ad9ae596e7cd6becc3b17aa8300a467fb6745d13f',
+        '',
+    ),
+    'verify --model kummer --omega C1-C2 --omega C3-C4 --kahler F --expect balanced --format json': (
+        0,
+        'dddcb7aa91208548089df759a49baa979d455956b1604513af711345c8036b23',
+        '6222b152a81781ec6fb7e0ef16d3d977c81e9ea3668175783e35c020ca8b25be',
+        '',
+    ),
+    'verify --model kummer --omega C1-C2 --omega C3-C4 --kahler F --expect balanced --format text': (
+        0,
+        None,
+        '6808005f98d9cd4b550af249f63e9f3d87ce24686547533d768fd9b81d049472',
+        '',
+    ),
+    'verify --model quadric --omega C --omega D --expect balanced --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: --expect balanced needs --kahler',
+    ),
+    'verify --model quadric --omega C --omega D --expect balanced --format text': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: --expect balanced needs --kahler',
+    ),
+    'verify --model no_such_model --omega C --omega D --kahler C --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        "error: [Errno 2] No such file or directory: 'no_such_model'",
+    ),
+    'verify --model no_such_model --omega C --omega D --kahler C --format text': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        "error: [Errno 2] No such file or directory: 'no_such_model'",
+    ),
+    'cone-check --model blowup_cp2(2) --class 6H-2E1-2E2 --format json': (
+        0,
+        'f7a58842345292e36117538ee304e6e59023e46daba09c5fbfc17264fb23c8ff',
+        '4ce6cff68b6ec66ff3a588a2246ba9024c5f05d893277f0f2706e4a4298a432c',
+        '',
+    ),
+    'cone-check --model blowup_cp2(2) --class 6H-2E1-2E2 --format text': (
+        0,
+        None,
+        '3ba57fefde1f9f2f148c4240d71594a96a59aa5cf33065f4ac226a03854fcda9',
+        '',
+    ),
+    'cone-check --model blowup_cp2(2) --class E1 --format json': (
+        1,
+        '3fe74a820cb5ddbd7edbfcf3cb7d57b99b96b33220bdfc0618e508385a9f489c',
+        'fc98050d0f5af2fc3e1689e85ed731ad6e3152045a0d7419850eb90f5d06dbb3',
+        '',
+    ),
+    'cone-check --model blowup_cp2(2) --class E1 --format text': (
+        1,
+        None,
+        '4914465a2dcf3cd013e762746009c5113673608f565e3d139703d04cbda7e63d',
+        '',
+    ),
+    'cone-check --model kummer --class F --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: cone checks need a full lattice model',
+    ),
+    'cone-check --model kummer --class F --format text': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: cone checks need a full lattice model',
+    ),
+    'cone-check --model blowup_cp2(3) --class 3H-E1-E2-E3 --witness H --format json': (
+        0,
+        'c2ce6d9b8353c4ee11356404413da50d08c2ff46a241a45269130b9fee8aa6cd',
+        '70a4392b4819a2989df00abd8cbbeab0439bd6737022bdce1b9972e978e01059',
+        '',
+    ),
+    'cone-check --model blowup_cp2(3) --class 3H-E1-E2-E3 --witness H --format text': (
+        0,
+        None,
+        'b7f06e2eebd1c295f311e6103af708df8c3b66799d462232ac34e3d537f0e437',
+        '',
+    ),
+    'solve-scale --model blowup_cp2(2) --omega 3H-E1-E2 --omega H-2E1-E2 --ray 3H-E1-E2 --format json': (
+        0,
+        '80ae41ca93b531d79df56477c6045e86a7d9bdeffaccf15cbd7e01668f4977eb',
+        '06294979d714fed43a76c8858527ed7b575375cbe7915371b32f5aa298d52a34',
+        '',
+    ),
+    'solve-scale --model blowup_cp2(2) --omega 3H-E1-E2 --omega H-2E1-E2 --ray 3H-E1-E2 --format text': (
+        0,
+        None,
+        '776b9aec57979ee6abea0f6f02a92450b406e9a3c3299534d15a7b3bac3e8f78',
+        '',
+    ),
+    'solve-scale --model quadric --omega C --omega C --ray C+D --format json': (
+        1,
+        '10b30e13f0c4066cd010535db1115a2ab44cf9152c1667a2ef0f59033c6b0288',
+        '8bb91d782b101cbe136500dbbd9f1c30c4b7230185f280cb06f299a81fdac3bc',
+        '',
+    ),
+    'solve-scale --model quadric --omega C --omega C --ray C+D --format text': (
+        1,
+        None,
+        '1b5176883897853c1a3244d0f9edc44badc893dcc170fbe4f7234197ecf394ab',
+        '',
+    ),
+    'solve-scale --model blowup_cp2(2) --omega 3H-E1-E2 --omega H-2E1-E2 --ray E1 --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: ray needs positive self-intersection',
+    ),
+    'solve-scale --model blowup_cp2(2) --omega 3H-E1-E2 --omega H-2E1-E2 --ray E1 --format text': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: ray needs positive self-intersection',
+    ),
+    'solve-ansatz --k 9 --format json': (
+        0,
+        '4adea442e67a385f3deab1e61b54122a150ca56639cbf0349beab9031bf47fd9',
+        '2df10220f0355fa4a2ec0a9e4db9b1419257707ae3846ab1f141dd889c7e9502',
+        '',
+    ),
+    'solve-ansatz --k 9 --format text': (
+        0,
+        None,
+        '1b5b92ab6be0ba073ec97a5b2ecc7cb0406ebf706bc29bf51bbe6db52554e195',
+        '',
+    ),
+    'solve-ansatz --k 5 --format json': (
+        1,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'no symmetric-ansatz solution for k=5',
+    ),
+    'solve-ansatz --k 5 --format text': (
+        1,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'no symmetric-ansatz solution for k=5',
+    ),
+    'topology --model blowup_cp2(5) --omega 3H-E1-E2-E3-E4-E5 --omega E1-E2 --format json': (
+        0,
+        'd6c830dce95fd47f27ae926ad81b2d26dada5033db277b30bd71d49838f05f37',
+        '8fc0db27238ed9bc828b1395be1ca89c3730a3b4bbde418aebd450ccfc88274a',
+        '',
+    ),
+    'topology --model blowup_cp2(5) --omega 3H-E1-E2-E3-E4-E5 --omega E1-E2 --format text': (
+        0,
+        None,
+        '72300b4cce9a4f928c94be605bd9d6232cb1f8eb1a30003eb93b9ba57af89c53',
+        '',
+    ),
+    'topology --model blowup_cp2(2) --omega 2H --omega E1 --format json': (
+        1,
+        'c6a45a2b2dd3d7d7f8e0d8f9c658f9253ab139f17157f2c4339f09dd7e9935e4',
+        'fbbd5187489d6c6fbeb24fa35fffbf36ced70ea1ebdaf50863ddcfed68b65377',
+        '',
+    ),
+    'topology --model blowup_cp2(2) --omega 2H --omega E1 --format text': (
+        1,
+        None,
+        'd4887c6e5508ad00b4099e70e5aa46c9f8a2f6332d7b99193e35fdd0b6a14387',
+        '',
+    ),
+    'reproduce-paper --section 4.1 --format json': (
+        0,
+        '6d2ea6e0a898c4c3e2784708fee49c1d4f73c6714456b9c9f5ea44234c9c2c63',
+        '23b96483822675b606dd4cd5974ee2b79818eb495e56d6228cb3d4f9e68474db',
+        '',
+    ),
+    'reproduce-paper --section 4.1 --format text': (
+        0,
+        None,
+        'e31ad38882fc9e6f4de51d617768ab0c7eb53d20376affa1c9a27bd1ffa8b662',
+        '',
+    ),
+    'reproduce-paper --section 4.3 --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: section 4.3 needs k (3..8)',
+    ),
+    'reproduce-paper --section 4.3 --format text': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: section 4.3 needs k (3..8)',
+    ),
+    'reproduce-paper --section 4.3 --k 5 --format json': (
+        0,
+        'd6bd81d8203bd7eb452dc480220bdcab43f21112be6f60ed67eebf45fac13416',
+        'c929793a69d51203d3cdc63bfa6deddf094b2c128eb12873ee7ca06f8a97fcc3',
+        '',
+    ),
+    'reproduce-paper --section 4.3 --k 5 --format text': (
+        0,
+        None,
+        '2543bd3835473edf81190d872fdb2218c55bf0e74215fb9e2e9280315d40cf0c',
+        '',
+    ),
+    'reproduce-paper --section 4.4 --k 13 --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: no frozen expected data for 4.4 k=13',
+    ),
+    'reproduce-paper --section 4.4 --k 13 --format text': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: no frozen expected data for 4.4 k=13',
+    ),
+    'reproduce-paper --section maxroot --format json': (
+        0,
+        '6f12e6958a04c7eeadbf6734f2b8b27f499ba860e88e8e21e6f1bde51b779e72',
+        'e116c656d1b7822c79e3782f0d8aa7a22a16fa3cd98e56b3cdc9d4f335570734',
+        '',
+    ),
+    'reproduce-paper --section maxroot --format text': (
+        0,
+        None,
+        'e05ad3d1d68058307ded87254dff7f2a00f74b62a8fb88fc8e250c14f55908ed',
+        '',
+    ),
+    'search --threads 1 --model kummer --bound 1 --filter skt': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: search needs a full lattice model',
+    ),
+    'search --threads 1 --model blowup_cp2(2) --bound 1 --filter cyt --ray [1+1*sqrt(2),0,0]': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: search rays must have rational coefficients',
+    ),
+    'search --threads 1 --model blowup_cp2(2) --bound 1 --filter cyt --ray 0': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'error: search ray needs positive self-intersection',
+    ),
+    'search --threads 1 --model blowup_cp2(2) --bound 3 --filter cyt --ray H': (
+        0,
+        None,
+        'f7e3ce152a3dc1e6f3e444e1be30d31e0f2791960447e68b6289e3dea15d76dd',
+        'search exhausted coefficient bound 3: 66 pairs visited, 37 skipped by symmetry, 29 records',
+    ),
+    'search --threads 1 --model blowup_cp2(2) --bound 3 --filter cyt --filter topology': (
+        0,
+        None,
+        '448deab26edba5d3d2c2c24e452941ed145b46dd97ef5089647bef6b99fcff78',
+        'search exhausted coefficient bound 3: 66 pairs visited, 37 skipped by symmetry, 10 records',
+    ),
+    'search --threads 1 --model quadric --bound 1 --filter skt --limit 2': (
+        0,
+        None,
+        '9c6c8f8766029792d69fb6963febc2ae305042d2f78b44d7bb61d5c1a0fc336b',
+        'search stopped at --limit 2: 33 pairs visited, 14 skipped by symmetry, 2 records',
+    ),
+    'search --threads 1 --model quadric --bound 1 --filter bogus': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        "cytforge search: error: argument --filter: invalid choice: 'bogus' (choose from 'cyt', 'skt', 'balanced', 'topology', 'spin')",
+    ),
+}
+
+
+def test_command_outputs_frozen(capsys):
+    assert len(FROZEN_VIEWS) == len(FROZEN_COMMANDS)
+    for argv in FROZEN_COMMANDS:
+        assert _frozen_view(argv, capsys) == FROZEN_VIEWS[" ".join(argv)], argv
