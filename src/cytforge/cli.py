@@ -23,10 +23,10 @@ from .cyt import (
     verify_cyt,
 )
 from .cone import is_kahler
-from .errors import CytForgeError, MismatchAgainstExpected
+from .errors import CytForgeError
 from .reproduce import SECTIONS, reproduce_paper
-from .scalars import approx_str, format_scalar, is_rational
-from .search import SearchQuery, search
+from .scalars import approx_str, format_scalar
+from .search import VALID_FILTERS, SearchQuery, search
 from .skt import hodge_obstruction, verify_skt
 from .surfaces import SurfaceModel, parse_class, resolve_model
 from .topology import UNCLASSIFIED, topology_certificate
@@ -75,100 +75,66 @@ def _render_text(doc: dict, indent: int = 0, out=None):
             print(f"{pad}{key}: {_inline(value)}", file=out)
 
 
-def _emit(cert: certs.Certificate, fmt: str):
-    if fmt == "json":
+def _certify(args, model, inputs: dict, results: dict, verdict: bool, text_head=()) -> int:
+    """Emit a subcommand's certificate as JSON, or as text after its head
+    lines, and map the verdict to exit code 0 or 1."""
+    cert = certs.build_certificate(args.command_echo, model, inputs, results, verdict)
+    if args.format == "json":
         sys.stdout.write(cert.to_json())
     else:
+        for line in text_head:
+            print(line)
         _render_text(cert.to_doc())
+    return 0 if verdict else 1
 
 
-def _bundle_from_args(model, omegas: list[str]) -> BundleSpec:
-    return BundleSpec(model, tuple(parse_class(model, w) for w in omegas))
+def _bundle(args, model) -> tuple[BundleSpec, dict]:
+    """The bundle of the --omega classes, and the certificate inputs naming them."""
+    bundle = BundleSpec(model, tuple(parse_class(model, w) for w in args.omega))
+    return bundle, {"omegas": [w.serialize() for w in bundle.curvatures]}
 
 
 def _cmd_verify(args) -> int:
     model = resolve_model(args.model)
-    bundle = _bundle_from_args(model, args.omega)
-    results = {}
+    bundle, inputs = _bundle(args, model)
     f = parse_class(model, args.kahler) if args.kahler else None
-    expect = args.expect
-
-    if expect == "cyt":
-        if f is None:
-            raise CytForgeError("--expect cyt needs --kahler")
+    inputs.update(kahler=certs.class_doc(f), expect=args.expect)
+    if f is None and args.expect != "skt":
+        raise CytForgeError(f"--expect {args.expect} needs --kahler")
+    if args.expect == "cyt":
         cyt = verify_cyt(bundle, f)
-        results["cyt"] = certs.cyt_doc(cyt)
-        verdict = cyt.verdict
-    elif expect == "skt":
-        report = verify_skt(bundle)
+        return _certify(args, model, inputs, {"cyt": certs.cyt_doc(cyt)}, cyt.verdict)
+    if args.expect == "skt":
         if f is not None and isinstance(model, SurfaceModel):
             report = hodge_obstruction(bundle, f)
-        results["skt"] = certs.skt_doc(report)
-        verdict = report.verdict
-    else:  # balanced
-        if f is None:
-            raise CytForgeError("--expect balanced needs --kahler")
-        verdict = balanced_check(bundle, f)
-        results["balanced"] = {"verdict": verdict}
-
-    cert = certs.build_certificate(
-        command=args.command_echo,
-        model=model,
-        inputs={
-            "omegas": [w.serialize() for w in bundle.curvatures],
-            "kahler": f.serialize() if f is not None else None,
-            "expect": expect,
-        },
-        results=results,
-        verdict=verdict,
-    )
-    _emit(cert, args.format)
-    return 0 if verdict else 1
+        else:
+            report = verify_skt(bundle)
+        return _certify(args, model, inputs, {"skt": certs.skt_doc(report)}, report.verdict)
+    verdict = balanced_check(bundle, f)
+    return _certify(args, model, inputs, {"balanced": {"verdict": verdict}}, verdict)
 
 
 def _cmd_cone_check(args) -> int:
     model = resolve_model(args.model)
-    if not isinstance(model, SurfaceModel):
-        raise CytForgeError("cone checks need a full lattice model")
     f = parse_class(model, getattr(args, "class"))
     witness = parse_class(model, args.witness) if args.witness else None
     cone = is_kahler(model, f, witness)
-    cert = certs.build_certificate(
-        command=args.command_echo,
-        model=model,
-        inputs={"class": f.serialize()},
-        results={"cone": certs.cone_doc(cone)},
-        verdict=cone.verdict,
-    )
-    _emit(cert, args.format)
-    return 0 if cone.verdict else 1
+    return _certify(args, model, {"class": f.serialize()}, {"cone": certs.cone_doc(cone)}, cone.verdict)
 
 
 def _cmd_solve_scale(args) -> int:
     model = resolve_model(args.model)
-    bundle = _bundle_from_args(model, args.omega)
+    bundle, inputs = _bundle(args, model)
     ray = parse_class(model, args.ray)
+    inputs["ray"] = ray.serialize()
     scale = solve_scale(bundle, ray)
-    found = scale is not None
-    results = {"scale": format_scalar(scale) if found else None}
-    if found:
+    results = {"scale": format_scalar(scale) if scale is not None else None}
+    if scale is not None:
         f = scale * ray
         results["kahler"] = f.serialize()
         results["cyt"] = certs.cyt_doc(verify_cyt(bundle, f))
-    cert = certs.build_certificate(
-        command=args.command_echo,
-        model=model,
-        inputs={"omegas": [w.serialize() for w in bundle.curvatures], "ray": ray.serialize()},
-        results=results,
-        verdict=found,
-    )
-    if args.format == "text":
-        if found:
-            print(f"scale = {scale}")
-        else:
-            print("scale = NONE")
-    _emit(cert, args.format)
-    return 0 if found else 1
+    head = [f"scale = {scale if scale is not None else 'NONE'}"]
+    return _certify(args, model, inputs, results, scale is not None, head)
 
 
 def _cmd_solve_ansatz(args) -> int:
@@ -185,50 +151,28 @@ def _cmd_solve_ansatz(args) -> int:
         "omega2": sol.omega2.serialize(),
         "cone": certs.cone_doc(sol.cone),
     }
-    cert = certs.build_certificate(
-        command=args.command_echo,
-        model=None,
-        inputs={"k": args.k},
-        results=results,
-        verdict=True,
-    )
-    if args.format == "text":
-        print(f"n = {sol.n}  {approx_str(sol.n)}")
-        print(f"n_1..4 = {sol.n_first4}  {approx_str(sol.n_first4)}")
-        print(f"n_rest = {sol.n_rest}  {approx_str(sol.n_rest)}")
-    _emit(cert, args.format)
-    return 0
+    head = [
+        f"{name} = {x}  {approx_str(x)}"
+        for name, x in (("n", sol.n), ("n_1..4", sol.n_first4), ("n_rest", sol.n_rest))
+    ]
+    return _certify(args, None, {"k": args.k}, results, True, head)
 
 
 def _cmd_topology(args) -> int:
     model = resolve_model(args.model)
-    bundle = _bundle_from_args(model, args.omega)
-    cert_t = topology_certificate(bundle)
-    verdict = cert_t.diffeo_label != UNCLASSIFIED
-    cert = certs.build_certificate(
-        command=args.command_echo,
-        model=model,
-        inputs={"omegas": [w.serialize() for w in bundle.curvatures]},
-        results={"topology": certs.topology_doc(cert_t)},
-        verdict=verdict,
-    )
-    _emit(cert, args.format)
-    return 0 if verdict else 1
+    bundle, inputs = _bundle(args, model)
+    cert = topology_certificate(bundle)
+    results = {"topology": certs.topology_doc(cert)}
+    return _certify(args, model, inputs, results, cert.diffeo_label != UNCLASSIFIED)
 
 
 def _cmd_search(args) -> int:
     model = resolve_model(args.model)
-    if not isinstance(model, SurfaceModel):
-        raise CytForgeError("search needs a full lattice model")
-    ray = parse_class(model, args.ray) if args.ray else None
-    for f in ray.coeffs if ray is not None else ():
-        if not is_rational(f):
-            raise CytForgeError("search rays must have rational coefficients")
     query = SearchQuery(
         model=model,
         coeff_bound=args.bound,
         filters=frozenset(args.filter or []),
-        ray=ray,
+        ray=parse_class(model, args.ray) if args.ray else None,
         limit=args.limit,
     )
     records, stats = search(
@@ -241,6 +185,11 @@ def _cmd_search(args) -> int:
     else:
         for rec in records:
             print(rec.to_line())
+    if args.ray and "cyt" in query.filters and "ray" not in stats.cyt_routes:
+        print(
+            f"--ray {args.ray} not used: a cyt ray must be Kaehler with Q(c1,R) > 0 on {model.name}",
+            file=sys.stderr,
+        )
     if stats.exhausted:
         outcome = f"search exhausted coefficient bound {stats.bound}"
     else:
@@ -255,20 +204,12 @@ def _cmd_search(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     result = reproduce_paper(args.section, args.k, strict=False)
-    verdict = not result["diffs"]
-    cert = certs.build_certificate(
-        command=args.command_echo,
-        model=None,
-        inputs={"section": args.section, "k": args.k},
-        results={"computed": result["computed"], "diffs": result["diffs"]},
-        verdict=verdict,
-    )
-    _emit(cert, args.format)
-    if not verdict:
-        err = MismatchAgainstExpected(f"section {args.section}", result["diffs"])
-        print(str(err), file=sys.stderr)
-        return 1
-    return 0
+    diffs = result["diffs"]
+    inputs = {"section": args.section, "k": args.k}
+    code = _certify(args, None, inputs, {"computed": result["computed"], "diffs": diffs}, not diffs)
+    if diffs:
+        print(f"section {args.section}: " + "; ".join(diffs), file=sys.stderr)
+    return code
 
 
 def _count(least: int):
@@ -330,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate curvature pairs passing filters")
     p.add_argument("--model", required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--filter", action="append", choices=("cyt", "skt", "balanced", "topology", "spin"))
+    p.add_argument("--filter", action="append", choices=VALID_FILTERS)
     p.add_argument("--ray")
     p.add_argument("--out", help="catalog file (line-delimited records)")
     p.add_argument("--limit", type=_count(0))
@@ -356,13 +297,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.command_echo = list(argv)
     try:
         return args.func(args)
-    except MismatchAgainstExpected as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CytForgeError as exc:
+    except (CytForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
-from .errors import MissingAmpleWitness, MissingCurveData, RankMismatch
+from .errors import CytForgeError, MissingAmpleWitness, MissingCurveData, RankMismatch
 from .scalars import Scalar, exact_sign, is_rational, ratio_of
 from .surfaces import (
     REGIME_ENUMERATE,
@@ -125,6 +125,8 @@ def is_kahler(
     model: SurfaceModel, f: CohClass, witness: Optional[CohClass] = None
 ) -> ConeCertificate:
     """Certified cone membership for the class f."""
+    if not isinstance(model, SurfaceModel):
+        raise CytForgeError("cone checks need a full lattice model")
     if f.rank != model.rank:
         raise RankMismatch(f"rank {f.rank} class on a rank-{model.rank} model")
     self_int = intersect(model, f, f)

@@ -55,10 +55,6 @@ class BundleSpec:
             if not w.is_integral():
                 raise InvalidBundle("curvature classes must be integral")
 
-    @property
-    def fiber_rank(self) -> int:
-        return len(self.curvatures)
-
 
 def lambda_trace(model: Model, omega: CohClass, f: CohClass) -> Scalar:
     """Trace of omega against the Kaehler class f: 2 Q(omega,f) / Q(f,f)."""

@@ -37,8 +37,6 @@ from .surfaces import (
 )
 from .topology import topology_certificate
 
-SECTIONS = ("4.1", "4.2", "4.3", "4.4", "5", "6.1", "maxroot")
-
 
 def _golden_name(section: str, k: Optional[int]) -> str:
     stem = section.replace(".", "_")
@@ -195,26 +193,30 @@ def compute_maxroot() -> dict:
     }
 
 
+# section -> the k range its target needs, or None when it takes no k.  The
+# target is compute_<section>, looked up by name when it runs, so a rebound
+# module attribute (a test patch, a tracer) is the one called.
+_K_RANGES = {
+    "4.1": None,
+    "4.2": None,
+    "4.3": "3..8",
+    "4.4": "9..12",
+    "5": None,
+    "6.1": None,
+    "maxroot": None,
+}
+SECTIONS = tuple(_K_RANGES)
+
+
 def compute(section: str, k: Optional[int] = None) -> dict:
-    if section == "4.1":
-        return compute_4_1()
-    if section == "4.2":
-        return compute_4_2()
-    if section == "4.3":
-        if k is None:
-            raise ValueError("section 4.3 needs k (3..8)")
-        return compute_4_3(k)
-    if section == "4.4":
-        if k is None:
-            raise ValueError("section 4.4 needs k (9..12)")
-        return compute_4_4(k)
-    if section == "5":
-        return compute_5()
-    if section == "6.1":
-        return compute_6_1()
-    if section == "maxroot":
-        return compute_maxroot()
-    raise ValueError(f"unknown section {section!r}; choose from {SECTIONS}")
+    if section not in _K_RANGES:
+        raise ValueError(f"unknown section {section!r}; choose from {SECTIONS}")
+    target = globals()["compute_" + section.replace(".", "_")]
+    if _K_RANGES[section] is None:
+        return target()
+    if k is None:
+        raise ValueError(f"section {section} needs k ({_K_RANGES[section]})")
+    return target(k)
 
 
 def diff_against(expected: dict, actual: dict) -> list[str]:

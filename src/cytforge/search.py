@@ -58,7 +58,7 @@ from .cyt import (
     verify_cyt,
 )
 from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
-from .scalars import exact_sign, format_scalar, ratio_of
+from .scalars import exact_sign, format_scalar, is_rational, ratio_of
 from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect, pairing_row
 from .topology import UNCLASSIFIED, topology_certificate
 
@@ -82,6 +82,8 @@ class SearchQuery:
     def __post_init__(self):
         if not isinstance(self.model, SurfaceModel):
             raise ValueError("search needs a full lattice model")
+        if self.ray is not None and not all(is_rational(c) for c in self.ray.coeffs):
+            raise ValueError("search rays must have rational coefficients")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be positive")
         bad = self.filters - set(VALID_FILTERS)
@@ -103,6 +105,7 @@ class SearchStats:
     records_emitted: int
     exhausted: bool = True  # False only when --limit cut a record
     pairs_skipped: int = 0  # visited pairs the orbit rule did not evaluate
+    cyt_routes: tuple[str, ...] = ()  # the rays the plan kept: "ray", "anticanonical_ray"
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
@@ -531,5 +534,6 @@ def search(
         records_emitted=len(emitted),
         exhausted=len(emitted) == len(merged),
         pairs_skipped=skipped,
+        cyt_routes=tuple(data.name for data in plan.rays),
     )
     return emitted, stats

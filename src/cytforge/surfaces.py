@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 
 from . import intlinalg
 from .errors import (
+    CytForgeError,
     InvalidPosition,
     NonSymmetricGram,
     RankMismatch,
@@ -317,10 +318,29 @@ def builtin_model(spec: str) -> Model:
     raise ValueError(f"unknown builtin model {spec!r}")
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+
+
 def load_model(path: str) -> SurfaceModel:
-    """Model config file: JSON with name, basis, gram, c1, curves, ample_witness."""
+    """Model config file: a JSON object with integer gram and c1, and optional
+    name, basis, curves, ample_witness and simply_connected."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CytForgeError(f"model file {path} must hold a JSON object")
+    for key in ("gram", "c1"):
+        if doc.get(key) is None:
+            raise CytForgeError(f"model file {path} has no {key!r} field")
+    for key, nested in (("gram", True), ("c1", False), ("curves", True), ("ample_witness", False)):
+        value = doc.get(key)
+        rows = value if nested and isinstance(value, list) else [value]
+        if value is not None and not all(_is_int_list(row) for row in rows):
+            shape = "a list of integer lists" if nested else "a list of integers"
+            raise CytForgeError(f"model file {path}: {key!r} must be {shape}")
+    basis = doc.get("basis")
+    if basis is not None and not (isinstance(basis, list) and all(isinstance(b, str) for b in basis)):
+        raise CytForgeError(f"model file {path}: 'basis' must be a list of labels")
     return custom_model(
         name=doc.get("name", path),
         gram=doc["gram"],

@@ -1,6 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import cytforge
 from cytforge.catalog import load_catalog
 from cytforge.certificates import Certificate
 from cytforge.cli import main
@@ -267,6 +274,74 @@ def test_search_rejects_non_positive_ray(capsys):
         assert code == 2, ray
         assert "positive self-intersection" in err and "Traceback" not in err
         assert out == ""
+
+
+
+def test_search_reports_a_dropped_ray(capsys):
+    search = ["search", "--model", "blowup_cp2(3)", "--bound", "3", "--filter", "cyt", "--threads", "1"]
+    # H pairs to zero with E1, so it is not Kaehler and only the anticanonical route runs
+    code, out, err = run(capsys, *search, "--ray", "H")
+    assert code == 0 and len(out.splitlines()) == 109
+    assert all('"cyt_route":"anticanonical_ray"' in line for line in out.splitlines())
+    notes = [line for line in err.splitlines() if "not used" in line]
+    assert notes == ["--ray H not used: a cyt ray must be Kaehler with Q(c1,R) > 0 on blowup_cp2(3,general)"]
+    assert err.splitlines()[-1].startswith("search exhausted coefficient bound 3: ")
+    code, out, err = run(capsys, *search, "--ray", "4H-E1-E2-E3")
+    assert code == 0 and "not used" not in err
+    assert any('"cyt_route":"ray"' in line for line in out.splitlines())
+
+
+def test_reproduce_mismatch_exits_1(capsys, monkeypatch):
+    import cytforge.reproduce as reproduce_mod
+
+    real = reproduce_mod.load_golden
+
+    def tampered(section, k=None):
+        doc = real(section, k)
+        doc["expected"] = dict(doc["expected"], skt_total="99/1")
+        return doc
+
+    monkeypatch.setattr(reproduce_mod, "load_golden", tampered)
+    code, out, err = run(capsys, "reproduce-paper", "--section", "5", "--format", "json")
+    assert code == 1
+    diff = "skt_total: expected '99/1', got '0/1'"
+    assert json.loads(out)["results"]["diffs"] == [diff]
+    assert err == f"section 5: {diff}\n"
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"name": "x", "c1": [1]}', "has no 'gram' field"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"gram": [[1]]}', "has no 'c1' field"),
+        ('{"gram": [1], "c1": [3]}', "'gram' must be a list of integer lists"),
+        ('{"gram": [[1]], "c1": ["3"]}', "'c1' must be a list of integers"),
+        ('{"gram": [[1]], "c1": [3], "basis": 5}', "'basis' must be a list of labels"),
+    ],
+)
+def test_malformed_model_file_exits_2(tmp_path, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(doc)
+    src = str(Path(cytforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cytforge.cli import main; sys.exit(main())",
+         "cone-check", "--model", str(path), "--class", "2A"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr and proc.stderr.startswith("error: model file ")
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    # a directory where a model file or a catalog is expected
+    code, _, err = run(capsys, "cone-check", "--model", str(tmp_path), "--class", "H")
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    search = ["search", "--model", "quadric", "--bound", "1", "--filter", "skt", "--threads", "1"]
+    code, _, err = run(capsys, *search, "--out", str(tmp_path))
+    assert code == 2 and err.splitlines()[-1].startswith("error: ")
 
 
 # -- frozen command outputs -------------------------------------------------

@@ -136,3 +136,12 @@ def test_anticanonical_ray_flag():
     m = blowup_cp2(3)
     assert is_kahler(m, 2 * m.c1).anticanonical_ray
     assert not is_kahler(m, parse_class(m, "5H-E1-E2-E3")).anticanonical_ray
+
+
+def test_pairing_table_models_have_no_cone_check():
+    from cytforge.errors import CytForgeError
+    from cytforge.surfaces import kummer_model, parse_class
+
+    model = kummer_model()
+    with pytest.raises(CytForgeError, match="cone checks need a full lattice model"):
+        is_kahler(model, parse_class(model, "C1"))

@@ -56,3 +56,13 @@ def test_unknown_section_and_missing_k():
         compute("4.3")
     with pytest.raises(FileNotFoundError):
         load_golden("4.3", 99)
+
+
+def test_targets_are_looked_up_when_they_run(monkeypatch):
+    import cytforge.reproduce as reproduce_mod
+
+    assert reproduce_mod.SECTIONS == ("4.1", "4.2", "4.3", "4.4", "5", "6.1", "maxroot")
+    monkeypatch.setattr(reproduce_mod, "compute_5", lambda: {"patched": True})
+    monkeypatch.setattr(reproduce_mod, "compute_4_3", lambda k: {"k": k})
+    assert compute("5", 7) == {"patched": True}  # a target without k ignores it
+    assert compute("4.3", 4) == {"k": 4}

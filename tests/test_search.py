@@ -425,3 +425,24 @@ def test_search_rejects_non_positive_rays(ray):
     model = blowup_cp2(3)
     with pytest.raises(NotPositiveRay):
         SearchQuery(model=model, coeff_bound=1, filters=frozenset({"cyt"}), ray=parse_class(model, ray))
+
+
+def test_search_rejects_irrational_rays():
+    model = blowup_cp2(2)
+    ray = parse_class(model, "[1+1*sqrt(2),0,0]")
+    with pytest.raises(ValueError, match="search rays must have rational coefficients"):
+        SearchQuery(model=model, coeff_bound=1, filters=frozenset({"cyt"}), ray=ray)
+
+
+def test_stats_name_the_cyt_routes_kept():
+    def routes(ray, filters=frozenset({"cyt"})):
+        model = blowup_cp2(3)
+        ray = parse_class(model, ray) if ray is not None else None
+        query = SearchQuery(model=model, coeff_bound=1, filters=filters, ray=ray)
+        return search(query, threads=1)[1].cyt_routes
+
+    assert routes("H") == ("anticanonical_ray",)  # not Kaehler: Q(H,E1) = 0
+    assert routes("4H-E1-E2-E3") == ("ray", "anticanonical_ray")
+    assert routes("3H-E1-E2-E3") == ("ray",)  # the ray is c1 itself
+    assert routes(None) == ("anticanonical_ray",)
+    assert routes("H", frozenset({"skt"})) == ()
