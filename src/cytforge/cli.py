@@ -10,6 +10,7 @@ labeled approximate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -183,8 +184,17 @@ def _cmd_search(args) -> int:
     if args.out:
         catalog_io.append_records(args.out, records)
     else:
-        for rec in records:
-            print(rec.to_line())
+        try:
+            for rec in records:
+                print(rec.to_line())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): end quietly, and point
+            # stdout at devnull so the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 0
     if args.ray and "cyt" in query.filters and "ray" not in stats.cyt_routes:
         print(
             f"--ray {args.ray} not used: a cyt ray must be Kaehler with Q(c1,R) > 0 on {model.name}",

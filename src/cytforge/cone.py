@@ -2,6 +2,11 @@
 self-intersection, positivity against every irreducible curve of negative
 self-intersection, and positivity against an ample witness.  Every inequality
 is decided by exact sign computation and recorded in a certificate.
+
+Each pairing is one `intersect` call.  For a rational class it is an integer
+dot product over the product of the cleared denominators (see
+`surfaces.intersect`); a class with a Q(sqrt(d)) coefficient is paired in
+exact scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -124,7 +129,9 @@ def positively_proportional(x: CohClass, y: CohClass) -> bool:
 def is_kahler(
     model: SurfaceModel, f: CohClass, witness: Optional[CohClass] = None
 ) -> ConeCertificate:
-    """Certified cone membership for the class f."""
+    """Certified cone membership for the class f.  The curves keep their
+    cleared forms across calls, so each check against a rational f costs one
+    integer dot product, and one Fraction when f has a denominator."""
     if not isinstance(model, SurfaceModel):
         raise CytForgeError("cone checks need a full lattice model")
     if f.rank != model.rank:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from . import intlinalg
@@ -65,13 +66,35 @@ def lambda_trace(model: Model, omega: CohClass, f: CohClass) -> Scalar:
 
 
 def _traced_sum(bundle: BundleSpec, f: CohClass) -> tuple[tuple[Scalar, ...], CohClass]:
-    """The traces of the curvature classes against f, and sum(trace_l * w_l)."""
-    lambdas = tuple(lambda_trace(bundle.base, w, f) for w in bundle.curvatures)
-    traced = CohClass.zero(bundle.base.rank)
-    for lam, w in zip(lambdas, bundle.curvatures):
-        if lam != 0:
-            traced = traced + lam * w
-    return lambdas, traced
+    """The traces of the curvature classes against f, and sum(trace_l * w_l);
+    NullClass when Q(f,f) = 0.
+
+    For a rational f = n/d on a SurfaceModel the integer row G n is formed
+    once: with t_l = w_l . G n, Q(f,f) = n . G n / d^2 and trace_l =
+    2 d t_l / (n . G n), so the traces and the sum share one denominator.
+    Other inputs pair class by class through intersect."""
+    base = bundle.base
+    form = f.cleared_form if isinstance(base, SurfaceModel) else None
+    if form is None:
+        lambdas = tuple(lambda_trace(base, w, f) for w in bundle.curvatures)
+        traced = CohClass.zero(base.rank)
+        for lam, w in zip(lambdas, bundle.curvatures):
+            if lam != 0:
+                traced = traced + lam * w
+        return lambdas, traced
+    n, d = form
+    row = base.gram_row(n)
+    ff = sum(map(mul, n, row))
+    if ff == 0:
+        raise NullClass("Q(F,F) = 0")
+    # every curvature class is integral, so its cleared form has d = 1
+    ws = [w.cleared_form[0] for w in bundle.curvatures]
+    nums = [BASE_COMPLEX_DIMENSION * d * sum(map(mul, w, row)) for w in ws]
+    lambdas = tuple(Fraction(t, ff) for t in nums)
+    if not any(nums):
+        return lambdas, CohClass.zero(base.rank)
+    traced = (sum(map(mul, nums, col)) for col in zip(*ws))
+    return lambdas, CohClass(tuple(Fraction(v, ff) for v in traced))
 
 
 def cyt_defect(bundle: BundleSpec, f: CohClass) -> CohClass:
@@ -125,7 +148,9 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
     """Full certificate: defect vanishing, cone membership, integrality.
     Failures are verdicts, not errors."""
     base = bundle.base
-    if intersect(base, f, f) == 0:
+    try:
+        lambdas, traced = _traced_sum(bundle, f)
+    except NullClass:
         return CytCertificate(
             kahler_class=f,
             lambdas=(),
@@ -137,7 +162,6 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
             reason="null_class",
             verdict=False,
         )
-    lambdas, traced = _traced_sum(bundle, f)
     defect = base.c1 - traced
     defect_zero = defect.is_zero()
     integral = all(w.is_integral() for w in bundle.curvatures)
@@ -261,7 +285,7 @@ def balanced_check(bundle: BundleSpec, f: CohClass) -> bool:
     base = bundle.base
     if isinstance(base, PairingFunctionalModel):
         return all(intersect(base, w, f) == 0 for w in bundle.curvatures)
-    return all(lambda_trace(base, w, f) == 0 for w in bundle.curvatures)
+    return all(lam == 0 for lam in _traced_sum(bundle, f)[0])
 
 
 def primitive_route_check(bundle: BundleSpec, f: CohClass) -> bool:

@@ -41,8 +41,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from multiprocessing import Pool, cpu_count
 from typing import Callable, Iterable, Optional
 
@@ -226,11 +225,9 @@ class _RayData:
     def __init__(self, name: str, model: SurfaceModel, ray: CohClass, bound: int):
         self.name = name
         self.ray = ray
-        vec = ray.coeffs
-        den = lcm(*(c.denominator if isinstance(c, Fraction) else 1 for c in vec))
-        ints = [int(c * den) for c in vec]
+        ints = ray.cleared_form[0]  # SearchQuery admits rational rays only
         g = gcd(*ints)
-        self.ray_int = [v // g for v in ints] if g else ints
+        self.ray_int = [v // g for v in ints] if g else list(ints)
         self.w = pairing_row(model, CohClass.of(self.ray_int))  # Q(., R) functional
         self.r = sum(a * b for a, b in zip(self.ray_int, self.w))  # Q(R,R)
         self.c1 = model.c1.as_int_vector()

@@ -5,6 +5,11 @@ integer-lattice services every other module consumes.
 Built-in models: the projective plane, the smooth quadric, blow-ups of the
 plane at k points (general position for k <= 8, points on a cubic for k >= 2),
 and a Kummer-surface fragment given by a partial pairing table.
+
+Pairings on a lattice model run on integers: a rational class caches its
+cleared form (integer numerators over the least common denominator) and
+`intersect` takes one integer dot product with the Gram matrix.  Classes with
+a Q(sqrt(d)) coefficient and pairing-table models keep the exact scalar loop.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import intlinalg
@@ -32,9 +38,30 @@ from .scalars import Scalar, format_scalar, is_integer, parse_scalar
 
 @dataclass(frozen=True)
 class CohClass:
-    """A degree-2 class as a coefficient vector over a model's ordered basis."""
+    """A degree-2 class as a coefficient vector over a model's ordered basis.
+
+    A rational class also carries its cleared form, computed on first use
+    and kept out of equality, hashing and pickles."""
 
     coeffs: tuple[Scalar, ...]
+
+    @cached_property
+    def cleared_form(self) -> Optional[tuple[tuple[int, ...], int]]:
+        """(n, d) with coeffs = n / d: integer numerators over the least
+        common denominator; None when a coefficient is irrational."""
+        den = 1
+        for c in self.coeffs:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                return None
+        return tuple(
+            c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
+            for c in self.coeffs
+        ), den
+
+    def __getstate__(self) -> dict:
+        return {"coeffs": self.coeffs}
 
     @staticmethod
     def of(values: Sequence) -> "CohClass":
@@ -112,6 +139,21 @@ class SurfaceModel:
         return len(self.basis_labels)
 
     @cached_property
+    def _gram_diagonal(self) -> Optional[tuple[int, ...]]:
+        """The diagonal of the Gram matrix when it has no other entries."""
+        gram = self.gram
+        if any(g for i, row in enumerate(gram) for j, g in enumerate(row) if i != j):
+            return None
+        return tuple(gram[i][i] for i in range(self.rank))
+
+    def gram_row(self, v: Sequence[int]) -> list[int]:
+        """G . v for an integer vector v: the functional Q(v, .) as a row."""
+        diag = self._gram_diagonal
+        if diag is not None:
+            return list(map(mul, diag, v))
+        return [sum(map(mul, row, v)) for row in self.gram]
+
+    @cached_property
     def gram_factors(self) -> tuple[int, ...]:
         """Invariant factors of the Gram matrix, computed once per model: all
         1 iff the form is unimodular, none 0 iff it is nondegenerate."""
@@ -169,10 +211,22 @@ Model = Union[SurfaceModel, PairingFunctionalModel]
 
 
 def intersect(model: Model, x: CohClass, y: CohClass) -> Scalar:
-    """x . y under the model's intersection form, exactly."""
+    """x . y under the model's intersection form, exactly.
+
+    On a SurfaceModel two rational classes pair through their cleared forms
+    n/d: one integer dot product n_x . G n_y over d_x d_y, an int when both
+    denominators are 1.  Classes with a Q(sqrt(d)) coefficient and
+    pairing-table models take the scalar loop, which raises
+    UndeclaredPairing on an entry the table leaves open."""
     b = model.rank
     if x.rank != b or y.rank != b:
         raise RankMismatch(f"classes of rank {x.rank}/{y.rank} on a rank-{b} model")
+    if isinstance(model, SurfaceModel):
+        fx, fy = x.cleared_form, y.cleared_form
+        if fx is not None and fy is not None:
+            dot = sum(map(mul, fx[0], model.gram_row(fy[0])))
+            d = fx[1] * fy[1]
+            return dot if d == 1 else Fraction(dot, d)
     gram = model.gram
     total: Scalar = 0
     for i, xi in enumerate(x.coeffs):
@@ -261,6 +315,9 @@ def custom_model(
     ample_witness: Sequence[int] | None = None,
     simply_connected: bool = False,
 ) -> SurfaceModel:
+    for key, value in (("gram", gram), ("c1", c1)):
+        if len(value) == 0:
+            raise CytForgeError(f"model {name}: {key!r} must not be empty")
     b = len(gram)
     labels = tuple(basis_labels) if basis_labels else tuple(f"e{i}" for i in range(1, b + 1))
     return SurfaceModel(

@@ -10,13 +10,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from cytforge.cyt import BundleSpec, lambda_trace, verify_cyt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cytforge.cyt import BundleSpec, _traced_sum, lambda_trace, verify_cyt
+from cytforge.errors import NullClass
 from cytforge.intlinalg import mat_mul, mat_vec, snf, solve_integer_linear
 from cytforge.scalars import exact_sign, quadratic
 from cytforge.search import SearchQuery, canonical_form, search
 from cytforge.skt import hodge_obstruction, verify_skt
-from cytforge.surfaces import CohClass, blowup_cp2, intersect, quadric
+from cytforge.surfaces import (
+    CohClass,
+    PairingFunctionalModel,
+    blowup_cp2,
+    custom_model,
+    intersect,
+    projective_plane,
+    quadric,
+)
 from cytforge.topology import topology_certificate
 
 SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 15, 114)
@@ -230,3 +243,109 @@ def run_search_determinism_and_reverify() -> int:
             _reverify_record(model, rec)
         cases += 3 * len(first)
     return cases
+
+
+# -- integer pairing kernel against the scalar loop --------------------------
+#
+# A PairingFunctionalModel over the same Gram matrix sends intersect and
+# _traced_sum down the scalar loop, class by class, so it is the reference the
+# cleared-denominator kernel on the SurfaceModel must agree with.  Hypothesis
+# runs derandomized, so these checks are deterministic like the runners above.
+
+KERNEL_SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def scalar_twin(model) -> PairingFunctionalModel:
+    """The model's Gram matrix as a pairing table: same form, scalar loop."""
+    return PairingFunctionalModel(model.name, model.basis_labels, model.gram, model.c1)
+
+
+@st.composite
+def surface_models(draw):
+    """Built-in blow-ups, the plane, the quadric, and custom models with
+    random symmetric, mostly non-diagonal Gram matrices."""
+    kind = draw(st.sampled_from(("blowup", "plane", "quadric", "custom")))
+    if kind == "blowup":
+        return blowup_cp2(draw(st.integers(1, 8)))
+    if kind == "plane":
+        return projective_plane()
+    if kind == "quadric":
+        return quadric()
+    rank = draw(st.integers(1, 5))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    c1 = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    return custom_model("random", gram, c1)
+
+
+# an int, a Fraction(x, 1) or a proper fraction, zero weighted up
+_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(Fraction),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+)
+_integral = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction))
+
+
+def classes(rank: int, coefficients=_coefficients):
+    """Classes of the given rank, the zero class among them."""
+    vectors = st.lists(coefficients, min_size=rank, max_size=rank)
+    return st.one_of(st.just(CohClass.zero(rank)), vectors.map(CohClass.of))
+
+
+def _oracle_pairing(model, x: CohClass, y: CohClass) -> Fraction:
+    return sum(
+        (Fraction(a) * g * Fraction(b) for a, row in zip(x.coeffs, model.gram) for g, b in zip(row, y.coeffs)),
+        Fraction(0),
+    )
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def check_cleared_form(data) -> None:
+    """coeffs = n / d with d the least common denominator and n plain ints,
+    Fraction(x, 1) included."""
+    rank = data.draw(st.integers(1, 9))
+    x = data.draw(classes(rank))
+    n, d = x.cleared_form
+    assert d == lcm(*(Fraction(c).denominator for c in x.coeffs))
+    assert all(type(v) is int for v in n)
+    assert tuple(Fraction(v, d) for v in n) == x.coeffs
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def check_integer_intersect(data) -> None:
+    """The kernel's x . y equals the scalar loop and a Fraction oracle, and is
+    an int exactly when both cleared denominators are 1."""
+    model = data.draw(surface_models())
+    x, y = data.draw(classes(model.rank)), data.draw(classes(model.rank))
+    value = intersect(model, x, y)
+    assert value == intersect(scalar_twin(model), x, y) == _oracle_pairing(model, x, y)
+    assert value == intersect(model, y, x)
+    assert isinstance(value, int) == (x.cleared_form[1] * y.cleared_form[1] == 1)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def check_traced_sum(data) -> None:
+    """Traces and traced sum from the integer row equal the class-by-class
+    scalar loop, value and type, and both raise NullClass when Q(f,f) = 0."""
+    model = data.draw(surface_models())
+    count = data.draw(st.sampled_from((2, 4)))
+    ws = tuple(data.draw(classes(model.rank, _integral)) for _ in range(count))
+    f = data.draw(classes(model.rank))
+    try:
+        got = _traced_sum(BundleSpec(model, ws), f)
+    except NullClass:
+        got = None
+    try:
+        want = _traced_sum(BundleSpec(scalar_twin(model), ws), f)
+    except NullClass:
+        want = None
+    assert got == want
+    if got is not None:
+        assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]

@@ -335,6 +335,33 @@ def test_malformed_model_file_exits_2(tmp_path, doc, message):
     assert message in proc.stderr and proc.stderr.startswith("error: model file ")
 
 
+@pytest.mark.parametrize("doc, field", [('{"gram": [], "c1": []}', "gram"), ('{"gram": [[1]], "c1": []}', "c1")])
+def test_empty_gram_or_c1_exits_2(tmp_path, capsys, doc, field):
+    path = tmp_path / "model.json"
+    path.write_text(doc)
+    code, _, err = run(capsys, "search", "--model", str(path), "--bound", "3", "--filter", "cyt")
+    assert code == 2 and err.startswith("error: ") and f"'{field}' must not be empty" in err
+
+
+def test_search_into_a_closed_pipe_ends_quietly():
+    # 5 133 records, far more than a pipe buffer holds, so the writer is
+    # still printing when the reader goes away
+    src = str(Path(cytforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from cytforge.cli import main; sys.exit(main())",
+         "search", "--model", "blowup_cp2(3)", "--bound", "3", "--filter", "skt", "--threads", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b'{"canonical_key":')
+    assert "error:" not in err and "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_unreadable_paths_exit_2(tmp_path, capsys):
     # a directory where a model file or a catalog is expected
     code, _, err = run(capsys, "cone-check", "--model", str(tmp_path), "--class", "H")

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import property_suites
+from cytforge import cyt
+
 from cytforge.cyt import (
     BundleSpec,
     balanced_check,
@@ -232,6 +235,29 @@ def test_balanced_check():
     m = blowup_cp2(2)
     zb = BundleSpec(m, (CohClass.zero(3), CohClass.zero(3)))
     assert balanced_check(zb, 2 * m.c1)
+
+
+def test_traced_sum_matches_the_scalar_loop():
+    property_suites.check_traced_sum()
+
+
+def test_rational_traces_come_from_one_integer_row(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return intersect(*args)
+
+    monkeypatch.setattr(cyt, "intersect", counted)
+    m, bundle = dp2_bundle()
+    f = Fraction(2, 3) * m.c1
+    assert cyt_defect(bundle, 3 * f).is_zero()
+    assert not balanced_check(bundle, f)
+    assert not calls
+    # a pairing table still pairs class by class
+    km = kummer_model((1, 1, 1, 1))
+    assert balanced_check(BundleSpec(km, (parse_class(km, "C1-C2"), parse_class(km, "C3-C4"))), parse_class(km, "F"))
+    assert len(calls) == 2
 
 
 def test_primitive_route():

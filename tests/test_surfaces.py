@@ -1,11 +1,15 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import property_suites
+
 from cytforge.scalars import quadratic
 from cytforge.errors import (
+    CytForgeError,
     InvalidPosition,
     NonSymmetricGram,
     RankMismatch,
@@ -31,6 +35,8 @@ from cytforge.surfaces import (
     quadric,
     resolve_model,
 )
+
+HALF = Fraction(1, 2)
 
 
 def test_builtin_shapes():
@@ -139,6 +145,49 @@ def test_kummer_pairing_table():
     assert intersect(km_signed, parse_class(km_signed, "C1-C2"), f) == 2
     with pytest.raises(ValueError):
         kummer_model((1, 1, 2, 1))
+
+
+def test_integer_intersect_matches_the_scalar_loop():
+    property_suites.check_cleared_form()
+    property_suites.check_integer_intersect()
+
+
+def test_irrational_classes_and_pairing_tables_take_the_scalar_loop():
+    m = blowup_cp2(3)
+    root = quadratic(1, 1, 2)
+    x = CohClass((root, HALF, 0, -1))
+    assert x.cleared_form is None
+    assert intersect(m, x, m.c1) == 3 * root - HALF
+    # on a pairing table the classes are never cleared, and open entries raise
+    twin = property_suites.scalar_twin(m)
+    y, z = CohClass((HALF, 1, 0, 0)), CohClass.of([1, 0, 2, 0])
+    assert intersect(twin, y, z) == HALF
+    assert "cleared_form" not in vars(y) and "cleared_form" not in vars(z)
+    km = kummer_model()
+    with pytest.raises(UndeclaredPairing):
+        intersect(km, parse_class(km, "F"), parse_class(km, "F"))
+
+
+def test_cleared_form_leaves_equality_hash_and_pickles_alone():
+    for coeffs in ((3, -1, -1), (HALF, Fraction(4), 0), (quadratic(1, 1, 2), 0, 1)):
+        x = CohClass(coeffs)
+        pickled, digest = pickle.dumps(x), hash(x)
+        x.cleared_form
+        assert "cleared_form" in vars(x)
+        assert x == CohClass(coeffs) and hash(x) == digest == hash(CohClass(coeffs))
+        assert pickle.dumps(x) == pickled
+        back = pickle.loads(pickled)
+        assert back == x and "cleared_form" not in vars(back)
+        assert back.cleared_form == x.cleared_form
+
+
+def test_empty_gram_or_c1_is_rejected(tmp_path):
+    with pytest.raises(CytForgeError, match="'gram' must not be empty"):
+        custom_model("x", [], [])
+    path = tmp_path / "model.json"
+    path.write_text('{"gram": [[1]], "c1": []}')
+    with pytest.raises(CytForgeError, match="'c1' must not be empty"):
+        load_model(str(path))
 
 
 def test_class_parsing_and_formatting():
