@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import CytForgeError, MissingAmpleWitness, MissingCurveData, RankMismatch
-from .scalars import Scalar, exact_sign, is_rational, ratio_of
+from .scalars import Scalar, exact_sign
 from .surfaces import (
     REGIME_ENUMERATE,
     REGIME_EXPLICIT,
@@ -119,11 +119,10 @@ def negative_curves(model: SurfaceModel) -> list[CohClass]:
 
 
 def positively_proportional(x: CohClass, y: CohClass) -> bool:
-    """x = t*y for some rational t > 0."""
-    if x.rank != y.rank:
-        return False
-    t = ratio_of(x.coeffs, y.coeffs)
-    return t is not None and is_rational(t) and exact_sign(t) > 0
+    """x = t*y for some rational t > 0.  Two rational classes compare the
+    integer numerators of their cleared forms; a class with a Q(sqrt(d))
+    coefficient goes through scalars.ratio_of."""
+    return x.rank == y.rank and x.positive_ratio(y) is not None
 
 
 def is_kahler(

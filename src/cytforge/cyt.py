@@ -25,8 +25,8 @@ from typing import Optional
 
 from . import intlinalg
 from .cone import ConeCertificate, is_kahler, positively_proportional
-from .errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass
-from .scalars import Scalar, exact_div, exact_sign, is_rational, ratio_of, solve_quadratic
+from .errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass, RankMismatch
+from .scalars import Scalar, exact_div, exact_sign, solve_quadratic
 from .surfaces import (
     CohClass,
     Model,
@@ -65,36 +65,43 @@ def lambda_trace(model: Model, omega: CohClass, f: CohClass) -> Scalar:
     return exact_div(BASE_COMPLEX_DIMENSION * intersect(model, omega, f), ff)
 
 
-def _traced_sum(bundle: BundleSpec, f: CohClass) -> tuple[tuple[Scalar, ...], CohClass]:
-    """The traces of the curvature classes against f, and sum(trace_l * w_l);
-    NullClass when Q(f,f) = 0.
+def _traced_sum(bundle: BundleSpec, f: CohClass) -> tuple[tuple[Scalar, ...], CohClass, Scalar]:
+    """The traces of the curvature classes against f, sum(trace_l * w_l) and
+    Q(f,f); NullClass when Q(f,f) = 0.  Every CYT reader takes Q(F,F) and
+    the traces from here.
 
     For a rational f = n/d on a SurfaceModel the integer row G n is formed
     once: with t_l = w_l . G n, Q(f,f) = n . G n / d^2 and trace_l =
     2 d t_l / (n . G n), so the traces and the sum share one denominator.
-    Other inputs pair class by class through intersect."""
-    base = bundle.base
+    Other inputs form Q(f,f) once and pair the classes one by one through
+    intersect."""
+    base, ws = bundle.base, bundle.curvatures
+    if f.rank != base.rank:
+        raise RankMismatch(f"classes of rank {f.rank}/{f.rank} on a rank-{base.rank} model")
     form = f.cleared_form if isinstance(base, SurfaceModel) else None
     if form is None:
-        lambdas = tuple(lambda_trace(base, w, f) for w in bundle.curvatures)
+        ff = intersect(base, f, f)
+        if ff == 0:
+            raise NullClass("Q(F,F) = 0")
+        lambdas = tuple(exact_div(BASE_COMPLEX_DIMENSION * intersect(base, w, f), ff) for w in ws)
         traced = CohClass.zero(base.rank)
-        for lam, w in zip(lambdas, bundle.curvatures):
+        for lam, w in zip(lambdas, ws):
             if lam != 0:
                 traced = traced + lam * w
-        return lambdas, traced
+        return lambdas, traced, ff
     n, d = form
     row = base.gram_row(n)
-    ff = sum(map(mul, n, row))
-    if ff == 0:
+    nn = sum(map(mul, n, row))
+    if nn == 0:
         raise NullClass("Q(F,F) = 0")
     # every curvature class is integral, so its cleared form has d = 1
-    ws = [w.cleared_form[0] for w in bundle.curvatures]
-    nums = [BASE_COMPLEX_DIMENSION * d * sum(map(mul, w, row)) for w in ws]
-    lambdas = tuple(Fraction(t, ff) for t in nums)
-    if not any(nums):
-        return lambdas, CohClass.zero(base.rank)
-    traced = (sum(map(mul, nums, col)) for col in zip(*ws))
-    return lambdas, CohClass(tuple(Fraction(v, ff) for v in traced))
+    ns = [w.cleared_form[0] for w in ws]
+    nums = [BASE_COMPLEX_DIMENSION * d * sum(map(mul, w, row)) for w in ns]
+    lambdas = tuple(Fraction(t, nn) for t in nums)
+    traced = CohClass.zero(base.rank)
+    if any(nums):
+        traced = CohClass(tuple(Fraction(sum(map(mul, nums, col)), nn) for col in zip(*ns)))
+    return lambdas, traced, nn if d == 1 else Fraction(nn, d * d)
 
 
 def cyt_defect(bundle: BundleSpec, f: CohClass) -> CohClass:
@@ -145,18 +152,19 @@ class CytCertificate:
 
 
 def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
-    """Full certificate: defect vanishing, cone membership, integrality.
-    Failures are verdicts, not errors."""
+    """Full certificate: defect vanishing and cone membership.  Failures are
+    verdicts, not errors.  BundleSpec admits integral curvatures only, so
+    curvatures_integral is always true."""
     base = bundle.base
     try:
-        lambdas, traced = _traced_sum(bundle, f)
+        lambdas, traced, ff = _traced_sum(bundle, f)
     except NullClass:
         return CytCertificate(
             kahler_class=f,
             lambdas=(),
             defect=base.c1,
             defect_zero=False,
-            curvatures_integral=all(w.is_integral() for w in bundle.curvatures),
+            curvatures_integral=True,
             cone=None,
             solved_scale=None,
             reason="null_class",
@@ -164,24 +172,18 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
         )
     defect = base.c1 - traced
     defect_zero = defect.is_zero()
-    integral = all(w.is_integral() for w in bundle.curvatures)
     cone = is_kahler(base, f) if isinstance(base, SurfaceModel) else None
-    verdict = defect_zero and integral and cone is not None and cone.verdict
+    verdict = defect_zero and cone is not None and cone.verdict
 
     solved_scale = None
-    if not defect_zero and isinstance(base, SurfaceModel):
+    if not defect_zero and cone is not None and exact_sign(ff) > 0:
         # flag when the given class solves the condition only after rescaling
-        try:
-            solved_scale = solve_scale(bundle, f)
-        except (NotPositiveRay, NullClass):
-            solved_scale = None
+        solved_scale = traced.positive_ratio(base.c1)
 
     reason = None
     if not verdict:
         if not defect_zero:
             reason = "defect_nonzero"
-        elif not integral:
-            reason = "curvature_not_integral"
         elif cone is None:
             reason = "no_cone_data"
         else:
@@ -191,7 +193,7 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
         lambdas=lambdas,
         defect=defect,
         defect_zero=defect_zero,
-        curvatures_integral=integral,
+        curvatures_integral=True,
         cone=cone,
         solved_scale=solved_scale,
         reason=reason,
@@ -202,16 +204,16 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
 def solve_scale(bundle: BundleSpec, ray: CohClass) -> Optional[Scalar]:
     """The unique s > 0 with vanishing defect at s * ray, when the traced
     curvature sum along the ray is a nonzero rational multiple of c1; None
-    otherwise (including c1 = 0 with a nonzero sum)."""
-    base = bundle.base
-    rr = intersect(base, ray, ray)
+    otherwise (including c1 = 0 with a nonzero sum).  Q(R,R) and the traced
+    sum are formed once; a rational sum is compared with c1 on the integer
+    numerators of their cleared forms, and s is one quotient."""
+    try:
+        _, traced, rr = _traced_sum(bundle, ray)
+    except NullClass:
+        rr = 0
     if exact_sign(rr) <= 0:
         raise NotPositiveRay("ray needs positive self-intersection")
-    # traced = s * c1 componentwise, s rational and positive
-    s = ratio_of(_traced_sum(bundle, ray)[1].coeffs, base.c1.coeffs)
-    if s is None or not is_rational(s) or exact_sign(s) <= 0:
-        return None
-    return s
+    return traced.positive_ratio(bundle.base.c1)
 
 
 @dataclass(frozen=True)
@@ -292,14 +294,9 @@ def primitive_route_check(bundle: BundleSpec, f: CohClass) -> bool:
     """The Einstein-base route: first curvature a positive rational multiple
     of f, all later ones trace-free, and c1 a positive rational multiple of f
     (the cohomological stand-in for positive Einstein normalization)."""
-    base = bundle.base
-    ff = intersect(base, f, f)
-    if ff == 0:
-        raise NullClass("Q(F,F) = 0")
-    w1 = bundle.curvatures[0]
-    if not positively_proportional(w1, f):
-        return False
-    for w in bundle.curvatures[1:]:
-        if lambda_trace(base, w, f) != 0:
-            return False
-    return positively_proportional(base.c1, f)
+    lambdas = _traced_sum(bundle, f)[0]
+    return (
+        positively_proportional(bundle.curvatures[0], f)
+        and all(lam == 0 for lam in lambdas[1:])
+        and positively_proportional(bundle.base.c1, f)
+    )

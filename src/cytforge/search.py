@@ -43,6 +43,7 @@ import os
 from dataclasses import dataclass
 from math import gcd
 from multiprocessing import Pool, cpu_count
+from operator import mul
 from typing import Callable, Iterable, Optional
 
 from .catalog import CatalogRecord, VerdictFlags
@@ -58,7 +59,7 @@ from .cyt import (
 )
 from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
 from .scalars import exact_sign, format_scalar, is_rational, ratio_of
-from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect, pairing_row
+from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect
 from .topology import UNCLASSIFIED, topology_certificate
 
 VALID_FILTERS = ("cyt", "skt", "balanced", "topology", "spin")
@@ -228,7 +229,7 @@ class _RayData:
         ints = ray.cleared_form[0]  # SearchQuery admits rational rays only
         g = gcd(*ints)
         self.ray_int = [v // g for v in ints] if g else list(ints)
-        self.w = pairing_row(model, CohClass.of(self.ray_int))  # Q(., R) functional
+        self.w = model.gram_row(self.ray_int)  # Q(., R) functional
         self.r = sum(a * b for a, b in zip(self.ray_int, self.w))  # Q(R,R)
         self.c1 = model.c1.as_int_vector()
         self.d_pair = sum(a * b for a, b in zip(self.c1, self.w))  # Q(c1,R)
@@ -349,8 +350,7 @@ class _Plan:
     def square(self, v: tuple[int, ...]) -> int:
         q = self.squares.get(v)
         if q is None:
-            gram = self.query.model.gram
-            q = sum(x * g * y for x, row in zip(v, gram) if x for g, y in zip(row, v))
+            q = sum(map(mul, v, self.query.model.gram_row(v)))
             self.squares[v] = q
         return q
 

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cone import is_kahler
-from .cyt import BundleSpec
-from .errors import NotKahler, NullClass
-from .scalars import Scalar, exact_div
+from .cyt import BundleSpec, _traced_sum
+from .errors import NotKahler
+from .scalars import Scalar
 from .surfaces import CohClass, SurfaceModel, intersect
 
 
 @dataclass(frozen=True)
 class HodgeRow:
     omega: CohClass
-    trace_coefficient: Scalar  # Q(w,F)/Q(F,F)
+    trace_coefficient: Scalar  # Q(w,F)/Q(F,F), half the trace
     primitive_part: CohClass
     primitive_square: Scalar
 
@@ -58,16 +58,13 @@ def hodge_obstruction(bundle: BundleSpec, f: CohClass) -> SktReport:
         raise NotKahler("cone membership undecidable on a pairing-functional model")
     if not is_kahler(base, f).verdict:
         raise NotKahler("f is not certified Kaehler")
-    ff = intersect(base, f, f)
-    if ff == 0:
-        raise NullClass("Q(F,F) = 0")
     rows = []
     squares = []
     total: Scalar = 0
     all_primitive = True
     any_nonzero = False
-    for w in bundle.curvatures:
-        c = exact_div(intersect(base, w, f), ff)
+    for w, lam in zip(bundle.curvatures, _traced_sum(bundle, f)[0]):
+        c = lam / 2
         p = w - c * f if c != 0 else w
         pp = intersect(base, p, p)
         rows.append(HodgeRow(w, c, p, pp))

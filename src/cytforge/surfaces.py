@@ -7,9 +7,13 @@ plane at k points (general position for k <= 8, points on a cubic for k >= 2),
 and a Kummer-surface fragment given by a partial pairing table.
 
 Pairings on a lattice model run on integers: a rational class caches its
-cleared form (integer numerators over the least common denominator) and
-`intersect` takes one integer dot product with the Gram matrix.  Classes with
-a Q(sqrt(d)) coefficient and pairing-table models keep the exact scalar loop.
+cleared form (integer numerators over the least common denominator), and
+`SurfaceModel.gram_row` is the one integer Gram product.  `intersect` dots a
+cleared form with it, the CYT traces read one such row for the Kaehler
+class, and the topology pairing matrix and the search's ray functional are
+rows of it.  Proportionality of two rational classes
+(`CohClass.positive_ratio`) is decided on their integer numerators.  Classes with a Q(sqrt(d))
+coefficient and pairing-table models keep the exact scalar loop.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     UndeclaredPairing,
     ZeroClass,
 )
-from .scalars import Scalar, format_scalar, is_integer, parse_scalar
+from .scalars import Scalar, exact_sign, format_scalar, is_integer, is_rational, parse_scalar, ratio_of
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,19 @@ class CohClass:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
+
+    def positive_ratio(self, other: "CohClass") -> Optional[Scalar]:
+        """The rational t > 0 with self = t * other, else None.  Two rational
+        classes cross-multiply the integer numerators of their cleared forms;
+        a Q(sqrt(d)) coefficient sends both through scalars.ratio_of."""
+        fx, fy = self.cleared_form, other.cleared_form
+        if fx is None or fy is None:
+            t = ratio_of(self.coeffs, other.coeffs)
+            return t if t is not None and is_rational(t) and exact_sign(t) > 0 else None
+        t = ratio_of(fx[0], fy[0])
+        if t is None or t <= 0:
+            return None
+        return t if fx[1] == fy[1] else t * fy[1] / fx[1]
 
     def is_integral(self) -> bool:
         return all(is_integer(a) for a in self.coeffs)
@@ -471,22 +488,6 @@ def mod2_membership(model: Model, target: CohClass, span: Sequence[CohClass]) ->
     if len(tv) != model.rank or any(len(v) != model.rank for v in sv):
         raise RankMismatch("class rank does not match model")
     return intlinalg.gf2_in_span(tv, sv)
-
-
-def pairing_row(model: Model, x: CohClass) -> list[int]:
-    """The functional Q(x, .) on integral classes, as an integer row vector."""
-    xv = x.as_int_vector()
-    row = []
-    for j in range(model.rank):
-        total = 0
-        for i, xi in enumerate(xv):
-            if xi:
-                g = model.gram[i][j]
-                if g is None:
-                    raise UndeclaredPairing(model.basis_labels[j])
-                total += xi * g
-        row.append(total)
-    return row
 
 
 # -- class expression parsing / printing --------------------------------

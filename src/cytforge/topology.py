@@ -12,13 +12,7 @@ from typing import Optional
 from .cyt import BundleSpec, c1_bundle_triviality
 from .errors import HypothesesNotMet, WrongFiberRank
 from .intlinalg import IntegerSolver
-from .surfaces import (
-    CohClass,
-    SurfaceModel,
-    basis_extension_check,
-    mod2_membership,
-    pairing_row,
-)
+from .surfaces import CohClass, SurfaceModel, basis_extension_check, mod2_membership
 
 UNCLASSIFIED = "unclassified"
 
@@ -46,10 +40,23 @@ class TopologyCertificate:
     tables: Optional[SpectralTables]
 
 
+def _lattice_base(bundle: BundleSpec) -> SurfaceModel:
+    base = bundle.base
+    if not isinstance(base, SurfaceModel):
+        raise HypothesesNotMet(
+            "full_lattice_model",
+            f"{base.name} declares pairings only; its witnesses are assumed, not computed",
+        )
+    return base
+
+
 def _pairing_matrix(bundle: BundleSpec) -> list[list[int]]:
+    """Rows Q(w_l, .) of the two curvature classes; a pairing-table base
+    has no Gram rows, so it fails the full_lattice_model hypothesis."""
     if len(bundle.curvatures) != 2:
         raise WrongFiberRank(f"{len(bundle.curvatures)} curvature classes; need exactly 2")
-    return [pairing_row(bundle.base, w) for w in bundle.curvatures]
+    base = _lattice_base(bundle)
+    return [base.gram_row(w.as_int_vector()) for w in bundle.curvatures]
 
 
 def _witnesses(solver: IntegerSolver) -> Optional[tuple[CohClass, CohClass]]:
@@ -122,12 +129,7 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     c1 G lies in the row span of P, read off the same factorization; a
     degenerate G falls back to c1_bundle_triviality.
     """
-    base = bundle.base
-    if not isinstance(base, SurfaceModel):
-        raise HypothesesNotMet(
-            "full_lattice_model",
-            f"{base.name} declares pairings only; its witnesses are assumed, not computed",
-        )
+    base = _lattice_base(bundle)
     if not base.simply_connected:
         raise HypothesesNotMet("simply_connected_base", f"{base.name} is not simply connected")
     solver = IntegerSolver(_pairing_matrix(bundle))
@@ -141,7 +143,7 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     else:
         extension = basis_extension_check(base, bundle.curvatures)
     if all(factors):
-        spin_integral = solver.in_row_space(pairing_row(base, base.c1))
+        spin_integral = solver.in_row_space(base.gram_row(base.c1.as_int_vector()))
     else:
         spin_integral = c1_bundle_triviality(bundle)
     spin_mod2 = mod2_membership(base, base.c1, bundle.curvatures)

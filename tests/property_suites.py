@@ -8,6 +8,7 @@ acceptance criterion on property coverage and are also handy to run ad hoc.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -15,10 +16,19 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytforge.cyt import BundleSpec, _traced_sum, lambda_trace, verify_cyt
-from cytforge.errors import NullClass
+from cytforge.cone import is_kahler, positively_proportional
+from cytforge.cyt import (
+    BundleSpec,
+    _traced_sum,
+    lambda_trace,
+    primitive_route_check,
+    solve_scale,
+    solve_symmetric_ansatz,
+    verify_cyt,
+)
+from cytforge.errors import NotKahler, NotPositiveRay, NullClass
 from cytforge.intlinalg import mat_mul, mat_vec, snf, solve_integer_linear
-from cytforge.scalars import exact_sign, quadratic
+from cytforge.scalars import exact_div, exact_sign, is_rational, quadratic, ratio_of
 from cytforge.search import SearchQuery, canonical_form, search
 from cytforge.skt import hodge_obstruction, verify_skt
 from cytforge.surfaces import (
@@ -349,3 +359,146 @@ def check_traced_sum(data) -> None:
     assert got == want
     if got is not None:
         assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]
+
+
+# -- trace readers against the class-by-class reference ----------------------
+#
+# solve_scale, primitive_route_check, hodge_obstruction and
+# positively_proportional read Q(F,F) and the traces from _traced_sum, and
+# compare rational classes on their cleared numerators.  The references below
+# are the class-by-class forms: lambda_trace on the scalar twin, and ratio_of
+# on the coefficients.
+
+
+def _reference_proportional(x: CohClass, y: CohClass) -> bool:
+    t = ratio_of(x.coeffs, y.coeffs) if x.rank == y.rank else None
+    return t is not None and is_rational(t) and exact_sign(t) > 0
+
+
+def _reference_solve_scale(model, ws, ray):
+    twin = scalar_twin(model)
+    if exact_sign(intersect(twin, ray, ray)) <= 0:
+        raise NotPositiveRay("ray needs positive self-intersection")
+    traced = CohClass.zero(model.rank)
+    for w in ws:
+        lam = lambda_trace(twin, w, ray)
+        if lam != 0:
+            traced = traced + lam * w
+    s = ratio_of(traced.coeffs, model.c1.coeffs)
+    return s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
+
+
+def _reference_primitive(model, ws, f) -> bool:
+    lambdas = [lambda_trace(scalar_twin(model), w, f) for w in ws]
+    return (
+        _reference_proportional(ws[0], f)
+        and all(lam == 0 for lam in lambdas[1:])
+        and _reference_proportional(model.c1, f)
+    )
+
+
+def _reference_hodge_rows(model, ws, f):
+    if not is_kahler(model, f).verdict:
+        raise NotKahler("f is not certified Kaehler")
+    twin = scalar_twin(model)
+    ff = intersect(twin, f, f)
+    rows = []
+    for w in ws:
+        c = exact_div(intersect(twin, w, f), ff)
+        p = w - c * f if c != 0 else w
+        rows.append((w, c, p, intersect(model, p, p)))
+    return rows
+
+
+def _outcome(fn, *args):
+    """The value and its type, or the exception type and message."""
+    try:
+        value = fn(*args)
+    except (NotKahler, NotPositiveRay, NullClass) as err:
+        return type(err), str(err)
+    return value, type(value)
+
+
+def _hodge_rows(bundle, f):
+    return [
+        (r.omega, r.trace_coefficient, r.primitive_part, r.primitive_square)
+        for r in hodge_obstruction(bundle, f).hodge
+    ]
+
+
+def _kahler_class(draw, model) -> CohClass:
+    """A Kaehler class on a built-in model, with rational coefficients."""
+    positive = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+    if model.name == "quadric":
+        return CohClass((draw(positive), draw(positive)))
+    b = [draw(positive) for _ in range(model.rank - 1)]
+    a = 3 * max(b, default=1) + draw(positive)  # beats every (-1)-curve
+    return CohClass.of([a] + [-x for x in b])
+
+
+def _class_near(draw, model, anchors) -> CohClass:
+    """A rational multiple of one of the anchors, or a random class."""
+    t = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(3, 1))))
+    anchor = draw(st.sampled_from(anchors + (None,)))
+    return t * anchor if anchor is not None else draw(classes(model.rank))
+
+
+def _curvature(draw, model, anchors) -> CohClass:
+    """An integral class: random, zero, or an integer multiple of an anchor."""
+    k = draw(st.sampled_from((1, 2, -1)))
+    return draw(st.one_of(classes(model.rank, _integral), st.sampled_from(anchors).map(lambda a: k * a)))
+
+
+@lru_cache(maxsize=None)
+def _ansatz_case():
+    """Blow-up at 9 points of a cubic, the ansatz pair and its Kaehler
+    class, whose coefficients lie in Q(sqrt(3))."""
+    sol = solve_symmetric_ansatz(9)
+    return blowup_cp2(9), sol.kahler_class, (sol.omega1, sol.omega2)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def check_trace_readers(data) -> None:
+    """solve_scale, primitive_route_check, the hodge_obstruction rows and
+    positively_proportional equal the class-by-class reference, value and
+    type, and raise the same errors.  Rational classes with int, Fraction(x, 1)
+    and proper-fraction coefficients, zero classes, non-diagonal custom Grams
+    and the Q(sqrt(3)) ansatz class are drawn."""
+    if data.draw(st.integers(0, 9)) == 0:
+        model, f, pair = _ansatz_case()
+        anchors, rays = (model.c1, *pair), (f,)
+    else:
+        model = data.draw(surface_models())
+        if model.curve_regime == "explicit":
+            # no negative curves and f as the witness: f is Kaehler iff Q(f,f) > 0
+            f = _class_near(data.draw, model, (model.c1,))
+            model = custom_model("random", model.gram, model.c1.coeffs, curves=[], ample_witness=f.cleared_form[0])
+        elif data.draw(st.booleans()):
+            f = Fraction(2, 3) * model.c1  # c1 is ample on every built-in drawn here
+        else:
+            f = _kahler_class(data.draw, model)
+        anchors, rays = (model.c1, CohClass(f.cleared_form[0])), (model.c1, f)
+    ws = tuple(_curvature(data.draw, model, anchors) for _ in range(data.draw(st.sampled_from((2, 4)))))
+    ray = _class_near(data.draw, model, rays)
+    bundle = BundleSpec(model, ws)
+
+    assert _outcome(solve_scale, bundle, ray) == _outcome(_reference_solve_scale, model, ws, ray)
+    for g in (f, ray):
+        assert _outcome(primitive_route_check, bundle, g) == _outcome(_reference_primitive, model, ws, g)
+    if f.cleared_form is not None:  # w1 along f, w2 trace-free: only the c1 clause decides
+        edge = (CohClass(f.cleared_form[0]), CohClass.zero(model.rank))
+        assert _outcome(primitive_route_check, BundleSpec(model, edge), f) == _outcome(
+            _reference_primitive, model, edge, f
+        )
+    irrational = quadratic(1, 1, 3)  # the field of the ansatz class
+    pairs = ((ws[0], f), (model.c1, ray), (ray, model.c1), (f, f), (-f, f), (irrational * f, f), (0 * f, f))
+    for x, y in pairs:
+        assert positively_proportional(x, y) == _reference_proportional(x, y)
+
+    got, want = _outcome(_hodge_rows, bundle, f), _outcome(_reference_hodge_rows, model, ws, f)
+    assert got == want
+    if got[1] is list:  # trace coefficient and primitive square, value and type
+        assert [[(v, type(v)) for v in row[1::2]] for row in got[0]] == [
+            [(v, type(v)) for v in row[1::2]] for row in want[0]
+        ]

@@ -18,7 +18,7 @@ from cytforge.cyt import (
     solve_symmetric_ansatz,
     verify_cyt,
 )
-from cytforge.errors import InvalidBundle, NotPositiveRay, NullClass
+from cytforge.errors import InvalidBundle, NotPositiveRay, NullClass, RankMismatch
 from cytforge.scalars import exact_sign, quadratic
 from cytforge.surfaces import (
     CohClass,
@@ -295,3 +295,16 @@ def test_ansatz_pairing_check_is_explicit(monkeypatch):
     monkeypatch.setattr(cyt_module, "intersect", lambda model, x, y: 0)
     with pytest.raises(InvariantViolation):
         solve_symmetric_ansatz(9)
+
+
+def test_trace_readers_match_the_class_by_class_reference():
+    property_suites.check_trace_readers()
+
+
+def test_kahler_class_of_the_wrong_rank_is_rejected():
+    # the integer row would otherwise pair a truncated vector
+    m, bundle = dp2_bundle()
+    for f in (CohClass.of([3, -1]), CohClass.of([1, 1, 0, 5])):
+        for check in (cyt_defect, verify_cyt, solve_scale, balanced_check, primitive_route_check):
+            with pytest.raises(RankMismatch, match=f"classes of rank {f.rank}/{f.rank} on a rank-3 model"):
+                check(bundle, f)

@@ -194,6 +194,18 @@ def test_topology_rejects_pairing_model():
     assert err.value.hypothesis == "full_lattice_model"
 
 
+@pytest.mark.parametrize("curvatures", [("C1-C2", "C3-C4"), ("F", "C1")])
+def test_witnesses_and_tables_reject_pairing_models(curvatures):
+    # a pairing table has no Gram rows to build the pairing matrix from
+    km = kummer_model()
+    bundle = BundleSpec(km, tuple(parse_class(km, c) for c in curvatures))
+    for check in (find_alpha_beta, spectral_tables):
+        with pytest.raises(HypothesesNotMet) as err:
+            check(bundle)
+        assert err.value.hypothesis == "full_lattice_model"
+        assert "kummer declares pairings only" in str(err.value)
+
+
 def test_topology_rejects_non_simply_connected():
     m = custom_model("torus-like", [[0, 1], [1, 0]], [0, 0], curves=[], ample_witness=[1, 1],
                      simply_connected=False)
