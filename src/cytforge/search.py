@@ -8,11 +8,13 @@ solver-aware: along a ray R the condition forces
     2 Q(w1,R) w1 + 2 Q(w2,R) w2  =  s * Q(R,R) * c1,   s > 0,
 
 so for fixed w1 the admissible w2 are finitely many explicit integer vectors
-(one per value of Q(w2,R)) plus the trace-free ones when w1 is proportional
-to c1.  Every candidate is then re-verified through the full certificate
-path, so emitted records never rest on the shortcut.  Enumeration, dedup
-and the skt and spin pre-filters run on integer tuples; classes are built
-only for the pairs that reach the solver, balance and topology checks.
+(one per value of Q(w2,R), an integer root of one quadratic per box value
+of a coordinate) plus the trace-free ones, Q(w2,R) = 0, when w1 is
+proportional to c1.  Every candidate is then re-verified through the full
+certificate path, so emitted records never rest on the shortcut.
+Enumeration, dedup and the skt and spin pre-filters run on integer tuples;
+classes are built only for the pairs that reach the solver, balance and
+topology checks.
 
 A search builds one plan per query with everything the pairs share: the
 rays, the skt buckets, the ansatz pair and the symmetry group.  A ray (the
@@ -35,13 +37,21 @@ That minimum is exactly the canonical key (column sort, then the least of
 the swap), and it is also the pair the unpruned lexicographic enumeration
 would emit first for the orbit, so records and catalog bytes are the same
 as without pruning.
+
+Under the permutations the trace-free candidates are generated with
+non-decreasing exceptional coordinates.  They join only w1 proportional to
+c1, whose exceptional coordinates are all equal like those of c1, and the
+orbit rule rejects every unsorted w2 for such a w1, so the evaluated pairs
+are the same as with the full trace-free list.  The generic candidates need
+no such step: with c1 fixed by S_k they are already constant on the runs of
+equal coordinates of w1.  The visited count covers only generated pairs.
 """
 from __future__ import annotations
 
 import itertools
 import os
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from multiprocessing import Pool, cpu_count
 from operator import mul
 from typing import Callable, Iterable, Optional
@@ -58,7 +68,7 @@ from .cyt import (
     verify_cyt,
 )
 from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
-from .scalars import exact_sign, format_scalar, is_rational, ratio_of
+from .scalars import exact_sign, format_scalar, is_rational
 from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect
 from .topology import UNCLASSIFIED, topology_certificate
 
@@ -101,10 +111,10 @@ class SearchQuery:
 class SearchStats:
     bound: int
     chunks: int
-    pairs_evaluated: int  # pairs visited by the enumeration
+    pairs_evaluated: int  # pairs visited: every generated candidate pair
     records_emitted: int
     exhausted: bool = True  # False only when --limit cut a record
-    pairs_skipped: int = 0  # visited pairs the orbit rule did not evaluate
+    pairs_skipped: int = 0  # visited pairs not evaluated (orbit rule, merged keys)
     cyt_routes: tuple[str, ...] = ()  # the rays the plan kept: "ray", "anticanonical_ray"
 
 
@@ -223,7 +233,9 @@ class _RayData:
     """One cyt route along a ray: its name and class, with the integer data
     for solver-aware candidate generation."""
 
-    def __init__(self, name: str, model: SurfaceModel, ray: CohClass, bound: int):
+    def __init__(
+        self, name: str, model: SurfaceModel, ray: CohClass, bound: int, sorted_perp: bool = False
+    ):
         self.name = name
         self.ray = ray
         ints = ray.cleared_form[0]  # SearchQuery admits rational rays only
@@ -234,22 +246,43 @@ class _RayData:
         self.c1 = model.c1.as_int_vector()
         self.d_pair = sum(a * b for a, b in zip(self.c1, self.w))  # Q(c1,R)
         self.bound = bound
-        self.q2_bound = bound * sum(abs(x) for x in self.w)
+        # w1 is parallel to c1 iff it is a nonzero box multiple of the
+        # primitive c1; a kept ray has Q(c1,R) > 0, so each has Q(w1,R) != 0
+        g1 = gcd(*self.c1)
+        prim = [x // g1 for x in self.c1] if g1 else []
+        top = bound // max(map(abs, prim)) if g1 else 0
+        self.c1_multiples = frozenset(
+            tuple(m * x for x in prim) for m in range(-top, top + 1) if m
+        )
+        self.sorted_perp = sorted_perp  # perp holds only sorted exceptionals
         self.perp: Optional[list[tuple[int, ...]]] = None  # lazy: {v : Q(v,R)=0}
-        # q2*d_pair must divide (q1^2+q2^2)*c1_j - q1*d_pair*w1_j for every j,
-        # so d_pair | (q1^2+q2^2)*c1_0: bucket q2 by q2^2 mod d_pair and skip
-        # whole buckets per q1 residue
-        self.q2_by_residue: dict[int, list[int]] = {}
-        if self.d_pair > 0:
-            for q2 in range(-self.q2_bound, self.q2_bound + 1):
-                if q2:
-                    self.q2_by_residue.setdefault(q2 * q2 % self.d_pair, []).append(q2)
+        # the generic w2 solves q2*d_pair*w2 = (q1^2+q2^2)*c1 - q1*d_pair*w1 with
+        # q2 = Q(w2,R) != 0; at a coordinate jc with c1_jc != 0 its entry x in
+        # [-b, b] makes q2 an integer root of
+        #     c1_jc*q2^2 - x*d_pair*q2 + q1*(q1*c1_jc - d_pair*w1_jc) = 0,
+        # so candidates_for solves one quadratic per x instead of scanning q2
+        self.jc = next((j for j, x in enumerate(self.c1) if x), 0)
+        self.x_terms = (
+            [(x * self.d_pair, (x * self.d_pair) ** 2) for x in range(-bound, bound + 1)]
+            if self.d_pair > 0
+            else []
+        )
 
     def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
-        """The box vectors v with Q(v,R) = 0, in lexicographic order: the
-        coordinate j of the last nonzero w_j is solved for, not scanned."""
+        """The box vectors v with Q(v,R) = 0, in lexicographic order.  With
+        sorted_perp only those with non-decreasing exceptional coordinates,
+        filtered from the sorted box; otherwise the coordinate j of the
+        last nonzero w_j is solved for, not scanned."""
         if self.perp is None:
             w, bound = self.w, self.bound
+            if self.sorted_perp:
+                self.perp = [
+                    v
+                    for lead in range(-bound, bound + 1)
+                    for v in _vectors_with_lead(lead, rank, bound, sorted_rest=True)
+                    if not sum(map(mul, v, w))
+                ]
+                return self.perp
             j = max((i for i, x in enumerate(w) if x), default=None)
             if j is None:
                 self.perp = list(_all_vectors(rank, bound))
@@ -264,35 +297,41 @@ class _RayData:
         return self.perp
 
     def candidates_for(self, w1: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """All w2 in the box that put (w1, w2) on the solvable locus."""
+        """All w2 in the box that put (w1, w2) on the solvable locus; of the
+        trace-free ones only those perp_vectors holds."""
         out: list[tuple[int, ...]] = []
         w, c1, dp, bound = self.w, self.c1, self.d_pair, self.bound
         q1 = sum(a * b for a, b in zip(w1, w))
         rank = len(w1)
         q1sq = q1 * q1
         q1dp = q1 * dp
-        c0 = c1[0]
-        scaled = [q1dp * x for x in w1]
-        # generic branch: Q(w2,R) = q2 != 0 determines w2
-        for residue, q2s in self.q2_by_residue.items():
-            if (q1sq + residue) * c0 % dp:
+        # generic branch: Q(w2,R) = q2 != 0 determines w2, and q2 is an
+        # integer root of the quadratic at coordinate jc for some x in the box
+        c = c1[self.jc]
+        four_ac = 4 * c * q1 * (q1 * c - dp * w1[self.jc])
+        for xdp, xdp_sq in self.x_terms:
+            disc = xdp_sq - four_ac
+            if disc < 0:
                 continue
-            for q2 in q2s:
+            root = isqrt(disc)
+            if root * root != disc:
+                continue
+            for num in {xdp + root, xdp - root}:
+                q2, rem = divmod(num, 2 * c)
+                if rem or not q2:
+                    continue
                 den = q2 * dp
                 lam = q1sq + q2 * q2
                 vec = []
-                ok = True
                 for j in range(rank):
-                    num = lam * c1[j] - scaled[j]
-                    x, rem = divmod(num, den)
+                    x, rem = divmod(lam * c1[j] - q1dp * w1[j], den)
                     if rem or x < -bound or x > bound:
-                        ok = False
                         break
                     vec.append(x)
-                if ok:
+                else:
                     out.append(tuple(vec))
         # parallel branch: w1 proportional to c1 frees w2 to the trace-free locus
-        if q1 != 0 and ratio_of(w1, c1) is not None:
+        if w1 in self.c1_multiples:
             out.extend(self.perp_vectors(rank))
         return out
 
@@ -335,7 +374,7 @@ class _Plan:
             if model.c1 != query.ray and not model.c1.is_zero():
                 named.append(("anticanonical_ray", model.c1))
             for name, ray in named:
-                data = _RayData(name, model, ray, bound)
+                data = _RayData(name, model, ray, bound, self.sorted_v1)
                 # cone membership is invariant under the positive solved
                 # scale, so the ray's verdict stands in for is_kahler(s * ray)
                 if data.r > 0 and data.d_pair > 0 and is_kahler(model, ray).verdict:

@@ -773,13 +773,13 @@ FROZEN_VIEWS = {
         0,
         None,
         'f7e3ce152a3dc1e6f3e444e1be30d31e0f2791960447e68b6289e3dea15d76dd',
-        'search exhausted coefficient bound 3: 66 pairs visited, 37 skipped by symmetry, 29 records',
+        'search exhausted coefficient bound 3: 52 pairs visited, 23 skipped by symmetry, 29 records',
     ),
     'search --threads 1 --model blowup_cp2(2) --bound 3 --filter cyt --filter topology': (
         0,
         None,
         '448deab26edba5d3d2c2c24e452941ed145b46dd97ef5089647bef6b99fcff78',
-        'search exhausted coefficient bound 3: 66 pairs visited, 37 skipped by symmetry, 10 records',
+        'search exhausted coefficient bound 3: 52 pairs visited, 23 skipped by symmetry, 10 records',
     ),
     'search --threads 1 --model quadric --bound 1 --filter skt --limit 2': (
         0,

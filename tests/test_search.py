@@ -203,6 +203,29 @@ def test_catalog_bytes_frozen(tmp_path, filters, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the `cytforge search --out` catalogs for blowup_cp2(k) at bound 3
+# with cyt+topology+spin, written before the trace-free candidates were
+# generated sorted; (visited, skipped, records) are the counts after it
+FROZEN_WALL_CATALOGS = (
+    (5, "1f24e4e1b4d28f689618406d5f77ad2960b8f56ea23c8265611ac6e86722550d", (904, 446, 346)),
+    (6, "9d3d190f6972b5938e8f00ec769fe17b5aa41dedf903281fedfb5190e9e2c661", (1200, 590, 526)),
+)
+
+
+@pytest.mark.parametrize("k,digest,counts", FROZEN_WALL_CATALOGS)
+def test_sorted_trace_free_catalog_bytes_frozen(tmp_path, k, digest, counts):
+    import hashlib
+
+    from cytforge.catalog import append_records
+
+    filters = frozenset({"cyt", "topology", "spin"})
+    records, stats = search(SearchQuery(model=blowup_cp2(k), coeff_bound=3, filters=filters), threads=2)
+    path = tmp_path / "catalog.jsonl"
+    append_records(str(path), records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert (stats.pairs_evaluated, stats.pairs_skipped, stats.records_emitted) == counts
+
+
 # -- orbit-pruned enumeration ----------------------------------------------
 
 NON_INVARIANT_GRAM = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]
@@ -274,6 +297,70 @@ def test_perp_vectors_match_the_box_filter(model, ray, bound):
     ]
     assert 0 in w
     assert data.perp_vectors(model.rank) == brute
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+@pytest.mark.parametrize(
+    "model,ray",
+    [
+        (blowup_cp2(3), "3H-E1-E2-E3"),
+        (blowup_cp2(4), "3H-E1-E2-E3-E4"),
+        (blowup_cp2(5), "3H-E1-E2-E3-E4-E5"),
+        (blowup_cp2(3), "5H-E1-E2-E3"),
+        (blowup_cp2(4), "H"),
+    ],
+)
+def test_sorted_perp_vectors_match_the_sorted_box_filter(model, ray, bound):
+    data = search_module._RayData("ray", model, parse_class(model, ray), bound, sorted_perp=True)
+    w = data.w
+    brute = [
+        v
+        for v in itertools.product(range(-bound, bound + 1), repeat=model.rank)
+        if list(v[1:]) == sorted(v[1:]) and sum(a * b for a, b in zip(v, w)) == 0
+    ]
+    assert len(set(w[1:])) == 1
+    assert data.perp_vectors(model.rank) == brute
+
+
+@pytest.mark.parametrize("sorted_perp", [False, True])
+@pytest.mark.parametrize(
+    "model,ray,bound",
+    [
+        (blowup_cp2(2), "3H-E1-E2", 3),
+        (blowup_cp2(2), "4H-E1-2E2", 3),
+        (blowup_cp2(3), "3H-E1-E2-E3", 3),
+        (blowup_cp2(3), "5H-E1-E2-E3", 3),
+        (blowup_cp2(3), "3H-2E1", 2),
+        (blowup_cp2(5), "3H-E1-E2-E3-E4-E5", 2),
+        (blowup_cp2(8), "3H-E1-E2-E3-E4-E5-E6-E7-E8", 1),
+        (quadric(), "C+2D", 3),
+    ],
+)
+def test_candidates_match_the_ray_condition_on_the_box(model, ray, bound, sorted_perp):
+    # pairing 2 q1 w1 + 2 q2 w2 = s Q(R,R) c1 with R, q_i = Q(w_i,R), gives
+    # Q(c1,R) (q1 w1 + q2 w2) = (q1^2 + q2^2) c1, and s > 0 needs q1^2 + q2^2 > 0;
+    # every box w2 is indexed by (q2, Q(c1,R) q2 w2), the right side is looked up
+    data = search_module._RayData("ray", model, parse_class(model, ray), bound, sorted_perp)
+    w, c1, dp = data.w, data.c1, data.d_pair
+    assert dp > 0
+    box = list(itertools.product(range(-bound, bound + 1), repeat=model.rank))
+    by_side: dict = {}
+    for w2 in box:
+        q2 = sum(a * b for a, b in zip(w2, w))
+        if q2 or not sorted_perp or list(w2[1:]) == sorted(w2[1:]):
+            by_side.setdefault((q2, tuple(dp * q2 * b for b in w2)), []).append(w2)
+    q2s = sorted({q2 for q2, _ in by_side})
+    for w1 in box[:: max(1, len(box) // 3000)] + sorted(data.c1_multiples):
+        q1 = sum(a * b for a, b in zip(w1, w))
+        brute = sorted(
+            w2
+            for q2 in q2s
+            if q1 or q2
+            for w2 in by_side.get(
+                (q2, tuple((q1 * q1 + q2 * q2) * c - dp * q1 * a for a, c in zip(w1, c1))), []
+            )
+        )
+        assert sorted(data.candidates_for(w1)) == brute, w1
 
 
 PRUNING_CASES = [
