@@ -3,20 +3,26 @@ self-intersection, positivity against every irreducible curve of negative
 self-intersection, and positivity against an ample witness.  Every inequality
 is decided by exact sign computation and recorded in a certificate.
 
-Each pairing is one `intersect` call.  For a rational class it is an integer
-dot product over the product of the cleared denominators (see
-`surfaces.intersect`); a class with a Q(sqrt(d)) coefficient is paired in
-exact scalar arithmetic.
+The curves a class is checked against are listed once per model, with their
+integer Gram rows G.n_C (n_C the curve's cleared numerators).  For a rational
+class F = n/d, d > 0, the sign of F.C is the sign of the integer dot product
+n.(G.n_C), so the verdict comes from integer signs alone.  Q(F,F) and the
+ample-witness pairing are one `intersect` call each.  The per-curve values of
+a certificate are rendered on first read of `curve_checks`, one `intersect`
+call per curve, and each value's sign is checked against the integer sign.  A
+class with a Q(sqrt(d)) coefficient is paired curve by curve in exact scalar
+arithmetic, and its checks are rendered at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import isqrt
+from operator import mul
 from typing import Optional
 
-from .errors import CytForgeError, MissingAmpleWitness, MissingCurveData, RankMismatch
+from .errors import CytForgeError, InvariantViolation, MissingAmpleWitness, MissingCurveData, RankMismatch
 from .scalars import Scalar, exact_sign
 from .surfaces import (
     REGIME_ENUMERATE,
@@ -39,15 +45,39 @@ class CurveCheck:
 
 @dataclass(frozen=True)
 class ConeCertificate:
+    """The cone verdict for kahler_class and what it was checked against.
+
+    curve_signs holds the sign of F.C for each curve, in order.  The
+    CurveCheck values are rendered on first read of curve_checks, one
+    `intersect` call per curve, and kept; a value whose sign disagrees with
+    curve_signs raises InvariantViolation.  A verdict read alone renders
+    nothing."""
+
     self_intersection: Scalar
     self_sign: int
-    curve_checks: tuple[CurveCheck, ...]
     ample_witness: Optional[CohClass]
     ample_value: Optional[Scalar]
     ample_sign: Optional[int]
     witness_source: str  # "user" | "model"
     anticanonical_ray: bool  # F proportional to -K: Einstein-positivity route also applies
     verdict: bool
+    model: SurfaceModel = field(repr=False)
+    kahler_class: CohClass = field(repr=False)
+    curves: tuple[CohClass, ...] = field(repr=False)
+    curve_signs: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def curve_checks(self) -> tuple[CurveCheck, ...]:
+        checks = []
+        for curve, sign in zip(self.curves, self.curve_signs):
+            value = intersect(self.model, self.kahler_class, curve)
+            if (value > 0) - (value < 0) != sign:  # an int or a Fraction here
+                raise InvariantViolation(
+                    f"F.C = {value} against the curve {list(curve.coeffs)}, "
+                    f"but its integer row gave the sign {sign}"
+                )
+            checks.append(CurveCheck(curve, value, sign))
+        return tuple(checks)
 
 
 def _neg1_classes(k: int, degree_bound: int) -> tuple[tuple[int, ...], ...]:
@@ -107,6 +137,24 @@ def _curves_for(model: SurfaceModel) -> tuple[CohClass, ...]:
     raise MissingCurveData(f"unknown curve regime {regime!r}")
 
 
+@lru_cache(maxsize=None)
+def _curve_rows(
+    model: SurfaceModel,
+) -> tuple[tuple[CohClass, ...], Optional[tuple[tuple[int, ...], ...]]]:
+    """The curves is_kahler checks a class against, in certificate order (the
+    negative curves, or the two rulings of the quadric), with their integer
+    Gram rows G.n_C.  The rows are None when a curve has a Q(sqrt(d))
+    coefficient or the wrong rank; the scalar loop then pairs, or raises."""
+    if model.curve_regime == REGIME_RULINGS:
+        curves: tuple[CohClass, ...] = (CohClass.of([1, 0]), CohClass.of([0, 1]))
+    else:
+        curves = _curves_for(model)
+    forms = [c.cleared_form for c in curves]
+    if any(form is None or len(form[0]) != model.rank for form in forms):
+        return curves, None
+    return curves, tuple(tuple(model.gram_row(n)) for n, _ in forms)
+
+
 def negative_curves(model: SurfaceModel) -> list[CohClass]:
     """Irreducible curves of negative self-intersection on the model.
 
@@ -128,9 +176,11 @@ def positively_proportional(x: CohClass, y: CohClass) -> bool:
 def is_kahler(
     model: SurfaceModel, f: CohClass, witness: Optional[CohClass] = None
 ) -> ConeCertificate:
-    """Certified cone membership for the class f.  The curves keep their
-    cleared forms across calls, so each check against a rational f costs one
-    integer dot product, and one Fraction when f has a denominator."""
+    """Certified cone membership for the class f.  For a rational f = n/d the
+    sign of each curve pairing is the sign of n.(G.n_C) against the model's
+    cached rows, and the verdict reads those signs; the curve values are
+    rendered only when curve_checks is read.  A class with a Q(sqrt(d))
+    coefficient is paired with every curve through `intersect` here."""
     if not isinstance(model, SurfaceModel):
         raise CytForgeError("cone checks need a full lattice model")
     if f.rank != model.rank:
@@ -138,14 +188,18 @@ def is_kahler(
     self_int = intersect(model, f, f)
     self_sign = exact_sign(self_int)
 
-    if model.curve_regime == REGIME_RULINGS:
-        curves = [CohClass.of([1, 0]), CohClass.of([0, 1])]
+    curves, rows = _curve_rows(model)
+    form = f.cleared_form
+    checks = None
+    if form is None or rows is None:
+        checks = []
+        for curve in curves:
+            value = intersect(model, f, curve)
+            checks.append(CurveCheck(curve, value, exact_sign(value)))
+        signs = tuple(c.sign for c in checks)
     else:
-        curves = list(_curves_for(model))
-    checks = []
-    for curve in curves:
-        value = intersect(model, f, curve)
-        checks.append(CurveCheck(curve, value, exact_sign(value)))
+        n = form[0]
+        signs = tuple([(v > 0) - (v < 0) for v in [sum(map(mul, n, row)) for row in rows]])
 
     if witness is not None:
         source = "user"
@@ -157,15 +211,9 @@ def is_kahler(
     ample_value = intersect(model, f, witness)
     ample_sign = exact_sign(ample_value)
 
-    verdict = (
-        self_sign > 0
-        and all(c.sign > 0 for c in checks)
-        and ample_sign > 0
-    )
-    return ConeCertificate(
+    cert = ConeCertificate(
         self_intersection=self_int,
         self_sign=self_sign,
-        curve_checks=tuple(checks),
         ample_witness=witness,
         ample_value=ample_value,
         ample_sign=ample_sign,
@@ -174,5 +222,12 @@ def is_kahler(
             model.curve_regime == REGIME_ENUMERATE
             and positively_proportional(f, model.c1)
         ),
-        verdict=verdict,
+        verdict=self_sign > 0 and min(signs, default=1) > 0 and ample_sign > 0,
+        model=model,
+        kahler_class=f,
+        curves=curves,
+        curve_signs=signs,
     )
+    if checks is not None:
+        cert.__dict__["curve_checks"] = tuple(checks)  # rendered by the scalar loop
+    return cert

@@ -8,6 +8,7 @@ index) so decompositions are deterministic across runs.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation
@@ -29,7 +30,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 class SnfResult(NamedTuple):
@@ -198,9 +199,9 @@ class IntegerSolver:
             raise ValueError("vector length does not match column count")
         if self.n == 0:
             return True
-        v, diag = self._snf.v, self._snf.diagonal
-        for j in range(self.n):
-            t = sum(vec[i] * v[i][j] for i in range(self.n))
+        diag = self._snf.diagonal
+        for j, column in enumerate(zip(*self._snf.v)):
+            t = sum(map(mul, vec, column))
             d = diag[j] if j < len(diag) else 0
             if (t % d) if d else t:
                 return False

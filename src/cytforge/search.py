@@ -11,7 +11,9 @@ so for fixed w1 the admissible w2 are finitely many explicit integer vectors
 (one per value of Q(w2,R), an integer root of one quadratic per box value
 of a coordinate) plus the trace-free ones, Q(w2,R) = 0, when w1 is
 proportional to c1.  Every candidate is then re-verified through the full
-certificate path, so emitted records never rest on the shortcut.
+certificate path, so emitted records never rest on the shortcut; its cone
+verdict comes from integer signs against the model's cached curve rows, and
+the per-curve values are never rendered.
 Enumeration, dedup and the skt and spin pre-filters run on integer tuples;
 classes are built only for the pairs that reach the solver, balance and
 topology checks.

@@ -7,6 +7,7 @@ connected spin total spaces with torsion-free cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .cyt import BundleSpec, c1_bundle_triviality
@@ -74,6 +75,7 @@ def find_alpha_beta(bundle: BundleSpec) -> Optional[tuple[CohClass, CohClass]]:
     return _witnesses(IntegerSolver(_pairing_matrix(bundle)))
 
 
+@lru_cache(maxsize=None)
 def _tables_for_rank(b: int) -> SpectralTables:
     e2 = (
         (1, 0, b, 0, 1),

@@ -12,11 +12,12 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytforge.cone import is_kahler, positively_proportional
+from cytforge.cone import is_kahler, negative_curves, positively_proportional
 from cytforge.cyt import (
     BundleSpec,
     _traced_sum,
@@ -282,12 +283,18 @@ def surface_models(draw):
     if kind == "quadric":
         return quadric()
     rank = draw(st.integers(1, 5))
+    gram = _random_gram(draw, rank)
+    c1 = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    return custom_model("random", gram, c1)
+
+
+def _random_gram(draw, rank: int) -> list[list[int]]:
+    """A random symmetric integer matrix, mostly non-diagonal."""
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(i, rank):
             gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
-    c1 = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
-    return custom_model("random", gram, c1)
+    return gram
 
 
 # an int, a Fraction(x, 1) or a proper fraction, zero weighted up
@@ -502,3 +509,102 @@ def check_trace_readers(data) -> None:
         assert [[(v, type(v)) for v in row[1::2]] for row in got[0]] == [
             [(v, type(v)) for v in row[1::2]] for row in want[0]
         ]
+
+
+# -- cone verdicts from integer rows against the per-curve reference ----------
+#
+# is_kahler decides a rational class from integer signs against cached Gram
+# rows and renders its curve checks only when they are read.  The reference
+# is the per-curve loop: one intersect call and one exact_sign per curve.
+
+
+def _reference_cone(model, f: CohClass, witness):
+    """Every field of a cone certificate, computed curve by curve."""
+    if model.curve_regime == "rulings":
+        curves = [CohClass.of([1, 0]), CohClass.of([0, 1])]
+    else:
+        curves = negative_curves(model)
+    self_int = intersect(model, f, f)
+    checks = []
+    for curve in curves:
+        value = intersect(model, f, curve)
+        checks.append((curve, value, type(value), exact_sign(value)))
+    ample_witness = witness if witness is not None else model.ample_witness
+    ample_value = intersect(model, f, ample_witness)
+    verdict = exact_sign(self_int) > 0 and all(c[3] > 0 for c in checks) and exact_sign(ample_value) > 0
+    return {
+        "self": (self_int, type(self_int), exact_sign(self_int)),
+        "checks": checks,
+        "ample": (ample_witness, ample_value, type(ample_value), exact_sign(ample_value)),
+        "source": "user" if witness is not None else "model",
+        "anticanonical_ray": model.curve_regime == "enumerate_neg1" and _reference_proportional(f, model.c1),
+        "verdict": verdict,
+    }
+
+
+def _certificate_fields(cert) -> dict:
+    return {
+        "self": (cert.self_intersection, type(cert.self_intersection), cert.self_sign),
+        "checks": [(c.curve, c.value, type(c.value), c.sign) for c in cert.curve_checks],
+        "ample": (cert.ample_witness, cert.ample_value, type(cert.ample_value), cert.ample_sign),
+        "source": cert.witness_source,
+        "anticanonical_ray": cert.anticanonical_ray,
+        "verdict": cert.verdict,
+    }
+
+
+@st.composite
+def cone_models(draw):
+    """The plane, the quadric, blow-ups in general position and on a cubic,
+    and custom models with a random, mostly non-diagonal Gram matrix, an
+    explicit curve list and an ample witness."""
+    kind = draw(st.sampled_from(("plane", "quadric", "general", "on_cubic", "custom")))
+    if kind == "plane":
+        return projective_plane()
+    if kind == "quadric":
+        return quadric()
+    if kind == "general":
+        return blowup_cp2(draw(st.integers(2, 8)))
+    if kind == "on_cubic":
+        return blowup_cp2(draw(st.integers(9, 12)), "on_cubic")
+    rank = draw(st.integers(1, 5))
+    gram = _random_gram(draw, rank)
+    vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    witness, curves = draw(vector), draw(st.lists(vector, max_size=6))
+    if draw(st.booleans()):  # keep the curves the witness is positive on
+        curves = [c for c in curves if sum(map(mul, witness, (sum(map(mul, row, c)) for row in gram))) > 0]
+    return custom_model("random", gram, draw(vector), curves=curves, ample_witness=witness)
+
+
+def _cone_class(draw, model) -> CohClass:
+    """A class near the cone (on a custom model a positive multiple of its
+    witness), a multiple of c1 or of the witness (negative multiples
+    included), or a random class, the zero class among them."""
+    kind = draw(st.sampled_from(("kahler", "multiple", "random")))
+    if kind == "kahler" and model.curve_regime != "explicit":
+        return _kahler_class(draw, model)
+    if kind == "kahler":
+        return draw(st.sampled_from((Fraction(1), Fraction(2, 3), 2))) * model.ample_witness
+    if kind == "multiple":
+        t = draw(st.sampled_from((Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(3, 1), 2, -3)))
+        return t * draw(st.sampled_from((model.c1, model.ample_witness)))
+    return draw(classes(model.rank))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def check_cone_kernel(data) -> None:
+    """is_kahler equals the per-curve reference in every field: the verdict,
+    Q(F,F) and its sign, each rendered curve check (curve, value with its
+    type, sign), the ample fields and anticanonical_ray.  Classes with int,
+    Fraction(x, 1) and proper-fraction coefficients, zero and negative
+    classes, user witnesses, and the Q(sqrt(3)) ansatz class are drawn."""
+    if data.draw(st.integers(0, 9)) == 0:
+        model, f, _ = _ansatz_case()
+    else:
+        model = data.draw(cone_models())
+        f = _cone_class(data.draw, model)
+    witness = data.draw(
+        st.sampled_from((None, None, 2 * model.ample_witness)) | classes(model.rank, _integral)
+    )
+    assert _certificate_fields(is_kahler(model, f, witness)) == _reference_cone(model, f, witness)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import property_suites
 import pytest
 
+from cytforge import cone
 from cytforge.cone import _neg1_classes, is_kahler, negative_curves
 from cytforge.cyt import solve_symmetric_ansatz
-from cytforge.errors import MissingAmpleWitness, MissingCurveData
+from cytforge.errors import InvariantViolation, MissingAmpleWitness, MissingCurveData, RankMismatch
 from cytforge.surfaces import (
     CohClass,
     blowup_cp2,
@@ -145,3 +147,68 @@ def test_pairing_table_models_have_no_cone_check():
     model = kummer_model()
     with pytest.raises(CytForgeError, match="cone checks need a full lattice model"):
         is_kahler(model, parse_class(model, "C1"))
+
+
+def test_cone_kernel_matches_the_per_curve_reference():
+    property_suites.check_cone_kernel()
+
+
+def _count_calls(monkeypatch):
+    """Count cone.intersect calls and CurveCheck objects built."""
+    counts = {"intersect": 0, "checks": 0}
+    curve_check = cone.CurveCheck
+
+    def counted_intersect(*args):
+        counts["intersect"] += 1
+        return intersect(*args)
+
+    def counted_check(*args):
+        counts["checks"] += 1
+        return curve_check(*args)
+
+    monkeypatch.setattr(cone, "intersect", counted_intersect)
+    monkeypatch.setattr(cone, "CurveCheck", counted_check)
+    return counts
+
+
+def test_a_verdict_renders_no_curve_checks(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    m = blowup_cp2(3)
+    curves = len(negative_curves(m))
+    cert = is_kahler(m, m.c1)
+    assert cert.verdict
+    assert counts == {"intersect": 2, "checks": 0}  # Q(F,F) and the ample witness
+    checks = cert.curve_checks
+    assert counts == {"intersect": 2 + curves, "checks": curves}
+    assert cert.curve_checks is checks
+    assert counts["intersect"] == 1 + curves + 1  # what the span tracer counts
+    assert [c.value for c in checks] == [1] * curves
+
+
+def test_an_irrational_class_renders_its_checks_at_once(monkeypatch):
+    sol = solve_symmetric_ansatz(9)
+    counts = _count_calls(monkeypatch)
+    m = blowup_cp2(9)
+    cert = is_kahler(m, sol.kahler_class)
+    curves = len(negative_curves(m))
+    assert counts == {"intersect": 1 + curves + 1, "checks": curves}
+    assert cert.verdict and [c.sign for c in cert.curve_checks] == [1] * curves
+    assert counts == {"intersect": 1 + curves + 1, "checks": curves}
+
+
+def test_a_corrupted_row_fails_the_rendered_cross_check(monkeypatch):
+    m = blowup_cp2(3)
+    curves, rows = cone._curve_rows(m)
+    flipped = (tuple(-g for g in rows[0]),) + rows[1:]
+    monkeypatch.setattr(cone, "_curve_rows", lambda model: (curves, flipped))
+    cert = is_kahler(m, m.c1)
+    assert not cert.verdict
+    with pytest.raises(InvariantViolation, match="integer row gave the sign -1"):
+        cert.curve_checks
+
+
+def test_a_curve_of_the_wrong_rank_still_raises():
+    # a model file may list a curve with too few coefficients
+    m = custom_model("short", [[1, 0], [0, -1]], [3, -1], curves=[[0]], ample_witness=[2, -1])
+    with pytest.raises(RankMismatch, match="classes of rank 2/1 on a rank-2 model"):
+        is_kahler(m, parse_class(m, "[2,-1]"))
