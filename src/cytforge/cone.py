@@ -160,8 +160,12 @@ def negative_curves(model: SurfaceModel) -> list[CohClass]:
 
     Empty for the plane and the quadric (whose cone is carried by the two
     rulings, checked separately); exhaustive (-1)-class enumeration for
-    general-position blow-ups; the explicit exceptional/conic/cubic families
-    for points on a cubic.
+    general-position blow-ups.  For points on a cubic: the exceptional
+    curves E_i, the lines H - E_i - E_j and, for k >= 10, the cubic's proper
+    transform -K.  That list holds no conic or other (-1)-class of degree
+    >= 2, so it is not exhaustive: 10H - 21/5 (E1 + ... + E5) passes on
+    five points of a cubic, though the conic 2H - E1 - ... - E5 pairs to -1
+    with it.
     """
     return list(_curves_for(model))
 

@@ -234,10 +234,6 @@ def is_rational(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def is_integer(x: Scalar) -> bool:
-    return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-
-
 def exact_sign(x: Scalar) -> int:
     """Sign in {-1, 0, +1} of the real number x, decided exactly."""
     if isinstance(x, QuadraticNumber):

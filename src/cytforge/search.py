@@ -19,12 +19,13 @@ classes are built only for the pairs that reach the solver, balance and
 topology checks.
 
 A search builds one plan per query with everything the pairs share: the
-rays, the skt buckets, the ansatz pair and the symmetry group.  A ray (the
-query's, then the anticanonical) enters it only if it is Kaehler with
-Q(R,R) > 0 and Q(c1,R) > 0; pairing the condition with R shows that
-Q(c1,R) <= 0 forces s <= 0.  Work is split by the leading coefficient of w1;
-every chunk, serial or in a pool worker, runs on that one plan, and chunks
-merge in order, which keeps parallel runs bit-identical to serial ones.
+rays, the balanced fallback class, the skt buckets, the ansatz pair and the
+symmetry group.  A ray (the query's, then the anticanonical) enters it only
+if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing the condition with
+R shows that Q(c1,R) <= 0 forces s <= 0.  Work is split by the leading
+coefficient of w1; every chunk, serial or in a pool worker, runs on that one
+plan, and chunks merge in order, which keeps parallel runs bit-identical to
+serial ones.
 
 Enumeration is isomorph-free up to the query's symmetry group (orderly
 generation in McKay's sense).  The pair swap always belongs to it: the ray
@@ -70,7 +71,7 @@ from .cyt import (
     verify_cyt,
 )
 from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
-from .scalars import exact_sign, format_scalar, is_rational
+from .scalars import exact_sign, format_scalar
 from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect
 from .topology import UNCLASSIFIED, topology_certificate
 
@@ -94,7 +95,7 @@ class SearchQuery:
     def __post_init__(self):
         if not isinstance(self.model, SurfaceModel):
             raise ValueError("search needs a full lattice model")
-        if self.ray is not None and not all(is_rational(c) for c in self.ray.coeffs):
+        if self.ray is not None and self.ray.cleared_form is None:
             raise ValueError("search rays must have rational coefficients")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be positive")
@@ -355,8 +356,9 @@ def _ansatz_pair(query: SearchQuery) -> Optional[_Pair]:
 
 class _Plan:
     """Everything the pairs of one query share, built once per search: the
-    rays a record can stand on, the skt buckets, the ansatz pair, the
-    symmetry group, and a cache of integer self-intersections."""
+    rays a record can stand on, the balanced filter's fallback class, the
+    skt buckets, the ansatz pair, the symmetry group, and a cache of integer
+    self-intersections."""
 
     def __init__(self, query: SearchQuery):
         model = query.model
@@ -381,6 +383,11 @@ class _Plan:
                 # scale, so the ray's verdict stands in for is_kahler(s * ray)
                 if data.r > 0 and data.d_pair > 0 and is_kahler(model, ray).verdict:
                     self.rays.append(data)
+
+        # balance is tested against the cyt Kaehler class, else the ray or c1;
+        # None when that is null, which rejects every pair
+        f = query.ray if query.ray is not None else model.c1
+        self.balanced_class = f if "balanced" in query.filters and intersect(model, f, f) != 0 else None
 
         self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
         if "cyt" not in query.filters and "skt" in query.filters:
@@ -478,12 +485,8 @@ class _Plan:
             flags["cyt_route"] = route
 
         if "balanced" in filters:
-            f = kahler
-            if f is None:
-                f = query.ray if query.ray is not None else model.c1
-                if intersect(model, f, f) == 0:
-                    return None
-            if not balanced_check(bundle, f):
+            f = kahler if kahler is not None else self.balanced_class
+            if f is None or not balanced_check(bundle, f):
                 return None
             flags["balanced"] = True
 

@@ -10,7 +10,7 @@ condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .cone import is_kahler
@@ -49,36 +49,25 @@ def verify_skt(bundle: BundleSpec) -> SktReport:
 
 
 def hodge_obstruction(bundle: BundleSpec, f: CohClass) -> SktReport:
-    """Decompose each curvature class against the Kaehler class f and report
-    the primitive squares.  When every class is trace-free and some class is
-    nonzero, the total is strictly negative, so the zero-sum condition is
-    unreachable on this base with this f."""
+    """verify_skt's report with each curvature class decomposed against the
+    Kaehler class f and its primitive square.  When every class is
+    trace-free and some class is nonzero, the total is strictly negative, so
+    the zero-sum condition is unreachable on this base with this f."""
     base = bundle.base
     if not isinstance(base, SurfaceModel):
         raise NotKahler("cone membership undecidable on a pairing-functional model")
     if not is_kahler(base, f).verdict:
         raise NotKahler("f is not certified Kaehler")
     rows = []
-    squares = []
-    total: Scalar = 0
-    all_primitive = True
-    any_nonzero = False
     for w, lam in zip(bundle.curvatures, _traced_sum(bundle, f)[0]):
         c = lam / 2
         p = w - c * f if c != 0 else w
-        pp = intersect(base, p, p)
-        rows.append(HodgeRow(w, c, p, pp))
-        q = intersect(base, w, w)
-        squares.append(q)
-        total = total + q
-        if c != 0:
-            all_primitive = False
-        if not w.is_zero():
-            any_nonzero = True
-    return SktReport(
-        per_class_squares=tuple(squares),
-        total=total,
-        verdict=(total == 0),
+        rows.append(HodgeRow(w, c, p, intersect(base, p, p)))
+    return replace(
+        verify_skt(bundle),
         hodge=tuple(rows),
-        all_primitive_obstruction=(all_primitive and any_nonzero),
+        all_primitive_obstruction=(
+            all(r.trace_coefficient == 0 for r in rows)
+            and not all(w.is_zero() for w in bundle.curvatures)
+        ),
     )

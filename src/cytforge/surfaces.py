@@ -11,9 +11,10 @@ cleared form (integer numerators over the least common denominator), and
 `SurfaceModel.gram_row` is the one integer Gram product.  `intersect` dots a
 cleared form with it, the CYT traces read one such row for the Kaehler
 class, and the topology pairing matrix and the search's ray functional are
-rows of it.  Proportionality of two rational classes
-(`CohClass.positive_ratio`) is decided on their integer numerators.  Classes with a Q(sqrt(d))
-coefficient and pairing-table models keep the exact scalar loop.
+rows of it.  Only the cleared form reads coefficient types: integrality,
+int vectors and proportionality (`CohClass.positive_ratio`) read its
+numerators.  Classes with a Q(sqrt(d)) coefficient and pairing-table models
+keep the exact scalar loop.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     UndeclaredPairing,
     ZeroClass,
 )
-from .scalars import Scalar, exact_sign, format_scalar, is_integer, is_rational, parse_scalar, ratio_of
+from .scalars import Scalar, format_scalar, is_rational, parse_scalar, ratio_of
 
 
 @dataclass(frozen=True)
@@ -103,25 +104,24 @@ class CohClass:
         return all(a == 0 for a in self.coeffs)
 
     def positive_ratio(self, other: "CohClass") -> Optional[Scalar]:
-        """The rational t > 0 with self = t * other, else None.  Two rational
-        classes cross-multiply the integer numerators of their cleared forms;
-        a Q(sqrt(d)) coefficient sends both through scalars.ratio_of."""
-        fx, fy = self.cleared_form, other.cleared_form
-        if fx is None or fy is None:
-            t = ratio_of(self.coeffs, other.coeffs)
-            return t if t is not None and is_rational(t) and exact_sign(t) > 0 else None
-        t = ratio_of(fx[0], fy[0])
-        if t is None or t <= 0:
+        """The rational t > 0 with self = t * other, else None, cross-multiplied
+        on the numerators of the two cleared forms; a class with a
+        Q(sqrt(d)) coefficient is its coefficients over the denominator 1."""
+        nx, dx = self.cleared_form or (self.coeffs, 1)
+        ny, dy = other.cleared_form or (other.coeffs, 1)
+        t = ratio_of(nx, ny)
+        if t is None or not is_rational(t) or t <= 0:
             return None
-        return t if fx[1] == fy[1] else t * fy[1] / fx[1]
+        return t if dx == dy else t * dy / dx
 
     def is_integral(self) -> bool:
-        return all(is_integer(a) for a in self.coeffs)
+        form = self.cleared_form
+        return form is not None and form[1] == 1
 
     def as_int_vector(self) -> list[int]:
         if not self.is_integral():
             raise ValueError("class is not integral")
-        return [int(a) for a in self.coeffs]
+        return list(self.cleared_form[0])
 
     def serialize(self) -> list[str]:
         return [format_scalar(a) for a in self.coeffs]
@@ -149,7 +149,6 @@ class SurfaceModel:
     curves: Optional[tuple[CohClass, ...]] = None
     ample_witness: Optional[CohClass] = None
     simply_connected: bool = True
-    volume_class_sign: int = 1
 
     @property
     def rank(self) -> int:
@@ -537,12 +536,12 @@ def parse_class(model: Model, text: str) -> CohClass:
 def format_class(model: Model, x: CohClass) -> str:
     """Label form like '3H-E1-E2' when all coefficients are rational,
     else the exact vector form."""
+    if x.cleared_form is None:
+        return "[" + ",".join(format_scalar(c) for c in x.coeffs) + "]"
     parts = []
     for coef, label in zip(x.coeffs, model.basis_labels):
         if coef == 0:
             continue
-        if not isinstance(coef, (int, Fraction)):
-            return "[" + ",".join(format_scalar(c) for c in x.coeffs) + "]"
         sign = "-" if coef < 0 else "+"
         mag = abs(coef)
         mag_s = "" if mag == 1 else str(mag)

@@ -320,13 +320,43 @@ def _oracle_pairing(model, x: CohClass, y: CohClass) -> Fraction:
     )
 
 
+# a Q(sqrt(d)) coefficient, never rational
+_quadratic = st.builds(
+    quadratic, st.integers(-6, 6), st.integers(1, 6) | st.integers(-6, -1), st.sampled_from(SQUARE_FREE)
+)
+
+
+def _reference_integral(x: CohClass) -> bool:
+    return all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1) for c in x.coeffs)
+
+
 @KERNEL_SETTINGS
 @given(st.data())
 def check_cleared_form(data) -> None:
     """coeffs = n / d with d the least common denominator and n plain ints,
-    Fraction(x, 1) included."""
+    Fraction(x, 1) included; no cleared form when a coefficient lies in
+    Q(sqrt(d)).  is_integral and as_int_vector, which read the cleared form,
+    agree with a per-coefficient test."""
     rank = data.draw(st.integers(1, 9))
-    x = data.draw(classes(rank))
+    coefficients = data.draw(st.sampled_from((_coefficients, _integral, _coefficients | _quadratic)))
+    x = data.draw(classes(rank, coefficients))
+    integral = _reference_integral(x)
+    assert x.is_integral() == integral
+    if integral:
+        vec = x.as_int_vector()
+        assert vec == [int(c) for c in x.coeffs] and all(type(v) is int for v in vec)
+        vec.append(0)  # a fresh list each call: the cached form stays intact
+        assert x.as_int_vector() == [int(c) for c in x.coeffs]
+    else:
+        try:
+            x.as_int_vector()
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("as_int_vector accepted a non-integral class")
+    if not all(is_rational(c) for c in x.coeffs):
+        assert x.cleared_form is None
+        return
     n, d = x.cleared_form
     assert d == lcm(*(Fraction(c).denominator for c in x.coeffs))
     assert all(type(v) is int for v in n)

@@ -56,6 +56,19 @@ def test_on_cubic_curves():
     assert len(negative_curves(m9)) == 9 + 36
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the on_cubic curve list has no conic: a known soundness gap in the cone check",
+)
+def test_on_cubic_cone_check_sees_the_conic():
+    m = blowup_cp2(5, "on_cubic")
+    f = parse_class(m, "10H-21/5E1-21/5E2-21/5E3-21/5E4-21/5E5")
+    conic = parse_class(m, "2H-E1-E2-E3-E4-E5")
+    assert intersect(m, conic, conic) == -1 and intersect(m, f, conic) == -1
+    assert not is_kahler(m, f).verdict
+
+
 def test_quadric_and_plane_have_no_negative_curves():
     assert negative_curves(quadric()) == []
     assert negative_curves(projective_plane()) == []

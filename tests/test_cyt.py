@@ -111,6 +111,22 @@ def test_verify_cyt_failure_reason():
     assert not null.verdict and null.reason == "null_class"
 
 
+def test_verify_cyt_reasons_after_a_zero_defect():
+    # the rulings with F = (C + D)/2: both traces are 2, so the defect is zero
+    q = quadric()
+    f = Fraction(1, 2) * parse_class(q, "C+D")
+    twin = property_suites.scalar_twin(q)  # a pairing table carries no cone data
+    cert = verify_cyt(BundleSpec(twin, (parse_class(q, "C"), parse_class(q, "D"))), f)
+    assert cert.defect_zero and cert.cone is None
+    assert not cert.verdict and cert.reason == "no_cone_data"
+    # the same form with C - D declared a negative curve: F.(C - D) = 0
+    m = custom_model("q", [[0, 1], [1, 0]], [2, 2], curves=[[1, -1]], ample_witness=[1, 1])
+    cert = verify_cyt(BundleSpec(m, (CohClass.of([1, 0]), CohClass.of([0, 1]))), f)
+    assert cert.defect_zero and not cert.cone.verdict
+    assert [c.value for c in cert.cone.curve_checks] == [0]
+    assert not cert.verdict and cert.reason == "not_kahler"
+
+
 def test_solved_scale_flag():
     m, bundle = dp2_bundle()
     cert = verify_cyt(bundle, parse_class(m, "3H-E1-E2"))

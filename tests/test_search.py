@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
+from cytforge.catalog import VerdictFlags
 from cytforge.cyt import BundleSpec, verify_cyt
 from cytforge.errors import BoundTooLarge
 from cytforge.search import SearchQuery, canonical_form, resolve_threads, search
 from cytforge.skt import verify_skt
 from cytforge.surfaces import CohClass, blowup_cp2, custom_model, parse_class, quadric
-from cytforge.topology import topology_certificate
+from cytforge.topology import UNCLASSIFIED, topology_certificate
 
 
 # the package attribute `search` is the function, so reach the module by name
@@ -533,3 +534,90 @@ def test_stats_name_the_cyt_routes_kept():
     assert routes("3H-E1-E2-E3") == ("ray",)  # the ray is c1 itself
     assert routes(None) == ("anticanonical_ray",)
     assert routes("H", frozenset({"skt"})) == ()
+
+
+# -- searches without a cyt or skt filter ------------------------------------
+#
+# Without those filters every w2 of the box is a candidate and the balanced
+# filter falls back to the ray, else c1.  The reference below decides each
+# filter pair by pair from its definition over the whole box and keeps the
+# lexicographically first pair of each canonical key.
+
+NULL_C1 = custom_model("null_c1", [[0, 1], [1, 0]], [1, 0])  # Q(c1,c1) = 0: nothing is balanced
+
+
+def _brute_records(model, bound, filters, ray=None):
+    c1, gram = model.c1.as_int_vector(), model.gram
+    f = ray.as_int_vector() if ray is not None else c1
+
+    def pair(x, y):
+        return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
+
+    box = list(itertools.product(range(-bound, bound + 1), repeat=model.rank))
+    seen, out = set(), []
+    for v1, v2 in itertools.product(box, repeat=2):
+        flags = {}
+        if "spin" in filters:
+            # c1 is 0, v1, v2 or v1 + v2 mod 2
+            if not any(
+                all((c - a * x - b * y) % 2 == 0 for c, x, y in zip(c1, v1, v2)) for a in (0, 1) for b in (0, 1)
+            ):
+                continue
+            flags["spin"] = True
+        if "balanced" in filters:
+            # a trace against f vanishes iff the pairing with f does
+            if pair(f, f) == 0 or pair(v1, f) or pair(v2, f):
+                continue
+            flags["balanced"] = True
+        w1, w2 = CohClass.of(v1), CohClass.of(v2)
+        if "topology" in filters:
+            label = topology_certificate(BundleSpec(model, (w1, w2))).diffeo_label
+            if label == UNCLASSIFIED:
+                continue
+            flags["topology_label"] = label
+        key = canonical_form(model, w1, w2)
+        if key not in seen:
+            seen.add(key)
+            out.append((v1, v2, key, VerdictFlags(**flags)))
+    return out
+
+
+# record counts at bound 1 on blowup_cp2(1), blowup_cp2(2) and the quadric
+BOX_SEARCH_COUNTS = {
+    ("balanced",): (1, 4, 6),
+    ("topology",): (20, 94, 20),
+    ("spin",): (34, 124, 45),
+    ("balanced", "spin"): (0, 0, 6),
+}
+BOX_SEARCH_CASES = [
+    (model, filters)
+    for filters in [("balanced",), ("topology",), ("spin",), ("balanced", "spin")]
+    for model in [blowup_cp2(1), blowup_cp2(2), quadric()]
+] + [(NULL_C1, ("balanced",)), (NULL_C1, ("balanced", "spin"))]
+
+
+@pytest.mark.parametrize("model,filters", BOX_SEARCH_CASES, ids=lambda v: "+".join(v) if isinstance(v, tuple) else v.name)
+def test_box_searches_match_the_brute_force_filter(model, filters):
+    want = _brute_records(model, 1, filters)
+    q = SearchQuery(model=model, coeff_bound=1, filters=frozenset(filters))
+    for threads in (1, 2):
+        records, stats = search(q, threads=threads)
+        got = [(r.omega1, r.omega2, r.canonical_key, r.flags) for r in records]
+        assert got == want, threads
+        assert stats.exhausted and all(r.kahler is None for r in records)
+    if model is NULL_C1:
+        assert want == []
+    else:
+        index = [blowup_cp2(1).name, blowup_cp2(2).name, quadric().name].index(model.name)
+        assert len(want) == BOX_SEARCH_COUNTS[filters][index]
+
+
+def test_box_balanced_search_tests_against_the_ray():
+    model = blowup_cp2(2)
+    ray = parse_class(model, "2H-E1")  # Q(ray, ray) = 3
+    want = _brute_records(model, 1, ("balanced",), ray)
+    assert want != _brute_records(model, 1, ("balanced",))
+    q = SearchQuery(model=model, coeff_bound=1, filters=frozenset({"balanced"}), ray=ray)
+    for threads in (1, 2):
+        records, _ = search(q, threads=threads)
+        assert [(r.omega1, r.omega2, r.canonical_key, r.flags) for r in records] == want, threads

@@ -74,6 +74,26 @@ def test_hodge_primitive_class():
     assert exact_sign(report.total) == -1  # hence never strong on this base
 
 
+def test_hodge_report_extends_the_skt_report():
+    m = blowup_cp2(3)
+    f = 2 * m.c1
+    zero, trace_free = CohClass.zero(4), parse_class(m, "E1-E2")
+    cases = [
+        ((trace_free, parse_class(m, "H")), False),  # H has a trace
+        ((zero, zero), False),  # nothing nonzero to obstruct
+        ((trace_free, zero), True),
+    ]
+    for ws, obstructed in cases:
+        bundle = BundleSpec(m, ws)
+        report, skt = hodge_obstruction(bundle, f), verify_skt(bundle)
+        assert report.all_primitive_obstruction is obstructed
+        assert (report.per_class_squares, report.total, report.verdict) == (
+            skt.per_class_squares,
+            skt.total,
+            skt.verdict,
+        )
+
+
 def test_hodge_requires_kahler():
     m = blowup_cp2(2)
     bundle = BundleSpec(m, (parse_class(m, "E1"), parse_class(m, "E2")))
