@@ -6,8 +6,11 @@ is decided by exact sign computation and recorded in a certificate.
 The curves a class is checked against are listed once per model, with their
 integer Gram rows G.n_C (n_C the curve's cleared numerators).  For a rational
 class F = n/d, d > 0, the sign of F.C is the sign of the integer dot product
-n.(G.n_C), so the verdict comes from integer signs alone.  Q(F,F) and the
-ample-witness pairing are one `intersect` call each.  The per-curve values of
+n.(G.n_C), so the verdict comes from integer signs alone.  Those signs
+depend only on the direction of n, so each model keeps a small memo of
+them keyed on the primitive vector of n; a search rechecking s * R for
+many scales s computes them once per ray.  Q(F,F) and the ample-witness
+pairing are one `intersect` call each, on every call.  The per-curve values of
 a certificate are rendered on first read of `curve_checks`, one `intersect`
 call per curve, and each value's sign is checked against the integer sign.  A
 class with a Q(sqrt(d)) coefficient is paired curve by curve in exact scalar
@@ -18,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CytForgeError, InvariantViolation, MissingAmpleWitness, MissingCurveData, RankMismatch
-from .scalars import Scalar, exact_sign
+from .scalars import Scalar, exact_sign, ratio_terms
 from .surfaces import (
     REGIME_ENUMERATE,
     REGIME_EXPLICIT,
@@ -140,19 +143,43 @@ def _curves_for(model: SurfaceModel) -> tuple[CohClass, ...]:
 @lru_cache(maxsize=None)
 def _curve_rows(
     model: SurfaceModel,
-) -> tuple[tuple[CohClass, ...], Optional[tuple[tuple[int, ...], ...]]]:
+) -> tuple[tuple[CohClass, ...], Optional[tuple[tuple[int, ...], ...]], dict]:
     """The curves is_kahler checks a class against, in certificate order (the
     negative curves, or the two rulings of the quadric), with their integer
-    Gram rows G.n_C.  The rows are None when a curve has a Q(sqrt(d))
-    coefficient or the wrong rank; the scalar loop then pairs, or raises."""
+    Gram rows G.n_C and an empty memo for _curve_signs.  The rows are None
+    when a curve has a Q(sqrt(d)) coefficient or the wrong rank; the scalar
+    loop then pairs, or raises."""
     if model.curve_regime == REGIME_RULINGS:
         curves: tuple[CohClass, ...] = (CohClass.of([1, 0]), CohClass.of([0, 1]))
     else:
         curves = _curves_for(model)
     forms = [c.cleared_form for c in curves]
     if any(form is None or len(form[0]) != model.rank for form in forms):
-        return curves, None
-    return curves, tuple(tuple(model.gram_row(n)) for n, _ in forms)
+        return curves, None, {}
+    return curves, tuple(tuple(model.gram_row(n)) for n, _ in forms), {}
+
+
+_SIGN_MEMO_SIZE = 8  # sign vectors kept per model; the oldest goes first
+
+
+def _row_signs(n: Sequence[int], rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The sign of n.(G.n_C) for each curve row."""
+    return tuple([(v > 0) - (v < 0) for v in [sum(map(mul, n, row)) for row in rows]])
+
+
+def _curve_signs(n: Sequence[int], rows: tuple[tuple[int, ...], ...], memo: dict) -> tuple[int, ...]:
+    """_row_signs of n, memoised on the primitive vector of n: a positive
+    multiple of n has the same signs, so a search that rechecks s * R for
+    many scales s computes them once per ray."""
+    g = gcd(*n)
+    key = tuple(x // g for x in n) if g > 1 else tuple(n)
+    signs = memo.get(key)
+    if signs is None:
+        signs = _row_signs(key, rows)
+        if len(memo) >= _SIGN_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = signs
+    return signs
 
 
 def negative_curves(model: SurfaceModel) -> list[CohClass]:
@@ -171,10 +198,17 @@ def negative_curves(model: SurfaceModel) -> list[CohClass]:
 
 
 def positively_proportional(x: CohClass, y: CohClass) -> bool:
-    """x = t*y for some rational t > 0.  Two rational classes compare the
-    integer numerators of their cleared forms; a class with a Q(sqrt(d))
-    coefficient goes through scalars.ratio_of."""
-    return x.rank == y.rank and x.positive_ratio(y) is not None
+    """x = t*y for some rational t > 0.  Two rational classes are compared on
+    the integer numerators of their cleared forms, by cross-multiplication
+    and one sign test; a class with a Q(sqrt(d)) coefficient goes through
+    scalars.ratio_of."""
+    if x.rank != y.rank:
+        return False
+    fx, fy = x.cleared_form, y.cleared_form
+    if fx is None or fy is None:
+        return x.positive_ratio(y) is not None
+    terms = ratio_terms(fx[0], fy[0])
+    return terms is not None and terms[0] * terms[1] > 0
 
 
 def is_kahler(
@@ -182,7 +216,9 @@ def is_kahler(
 ) -> ConeCertificate:
     """Certified cone membership for the class f.  For a rational f = n/d the
     sign of each curve pairing is the sign of n.(G.n_C) against the model's
-    cached rows, and the verdict reads those signs; the curve values are
+    cached rows, memoised on the primitive vector of n (_curve_signs), and
+    the verdict reads those signs with Q(F,F) and the ample pairing, which
+    are computed on every call; the curve values are
     rendered only when curve_checks is read.  A class with a Q(sqrt(d))
     coefficient is paired with every curve through `intersect` here."""
     if not isinstance(model, SurfaceModel):
@@ -192,7 +228,7 @@ def is_kahler(
     self_int = intersect(model, f, f)
     self_sign = exact_sign(self_int)
 
-    curves, rows = _curve_rows(model)
+    curves, rows, memo = _curve_rows(model)
     form = f.cleared_form
     checks = None
     if form is None or rows is None:
@@ -202,8 +238,7 @@ def is_kahler(
             checks.append(CurveCheck(curve, value, exact_sign(value)))
         signs = tuple(c.sign for c in checks)
     else:
-        n = form[0]
-        signs = tuple([(v > 0) - (v < 0) for v in [sum(map(mul, n, row)) for row in rows]])
+        signs = _curve_signs(form[0], rows, memo)
 
     if witness is not None:
         source = "user"

@@ -18,15 +18,16 @@ is solved exactly in Q or Q(sqrt(d)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
-from typing import Optional
+from typing import Optional, Union
 
 from . import intlinalg
 from .cone import ConeCertificate, is_kahler, positively_proportional
 from .errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass, RankMismatch
-from .scalars import Scalar, exact_div, exact_sign, solve_quadratic
+from .scalars import Scalar, exact_div, exact_sign, ratio_terms, solve_quadratic
 from .surfaces import (
     CohClass,
     Model,
@@ -65,49 +66,112 @@ def lambda_trace(model: Model, omega: CohClass, f: CohClass) -> Scalar:
     return exact_div(BASE_COMPLEX_DIMENSION * intersect(model, omega, f), ff)
 
 
-def _traced_sum(bundle: BundleSpec, f: CohClass) -> tuple[tuple[Scalar, ...], CohClass, Scalar]:
-    """The traces of the curvature classes against f, sum(trace_l * w_l) and
-    Q(f,f); NullClass when Q(f,f) = 0.  Every CYT reader takes Q(F,F) and
-    the traces from here.
+class _ScalarTraces:
+    """The traces trace_l = 2 Q(w_l,f) / Q(f,f) and their sum, formed class
+    by class in exact scalar arithmetic when built: the path for
+    pairing-table models and classes with a Q(sqrt(d)) coefficient.  Like
+    _LatticeTraces it answers the decisions (ff_sign, trace_free,
+    defect_zero, scale) and holds lambdas, traced and ff for documents."""
 
-    For a rational f = n/d on a SurfaceModel the integer row G n is formed
-    once: with t_l = w_l . G n, Q(f,f) = n . G n / d^2 and trace_l =
-    2 d t_l / (n . G n), so the traces and the sum share one denominator.
-    Other inputs form Q(f,f) once and pair the classes one by one through
-    intersect."""
-    base, ws = bundle.base, bundle.curvatures
-    if f.rank != base.rank:
-        raise RankMismatch(f"classes of rank {f.rank}/{f.rank} on a rank-{base.rank} model")
-    form = f.cleared_form if isinstance(base, SurfaceModel) else None
-    if form is None:
+    def __init__(self, bundle: BundleSpec, f: CohClass):
+        base = bundle.base
         ff = intersect(base, f, f)
         if ff == 0:
             raise NullClass("Q(F,F) = 0")
-        lambdas = tuple(exact_div(BASE_COMPLEX_DIMENSION * intersect(base, w, f), ff) for w in ws)
-        traced = CohClass.zero(base.rank)
-        for lam, w in zip(lambdas, ws):
+        self.bundle, self.ff = bundle, ff
+        self.lambdas = tuple(
+            exact_div(BASE_COMPLEX_DIMENSION * intersect(base, w, f), ff) for w in bundle.curvatures
+        )
+        self.trace_free = tuple(lam == 0 for lam in self.lambdas)
+
+    @cached_property
+    def traced(self) -> CohClass:
+        traced = CohClass.zero(self.bundle.base.rank)
+        for lam, w in zip(self.lambdas, self.bundle.curvatures):
             if lam != 0:
                 traced = traced + lam * w
-        return lambdas, traced, ff
-    n, d = form
-    row = base.gram_row(n)
-    nn = sum(map(mul, n, row))
-    if nn == 0:
-        raise NullClass("Q(F,F) = 0")
-    # every curvature class is integral, so its cleared form has d = 1
-    ns = [w.cleared_form[0] for w in ws]
-    nums = [BASE_COMPLEX_DIMENSION * d * sum(map(mul, w, row)) for w in ns]
-    lambdas = tuple(Fraction(t, nn) for t in nums)
-    traced = CohClass.zero(base.rank)
-    if any(nums):
-        traced = CohClass(tuple(Fraction(sum(map(mul, nums, col)), nn) for col in zip(*ns)))
-    return lambdas, traced, nn if d == 1 else Fraction(nn, d * d)
+        return traced
+
+    def ff_sign(self) -> int:
+        return exact_sign(self.ff)
+
+    def defect_zero(self) -> bool:
+        return (self.bundle.base.c1 - self.traced).is_zero()
+
+    def scale(self) -> Optional[Scalar]:
+        """The rational t > 0 with traced = t * c1, else None."""
+        return self.traced.positive_ratio(self.bundle.base.c1)
+
+
+class _LatticeTraces:
+    """The traces against a rational f = n/d on a SurfaceModel, decided on
+    integers.  The row G n is formed once; with t_l = w_l . G n,
+
+        nums[l] = 2 d t_l,   summed = sum(nums[l] * w_l),   nn = n . G n,
+
+    trace_l = nums[l] / nn, the traced sum is summed / nn and Q(f,f) = nn / d^2.
+    With c1 = m / e the defect vanishes iff e * summed == nn * m.  lambdas
+    and traced, the Fraction values, are rendered on first read."""
+
+    def __init__(self, bundle: BundleSpec, n: tuple[int, ...], d: int):
+        row = bundle.base.gram_row(n)
+        nn = sum(map(mul, n, row))
+        if nn == 0:
+            raise NullClass("Q(F,F) = 0")
+        self.bundle, self.nn = bundle, nn
+        self.ff = nn if d == 1 else Fraction(nn, d * d)
+        # every curvature class is integral, so its cleared form has d = 1
+        self.ns = [w.cleared_form[0] for w in bundle.curvatures]
+        self.nums = [BASE_COMPLEX_DIMENSION * d * sum(map(mul, w, row)) for w in self.ns]
+        self.summed = [sum(map(mul, self.nums, col)) for col in zip(*self.ns)]
+        self.trace_free = tuple(t == 0 for t in self.nums)
+
+    @cached_property
+    def lambdas(self) -> tuple[Scalar, ...]:
+        return tuple(Fraction(t, self.nn) for t in self.nums)
+
+    @cached_property
+    def traced(self) -> CohClass:
+        if not any(self.nums):
+            return CohClass.zero(self.bundle.base.rank)
+        return CohClass(tuple(Fraction(s, self.nn) for s in self.summed))
+
+    def ff_sign(self) -> int:
+        return (self.nn > 0) - (self.nn < 0)
+
+    def defect_zero(self) -> bool:
+        m, e = self.bundle.base.c1.cleared_form
+        nn = self.nn
+        return all(e * s == nn * x for s, x in zip(self.summed, m))
+
+    def scale(self) -> Optional[Scalar]:
+        """t > 0 with summed / nn = t * m / e, from summed = (a/b) * m."""
+        m, e = self.bundle.base.c1.cleared_form
+        terms = ratio_terms(self.summed, m)
+        if terms is None:
+            return None
+        t = Fraction(e * terms[0], self.nn * terms[1])
+        return t if t > 0 else None
+
+
+def _traced_sum(bundle: BundleSpec, f: CohClass) -> Union[_ScalarTraces, _LatticeTraces]:
+    """The traces of the curvature classes against f, on integers for a
+    rational f on a SurfaceModel with rational c1; NullClass when Q(f,f) =
+    0.  Every CYT reader takes Q(F,F), the traces and the defect test from
+    here."""
+    base = bundle.base
+    if f.rank != base.rank:
+        raise RankMismatch(f"classes of rank {f.rank}/{f.rank} on a rank-{base.rank} model")
+    form = f.cleared_form if isinstance(base, SurfaceModel) else None
+    if form is None or base.c1.cleared_form is None:
+        return _ScalarTraces(bundle, f)
+    return _LatticeTraces(bundle, *form)
 
 
 def cyt_defect(bundle: BundleSpec, f: CohClass) -> CohClass:
     """c1(X) minus the traced curvature sum; zero iff the bundle with this
     Kaehler class satisfies the torsion Calabi-Yau condition in cohomology."""
-    return bundle.base.c1 - _traced_sum(bundle, f)[1]
+    return bundle.base.c1 - _traced_sum(bundle, f).traced
 
 
 @dataclass(frozen=True)
@@ -130,7 +194,7 @@ class RicciPolynomial:
 def canonical_ricci_class(bundle: BundleSpec, f: CohClass) -> RicciPolynomial:
     """The family t -> c1 + (t-1)/2 * sum(trace_l w_l); t = 1 recovers the
     Chern Ricci class c1, t = -1 the torsion-connection class c1 - sum."""
-    traced = _traced_sum(bundle, f)[1]
+    traced = _traced_sum(bundle, f).traced
     half = Fraction(1, 2)
     return RicciPolynomial(
         constant_class=bundle.base.c1 - half * traced,
@@ -140,45 +204,70 @@ def canonical_ricci_class(bundle: BundleSpec, f: CohClass) -> RicciPolynomial:
 
 @dataclass(frozen=True)
 class CytCertificate:
+    """The CYT verdict for kahler_class.  defect_zero, cone, solved_scale,
+    reason and verdict are decided when it is built; lambdas and defect are
+    rendered from the traces on first read and kept.  A rendered defect
+    whose vanishing disagrees with defect_zero raises InvariantViolation."""
+
     kahler_class: CohClass
-    lambdas: tuple[Scalar, ...]
-    defect: CohClass
     defect_zero: bool
     curvatures_integral: bool
     cone: Optional[ConeCertificate]
     solved_scale: Optional[Scalar]  # flagged when the defect vanishes at another scale
     reason: Optional[str]
     verdict: bool
+    bundle: BundleSpec = field(repr=False)
+    # what lambdas and defect are rendered from; None for a null class
+    traces: Union[_ScalarTraces, _LatticeTraces, None] = field(repr=False, compare=False)
+
+    @cached_property
+    def lambdas(self) -> tuple[Scalar, ...]:
+        return self.traces.lambdas
+
+    @cached_property
+    def defect(self) -> CohClass:
+        defect = self.bundle.base.c1 - self.traces.traced
+        if defect.is_zero() != self.defect_zero:
+            raise InvariantViolation(
+                f"rendered defect {defect.serialize()} against defect_zero={self.defect_zero} "
+                f"from the integer numerators"
+            )
+        return defect
 
 
 def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
     """Full certificate: defect vanishing and cone membership.  Failures are
-    verdicts, not errors.  BundleSpec admits integral curvatures only, so
-    curvatures_integral is always true."""
+    verdicts, not errors.  For a rational f on a lattice model the defect
+    test compares the integer numerators of f's own cleared form (sum
+    nums_l w_l against nn c1) and the cone verdict reads integer signs; the
+    Fraction traces and the defect class are rendered only when read.
+    BundleSpec admits integral curvatures only, so curvatures_integral is
+    always true."""
     base = bundle.base
     try:
-        lambdas, traced, ff = _traced_sum(bundle, f)
+        traces = _traced_sum(bundle, f)
     except NullClass:
-        return CytCertificate(
+        cert = CytCertificate(
             kahler_class=f,
-            lambdas=(),
-            defect=base.c1,
             defect_zero=False,
             curvatures_integral=True,
             cone=None,
             solved_scale=None,
             reason="null_class",
             verdict=False,
+            bundle=bundle,
+            traces=None,
         )
-    defect = base.c1 - traced
-    defect_zero = defect.is_zero()
+        cert.__dict__.update(lambdas=(), defect=base.c1)  # nothing to render
+        return cert
+    defect_zero = traces.defect_zero()
     cone = is_kahler(base, f) if isinstance(base, SurfaceModel) else None
     verdict = defect_zero and cone is not None and cone.verdict
 
     solved_scale = None
-    if not defect_zero and cone is not None and exact_sign(ff) > 0:
+    if not defect_zero and cone is not None and traces.ff_sign() > 0:
         # flag when the given class solves the condition only after rescaling
-        solved_scale = traced.positive_ratio(base.c1)
+        solved_scale = traces.scale()
 
     reason = None
     if not verdict:
@@ -190,30 +279,31 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
             reason = "not_kahler"
     return CytCertificate(
         kahler_class=f,
-        lambdas=lambdas,
-        defect=defect,
         defect_zero=defect_zero,
         curvatures_integral=True,
         cone=cone,
         solved_scale=solved_scale,
         reason=reason,
         verdict=verdict,
+        bundle=bundle,
+        traces=traces,
     )
 
 
 def solve_scale(bundle: BundleSpec, ray: CohClass) -> Optional[Scalar]:
     """The unique s > 0 with vanishing defect at s * ray, when the traced
     curvature sum along the ray is a nonzero rational multiple of c1; None
-    otherwise (including c1 = 0 with a nonzero sum).  Q(R,R) and the traced
-    sum are formed once; a rational sum is compared with c1 on the integer
-    numerators of their cleared forms, and s is one quotient."""
+    otherwise (including c1 = 0 with a nonzero sum).  For a rational ray on
+    a lattice model the sum stays integer numerators: one positive-ratio
+    test of summed against c1's numerators, then one Fraction for s.  Other
+    inputs compare the scalar classes."""
     try:
-        _, traced, rr = _traced_sum(bundle, ray)
+        traces = _traced_sum(bundle, ray)
     except NullClass:
-        rr = 0
-    if exact_sign(rr) <= 0:
+        traces = None
+    if traces is None or traces.ff_sign() <= 0:
         raise NotPositiveRay("ray needs positive self-intersection")
-    return traced.positive_ratio(bundle.base.c1)
+    return traces.scale()
 
 
 @dataclass(frozen=True)
@@ -287,16 +377,16 @@ def balanced_check(bundle: BundleSpec, f: CohClass) -> bool:
     base = bundle.base
     if isinstance(base, PairingFunctionalModel):
         return all(intersect(base, w, f) == 0 for w in bundle.curvatures)
-    return all(lam == 0 for lam in _traced_sum(bundle, f)[0])
+    return all(_traced_sum(bundle, f).trace_free)
 
 
 def primitive_route_check(bundle: BundleSpec, f: CohClass) -> bool:
     """The Einstein-base route: first curvature a positive rational multiple
     of f, all later ones trace-free, and c1 a positive rational multiple of f
     (the cohomological stand-in for positive Einstein normalization)."""
-    lambdas = _traced_sum(bundle, f)[0]
+    trace_free = _traced_sum(bundle, f).trace_free
     return (
         positively_proportional(bundle.curvatures[0], f)
-        and all(lam == 0 for lam in lambdas[1:])
+        and all(trace_free[1:])
         and positively_proportional(bundle.base.c1, f)
     )

@@ -213,21 +213,33 @@ def solve_integer_linear(mat: IntMatrix, target: IntVector) -> Optional[IntVecto
     return IntegerSolver(mat).solve(target)
 
 
+def _gf2_mask(vec: Sequence[int]) -> int:
+    """The vector mod 2 as a bit mask: bit i is set iff vec[i] is odd."""
+    mask = 0
+    for i, c in enumerate(vec):
+        if c & 1:
+            mask |= 1 << i
+    return mask
+
+
 def gf2_in_span(target: IntVector, span: list[IntVector]) -> bool:
-    """Membership of target (mod 2) in the GF(2) span of the given vectors."""
-    t = [c & 1 for c in target]
-    pivot_cols: list[int] = []
-    reduced: list[IntVector] = []
+    """Membership of target (mod 2) in the GF(2) span of the given vectors.
+    Each vector is a bit mask; the span is reduced to masks with distinct
+    leading bits, and target is in it iff XOR-ing those away clears it."""
+    basis: dict[int, int] = {}  # leading bit -> mask
     for vec in span:
-        row = [c & 1 for c in vec]
-        for pc, r in zip(pivot_cols, reduced):
-            if row[pc]:
-                row = [(x + y) & 1 for x, y in zip(row, r)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivot_cols.append(lead)
-            reduced.append(row)
-    for pc, r in zip(pivot_cols, reduced):
-        if t[pc]:
-            t = [(x + y) & 1 for x, y in zip(t, r)]
-    return not any(t)
+        mask = _gf2_mask(vec)
+        while mask:
+            lead = mask.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = mask
+                break
+            mask ^= pivot
+    t = _gf2_mask(target)
+    while t:
+        pivot = basis.get(t.bit_length())
+        if pivot is None:
+            return False
+        t ^= pivot
+    return True

@@ -248,17 +248,24 @@ def exact_div(x: Scalar, y: Scalar) -> Scalar:
     return x / y
 
 
-def ratio_of(x: Sequence[Scalar], y: Sequence[Scalar]) -> Optional[Scalar]:
-    """The t with x = t*y coefficientwise; None when y is zero or x is not a
-    multiple of y.  Parallelism is tested by cross-multiplication, so a
-    division happens only for the returned t."""
+def ratio_terms(x: Sequence[Scalar], y: Sequence[Scalar]) -> Optional[tuple[Scalar, Scalar]]:
+    """(a, b) with b != 0 and x = (a/b)*y coefficientwise, read at the first
+    nonzero entry of y; None when y is zero or x is not a multiple of y.
+    Parallelism is tested by cross-multiplication, without a division."""
     p = next((i for i, b in enumerate(y) if b != 0), None)
     if p is None:
         return None
     a0, b0 = x[p], y[p]
     if any(a * b0 != a0 * b for a, b in zip(x, y)):
         return None
-    return exact_div(a0, b0)
+    return a0, b0
+
+
+def ratio_of(x: Sequence[Scalar], y: Sequence[Scalar]) -> Optional[Scalar]:
+    """The t with x = t*y coefficientwise; None when y is zero or x is not a
+    multiple of y.  A division happens only for the returned t."""
+    terms = ratio_terms(x, y)
+    return None if terms is None else exact_div(*terms)
 
 
 def sqrt_fraction(q) -> Scalar:

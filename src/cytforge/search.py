@@ -11,16 +11,22 @@ so for fixed w1 the admissible w2 are finitely many explicit integer vectors
 (one per value of Q(w2,R), an integer root of one quadratic per box value
 of a coordinate) plus the trace-free ones, Q(w2,R) = 0, when w1 is
 proportional to c1.  Every candidate is then re-verified through the full
-certificate path, so emitted records never rest on the shortcut; its cone
-verdict comes from integer signs against the model's cached curve rows, and
-the per-curve values are never rendered.
+certificate path, so emitted records never rest on the shortcut.  A pair
+pays for the verdicts only: solve_scale and the recheck's defect test
+compare integer numerators, the topology label is decided from the gcd of
+the pairing matrix's 2x2 minors, and the cone verdict reads integer signs
+against the model's cached curve rows, memoised per ray.  The documents
+(Fraction traces, the defect class, per-curve values, the Smith normal
+form and the witnesses) are rendered only when read, and a search reads
+none of them.
 Enumeration, dedup and the skt and spin pre-filters run on integer tuples;
 classes are built only for the pairs that reach the solver, balance and
-topology checks.
+topology checks, with their cleared forms seeded from the tuples.
 
 A search builds one plan per query with everything the pairs share: the
-rays, the balanced fallback class, the skt buckets, the ansatz pair and the
-symmetry group.  A ray (the query's, then the anticanonical) enters it only
+rays, the balanced fallback class, the skt buckets, the ansatz pair, the
+symmetry group and, for the topology filter, the Gram matrix's invariant
+factors.  A ray (the query's, then the anticanonical) enters it only
 if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing the condition with
 R shows that Q(c1,R) <= 0 forces s <= 0.  Work is split by the leading
 coefficient of w1; every chunk, serial or in a pool worker, runs on that one
@@ -53,7 +59,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd, isqrt
 from multiprocessing import Pool, cpu_count
 from operator import mul
@@ -78,6 +85,9 @@ from .topology import UNCLASSIFIED, topology_certificate
 VALID_FILTERS = ("cyt", "skt", "balanced", "topology", "spin")
 
 _CLASS_FILTERS = frozenset({"cyt", "balanced", "topology"})  # the ones that read classes
+
+# the filter stages of an evaluated pair, in the order they run
+REJECT_STAGES = ("skt", "spin", "cyt", "balanced", "topology")
 
 _BRUTE_PAIR_CAP = 2_000_000
 
@@ -119,6 +129,9 @@ class SearchStats:
     exhausted: bool = True  # False only when --limit cut a record
     pairs_skipped: int = 0  # visited pairs not evaluated (orbit rule, merged keys)
     cyt_routes: tuple[str, ...] = ()  # the rays the plan kept: "ray", "anticanonical_ray"
+    # evaluated pairs each stage rejected, per REJECT_STAGES name, summed over
+    # the chunks in chunk order
+    rejected: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECT_STAGES, 0))
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
@@ -241,9 +254,10 @@ class _RayData:
     ):
         self.name = name
         self.ray = ray
-        ints = ray.cleared_form[0]  # SearchQuery admits rational rays only
+        ints, den = ray.cleared_form  # SearchQuery admits rational rays only
         g = gcd(*ints)
         self.ray_int = [v // g for v in ints] if g else list(ints)
+        self.unit = Fraction(g, den)  # R = unit * ray_int
         self.w = model.gram_row(self.ray_int)  # Q(., R) functional
         self.r = sum(a * b for a, b in zip(self.ray_int, self.w))  # Q(R,R)
         self.c1 = model.c1.as_int_vector()
@@ -270,6 +284,12 @@ class _RayData:
             if self.d_pair > 0
             else []
         )
+
+    def at(self, s: Fraction) -> CohClass:
+        """The class s * R.  With s * unit = p/q in lowest terms and ray_int
+        primitive, its cleared form is (p * ray_int, q)."""
+        t = s * self.unit
+        return CohClass.from_cleared(tuple(t.numerator * v for v in self.ray_int), t.denominator)
 
     def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
         """The box vectors v with Q(v,R) = 0, in lexicographic order.  With
@@ -389,6 +409,9 @@ class _Plan:
         f = query.ray if query.ray is not None else model.c1
         self.balanced_class = f if "balanced" in query.filters and intersect(model, f, f) != 0 else None
 
+        if "topology" in query.filters:
+            model.gram_factors  # cached on the model, so pool workers inherit it
+
         self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
         if "cyt" not in query.filters and "skt" in query.filters:
             self.skt_buckets = {}
@@ -418,11 +441,13 @@ class _Plan:
             return self.skt_buckets.get(-self.square(v1), [])
         return _all_vectors(len(v1), self.query.coeff_bound)
 
-    def chunk(self, lead: int) -> tuple[list[CatalogRecord], int, int]:
+    def chunk(self, lead: int) -> tuple[list[CatalogRecord], int, int, dict[str, int]]:
         """Records of the pairs whose w1 starts with lead, with the counts of
-        visited pairs and of those not evaluated."""
+        visited pairs, of those not evaluated and of the evaluated pairs
+        each stage rejected."""
         records: list[CatalogRecord] = []
         visited = skipped = 0
+        rejected = dict.fromkeys(REJECT_STAGES, 0)
         passed_keys: set[str] = set()
         rank, bound = self.query.model.rank, self.query.coeff_bound
         for v1 in _vectors_with_lead(lead, rank, bound, self.sorted_v1):
@@ -439,12 +464,15 @@ class _Plan:
                     skipped += 1
                     continue
                 rec = self.evaluate(v1, v2, key)
-                if rec is not None:
+                if isinstance(rec, str):
+                    rejected[rec] += 1
+                else:
                     passed_keys.add(key)
                     records.append(rec)
-        return records, visited, skipped
+        return records, visited, skipped, rejected
 
-    def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str) -> Optional[CatalogRecord]:
+    def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str) -> CatalogRecord | str:
+        """The record of the pair, or the name of the stage that rejected it."""
         query = self.query
         model = query.model
         filters = query.filters
@@ -453,23 +481,23 @@ class _Plan:
         # integer pre-filters on the coefficient tuples
         if "skt" in filters:
             if self.square(v1) + self.square(v2) != 0:
-                return None
+                return "skt"
             flags["skt"] = True
         if "spin" in filters:
             if not gf2_in_span(self.c1, [v1, v2]):
-                return None
+                return "spin"
             flags["spin"] = True
 
         kahler: Optional[CohClass] = None
         if filters & _CLASS_FILTERS:
-            bundle = BundleSpec(model, (CohClass.of(v1), CohClass.of(v2)))
+            bundle = BundleSpec(model, (CohClass.from_cleared(v1), CohClass.from_cleared(v2)))
         if "cyt" in filters:
             route = None
             for data in self.rays:
                 s = solve_scale(bundle, data.ray)
                 if s is None:
                     continue
-                kahler, route = s * data.ray, data.name
+                kahler, route = data.at(s), data.name
                 flags["scale"] = format_scalar(s)
                 break
             if kahler is None and self.ansatz_pair is not None and (v1, v2) in (
@@ -480,20 +508,20 @@ class _Plan:
                 if sol is not None and verify_cyt(bundle, sol.kahler_class).verdict:
                     kahler, route = sol.kahler_class, "ansatz"
             if kahler is None:
-                return None
+                return "cyt"
             flags["cyt"] = True
             flags["cyt_route"] = route
 
         if "balanced" in filters:
             f = kahler if kahler is not None else self.balanced_class
             if f is None or not balanced_check(bundle, f):
-                return None
+                return "balanced"
             flags["balanced"] = True
 
         if "topology" in filters:
             cert = topology_certificate(bundle)
             if cert.diffeo_label == UNCLASSIFIED:
-                return None
+                return "topology"
             flags["topology_label"] = cert.diffeo_label
 
         if flags.get("cyt") and not verify_cyt(bundle, kahler).verdict:
@@ -519,7 +547,7 @@ def _start_worker(plan: _Plan) -> None:
     _worker_plan = plan
 
 
-def _worker_chunk(lead: int) -> tuple[list[CatalogRecord], int, int]:
+def _worker_chunk(lead: int) -> tuple[list[CatalogRecord], int, int, dict[str, int]]:
     return _worker_plan.chunk(lead)
 
 
@@ -560,9 +588,12 @@ def search(
     merged: list[CatalogRecord] = []
     seen: set[str] = set()
     visited = skipped = 0
-    for records, chunk_visited, chunk_skipped in results:
+    rejected = dict.fromkeys(REJECT_STAGES, 0)
+    for records, chunk_visited, chunk_skipped, chunk_rejected in results:
         visited += chunk_visited
         skipped += chunk_skipped
+        for stage, count in chunk_rejected.items():
+            rejected[stage] += count
         for rec in records:
             if rec.canonical_key not in seen:
                 seen.add(rec.canonical_key)
@@ -576,5 +607,6 @@ def search(
         exhausted=len(emitted) == len(merged),
         pairs_skipped=skipped,
         cyt_routes=tuple(data.name for data in plan.rays),
+        rejected=rejected,
     )
     return emitted, stats

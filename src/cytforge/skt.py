@@ -59,7 +59,7 @@ def hodge_obstruction(bundle: BundleSpec, f: CohClass) -> SktReport:
     if not is_kahler(base, f).verdict:
         raise NotKahler("f is not certified Kaehler")
     rows = []
-    for w, lam in zip(bundle.curvatures, _traced_sum(bundle, f)[0]):
+    for w, lam in zip(bundle.curvatures, _traced_sum(bundle, f).lambdas):
         c = lam / 2
         p = w - c * f if c != 0 else w
         rows.append(HodgeRow(w, c, p, intersect(base, p, p)))

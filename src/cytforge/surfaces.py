@@ -73,6 +73,17 @@ class CohClass:
         return CohClass(tuple(int(v) if isinstance(v, int) else v for v in values))
 
     @staticmethod
+    def from_cleared(nums: tuple[int, ...], den: int = 1) -> "CohClass":
+        """The class nums / den with its cleared form (nums, den) seeded, so
+        no coefficient is read back: int coefficients when den is 1, else
+        Fractions.  ValueError unless den > 0 and gcd(den, *nums) == 1."""
+        if den <= 0 or gcd(den, *nums) != 1:
+            raise ValueError(f"{den} is not the least positive denominator of {nums}")
+        x = CohClass(nums if den == 1 else tuple(Fraction(v, den) for v in nums))
+        x.__dict__["cleared_form"] = (nums, den)
+        return x
+
+    @staticmethod
     def zero(rank: int) -> "CohClass":
         return CohClass((0,) * rank)
 

@@ -6,12 +6,13 @@ connected spin total spaces with torsion-free cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from math import gcd
+from typing import Optional, Sequence
 
 from .cyt import BundleSpec, c1_bundle_triviality
-from .errors import HypothesesNotMet, WrongFiberRank
+from .errors import HypothesesNotMet, InvariantViolation, WrongFiberRank
 from .intlinalg import IntegerSolver
 from .surfaces import CohClass, SurfaceModel, basis_extension_check, mod2_membership
 
@@ -30,15 +31,64 @@ class SpectralTables:
 
 @dataclass(frozen=True)
 class TopologyCertificate:
+    """The topology verdict for a bundle with two curvature classes.
+    basis_extension, simply_connected_surrogate, spin_mod2 and diffeo_label
+    are decided when it is built.  pairing_snf, alpha, beta and
+    spin_integral are rendered on first read from one IntegerSolver of the
+    pairing matrix, kept; its d1*d2 must equal minors_gcd, else
+    InvariantViolation.  tables is rendered from the decided verdict."""
+
     basis_extension: bool
-    alpha: Optional[CohClass]
-    beta: Optional[CohClass]
-    pairing_snf: tuple[int, ...]
     simply_connected_surrogate: bool
-    spin_integral: bool
     spin_mod2: bool
     diffeo_label: str
-    tables: Optional[SpectralTables]
+    bundle: BundleSpec = field(repr=False)
+    pairing: tuple[tuple[int, ...], ...] = field(repr=False)
+    minors_gcd: int = field(repr=False)
+
+    @cached_property
+    def _solver(self) -> IntegerSolver:
+        solver = IntegerSolver(self.pairing)
+        diag = solver.diagonal
+        product = diag[0] * diag[1] if len(diag) == 2 else 0  # one column: no 2x2 minor
+        if product != self.minors_gcd:
+            raise InvariantViolation(
+                f"pairing matrix with invariant factors {diag}, "
+                f"but the gcd of its 2x2 minors is {self.minors_gcd}"
+            )
+        return solver
+
+    @cached_property
+    def pairing_snf(self) -> tuple[int, ...]:
+        return self._solver.diagonal
+
+    @cached_property
+    def _alpha_beta(self) -> tuple[Optional[CohClass], Optional[CohClass]]:
+        return _witnesses(self._solver) or (None, None)
+
+    @property
+    def alpha(self) -> Optional[CohClass]:
+        return self._alpha_beta[0]
+
+    @property
+    def beta(self) -> Optional[CohClass]:
+        return self._alpha_beta[1]
+
+    @cached_property
+    def spin_integral(self) -> bool:
+        """c1 in the span of the curvature classes: when G is nondegenerate,
+        iff c1 G lies in the row span of P, read off the same solver; a
+        degenerate G falls back to c1_bundle_triviality."""
+        base = self.bundle.base
+        if all(base.gram_factors):
+            return self._solver.in_row_space(base.gram_row(base.c1.as_int_vector()))
+        return c1_bundle_triviality(self.bundle)
+
+    @cached_property
+    def tables(self) -> Optional[SpectralTables]:
+        if self.simply_connected_surrogate and self.basis_extension:
+            return _tables_for_rank(self.bundle.base.rank)
+        return None
 
 
 def _lattice_base(bundle: BundleSpec) -> SurfaceModel:
@@ -111,54 +161,60 @@ def diffeo_label_for(b2_of_total: int) -> str:
     return f"{m}(S²×S⁴) # {m + 1}(S³×S³)"
 
 
+def _minors_gcd(pairing: Sequence[Sequence[int]]) -> int:
+    """gcd of the 2x2 minors of a 2 x n integer matrix, which is d1*d2 for
+    its invariant factors; 0 when n < 2.  Stops at 1."""
+    a, b = pairing
+    g = 0
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        if ai or bi:
+            for aj, bj in zip(a[i + 1 :], b[i + 1 :]):
+                g = gcd(g, ai * bj - aj * bi)
+                if g == 1:
+                    return 1
+    return g
+
+
 def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
-    """Assemble the full topology verdict.  The diffeomorphism label is
-    emitted only when every prerequisite holds: basis extension, pairing
-    witnesses, the surjectivity surrogate for simple connectivity, and the
-    mod-2 spin check; otherwise the label is "unclassified".
+    """Assemble the topology verdict.  The diffeomorphism label is emitted
+    only when every prerequisite holds: basis extension, pairing witnesses,
+    the surjectivity surrogate for simple connectivity, and the mod-2 spin
+    check; otherwise the label is "unclassified".
 
     The simple-connectivity surrogate (pairing matrix of SNF diag(1,1)) stands
     in for the sphere-representative argument, which is not decidable from
     lattice data; it agrees with it on every built-in example.
 
-    Everything integral comes from one Smith normal form, that of the pairing
-    matrix P = W G (rows Q(w_l, .)).  Witnesses exist iff P has invariant
-    factors (1, 1), which is the surrogate itself.  When the Gram matrix G is
-    unimodular, P and W have the same invariant factors (Newman, Integral
-    Matrices, 1972), so basis extension equals the surrogate; on any other
-    model it falls back to basis_extension_check, which factors W itself.
-    When G is nondegenerate, c1 lies in the span of the curvature classes iff
-    c1 G lies in the row span of P, read off the same factorization; a
-    degenerate G falls back to c1_bundle_triviality.
+    The verdict is decided on integers.  P = W G (rows Q(w_l, .)) has
+    invariant factors (1, 1) iff the gcd of its 2x2 minors is 1, which is
+    the surrogate, and pairing witnesses exist iff it holds.  When the Gram
+    matrix G is unimodular, P and W have the same invariant factors (Newman,
+    Integral Matrices, 1972), so basis extension equals the surrogate; on any
+    other model it falls back to basis_extension_check, which factors W
+    itself.  spin_mod2 is one GF(2) span test.  The Smith normal form of P,
+    the witnesses alpha and beta, spin_integral and the tables are rendered
+    when first read (see TopologyCertificate).
     """
     base = _lattice_base(bundle)
     if not base.simply_connected:
         raise HypothesesNotMet("simply_connected_base", f"{base.name} is not simply connected")
-    solver = IntegerSolver(_pairing_matrix(bundle))
-    pair_snf = solver.diagonal
-    surrogate = pair_snf == (1, 1)
-    alpha, beta = _witnesses(solver) or (None, None)
+    pairing = _pairing_matrix(bundle)
+    minors_gcd = _minors_gcd(pairing)
+    surrogate = minors_gcd == 1
 
-    factors = base.gram_factors
-    if all(d == 1 for d in factors):
+    if all(d == 1 for d in base.gram_factors):
         extension = surrogate
     else:
         extension = basis_extension_check(base, bundle.curvatures)
-    if all(factors):
-        spin_integral = solver.in_row_space(base.gram_row(base.c1.as_int_vector()))
-    else:
-        spin_integral = c1_bundle_triviality(bundle)
     spin_mod2 = mod2_membership(base, base.c1, bundle.curvatures)
 
     classified = surrogate and extension
     return TopologyCertificate(
         basis_extension=extension,
-        alpha=alpha,
-        beta=beta,
-        pairing_snf=pair_snf,
         simply_connected_surrogate=surrogate,
-        spin_integral=spin_integral,
         spin_mod2=spin_mod2,
         diffeo_label=diffeo_label_for(base.rank - 2) if classified and spin_mod2 else UNCLASSIFIED,
-        tables=_tables_for_rank(base.rank) if classified else None,
+        bundle=bundle,
+        pairing=tuple(map(tuple, pairing)),
+        minors_gcd=minors_gcd,
     )

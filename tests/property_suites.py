@@ -28,7 +28,7 @@ from cytforge.cyt import (
     verify_cyt,
 )
 from cytforge.errors import NotKahler, NotPositiveRay, NullClass
-from cytforge.intlinalg import mat_mul, mat_vec, snf, solve_integer_linear
+from cytforge.intlinalg import IntegerSolver, mat_mul, mat_vec, snf, solve_integer_linear
 from cytforge.scalars import exact_div, exact_sign, is_rational, quadratic, ratio_of
 from cytforge.search import SearchQuery, canonical_form, search
 from cytforge.skt import hodge_obstruction, verify_skt
@@ -41,7 +41,7 @@ from cytforge.surfaces import (
     projective_plane,
     quadric,
 )
-from cytforge.topology import topology_certificate
+from cytforge.topology import spectral_tables, topology_certificate
 
 SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 15, 114)
 
@@ -379,23 +379,35 @@ def check_integer_intersect(data) -> None:
 @KERNEL_SETTINGS
 @given(st.data())
 def check_traced_sum(data) -> None:
-    """Traces and traced sum from the integer row equal the class-by-class
-    scalar loop, value and type, and both raise NullClass when Q(f,f) = 0."""
+    """Traces, traced sum and Q(f,f) from the integer row equal the
+    class-by-class scalar loop, value and type, and so do the decisions read
+    from the integer numerators: the trace-free flags, the defect test and
+    the ratio to c1.  c1 is the model's, a random rational class, or the
+    traced sum itself, so that the defect vanishes against a c1 with
+    fractional coefficients.  Both raise NullClass when Q(f,f) = 0."""
     model = data.draw(surface_models())
     count = data.draw(st.sampled_from((2, 4)))
     ws = tuple(data.draw(classes(model.rank, _integral)) for _ in range(count))
     f = data.draw(classes(model.rank))
-    try:
-        got = _traced_sum(BundleSpec(model, ws), f)
-    except NullClass:
-        got = None
-    try:
-        want = _traced_sum(BundleSpec(scalar_twin(model), ws), f)
-    except NullClass:
-        want = None
+    c1 = data.draw(st.sampled_from(("model", "random", "traced")))
+    if c1 == "random":
+        model = custom_model("rational_c1", model.gram, data.draw(classes(model.rank)).coeffs)
+    elif c1 == "traced":
+        traced = _traced_fields(BundleSpec(scalar_twin(model), ws), f)
+        if traced is not None:
+            model = custom_model("traced_c1", model.gram, traced[1].coeffs)
+    got, want = (_traced_fields(BundleSpec(m, ws), f) for m in (model, scalar_twin(model)))
     assert got == want
     if got is not None:
         assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]
+
+
+def _traced_fields(bundle, f):
+    try:
+        t = _traced_sum(bundle, f)
+    except NullClass:
+        return None
+    return t.lambdas, t.traced, t.ff, t.ff_sign(), t.trace_free, t.defect_zero(), t.scale()
 
 
 # -- trace readers against the class-by-class reference ----------------------
@@ -638,3 +650,116 @@ def check_cone_kernel(data) -> None:
         st.sampled_from((None, None, 2 * model.ample_witness)) | classes(model.rank, _integral)
     )
     assert _certificate_fields(is_kahler(model, f, witness)) == _reference_cone(model, f, witness)
+
+
+# -- rendered certificate fields against Fraction and SNF references ----------
+#
+# verify_cyt and topology_certificate decide on integers and render their
+# document fields on first read.  The references build each field from its
+# definition: traces and the defect in plain Fraction arithmetic over the
+# Gram matrix, the invariant factors from intlinalg.snf, the witnesses and
+# c1's membership in the curvature span from IntegerSolver, and the tables
+# from the separately checked hypotheses.
+
+NON_UNIMODULAR = custom_model(
+    "diag2", [[2, 0, 0], [0, -1, 0], [0, 0, -1]], [1, 1, 1], curves=[], ample_witness=[1, 0, 0], simply_connected=True
+)
+
+
+@lru_cache(maxsize=None)
+def _cyt_record_pairs(k: int) -> tuple:
+    """The pairs of a bound-3 cyt search on the blow-up at k points: their
+    defect vanishes at the solved class and not at c1 unless s = 1."""
+    records, _ = search(SearchQuery(blowup_cp2(k), 3, frozenset({"cyt"})), threads=1)
+    return tuple((CohClass.of(r.omega1), CohClass.of(r.omega2)) for r in records)
+
+
+@st.composite
+def box_bundles(draw):
+    """A blow-up at 3..8 points, or the model of Gram diag(2,-1,-1), with a
+    random pair from the box [-3, 3]; on a blow-up, one draw in three is a
+    pair a cyt search found instead."""
+    model = draw(st.sampled_from([NON_UNIMODULAR] + [blowup_cp2(k) for k in range(3, 9)]))
+    if model is not NON_UNIMODULAR and draw(st.integers(0, 2)) == 0:
+        return model, draw(st.sampled_from(_cyt_record_pairs(model.rank - 1)))
+    box = st.lists(st.integers(-3, 3), min_size=model.rank, max_size=model.rank).map(CohClass.of)
+    return model, (draw(box), draw(box))
+
+
+def _reference_topology(model, ws) -> dict:
+    rows = [[int(_oracle_pairing(model, w, e)) for e in _unit_classes(model.rank)] for w in ws]
+    diag = snf(rows).diagonal
+    solver = IntegerSolver(rows)
+    alpha = beta = None
+    if diag == (1, 1):
+        alpha, beta = (CohClass.of(solver.solve(t)) for t in ([1, 0], [0, 1]))
+    columns = [[w.coeffs[i] for w in ws] for i in range(model.rank)]
+    bundle = BundleSpec(model, ws)
+    extends = all(d == 1 for d in snf([w.as_int_vector() for w in ws]).diagonal)
+    return {
+        "pairing_snf": diag,
+        "alpha": alpha,
+        "beta": beta,
+        "spin_integral": IntegerSolver(columns).solve(model.c1.as_int_vector()) is not None,
+        "tables": spectral_tables(bundle) if diag == (1, 1) and extends else None,
+    }
+
+
+def _unit_classes(rank: int) -> list[CohClass]:
+    return [CohClass.of([int(i == j) for j in range(rank)]) for i in range(rank)]
+
+
+def _reference_cyt(model, ws, f) -> dict:
+    ff = _oracle_pairing(model, f, f)
+    if ff == 0:
+        return {"lambdas": (), "defect": model.c1.coeffs, "solved_scale": None}
+    lambdas = tuple(2 * _oracle_pairing(model, w, f) / ff for w in ws)
+    traced = [sum((lam * w.coeffs[j] for lam, w in zip(lambdas, ws)), Fraction(0)) for j in range(model.rank)]
+    defect = tuple(c - t for c, t in zip(model.c1.coeffs, traced))
+    scale = None
+    if any(defect) and ff > 0:
+        t = ratio_of(traced, model.c1.coeffs)
+        scale = t if t is not None and t > 0 else None
+    return {"lambdas": lambdas, "defect": defect, "solved_scale": scale}
+
+
+def _kahler_candidates(model, ws) -> list[CohClass]:
+    """c1 and a multiple of it (the anticanonical ray, Kaehler below 9
+    points), the model's witness, the solved class when the ray admits one,
+    and a random-looking rational class."""
+    out = [model.c1, Fraction(2, 3) * model.c1, model.ample_witness]
+    bundle = BundleSpec(model, ws)
+    for ray in (model.c1, model.ample_witness):
+        try:
+            s = solve_scale(bundle, ray)
+        except NotPositiveRay:
+            continue
+        if s is not None:
+            out.append(s * ray)
+    out.append(CohClass(tuple(Fraction(3 * i + 1, 2 + i) * (-1) ** i for i in range(model.rank))))
+    return out
+
+
+@KERNEL_SETTINGS
+@given(box_bundles())
+def check_rendered_fields(case) -> None:
+    """Every field a topology or CYT certificate renders on read equals the
+    reference, value and type: pairing_snf, alpha, beta, spin_integral and
+    tables; lambdas, defect and solved_scale for each candidate class."""
+    model, ws = case
+    bundle = BundleSpec(model, ws)
+    cert = topology_certificate(bundle)
+    rendered = {name: getattr(cert, name) for name in ("pairing_snf", "alpha", "beta", "spin_integral", "tables")}
+    assert rendered == _reference_topology(model, ws)
+    assert cert.simply_connected_surrogate == (rendered["pairing_snf"] == (1, 1))
+    for f in _kahler_candidates(model, ws):
+        cyt_cert = verify_cyt(bundle, f)
+        want = _reference_cyt(model, ws, f)
+        assert cyt_cert.lambdas == want["lambdas"]
+        assert all(type(lam) is Fraction for lam in cyt_cert.lambdas)
+        assert cyt_cert.defect.coeffs == want["defect"]
+        assert cyt_cert.defect_zero == (not any(want["defect"]) and cyt_cert.reason != "null_class")
+        types = [Fraction if any(want["lambdas"]) else type(c) for c in model.c1.coeffs]
+        assert [type(c) for c in cyt_cert.defect.coeffs] == types
+        assert cyt_cert.solved_scale == want["solved_scale"]
+        assert type(cyt_cert.solved_scale) in (Fraction, type(None))

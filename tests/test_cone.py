@@ -211,9 +211,9 @@ def test_an_irrational_class_renders_its_checks_at_once(monkeypatch):
 
 def test_a_corrupted_row_fails_the_rendered_cross_check(monkeypatch):
     m = blowup_cp2(3)
-    curves, rows = cone._curve_rows(m)
+    curves, rows, _ = cone._curve_rows(m)
     flipped = (tuple(-g for g in rows[0]),) + rows[1:]
-    monkeypatch.setattr(cone, "_curve_rows", lambda model: (curves, flipped))
+    monkeypatch.setattr(cone, "_curve_rows", lambda model: (curves, flipped, {}))
     cert = is_kahler(m, m.c1)
     assert not cert.verdict
     with pytest.raises(InvariantViolation, match="integer row gave the sign -1"):

@@ -18,7 +18,7 @@ from cytforge.cyt import (
     solve_symmetric_ansatz,
     verify_cyt,
 )
-from cytforge.errors import InvalidBundle, NotPositiveRay, NullClass, RankMismatch
+from cytforge.errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass, RankMismatch
 from cytforge.scalars import exact_sign, quadratic
 from cytforge.surfaces import (
     CohClass,
@@ -324,3 +324,35 @@ def test_kahler_class_of_the_wrong_rank_is_rejected():
         for check in (cyt_defect, verify_cyt, solve_scale, balanced_check, primitive_route_check):
             with pytest.raises(RankMismatch, match=f"classes of rank {f.rank}/{f.rank} on a rank-3 model"):
                 check(bundle, f)
+
+
+def test_a_verdict_renders_no_fraction_and_a_read_renders_once(monkeypatch):
+    m, bundle = dp2_bundle()
+    renders = []
+
+    def counted(name):
+        func = vars(cyt._LatticeTraces)[name].func
+        return property(lambda self: renders.append(name) or func(self))
+
+    for name in ("lambdas", "traced"):
+        monkeypatch.setattr(cyt._LatticeTraces, name, counted(name))
+    cert = verify_cyt(bundle, 2 * m.c1)
+    assert cert.verdict and cert.defect_zero and cert.solved_scale is None
+    assert renders == []
+    assert cert.lambdas == (1, 0) and cert.defect.is_zero()
+    assert cert.lambdas == (1, 0) and cert.defect.is_zero()
+    assert renders == ["lambdas", "traced"]
+    scaled = verify_cyt(bundle, m.c1)  # solves only at twice this class
+    assert not scaled.defect_zero and scaled.solved_scale == 2 and len(renders) == 2
+
+
+def test_a_wrong_rendered_defect_fails_the_read(monkeypatch):
+    m, bundle = dp2_bundle()
+    solved, scaled = verify_cyt(bundle, 2 * m.c1), verify_cyt(bundle, m.c1)
+    assert solved.defect_zero and not scaled.defect_zero
+    monkeypatch.setattr(cyt._LatticeTraces, "traced", property(lambda self: CohClass.zero(3)))
+    with pytest.raises(InvariantViolation, match="against defect_zero=True"):
+        solved.defect
+    monkeypatch.setattr(cyt._LatticeTraces, "traced", property(lambda self: self.bundle.base.c1))
+    with pytest.raises(InvariantViolation, match="against defect_zero=False"):
+        scaled.defect

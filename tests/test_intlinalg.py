@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -155,6 +155,23 @@ def test_gf2_span():
     assert gf2_in_span([0, 0, 0], [])
     assert gf2_in_span([2, 4, 6], [])  # even vectors vanish mod 2
     assert gf2_in_span([1, 1, 0], [[1, 0, 0], [0, 1, 0]])
+
+
+def test_gf2_span_matches_every_combination():
+    # the span mod 2 is the set of sums of subsets of the vectors
+    rng = random.Random(53)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        target = [rng.randint(-3, 3) for _ in range(n)]
+        if span and rng.random() < 0.3:  # a member: a subset sum plus even noise
+            subset = [v for v in span if rng.random() < 0.5]
+            target = [2 * rng.randint(-2, 2) + sum(v[i] for v in subset) for i in range(n)]
+        members = {
+            tuple(sum(v[i] for v, on in zip(span, pick) if on) % 2 for i in range(n))
+            for pick in product((0, 1), repeat=len(span))
+        }
+        assert gf2_in_span(target, span) == (tuple(t % 2 for t in target) in members)
 
 
 def test_solver_residual_check_is_explicit(monkeypatch):

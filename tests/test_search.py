@@ -7,7 +7,7 @@ import pytest
 from cytforge.catalog import VerdictFlags
 from cytforge.cyt import BundleSpec, verify_cyt
 from cytforge.errors import BoundTooLarge
-from cytforge.search import SearchQuery, canonical_form, resolve_threads, search
+from cytforge.search import REJECT_STAGES, SearchQuery, canonical_form, resolve_threads, search
 from cytforge.skt import verify_skt
 from cytforge.surfaces import CohClass, blowup_cp2, custom_model, parse_class, quadric
 from cytforge.topology import UNCLASSIFIED, topology_certificate
@@ -546,39 +546,47 @@ def test_stats_name_the_cyt_routes_kept():
 NULL_C1 = custom_model("null_c1", [[0, 1], [1, 0]], [1, 0])  # Q(c1,c1) = 0: nothing is balanced
 
 
-def _brute_records(model, bound, filters, ray=None):
+def _brute_stage(model, filters, v1, v2, ray=None):
+    """The first filter that rejects the pair, decided from its definition,
+    or its flags when every filter passes."""
     c1, gram = model.c1.as_int_vector(), model.gram
     f = ray.as_int_vector() if ray is not None else c1
 
     def pair(x, y):
         return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
 
+    flags = {}
+    if "spin" in filters:
+        # c1 is 0, v1, v2 or v1 + v2 mod 2
+        if not any(
+            all((c - a * x - b * y) % 2 == 0 for c, x, y in zip(c1, v1, v2)) for a in (0, 1) for b in (0, 1)
+        ):
+            return "spin"
+        flags["spin"] = True
+    if "balanced" in filters:
+        # a trace against f vanishes iff the pairing with f does
+        if pair(f, f) == 0 or pair(v1, f) or pair(v2, f):
+            return "balanced"
+        flags["balanced"] = True
+    if "topology" in filters:
+        label = topology_certificate(BundleSpec(model, (CohClass.of(v1), CohClass.of(v2)))).diffeo_label
+        if label == UNCLASSIFIED:
+            return "topology"
+        flags["topology_label"] = label
+    return VerdictFlags(**flags)
+
+
+def _brute_records(model, bound, filters, ray=None):
     box = list(itertools.product(range(-bound, bound + 1), repeat=model.rank))
     seen, out = set(), []
     for v1, v2 in itertools.product(box, repeat=2):
-        flags = {}
-        if "spin" in filters:
-            # c1 is 0, v1, v2 or v1 + v2 mod 2
-            if not any(
-                all((c - a * x - b * y) % 2 == 0 for c, x, y in zip(c1, v1, v2)) for a in (0, 1) for b in (0, 1)
-            ):
-                continue
-            flags["spin"] = True
-        if "balanced" in filters:
-            # a trace against f vanishes iff the pairing with f does
-            if pair(f, f) == 0 or pair(v1, f) or pair(v2, f):
-                continue
-            flags["balanced"] = True
-        w1, w2 = CohClass.of(v1), CohClass.of(v2)
-        if "topology" in filters:
-            label = topology_certificate(BundleSpec(model, (w1, w2))).diffeo_label
-            if label == UNCLASSIFIED:
-                continue
-            flags["topology_label"] = label
-        key = canonical_form(model, w1, w2)
+        flags = _brute_stage(model, filters, v1, v2, ray)
+        if isinstance(flags, str):
+            continue
+        key = canonical_form(model, CohClass.of(v1), CohClass.of(v2))
         if key not in seen:
             seen.add(key)
-            out.append((v1, v2, key, VerdictFlags(**flags)))
+            out.append((v1, v2, key, flags))
     return out
 
 
@@ -621,3 +629,75 @@ def test_box_balanced_search_tests_against_the_ray():
     for threads in (1, 2):
         records, _ = search(q, threads=threads)
         assert [(r.omega1, r.omega2, r.canonical_key, r.flags) for r in records] == want, threads
+
+
+@pytest.mark.parametrize("model,filters", BOX_SEARCH_CASES, ids=lambda v: "+".join(v) if isinstance(v, tuple) else v.name)
+def test_reject_counts_match_the_brute_force_stages(monkeypatch, model, filters):
+    evaluated = []
+    evaluate = search_module._Plan.evaluate
+
+    def recorded(plan, v1, v2, key):
+        evaluated.append((v1, v2))
+        return evaluate(plan, v1, v2, key)
+
+    q = SearchQuery(model=model, coeff_bound=1, filters=frozenset(filters))
+    parallel = search(q, threads=2)[1]
+    monkeypatch.setattr(search_module._Plan, "evaluate", recorded)
+    records, serial = search(q, threads=1)
+    want = dict.fromkeys(REJECT_STAGES, 0)
+    for v1, v2 in evaluated:
+        stage = _brute_stage(model, filters, v1, v2)
+        if isinstance(stage, str):
+            want[stage] += 1
+    for stats in (serial, parallel):
+        assert stats.rejected == want
+        assert list(stats.rejected) == list(REJECT_STAGES)
+        # every visited pair is skipped, rejected by one stage or a record
+        assert sum(stats.rejected.values()) + stats.records_emitted + stats.pairs_skipped == stats.pairs_evaluated
+    assert len(evaluated) == sum(want.values()) + len(records)
+
+
+@pytest.mark.parametrize(
+    "model,filters,busy",
+    [(blowup_cp2(5), ("cyt", "topology", "spin"), ("spin", "topology")), (quadric(), ("cyt", "skt"), ("skt",))],
+    ids=["k5", "quadric"],
+)
+def test_solver_search_rejects_add_up_over_chunks(model, filters, busy):
+    q = SearchQuery(model=model, coeff_bound=3, filters=frozenset(filters))
+    serial, parallel = (search(q, threads=t)[1] for t in (1, 2))
+    assert serial.rejected == parallel.rejected
+    # the solver only proposes pairs on the cyt locus, so cyt rejects none
+    assert [stage for stage, count in serial.rejected.items() if count] == list(busy)
+    assert sum(serial.rejected.values()) + serial.records_emitted + serial.pairs_skipped == serial.pairs_evaluated
+
+
+def test_a_verdict_search_renders_no_documents(monkeypatch):
+    from collections import Counter
+
+    from cytforge import cone, cyt, intlinalg
+    from cytforge.topology import TopologyCertificate
+
+    model = blowup_cp2(5)
+    model.gram_factors  # the Gram matrix is factored once per model, not per pair
+    cone._curve_rows.cache_clear()  # a fresh sign memo for this model
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(intlinalg, "snf", counted("snf", intlinalg.snf))
+    monkeypatch.setattr(intlinalg.IntegerSolver, "__init__", counted("solver", intlinalg.IntegerSolver.__init__))
+    monkeypatch.setattr(cone, "_row_signs", counted("curve signs", cone._row_signs))
+    renders = ((cyt._LatticeTraces, "lambdas"), (cyt._LatticeTraces, "traced"), (cyt.CytCertificate, "defect"),
+               (TopologyCertificate, "_solver"))
+    for cls, name in renders:
+        monkeypatch.setattr(cls, name, property(counted(name, vars(cls)[name].func)))
+    records, stats = search(SearchQuery(model, 3, frozenset({"cyt", "topology", "spin"})), threads=1)
+    assert len(records) == 346 and stats.cyt_routes == ("anticanonical_ray",)
+    # the plan's ray check computes the signs of the ray; every record's
+    # class is a positive multiple of it
+    assert counts == {"curve signs": 1}

@@ -181,6 +181,17 @@ def test_cleared_form_leaves_equality_hash_and_pickles_alone():
         assert back.cleared_form == x.cleared_form
 
 
+def test_a_seeded_cleared_form_is_the_one_the_coefficients_give():
+    for nums, den in (((3, -1, -1), 1), ((3, -2, 0), 4), ((0, 5), 7)):
+        x = CohClass.from_cleared(nums, den)
+        assert x.cleared_form == (nums, den) == CohClass(x.coeffs).cleared_form
+        assert x == CohClass(tuple(Fraction(n, den) for n in nums))
+        assert all(type(c) is (int if den == 1 else Fraction) for c in x.coeffs)
+    for nums, den in (((2, 4), 2), ((1, 0), 0), ((1, 0), -1)):
+        with pytest.raises(ValueError, match="least positive denominator"):
+            CohClass.from_cleared(nums, den)
+
+
 def test_empty_gram_or_c1_is_rejected(tmp_path):
     with pytest.raises(CytForgeError, match="'gram' must not be empty"):
         custom_model("x", [], [])

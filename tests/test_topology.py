@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import property_suites
+from cytforge import intlinalg
 from cytforge.cyt import BundleSpec, c1_bundle_triviality, solve_symmetric_ansatz
-from cytforge.errors import HypothesesNotMet, WrongFiberRank
+from cytforge.errors import HypothesesNotMet, InvariantViolation, WrongFiberRank
 from cytforge.surfaces import (
     CohClass,
     basis_extension_check,
@@ -267,3 +269,45 @@ def test_one_snf_certificate_matches_the_separate_checks(model):
         if witnesses:
             assert pairings(model, bundle, cert.alpha) == [1, 0]
             assert pairings(model, bundle, cert.beta) == [0, 1]
+
+
+def test_rendered_fields_match_the_snf_and_fraction_references():
+    property_suites.check_rendered_fields()
+
+
+def test_a_label_builds_no_solver_and_a_read_builds_one(monkeypatch):
+    m = blowup_cp2(5)
+    bundle = BundleSpec(m, (m.c1, parse_class(m, "E1-E2")))
+    m.gram_factors  # one SNF of the Gram matrix per model, not per certificate
+    calls = {"snf": 0, "solver": 0}
+    snf, init = intlinalg.snf, intlinalg.IntegerSolver.__init__
+
+    def counted_snf(mat):
+        calls["snf"] += 1
+        return snf(mat)
+
+    def counted_init(self, mat):
+        calls["solver"] += 1
+        init(self, mat)
+
+    monkeypatch.setattr(intlinalg, "snf", counted_snf)
+    monkeypatch.setattr(intlinalg.IntegerSolver, "__init__", counted_init)
+    cert = topology_certificate(bundle)
+    assert cert.diffeo_label == diffeo_label_for(4) and cert.simply_connected_surrogate
+    assert calls == {"snf": 0, "solver": 0}
+    assert cert.pairing_snf == (1, 1)
+    assert calls == {"snf": 1, "solver": 1}
+    assert pairings(m, bundle, cert.alpha) == [1, 0] and pairings(m, bundle, cert.beta) == [0, 1]
+    assert cert.spin_integral and cert.pairing_snf == (1, 1)
+    assert calls == {"snf": 1, "solver": 1}
+
+
+def test_an_snf_that_disagrees_with_the_minors_fails_the_read(monkeypatch):
+    m = blowup_cp2(5)
+    cert = topology_certificate(BundleSpec(m, (m.c1, parse_class(m, "E1-E2"))))
+    snf = intlinalg.snf
+    monkeypatch.setattr(intlinalg, "snf", lambda mat: snf(mat)._replace(diagonal=(1, 2)))
+    with pytest.raises(InvariantViolation, match=r"invariant factors \(1, 2\), but the gcd of its 2x2 minors is 1"):
+        cert.pairing_snf
+    with pytest.raises(InvariantViolation):
+        cert.alpha  # every rendered field reads the checked solver
