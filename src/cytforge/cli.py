@@ -32,7 +32,7 @@ from .skt import hodge_obstruction, verify_skt
 from .surfaces import SurfaceModel, parse_class, resolve_model
 from .topology import UNCLASSIFIED, topology_certificate
 
-_CLASS_FLAGS = {"--omega", "--kahler", "--class", "--ray"}
+_CLASS_FLAGS = {"--omega", "--kahler", "--class", "--ray", "--witness"}
 
 
 def _absorb_negative_values(argv: list[str]) -> list[str]:

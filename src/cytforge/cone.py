@@ -4,17 +4,17 @@ self-intersection, and positivity against an ample witness.  Every inequality
 is decided by exact sign computation and recorded in a certificate.
 
 The curves a class is checked against are listed once per model, with their
-integer Gram rows G.n_C (n_C the curve's cleared numerators).  For a rational
-class F = n/d, d > 0, the sign of F.C is the sign of the integer dot product
-n.(G.n_C), so the verdict comes from integer signs alone.  Those signs
-depend only on the direction of n, so each model keeps a small memo of
-them keyed on the primitive vector of n; a search rechecking s * R for
-many scales s computes them once per ray.  Q(F,F) and the ample-witness
-pairing are one `intersect` call each, on every call.  The per-curve values of
-a certificate are rendered on first read of `curve_checks`, one `intersect`
-call per curve, and each value's sign is checked against the integer sign.  A
-class with a Q(sqrt(d)) coefficient is paired curve by curve in exact scalar
-arithmetic, and its checks are rendered at once.
+Gram rows G.n_C (n_C the curve's cleared numerators).  For a class F = n/d,
+d > 0, the sign of F.C is the sign of the dot product n.(G.n_C): integer
+numerators for a rational class, the coefficients over 1 for a class with a
+Q(sqrt(d)) coefficient, so the verdict comes from one row per curve.  For
+a rational class those signs depend only on the direction of n, so each
+model keeps a small memo of them keyed on the primitive vector of n; a
+search rechecking s * R for many scales s computes them once per ray.
+Q(F,F) and the ample-witness pairing are one `intersect` call each, on
+every call.  The per-curve values of a certificate are rendered on first
+read of `curve_checks`, one `intersect` call per curve, and each value's
+sign is checked against the sign the verdict read.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .surfaces import (
     REGIME_RULINGS,
     CohClass,
     SurfaceModel,
+    exact_dot,
     intersect,
 )
 
@@ -52,9 +53,9 @@ class ConeCertificate:
 
     curve_signs holds the sign of F.C for each curve, in order.  The
     CurveCheck values are rendered on first read of curve_checks, one
-    `intersect` call per curve, and kept; a value whose sign disagrees with
-    curve_signs raises InvariantViolation.  A verdict read alone renders
-    nothing."""
+    `intersect` call per curve, and kept; a value whose exact sign disagrees
+    with curve_signs raises InvariantViolation.  A verdict read alone
+    renders nothing."""
 
     self_intersection: Scalar
     self_sign: int
@@ -74,7 +75,7 @@ class ConeCertificate:
         checks = []
         for curve, sign in zip(self.curves, self.curve_signs):
             value = intersect(self.model, self.kahler_class, curve)
-            if (value > 0) - (value < 0) != sign:  # an int or a Fraction here
+            if exact_sign(value) != sign:
                 raise InvariantViolation(
                     f"F.C = {value} against the curve {list(curve.coeffs)}, "
                     f"but its integer row gave the sign {sign}"
@@ -143,31 +144,34 @@ def _curves_for(model: SurfaceModel) -> tuple[CohClass, ...]:
 @lru_cache(maxsize=None)
 def _curve_rows(
     model: SurfaceModel,
-) -> tuple[tuple[CohClass, ...], Optional[tuple[tuple[int, ...], ...]], dict]:
+) -> tuple[tuple[CohClass, ...], tuple[tuple[Scalar, ...], ...], dict]:
     """The curves is_kahler checks a class against, in certificate order (the
-    negative curves, or the two rulings of the quadric), with their integer
-    Gram rows G.n_C and an empty memo for _curve_signs.  The rows are None
-    when a curve has a Q(sqrt(d)) coefficient or the wrong rank; the scalar
-    loop then pairs, or raises."""
+    negative curves, or the two rulings of the quadric), with their Gram
+    rows G.n_C and an empty memo for _curve_signs.  A curve with a
+    Q(sqrt(d)) coefficient has its coefficients for n_C; a curve of the
+    wrong rank raises RankMismatch."""
     if model.curve_regime == REGIME_RULINGS:
         curves: tuple[CohClass, ...] = (CohClass.of([1, 0]), CohClass.of([0, 1]))
     else:
         curves = _curves_for(model)
-    forms = [c.cleared_form for c in curves]
-    if any(form is None or len(form[0]) != model.rank for form in forms):
-        return curves, None, {}
-    return curves, tuple(tuple(model.gram_row(n)) for n, _ in forms), {}
+    rows = []
+    for c in curves:
+        if c.rank != model.rank:
+            raise RankMismatch(f"classes of rank {model.rank}/{c.rank} on a rank-{model.rank} model")
+        n, _ = c.cleared_form or (c.coeffs, 1)
+        rows.append(tuple(model.gram_row(n)))
+    return curves, tuple(rows), {}
 
 
 _SIGN_MEMO_SIZE = 8  # sign vectors kept per model; the oldest goes first
 
 
-def _row_signs(n: Sequence[int], rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _row_signs(n: Sequence[int], rows: tuple[tuple[Scalar, ...], ...]) -> tuple[int, ...]:
     """The sign of n.(G.n_C) for each curve row."""
     return tuple([(v > 0) - (v < 0) for v in [sum(map(mul, n, row)) for row in rows]])
 
 
-def _curve_signs(n: Sequence[int], rows: tuple[tuple[int, ...], ...], memo: dict) -> tuple[int, ...]:
+def _curve_signs(n: Sequence[int], rows: tuple[tuple[Scalar, ...], ...], memo: dict) -> tuple[int, ...]:
     """_row_signs of n, memoised on the primitive vector of n: a positive
     multiple of n has the same signs, so a search that rechecks s * R for
     many scales s computes them once per ray."""
@@ -214,13 +218,13 @@ def positively_proportional(x: CohClass, y: CohClass) -> bool:
 def is_kahler(
     model: SurfaceModel, f: CohClass, witness: Optional[CohClass] = None
 ) -> ConeCertificate:
-    """Certified cone membership for the class f.  For a rational f = n/d the
-    sign of each curve pairing is the sign of n.(G.n_C) against the model's
-    cached rows, memoised on the primitive vector of n (_curve_signs), and
-    the verdict reads those signs with Q(F,F) and the ample pairing, which
-    are computed on every call; the curve values are
-    rendered only when curve_checks is read.  A class with a Q(sqrt(d))
-    coefficient is paired with every curve through `intersect` here."""
+    """Certified cone membership for the class f.  The sign of each curve
+    pairing is the sign of n.(G.n_C) against the model's cached rows: for a
+    rational f = n/d memoised on the primitive vector of n (_curve_signs),
+    for a class with a Q(sqrt(d)) coefficient (n its coefficients) decided
+    by exact_sign.  The verdict reads those signs with Q(F,F) and the ample
+    pairing, which are computed on every call; the curve values are
+    rendered only when curve_checks is read."""
     if not isinstance(model, SurfaceModel):
         raise CytForgeError("cone checks need a full lattice model")
     if f.rank != model.rank:
@@ -230,13 +234,8 @@ def is_kahler(
 
     curves, rows, memo = _curve_rows(model)
     form = f.cleared_form
-    checks = None
-    if form is None or rows is None:
-        checks = []
-        for curve in curves:
-            value = intersect(model, f, curve)
-            checks.append(CurveCheck(curve, value, exact_sign(value)))
-        signs = tuple(c.sign for c in checks)
+    if form is None:
+        signs = tuple(exact_sign(exact_dot(f.coeffs, row)) for row in rows)
     else:
         signs = _curve_signs(form[0], rows, memo)
 
@@ -250,7 +249,7 @@ def is_kahler(
     ample_value = intersect(model, f, witness)
     ample_sign = exact_sign(ample_value)
 
-    cert = ConeCertificate(
+    return ConeCertificate(
         self_intersection=self_int,
         self_sign=self_sign,
         ample_witness=witness,
@@ -267,6 +266,3 @@ def is_kahler(
         curves=curves,
         curve_signs=signs,
     )
-    if checks is not None:
-        cert.__dict__["curve_checks"] = tuple(checks)  # rendered by the scalar loop
-    return cert

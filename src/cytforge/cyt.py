@@ -22,18 +22,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Optional, Union
+from typing import Iterable, Optional
 
 from . import intlinalg
 from .cone import ConeCertificate, is_kahler, positively_proportional
 from .errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass, RankMismatch
-from .scalars import Scalar, exact_div, exact_sign, ratio_terms, solve_quadratic
+from .scalars import Scalar, exact_div, exact_sign, is_rational, ratio_terms, solve_quadratic
 from .surfaces import (
     CohClass,
     Model,
     PairingFunctionalModel,
     SurfaceModel,
     blowup_cp2,
+    exact_dot,
     intersect,
 )
 
@@ -66,106 +67,79 @@ def lambda_trace(model: Model, omega: CohClass, f: CohClass) -> Scalar:
     return exact_div(BASE_COMPLEX_DIMENSION * intersect(model, omega, f), ff)
 
 
-class _ScalarTraces:
-    """The traces trace_l = 2 Q(w_l,f) / Q(f,f) and their sum, formed class
-    by class in exact scalar arithmetic when built: the path for
-    pairing-table models and classes with a Q(sqrt(d)) coefficient.  Like
-    _LatticeTraces it answers the decisions (ff_sign, trace_free,
-    defect_zero, scale) and holds lambdas, traced and ff for documents."""
+class _Traces:
+    """The traces of the curvature classes against f = n/d, from their
+    pairings t_l = Q(w_l, n) and nn = Q(n, n):
 
-    def __init__(self, bundle: BundleSpec, f: CohClass):
-        base = bundle.base
-        ff = intersect(base, f, f)
-        if ff == 0:
-            raise NullClass("Q(F,F) = 0")
-        self.bundle, self.ff = bundle, ff
-        self.lambdas = tuple(
-            exact_div(BASE_COMPLEX_DIMENSION * intersect(base, w, f), ff) for w in bundle.curvatures
-        )
-        self.trace_free = tuple(lam == 0 for lam in self.lambdas)
-
-    @cached_property
-    def traced(self) -> CohClass:
-        traced = CohClass.zero(self.bundle.base.rank)
-        for lam, w in zip(self.lambdas, self.bundle.curvatures):
-            if lam != 0:
-                traced = traced + lam * w
-        return traced
-
-    def ff_sign(self) -> int:
-        return exact_sign(self.ff)
-
-    def defect_zero(self) -> bool:
-        return (self.bundle.base.c1 - self.traced).is_zero()
-
-    def scale(self) -> Optional[Scalar]:
-        """The rational t > 0 with traced = t * c1, else None."""
-        return self.traced.positive_ratio(self.bundle.base.c1)
-
-
-class _LatticeTraces:
-    """The traces against a rational f = n/d on a SurfaceModel, decided on
-    integers.  The row G n is formed once; with t_l = w_l . G n,
-
-        nums[l] = 2 d t_l,   summed = sum(nums[l] * w_l),   nn = n . G n,
+        nums[l] = 2 d t_l,   summed = sum(nums[l] * w_l),
 
     trace_l = nums[l] / nn, the traced sum is summed / nn and Q(f,f) = nn / d^2.
-    With c1 = m / e the defect vanishes iff e * summed == nn * m.  lambdas
-    and traced, the Fraction values, are rendered on first read."""
+    With c1 = m / e the defect vanishes iff e * summed == nn * m.  The same
+    formulas run on integers for a rational f on a SurfaceModel and in
+    exact scalars otherwise.  lambdas and traced are rendered on first
+    read.  NullClass when nn = 0, before a pairing is read: a pairing
+    table may leave an entry of a later pairing undeclared."""
 
-    def __init__(self, bundle: BundleSpec, n: tuple[int, ...], d: int):
-        row = bundle.base.gram_row(n)
-        nn = sum(map(mul, n, row))
+    def __init__(self, bundle: BundleSpec, pairings: Iterable[Scalar], nn: Scalar, d: int):
         if nn == 0:
             raise NullClass("Q(F,F) = 0")
         self.bundle, self.nn = bundle, nn
         self.ff = nn if d == 1 else Fraction(nn, d * d)
+        self.nums = [BASE_COMPLEX_DIMENSION * d * t for t in pairings]
         # every curvature class is integral, so its cleared form has d = 1
-        self.ns = [w.cleared_form[0] for w in bundle.curvatures]
-        self.nums = [BASE_COMPLEX_DIMENSION * d * sum(map(mul, w, row)) for w in self.ns]
-        self.summed = [sum(map(mul, self.nums, col)) for col in zip(*self.ns)]
+        ns = [w.cleared_form[0] for w in bundle.curvatures]
+        self.summed = [sum(map(mul, self.nums, col)) for col in zip(*ns)]
         self.trace_free = tuple(t == 0 for t in self.nums)
 
     @cached_property
     def lambdas(self) -> tuple[Scalar, ...]:
-        return tuple(Fraction(t, self.nn) for t in self.nums)
+        return tuple(exact_div(t, self.nn) for t in self.nums)
 
     @cached_property
     def traced(self) -> CohClass:
         if not any(self.nums):
             return CohClass.zero(self.bundle.base.rank)
-        return CohClass(tuple(Fraction(s, self.nn) for s in self.summed))
+        return CohClass(tuple(exact_div(s, self.nn) for s in self.summed))
 
     def ff_sign(self) -> int:
-        return (self.nn > 0) - (self.nn < 0)
+        return exact_sign(self.nn)
 
     def defect_zero(self) -> bool:
-        m, e = self.bundle.base.c1.cleared_form
-        nn = self.nn
+        c1, nn = self.bundle.base.c1, self.nn
+        m, e = c1.cleared_form or (c1.coeffs, 1)
         return all(e * s == nn * x for s, x in zip(self.summed, m))
 
     def scale(self) -> Optional[Scalar]:
-        """t > 0 with summed / nn = t * m / e, from summed = (a/b) * m."""
-        m, e = self.bundle.base.c1.cleared_form
+        """The rational t > 0 with summed / nn = t * m / e, from summed = (a/b) * m."""
+        c1 = self.bundle.base.c1
+        m, e = c1.cleared_form or (c1.coeffs, 1)
         terms = ratio_terms(self.summed, m)
         if terms is None:
             return None
-        t = Fraction(e * terms[0], self.nn * terms[1])
-        return t if t > 0 else None
+        t = exact_div(e * terms[0], self.nn * terms[1])
+        return t if is_rational(t) and t > 0 else None
 
 
-def _traced_sum(bundle: BundleSpec, f: CohClass) -> Union[_ScalarTraces, _LatticeTraces]:
-    """The traces of the curvature classes against f, on integers for a
-    rational f on a SurfaceModel with rational c1; NullClass when Q(f,f) =
-    0.  Every CYT reader takes Q(F,F), the traces and the defect test from
-    here."""
+def _traced_sum(bundle: BundleSpec, f: CohClass) -> _Traces:
+    """The traces of the curvature classes against f; NullClass when Q(f,f)
+    = 0.  On a SurfaceModel f = n/d pairs through one Gram row G n, on
+    integers for a rational f and in exact scalars (n the coefficients,
+    d = 1) for a class with a Q(sqrt(d)) coefficient; a pairing table pairs
+    class by class.  Every CYT reader takes Q(F,F), the traces and the
+    defect test from here."""
     base = bundle.base
     if f.rank != base.rank:
         raise RankMismatch(f"classes of rank {f.rank}/{f.rank} on a rank-{base.rank} model")
-    form = f.cleared_form if isinstance(base, SurfaceModel) else None
-    if form is None or base.c1.cleared_form is None:
-        return _ScalarTraces(bundle, f)
-    return _LatticeTraces(bundle, *form)
+    if not isinstance(base, SurfaceModel):
+        pairings = (intersect(base, w, f) for w in bundle.curvatures)  # read after the nn test
+        return _Traces(bundle, pairings, intersect(base, f, f), 1)
+    form = f.cleared_form
+    n, d = form or (f.coeffs, 1)
+    row = base.gram_row(n)
+    ws = bundle.curvatures
+    if form is None:
+        return _Traces(bundle, [exact_dot(w.cleared_form[0], row) for w in ws], exact_dot(n, row), d)
+    return _Traces(bundle, [sum(map(mul, w.cleared_form[0], row)) for w in ws], sum(map(mul, n, row)), d)
 
 
 def cyt_defect(bundle: BundleSpec, f: CohClass) -> CohClass:
@@ -218,7 +192,7 @@ class CytCertificate:
     verdict: bool
     bundle: BundleSpec = field(repr=False)
     # what lambdas and defect are rendered from; None for a null class
-    traces: Union[_ScalarTraces, _LatticeTraces, None] = field(repr=False, compare=False)
+    traces: Optional[_Traces] = field(repr=False, compare=False)
 
     @cached_property
     def lambdas(self) -> tuple[Scalar, ...]:
@@ -237,10 +211,10 @@ class CytCertificate:
 
 def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
     """Full certificate: defect vanishing and cone membership.  Failures are
-    verdicts, not errors.  For a rational f on a lattice model the defect
-    test compares the integer numerators of f's own cleared form (sum
-    nums_l w_l against nn c1) and the cone verdict reads integer signs; the
-    Fraction traces and the defect class are rendered only when read.
+    verdicts, not errors.  The defect test compares sum nums_l w_l against
+    nn c1, on integers for a rational f on a lattice model, and the cone
+    verdict reads the signs of the curve rows; the traces and the defect
+    class are rendered only when read.
     BundleSpec admits integral curvatures only, so curvatures_integral is
     always true."""
     base = bundle.base
@@ -293,10 +267,8 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
 def solve_scale(bundle: BundleSpec, ray: CohClass) -> Optional[Scalar]:
     """The unique s > 0 with vanishing defect at s * ray, when the traced
     curvature sum along the ray is a nonzero rational multiple of c1; None
-    otherwise (including c1 = 0 with a nonzero sum).  For a rational ray on
-    a lattice model the sum stays integer numerators: one positive-ratio
-    test of summed against c1's numerators, then one Fraction for s.  Other
-    inputs compare the scalar classes."""
+    otherwise (including c1 = 0 with a nonzero sum): one ratio test of the
+    traces' summed against c1's numerators, then one division for s."""
     try:
         traces = _traced_sum(bundle, ray)
     except NullClass:

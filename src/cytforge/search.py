@@ -62,7 +62,6 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from multiprocessing import Pool, cpu_count
 from operator import mul
 from typing import Callable, Iterable, Optional
 
@@ -136,7 +135,7 @@ class SearchStats:
 
 def resolve_threads(requested: Optional[int] = None) -> int:
     cap = os.environ.get("CYT_FORGE_THREADS")
-    n = requested if requested is not None else min(4, cpu_count())
+    n = requested if requested is not None else min(4, os.cpu_count() or 1)
     if cap is not None:
         try:
             n = min(n, max(1, int(cap)))
@@ -579,6 +578,8 @@ def search(
             if progress:
                 progress(f"chunk {len(results)}/{len(leads)} done")
     else:
+        from multiprocessing import Pool  # only a pooled search pays for the import
+
         workers = min(nthreads, len(leads))
         with Pool(processes=workers, initializer=_start_worker, initargs=(plan,)) as pool:
             results = pool.map(_worker_chunk, leads)

@@ -6,15 +6,15 @@ Built-in models: the projective plane, the smooth quadric, blow-ups of the
 plane at k points (general position for k <= 8, points on a cubic for k >= 2),
 and a Kummer-surface fragment given by a partial pairing table.
 
-Pairings on a lattice model run on integers: a rational class caches its
-cleared form (integer numerators over the least common denominator), and
-`SurfaceModel.gram_row` is the one integer Gram product.  `intersect` dots a
-cleared form with it, the CYT traces read one such row for the Kaehler
-class, and the topology pairing matrix and the search's ray functional are
-rows of it.  Only the cleared form reads coefficient types: integrality,
-int vectors and proportionality (`CohClass.positive_ratio`) read its
-numerators.  Classes with a Q(sqrt(d)) coefficient and pairing-table models
-keep the exact scalar loop.
+Pairings on a lattice model run on one Gram row: a rational class caches its
+cleared form (integer numerators over the least common denominator), a
+class with a Q(sqrt(d)) coefficient is its coefficients over 1, and
+`SurfaceModel.gram_row` is the one Gram product.  `intersect` dots a
+cleared form with it, the CYT traces and the cone signs read one such row,
+and the topology pairing matrix and the search's ray functional are rows of
+it.  Only the cleared form reads coefficient types: integrality, int
+vectors and proportionality (`CohClass.positive_ratio`) read its
+numerators.  Pairing-table models keep the exact scalar loop.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     UndeclaredPairing,
     ZeroClass,
 )
-from .scalars import Scalar, format_scalar, is_rational, parse_scalar, ratio_of
+from .scalars import Scalar, exact_div, format_scalar, is_rational, parse_scalar, ratio_of
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ class SurfaceModel:
             return None
         return tuple(gram[i][i] for i in range(self.rank))
 
-    def gram_row(self, v: Sequence[int]) -> list[int]:
-        """G . v for an integer vector v: the functional Q(v, .) as a row."""
+    def gram_row(self, v: Sequence[Scalar]) -> list[Scalar]:
+        """G . v: the functional Q(v, .) as a row, of ints for an integer v."""
         diag = self._gram_diagonal
         if diag is not None:
             return list(map(mul, diag, v))
@@ -237,23 +237,34 @@ class PairingFunctionalModel:
 Model = Union[SurfaceModel, PairingFunctionalModel]
 
 
+def exact_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """u . v over the entries where both are nonzero: the dot product for a
+    vector with a Q(sqrt(d)) entry, where a product costs far more than the
+    test that skips it.  Integer vectors take sum(map(mul, u, v)), which
+    skipping would slow down."""
+    return sum(a * b for a, b in zip(u, v) if a and b)
+
+
 def intersect(model: Model, x: CohClass, y: CohClass) -> Scalar:
     """x . y under the model's intersection form, exactly.
 
-    On a SurfaceModel two rational classes pair through their cleared forms
-    n/d: one integer dot product n_x . G n_y over d_x d_y, an int when both
-    denominators are 1.  Classes with a Q(sqrt(d)) coefficient and
-    pairing-table models take the scalar loop, which raises
+    On a SurfaceModel x = n_x / d_x and y = n_y / d_y pair as one dot
+    product n_x . G n_y over d_x d_y: integer numerators for a rational
+    class, the coefficients over 1 for a class with a Q(sqrt(d))
+    coefficient.  The value is an int when both classes are integral.
+    Pairing-table models take the scalar loop, which raises
     UndeclaredPairing on an entry the table leaves open."""
     b = model.rank
     if x.rank != b or y.rank != b:
         raise RankMismatch(f"classes of rank {x.rank}/{y.rank} on a rank-{b} model")
     if isinstance(model, SurfaceModel):
         fx, fy = x.cleared_form, y.cleared_form
-        if fx is not None and fy is not None:
-            dot = sum(map(mul, fx[0], model.gram_row(fy[0])))
-            d = fx[1] * fy[1]
-            return dot if d == 1 else Fraction(dot, d)
+        nx, dx = fx or (x.coeffs, 1)
+        ny, dy = fy or (y.coeffs, 1)
+        row = model.gram_row(ny)
+        dot = exact_dot(nx, row) if fx is None or fy is None else sum(map(mul, nx, row))
+        d = dx * dy
+        return dot if d == 1 else exact_div(dot, d)
     gram = model.gram
     total: Scalar = 0
     for i, xi in enumerate(x.coeffs):

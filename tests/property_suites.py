@@ -258,10 +258,12 @@ def run_search_determinism_and_reverify() -> int:
 
 # -- integer pairing kernel against the scalar loop --------------------------
 #
-# A PairingFunctionalModel over the same Gram matrix sends intersect and
-# _traced_sum down the scalar loop, class by class, so it is the reference the
-# cleared-denominator kernel on the SurfaceModel must agree with.  Hypothesis
-# runs derandomized, so these checks are deterministic like the runners above.
+# A PairingFunctionalModel over the same Gram matrix sends intersect down the
+# scalar loop, class by class, so it is the reference the cleared-denominator
+# kernel on the SurfaceModel must agree with.  The traces are checked against
+# a class-by-class reference written here, since _traced_sum builds the same
+# traces object on both.  Hypothesis runs derandomized, so these checks are
+# deterministic like the runners above.
 
 KERNEL_SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
@@ -320,10 +322,13 @@ def _oracle_pairing(model, x: CohClass, y: CohClass) -> Fraction:
     )
 
 
-# a Q(sqrt(d)) coefficient, never rational
-_quadratic = st.builds(
-    quadratic, st.integers(-6, 6), st.integers(1, 6) | st.integers(-6, -1), st.sampled_from(SQUARE_FREE)
-)
+def _quadratic_in(d: int):
+    """A coefficient in Q(sqrt(d)), never rational."""
+    return st.builds(quadratic, st.integers(-6, 6), st.integers(1, 6) | st.integers(-6, -1), st.just(d))
+
+
+# a Q(sqrt(d)) coefficient for a random d, never rational
+_quadratic = st.sampled_from(SQUARE_FREE).flatmap(_quadratic_in)
 
 
 def _reference_integral(x: CohClass) -> bool:
@@ -376,30 +381,39 @@ def check_integer_intersect(data) -> None:
     assert isinstance(value, int) == (x.cleared_form[1] * y.cleared_form[1] == 1)
 
 
-@KERNEL_SETTINGS
+@settings(KERNEL_SETTINGS, max_examples=400)  # half the draws are irrational
 @given(st.data())
 def check_traced_sum(data) -> None:
-    """Traces, traced sum and Q(f,f) from the integer row equal the
-    class-by-class scalar loop, value and type, and so do the decisions read
-    from the integer numerators: the trace-free flags, the defect test and
-    the ratio to c1.  c1 is the model's, a random rational class, or the
-    traced sum itself, so that the defect vanishes against a c1 with
-    fractional coefficients.  Both raise NullClass when Q(f,f) = 0."""
+    """Traces, traced sum and Q(f,f) from the Gram row, and from the
+    pairing table of the scalar twin, equal the class-by-class reference,
+    value and type, and so do the decisions read from the numerators: the
+    trace-free flags, the defect test and the ratio to c1.  f is rational or
+    has Q(sqrt(d)) coefficients.  c1 is the model's, a random rational
+    class, or the reference's traced sum itself, so that the defect vanishes
+    against a c1 with fractional or irrational coefficients.  All raise
+    NullClass when Q(f,f) = 0."""
     model = data.draw(surface_models())
     count = data.draw(st.sampled_from((2, 4)))
     ws = tuple(data.draw(classes(model.rank, _integral)) for _ in range(count))
     f = data.draw(classes(model.rank))
+    if data.draw(st.booleans()):  # move f off the rational lattice
+        field = _quadratic_in(data.draw(st.sampled_from(SQUARE_FREE)))
+        coeffs = [data.draw(field | _coefficients) for _ in range(model.rank - 1)]
+        coeffs.insert(data.draw(st.integers(0, model.rank - 1)), data.draw(field))
+        f = CohClass(tuple(coeffs))
     c1 = data.draw(st.sampled_from(("model", "random", "traced")))
     if c1 == "random":
         model = custom_model("rational_c1", model.gram, data.draw(classes(model.rank)).coeffs)
     elif c1 == "traced":
-        traced = _traced_fields(BundleSpec(scalar_twin(model), ws), f)
+        traced = _reference_traces(model, ws, f)
         if traced is not None:
             model = custom_model("traced_c1", model.gram, traced[1].coeffs)
-    got, want = (_traced_fields(BundleSpec(m, ws), f) for m in (model, scalar_twin(model)))
-    assert got == want
-    if got is not None:
-        assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]
+    want = _reference_traces(model, ws, f)
+    for m in (model, scalar_twin(model)):
+        got = _traced_fields(BundleSpec(m, ws), f)
+        assert got == want
+        if got is not None:
+            assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]
 
 
 def _traced_fields(bundle, f):
@@ -408,6 +422,26 @@ def _traced_fields(bundle, f):
     except NullClass:
         return None
     return t.lambdas, t.traced, t.ff, t.ff_sign(), t.trace_free, t.defect_zero(), t.scale()
+
+
+def _reference_traces(model, ws, f):
+    """The fields of _traced_fields, class by class: lambda_trace on the
+    scalar twin for each curvature, the traced sum and the defect in
+    CohClass arithmetic, the scale from ratio_of on the coefficients; None
+    when Q(f,f) = 0."""
+    twin = scalar_twin(model)
+    ff = intersect(twin, f, f)
+    if ff == 0:
+        return None
+    lambdas = tuple(lambda_trace(twin, w, f) for w in ws)
+    traced = CohClass.zero(model.rank)
+    for lam, w in zip(lambdas, ws):
+        if lam != 0:
+            traced = traced + lam * w
+    s = ratio_of(traced.coeffs, model.c1.coeffs)
+    scale = s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
+    trace_free = tuple(lam == 0 for lam in lambdas)
+    return lambdas, traced, ff, exact_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale
 
 
 # -- trace readers against the class-by-class reference ----------------------
@@ -599,8 +633,11 @@ def _certificate_fields(cert) -> dict:
 def cone_models(draw):
     """The plane, the quadric, blow-ups in general position and on a cubic,
     and custom models with a random, mostly non-diagonal Gram matrix, an
-    explicit curve list and an ample witness."""
-    kind = draw(st.sampled_from(("plane", "quadric", "general", "on_cubic", "custom")))
+    explicit curve list and an ample witness.  Curves with a coefficient in
+    Q(sqrt(3)), the ansatz class's field, come on one random custom model in
+    two and on a blow-up's Gram matrix, with its curves and witness and one
+    curve E_i + q H."""
+    kind = draw(st.sampled_from(("plane", "quadric", "general", "on_cubic", "custom", "sqrt3_curve")))
     if kind == "plane":
         return projective_plane()
     if kind == "quadric":
@@ -609,10 +646,20 @@ def cone_models(draw):
         return blowup_cp2(draw(st.integers(2, 8)))
     if kind == "on_cubic":
         return blowup_cp2(draw(st.integers(9, 12)), "on_cubic")
+    if kind == "sqrt3_curve":
+        base = blowup_cp2(draw(st.integers(2, 5)))
+        curve = [0] * base.rank
+        curve[0], curve[draw(st.integers(1, base.rank - 1))] = draw(_quadratic_in(3)), 1
+        curves = [c.coeffs for c in negative_curves(base)] + [curve]
+        return custom_model("sqrt3_curve", base.gram, base.c1.coeffs, curves=curves, ample_witness=base.ample_witness.coeffs)
     rank = draw(st.integers(1, 5))
     gram = _random_gram(draw, rank)
     vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
     witness, curves = draw(vector), draw(st.lists(vector, max_size=6))
+    if draw(st.booleans()):
+        curve = draw(vector)
+        curve[draw(st.integers(0, rank - 1))] = draw(_quadratic_in(3))
+        curves.append(curve)
     if draw(st.booleans()):  # keep the curves the witness is positive on
         curves = [c for c in curves if sum(map(mul, witness, (sum(map(mul, row, c)) for row in gram))) > 0]
     return custom_model("random", gram, draw(vector), curves=curves, ample_witness=witness)
@@ -621,8 +668,9 @@ def cone_models(draw):
 def _cone_class(draw, model) -> CohClass:
     """A class near the cone (on a custom model a positive multiple of its
     witness), a multiple of c1 or of the witness (negative multiples
-    included), or a random class, the zero class among them."""
-    kind = draw(st.sampled_from(("kahler", "multiple", "random")))
+    included), or a random class, the zero class among them, with rational
+    or Q(sqrt(3)) coefficients."""
+    kind = draw(st.sampled_from(("kahler", "multiple", "random", "quadratic")))
     if kind == "kahler" and model.curve_regime != "explicit":
         return _kahler_class(draw, model)
     if kind == "kahler":
@@ -630,6 +678,9 @@ def _cone_class(draw, model) -> CohClass:
     if kind == "multiple":
         t = draw(st.sampled_from((Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(3, 1), 2, -3)))
         return t * draw(st.sampled_from((model.c1, model.ample_witness)))
+    if kind == "quadratic":
+        anchor = st.sampled_from((model.c1, model.ample_witness)) | classes(model.rank)
+        return draw(_quadratic_in(3)) * draw(anchor)
     return draw(classes(model.rank))
 
 
@@ -639,8 +690,9 @@ def check_cone_kernel(data) -> None:
     """is_kahler equals the per-curve reference in every field: the verdict,
     Q(F,F) and its sign, each rendered curve check (curve, value with its
     type, sign), the ample fields and anticanonical_ray.  Classes with int,
-    Fraction(x, 1) and proper-fraction coefficients, zero and negative
-    classes, user witnesses, and the Q(sqrt(3)) ansatz class are drawn."""
+    Fraction(x, 1), proper-fraction and Q(sqrt(3)) coefficients, zero and
+    negative classes, user witnesses, the Q(sqrt(3)) ansatz class and
+    curves with a Q(sqrt(3)) coefficient are drawn."""
     if data.draw(st.integers(0, 9)) == 0:
         model, f, _ = _ansatz_case()
     else:

@@ -362,6 +362,17 @@ def test_search_into_a_closed_pipe_ends_quietly():
     assert "error:" not in err and "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only a search on more than one worker needs a process pool
+    src = str(Path(cytforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cytforge.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_unreadable_paths_exit_2(tmp_path, capsys):
     # a directory where a model file or a catalog is expected
     code, _, err = run(capsys, "cone-check", "--model", str(tmp_path), "--class", "H")
@@ -800,3 +811,75 @@ def test_command_outputs_frozen(capsys):
     assert len(FROZEN_VIEWS) == len(FROZEN_COMMANDS)
     for argv in FROZEN_COMMANDS:
         assert _frozen_view(argv, capsys) == FROZEN_VIEWS[" ".join(argv)], argv
+
+
+# classes with Q(sqrt(d)) coefficients: the ansatz classes for k >= 9 and
+# hand-picked classes on the plane, the quadric and blow-ups, passing and failing
+_R2 = "[3+1*sqrt(2),-1,-1]"
+_RQ = "[1+1*sqrt(2),1+1*sqrt(2)]"
+_K9 = "[38/1-20/1*sqrt(3)," + ",".join(["-10/1+5/1*sqrt(3)"] * 4 + ["-14/1+8/1*sqrt(3)"] * 5) + "]"
+_K10 = "[-18/1+2/1*sqrt(114)," + ",".join(["4/1-1/2*sqrt(114)"] * 4 + ["7/1-2/3*sqrt(114)"] * 6) + "]"
+_P9 = ["--model", "blowup_cp2(9)", "--omega", "4H-2E1-2E2-2E3-2E4-E5-E6-E7-E8-E9", "--omega", "-H+E1+E2+E3+E4"]
+_P10 = ["--model", "blowup_cp2(10)", "--omega", "4H-2E1-2E2-2E3-2E4-E5-E6-E7-E8-E9-E10", "--omega", "-H+E1+E2+E3+E4"]
+_ANTICANONICAL_PAIR = ["--model", "blowup_cp2(2)", "--omega", "3H-E1-E2", "--omega", "E1-E2"]
+
+# (argv, exit code, JSON digest), taken while these classes were still paired
+# curve by curve in a separate scalar loop; they must not move
+QUADRATIC_DIGESTS = [
+    (["solve-ansatz", "--k", "9"], 0, "4adea442e67a385f3deab1e61b54122a150ca56639cbf0349beab9031bf47fd9"),
+    (["solve-ansatz", "--k", "10"], 0, "a98c91b06c3b5761a5f9e2f9916b0fdac281e5753ae2acfa14bf20650ea80eff"),
+    (["solve-ansatz", "--k", "11"], 0, "214a28b71c25329d74e27a259c09ed0d1e1b10c30f1a6a4ca429197af1bb0ade"),
+    (["solve-ansatz", "--k", "12"], 0, "1af3d9e6d48259c9b4662fa0ba3b201faf12857f64438218b2e9512738ee589b"),
+    (["solve-ansatz", "--k", "13"], 0, "3f087a811b89f581412c20dbfa3594028b85ddb77bc3afcd106cba5bf44c9b49"),
+    (["solve-ansatz", "--k", "14"], 0, "b614ad2c5cb5ac18b83725183838bfa0b879c63f923f972abea8f72443ab6f94"),
+    (["solve-ansatz", "--k", "15"], 0, "a9fbef20232818797eb5b777db3e2d21322a1125b8173351d2a5034727726199"),
+    (["solve-ansatz", "--k", "16"], 0, "807ace70d5b948e46b0d52e883d4d202e9d4ad66d53391ef84f3a03b2226297d"),
+    (["solve-ansatz", "--k", "17"], 0, "43c7e67225a7c455ec4d266cfee5196eef2adbb475220531159c69c851eb9dab"),
+    (["solve-ansatz", "--k", "18"], 0, "6469a78c44e36a6fdc02a18dde4c32878a99428a725de364c8e92039fff146ac"),
+    (["solve-ansatz", "--k", "19"], 0, "b147d260e2e6307f47df18fd558810979c4930600bbd3a4fddab0eee50a84b44"),
+    (["solve-ansatz", "--k", "20"], 0, "91ac4d825543d0c3364c8967f03489da80319fef054d017b0ec4ea149904d161"),
+    (["solve-ansatz", "--k", "39"], 0, "c3ff43312fc2e6fbc118cc50245f6cf7b5c9ec2c015ee78c55a779f434d2c2a8"),
+    (["cone-check", "--model", "blowup_cp2(2)", "--class", _R2], 0, "2900c5da7dd2bcb52a29db7182916c90b7421bb1be5d4ca8a0a9f9e9ebc65ff3"),
+    (["cone-check", "--model", "blowup_cp2(2)", "--class", _R2, "--witness", "H"], 0, "c96b550305d39353d89ad7a3ca47112e2215581829a1eca0cb1f600e5fe319d5"),
+    (["cone-check", "--model", "blowup_cp2(2)", "--class", "[1+1*sqrt(2),-2,-1]"], 1, "f934d12345fe7a848dff34dd14bee392e1a5559805ed81a7db843c05586a5484"),
+    (["cone-check", "--model", "quadric", "--class", "[1+1*sqrt(2),1/2]"], 0, "ac7926f07da1d0dc4d37f2b83b280b4297a66f67d37521ae3d195fd094153208"),
+    (["cone-check", "--model", "quadric", "--class", "[1-1*sqrt(2),1]"], 1, "3939a1cbdff93c782b8fd7c51dc64df8922ffddf3c4d6ac9483032aa46876e91"),
+    (["cone-check", "--model", "projective_plane", "--class", "[-1+1*sqrt(5)]"], 0, "56fd9fde95f7b3d8bc168aac67dbdf071055a6e56857a93d1cf4df50bd88265b"),
+    (["cone-check", "--model", "blowup_cp2(5)", "--class", "[5+1*sqrt(3),-1,-1,-1,-1,-1-1/2*sqrt(3)]"], 0, "de836ce3d2a28c2ba996fe27b37b1e4f56b52defbcbe38151d7ad54ab5ee67fb"),
+    (["cone-check", "--model", "blowup_cp2(8)", "--class", "[7+1*sqrt(7),-2,-2,-2,-2,-2,-2,-2,-2]"], 0, "60ba216620e434cda48e905c3d4baa3521044927e01a759ef93ca90f5c503ef6"),
+    (["cone-check", "--model", "blowup_cp2(8)", "--class", "[3+1/10*sqrt(7),-1,-1,-1,-1,-1,-1,-1,-1]"], 0, "3e553a963c645fd63b6a64abf48125df47cfc70737d4f32a079414500ebbe81b"),
+    (["cone-check", "--model", "blowup_cp2(10)", "--class", "[4+1*sqrt(2),-1,-1,-1,-1,-1,-1,-1,-1,-1,-1]"], 0, "e2086ba7fa13530d9ff35bb853005fe2bf528123e61b128ab3f6196ca91061f8"),
+    (["verify", *_ANTICANONICAL_PAIR, "--kahler", _R2], 1, "ab2551758f6cc68ff7c5bbc3786a0de283727e6d557154268c3e01a02a737460"),
+    (["verify", *_ANTICANONICAL_PAIR, "--kahler", _R2, "--expect", "skt"], 1, "ef263e2fe46362f84397d23ce4c327f737472a9abdf32e898e68f4de0d61684e"),
+    (["verify", *_ANTICANONICAL_PAIR, "--kahler", _R2, "--expect", "balanced"], 1, "653d26442f51401ab04f63b41d39eb8a1facb3eb7d9a4aa0b17e866b7ca148d1"),
+    (["verify", "--model", "blowup_cp2(2)", "--omega", "H-E1-E2", "--omega", "E1-E2", "--kahler", _R2, "--expect", "balanced"], 1, "062b477e542e8c99cd82fc83bfacd66ee18d7447e86b7a77c8241ea4b9040edf"),
+    (["verify", *_QUADRIC, "--kahler", _RQ], 1, "fda047279ebbc5f469afed116356c03d8d4c04a3e9628f3d088a38ecbbaff4f9"),
+    (["verify", *_QUADRIC, "--kahler", _RQ, "--expect", "skt"], 0, "b35ab252757e9a36f2dde2e34af92ad6c64631eb7fb752146ea72da74268bf16"),
+    (["verify", "--model", "quadric", "--omega", "C-D", "--omega", "0", "--kahler", _RQ, "--expect", "balanced"], 0, "c1271606880e9321d577aba4b3ae6b710e5d28478211d95844f475022813dda4"),
+    (["verify", *_QUADRIC, "--kahler", "[1+1*sqrt(2),1]"], 1, "a2f981b1abb6b55edd9476fd5bb3b666ebffd6e2c4c0c5d511249a5d8f836176"),
+    (["verify", "--model", "blowup_cp2(3)", "--omega", "3H-E1-E2-E3", "--omega", "E1-E2", "--kahler", "[3-1*sqrt(2),-1,-1,-1]"], 1, "abdd0151ff588e4bdb41af72b13dd38b9a5c54360a7c58138db9cb5884593437"),
+    (["solve-scale", *_ANTICANONICAL_PAIR, "--ray", _R2], 1, "4289ce86acfb07abb88a899cf08d07f3ec400570a375b4eca451f0acb8d75211"),
+    (["solve-scale", *_QUADRIC, "--ray", _RQ], 1, "3a76c280cc18c54ce681630c8e9dd7eae2feb2e4b2bc3cc9b3be87e580fcc255"),
+    (["solve-scale", *_QUADRIC, "--ray", "[1+1*sqrt(2),1]"], 1, "247ba5b647af579c567b40e4d58cc676ea5d2da88a42c8ad434d346111e548ee"),
+    (["solve-scale", *_ANTICANONICAL_PAIR, "--ray", "[-1+1*sqrt(3),0,0]"], 1, "10f88d7385993e462708a46c2de47b4d4d01eb370f0990ee38f6e7395bbacfa8"),
+    (["solve-scale", "--model", "blowup_cp2(3)", "--omega", "3H-E1-E2-E3", "--omega", "0", "--ray", "[3+1*sqrt(3),-1-1/3*sqrt(3),-1-1/3*sqrt(3),-1-1/3*sqrt(3)]"], 1, "810b553dc8c34ac5b8ebd04f16f078b361d061ded0d30c66ebb77d64dddc24a6"),
+    (["verify", *_P9, "--kahler", _K9], 0, "3557ceee131c2eff16f58f73db1193361ef74994b7d717f8d4cbc0233200548a"),
+    (["verify", *_P10, "--kahler", _K10], 0, "afa59e8f78423639f64fe5f10b4e564346718b0e98ebc574eb836958c2e7b990"),
+    (["solve-scale", *_P9, "--ray", _K9], 0, "8ccb741cec4a5649ab8f97aa2c4beead9effef523133cb726db1b8f7564fc47f"),
+]
+
+
+def test_quadratic_class_digests_frozen(capsys):
+    for argv, code, digest in QUADRATIC_DIGESTS:
+        got, out, err = run(capsys, *argv, "--format", "json")
+        assert (got, json.loads(out)["digest"], err) == (code, digest, ""), argv
+
+
+def test_a_witness_may_start_with_a_minus(capsys):
+    argv = ["cone-check", "--model", "blowup_cp2(2)", "--class", "6H-2E1-2E2", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--witness", "-E1+3H")
+    assert code == 0 and err == ""
+    cone = json.loads(out)["results"]["cone"]
+    assert cone["ample_witness"] == ["3/1", "-1/1", "0/1"] and cone["witness_source"] == "user"
+    _, same, _ = run(capsys, *argv, "--witness=-E1+3H")
+    assert json.loads(same)["results"] == json.loads(out)["results"]

@@ -331,11 +331,11 @@ def test_a_verdict_renders_no_fraction_and_a_read_renders_once(monkeypatch):
     renders = []
 
     def counted(name):
-        func = vars(cyt._LatticeTraces)[name].func
+        func = vars(cyt._Traces)[name].func
         return property(lambda self: renders.append(name) or func(self))
 
     for name in ("lambdas", "traced"):
-        monkeypatch.setattr(cyt._LatticeTraces, name, counted(name))
+        monkeypatch.setattr(cyt._Traces, name, counted(name))
     cert = verify_cyt(bundle, 2 * m.c1)
     assert cert.verdict and cert.defect_zero and cert.solved_scale is None
     assert renders == []
@@ -350,9 +350,9 @@ def test_a_wrong_rendered_defect_fails_the_read(monkeypatch):
     m, bundle = dp2_bundle()
     solved, scaled = verify_cyt(bundle, 2 * m.c1), verify_cyt(bundle, m.c1)
     assert solved.defect_zero and not scaled.defect_zero
-    monkeypatch.setattr(cyt._LatticeTraces, "traced", property(lambda self: CohClass.zero(3)))
+    monkeypatch.setattr(cyt._Traces, "traced", property(lambda self: CohClass.zero(3)))
     with pytest.raises(InvariantViolation, match="against defect_zero=True"):
         solved.defect
-    monkeypatch.setattr(cyt._LatticeTraces, "traced", property(lambda self: self.bundle.base.c1))
+    monkeypatch.setattr(cyt._Traces, "traced", property(lambda self: self.bundle.base.c1))
     with pytest.raises(InvariantViolation, match="against defect_zero=False"):
         scaled.defect

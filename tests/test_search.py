@@ -692,7 +692,7 @@ def test_a_verdict_search_renders_no_documents(monkeypatch):
     monkeypatch.setattr(intlinalg, "snf", counted("snf", intlinalg.snf))
     monkeypatch.setattr(intlinalg.IntegerSolver, "__init__", counted("solver", intlinalg.IntegerSolver.__init__))
     monkeypatch.setattr(cone, "_row_signs", counted("curve signs", cone._row_signs))
-    renders = ((cyt._LatticeTraces, "lambdas"), (cyt._LatticeTraces, "traced"), (cyt.CytCertificate, "defect"),
+    renders = ((cyt._Traces, "lambdas"), (cyt._Traces, "traced"), (cyt.CytCertificate, "defect"),
                (TopologyCertificate, "_solver"))
     for cls, name in renders:
         monkeypatch.setattr(cls, name, property(counted(name, vars(cls)[name].func)))

@@ -152,12 +152,14 @@ def test_integer_intersect_matches_the_scalar_loop():
     property_suites.check_integer_intersect()
 
 
-def test_irrational_classes_and_pairing_tables_take_the_scalar_loop():
+def test_irrational_classes_pair_on_the_row_and_pairing_tables_in_the_scalar_loop():
     m = blowup_cp2(3)
     root = quadratic(1, 1, 2)
     x = CohClass((root, HALF, 0, -1))
     assert x.cleared_form is None
-    assert intersect(m, x, m.c1) == 3 * root - HALF
+    # the coefficients over 1 against the row of c1's numerators
+    assert intersect(m, x, m.c1) == intersect(m, m.c1, x) == 3 * root - HALF
+    assert intersect(m, x, HALF * m.c1) == (3 * root - HALF) / 2
     # on a pairing table the classes are never cleared, and open entries raise
     twin = property_suites.scalar_twin(m)
     y, z = CohClass((HALF, 1, 0, 0)), CohClass.of([1, 0, 2, 0])
