@@ -325,6 +325,8 @@ def _format_fraction(q: Fraction) -> str:
 
 
 def format_scalar(x: Scalar) -> str:
+    if type(x) is int:  # a bool goes through Fraction: True is "1/1"
+        return f"{x}/1"
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
@@ -333,20 +335,28 @@ def format_scalar(x: Scalar) -> str:
     return f"{_format_fraction(x.a)}{sep}{_format_fraction(abs(x.b))}*sqrt({x.d})"
 
 
+def _parse_fraction(part: str, text: str) -> Fraction:
+    """The Fraction of a matched 'p' or 'p/q' inside text; q = 0 is a parse error."""
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in {text!r}") from None
+
+
 def parse_scalar(text: str) -> Scalar:
     s = text.strip()
     m = _SCALAR_RE.match(s)
     if m:
-        a = Fraction(m.group("a"))
+        a = _parse_fraction(m.group("a"), text)
         if m.group("b") is None:
             return a
-        b = Fraction(m.group("b"))
+        b = _parse_fraction(m.group("b"), text)
         if m.group("sign") == "-":
             b = -b
         return quadratic(a, b, int(m.group("d")))
     m = _PURE_RADICAL_RE.match(s)
     if m:
-        return quadratic(0, Fraction(m.group("b")), int(m.group("d")))
+        return quadratic(0, _parse_fraction(m.group("b"), text), int(m.group("d")))
     raise ScalarParseError(f"not an exact scalar: {text!r}")
 
 

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -45,8 +45,9 @@ from .scalars import Scalar, exact_div, format_scalar, is_rational, parse_scalar
 class CohClass:
     """A degree-2 class as a coefficient vector over a model's ordered basis.
 
-    A rational class also carries its cleared form, computed on first use
-    and kept out of equality, hashing and pickles."""
+    A rational class also carries its cleared form, and every class its
+    exact scalar text; both are computed on first use and kept out of
+    equality, hashing and pickles."""
 
     coeffs: tuple[Scalar, ...]
 
@@ -134,8 +135,13 @@ class CohClass:
             raise ValueError("class is not integral")
         return list(self.cleared_form[0])
 
+    @cached_property
+    def _text(self) -> tuple[str, ...]:
+        return tuple(map(format_scalar, self.coeffs))
+
     def serialize(self) -> list[str]:
-        return [format_scalar(a) for a in self.coeffs]
+        """The coefficients in the exact scalar format, as a fresh list."""
+        return list(self._text)
 
     @staticmethod
     def deserialize(items: Sequence[str]) -> "CohClass":
@@ -312,9 +318,13 @@ POSITION_GENERAL = "general"
 POSITION_ON_CUBIC = "on_cubic"
 
 
+@lru_cache(maxsize=64)
 def blowup_cp2(k: int, position: str | None = None) -> SurfaceModel:
     """Blow-up of the plane at k points; basis (H, E1, ..., Ek), gram
-    diag(1, -1, ..., -1), anti-canonical class 3H - E1 - ... - Ek."""
+    diag(1, -1, ..., -1), anti-canonical class 3H - E1 - ... - Ek.
+
+    Interned per (k, position): repeated calls return one model, which keeps
+    its cached Gram data, and its curve list keeps its rendered text."""
     if k < 1:
         raise InvalidPosition("k >= 1 required")
     if position is None:
@@ -544,7 +554,7 @@ def parse_class(model: Model, text: str) -> CohClass:
         sign_s, coef_s, label = m.groups()
         if label not in index:
             raise ScalarParseError(f"unknown basis label {label!r} on {model.name}")
-        coef = Fraction(coef_s) if coef_s else Fraction(1)
+        coef = parse_scalar(coef_s) if coef_s else Fraction(1)
         if sign_s == "-":
             coef = -coef
         coeffs[index[label]] += coef

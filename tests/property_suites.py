@@ -7,6 +7,7 @@ acceptance criterion on property coverage and are also handy to run ad hoc.
 
 from __future__ import annotations
 
+import pickle
 import random
 from functools import lru_cache
 from fractions import Fraction
@@ -29,7 +30,15 @@ from cytforge.cyt import (
 )
 from cytforge.errors import NotKahler, NotPositiveRay, NullClass
 from cytforge.intlinalg import IntegerSolver, mat_mul, mat_vec, snf, solve_integer_linear
-from cytforge.scalars import exact_div, exact_sign, is_rational, quadratic, ratio_of
+from cytforge.scalars import (
+    exact_div,
+    exact_sign,
+    format_scalar,
+    is_rational,
+    parse_scalar,
+    quadratic,
+    ratio_of,
+)
 from cytforge.search import SearchQuery, canonical_form, search
 from cytforge.skt import hodge_obstruction, verify_skt
 from cytforge.surfaces import (
@@ -315,6 +324,11 @@ def classes(rank: int, coefficients=_coefficients):
     return st.one_of(st.just(CohClass.zero(rank)), vectors.map(CohClass.of))
 
 
+def _nonzero_classes(rank: int):
+    """Rational classes of the given rank with a nonzero coefficient."""
+    return st.lists(_coefficients, min_size=rank, max_size=rank).filter(any).map(CohClass.of)
+
+
 def _oracle_pairing(model, x: CohClass, y: CohClass) -> Fraction:
     return sum(
         (Fraction(a) * g * Fraction(b) for a, row in zip(x.coeffs, model.gram) for g, b in zip(row, y.coeffs)),
@@ -341,10 +355,22 @@ def check_cleared_form(data) -> None:
     """coeffs = n / d with d the least common denominator and n plain ints,
     Fraction(x, 1) included; no cleared form when a coefficient lies in
     Q(sqrt(d)).  is_integral and as_int_vector, which read the cleared form,
-    agree with a per-coefficient test."""
+    agree with a per-coefficient test.  The cached scalar text is the
+    Fraction text of each rational coefficient and parses back to it,
+    serialize hands out a fresh list, and neither cache reaches equality,
+    hashing or pickles."""
     rank = data.draw(st.integers(1, 9))
     coefficients = data.draw(st.sampled_from((_coefficients, _integral, _coefficients | _quadratic)))
     x = data.draw(classes(rank, coefficients))
+    digest = hash(CohClass(x.coeffs))
+    text = x.serialize()
+    assert [parse_scalar(t) for t in text] == list(x.coeffs)
+    assert all(t == _fraction_text(c) for t, c in zip(text, x.coeffs) if is_rational(c))
+    text.append("0/1")  # a fresh list each call: the cached text stays intact
+    assert x.serialize() == text[:-1]
+    drawn = data.draw(st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64)))
+    for value in (drawn, 0, True, False):
+        assert format_scalar(value) == _fraction_text(value)
     integral = _reference_integral(x)
     assert x.is_integral() == integral
     if integral:
@@ -361,11 +387,29 @@ def check_cleared_form(data) -> None:
             raise AssertionError("as_int_vector accepted a non-integral class")
     if not all(is_rational(c) for c in x.coeffs):
         assert x.cleared_form is None
+        _check_caches_stay_private(x, digest)
         return
     n, d = x.cleared_form
     assert d == lcm(*(Fraction(c).denominator for c in x.coeffs))
     assert all(type(v) is int for v in n)
     assert tuple(Fraction(v, d) for v in n) == x.coeffs
+    _check_caches_stay_private(x, digest)
+
+
+def _check_caches_stay_private(x: CohClass, digest: int) -> None:
+    """With both caches filled, x equals and hashes as a bare class of its
+    coefficients, and a pickle round trip carries the coefficients alone."""
+    assert {"_text", "cleared_form"} <= set(vars(x))
+    bare = CohClass(x.coeffs)
+    assert x == bare and hash(x) == hash(bare) == digest
+    back = pickle.loads(pickle.dumps(x))
+    assert vars(back) == {"coeffs": x.coeffs}
+    assert back == x and hash(back) == digest
+
+
+def _fraction_text(c) -> str:
+    q = Fraction(c)
+    return f"{q.numerator}/{q.denominator}"
 
 
 @KERNEL_SETTINGS
@@ -395,7 +439,12 @@ def check_traced_sum(data) -> None:
     model = data.draw(surface_models())
     count = data.draw(st.sampled_from((2, 4)))
     ws = tuple(data.draw(classes(model.rank, _integral)) for _ in range(count))
-    f = data.draw(classes(model.rank))
+    # the zero class only on an explicit null draw, so that most rational
+    # draws get past Q(f,f) = 0 to the trace-free flags and the scale
+    if data.draw(st.sampled_from((False,) * 7 + (True,))):
+        f = CohClass.zero(model.rank)
+    else:
+        f = data.draw(_nonzero_classes(model.rank))
     if data.draw(st.booleans()):  # move f off the rational lattice
         field = _quadratic_in(data.draw(st.sampled_from(SQUARE_FREE)))
         coeffs = [data.draw(field | _coefficients) for _ in range(model.rank - 1)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cytforge
+from cytforge import cli
 from cytforge.catalog import load_catalog
 from cytforge.certificates import Certificate
 from cytforge.cli import main
@@ -382,6 +383,53 @@ def test_unreadable_paths_exit_2(tmp_path, capsys):
     assert code == 2 and err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone-check", "--model", "quadric", "--class", "[1/0,1]"],
+        ["cone-check", "--model", "quadric", "--class", "1/0*C"],
+        ["cone-check", "--model", "quadric", "--class", "[0/0,1]"],
+        ["cone-check", "--model", "quadric", "--class", "[1+1/0*sqrt(2),1]"],
+        ["verify", "--model", "quadric", "--omega", "[1/0,0]", "--omega", "D", "--kahler", "C+D"],
+    ],
+)
+def test_a_zero_denominator_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: zero denominator in ") and "Traceback" not in err
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    two = ["verify", *_QUADRIC, "--kahler", "1/2C+1/2D", "--format", "json"]
+    four = ["verify", *_QUADRIC, "--omega", "C", "--omega", "-D", "--kahler", "1/2C+1/2D", "--format", "json"]
+    calls = [
+        ["verify", "--model", "quadric", "--bogus"],  # an argparse error
+        ["--help"],
+        two,
+        four,
+        ["cone-check", "--model", "blowup_cp2(2)", "--class", "6H-2E1-2E2", "--witness", "-E1+3H"],
+    ]
+    interleaved = calls + calls[::-1]
+    cached = [_stateless_view(argv, capsys) for argv in interleaved]
+    fresh = []
+    for argv in interleaved:
+        cli.build_parser.cache_clear()
+        fresh.append(_stateless_view(argv, capsys))
+    assert cached == fresh
+    assert [view[0] for view in cached[: len(calls)]] == [2, 0, 0, 1, 0]
+    # the --omega lists start empty on every parse
+    for argv, count in ((two, 2), (four, 4), (two, 2)):
+        assert len(json.loads(run(capsys, *argv)[1])["inputs"]["omegas"]) == count
+
+
+def _stateless_view(argv, capsys):
+    """Exit code, stdout without its timestamp line, and stderr."""
+    code, out, err = run(capsys, *argv)
+    kept = [line for line in out.splitlines() if "timestamp" not in line]
+    return code, kept, err
+
+
 # -- frozen command outputs -------------------------------------------------
 
 _QUADRIC = ["--model", "quadric", "--omega", "C", "--omega", "D"]
@@ -414,6 +462,7 @@ _CERTIFYING = (
     ["reproduce-paper", "--section", "4.1"],
     ["reproduce-paper", "--section", "4.3"],
     ["reproduce-paper", "--section", "4.3", "--k", "5"],
+    ["reproduce-paper", "--section", "4.3", "--k", "8"],
     ["reproduce-paper", "--section", "4.4", "--k", "13"],
     ["reproduce-paper", "--section", "maxroot"],
 )
@@ -736,6 +785,20 @@ FROZEN_VIEWS = {
         0,
         None,
         '2543bd3835473edf81190d872fdb2218c55bf0e74215fb9e2e9280315d40cf0c',
+        '',
+    ),
+    # taken before the parser and the class text were cached; the CI job
+    # bench-smoke checks this digest from a one-shot `cytforge` process
+    'reproduce-paper --section 4.3 --k 8 --format json': (
+        0,
+        '5434f19cf51e0df9c156c4af3c2c40cb01a17c002a7667fdab9d03d325174093',
+        'd204348556cf905462b5c378fe6364b9f3e565c9177f811bdce2140b525e4b85',
+        '',
+    ),
+    'reproduce-paper --section 4.3 --k 8 --format text': (
+        0,
+        None,
+        'c1a35a319b3175d2e67f8f7cd2c1e5a03a0867af34310d7acb2ccdb0381990b4',
         '',
     ),
     'reproduce-paper --section 4.4 --k 13 --format json': (
