@@ -1,23 +1,81 @@
+import hashlib
+import json
 import random
+from dataclasses import fields
+
+import pytest
 
 from cytforge.catalog import CatalogRecord, VerdictFlags, append_records, load_catalog
+
+# every kind of text the template must escape as json.dumps does: non-ASCII,
+# quotes, backslashes, control characters, astral characters, lone
+# surrogates and ℚ(√d) scale text
+TEXTS = (
+    "S³×S³",
+    "1(S²×S⁴) # 2(S³×S³)",
+    'a "quoted" label',
+    "back\\slash \\u0041",
+    "tab\tnew\nline\r\x00\x1f\x7f",
+    "astral 𝕊³ 😀",
+    "lone \udcff surrogate, \u2028 separator",
+    "38-20*sqrt(3)",
+    "ℚ(√7): 1/2+3/4*sqrt(7)",
+    "",
+)
+FLAG_VALUES = (None, True, False, 1)
 
 
 def random_record(rng):
     rank = rng.randint(2, 5)
     return CatalogRecord(
-        model=rng.choice(["quadric", "blowup_cp2(2,general)"]),
-        omega1=tuple(rng.randint(-5, 5) for _ in range(rank)),
-        omega2=tuple(rng.randint(-5, 5) for _ in range(rank)),
-        kahler=tuple(f"{rng.randint(-9, 9)}/1" for _ in range(rank)) if rng.random() < 0.5 else None,
+        model=rng.choice(("quadric", "blowup_cp2(2,general)") + TEXTS),
+        omega1=tuple(rng.choice((rng.randint(-5, 5), rng.randint(-(2**70), 2**70))) for _ in range(rank)),
+        omega2=tuple(rng.choice((rng.randint(-5, 5), rng.randint(-(2**70), 2**70))) for _ in range(rank)),
+        kahler=tuple(rng.choice((f"{rng.randint(-9, 9)}/1",) + TEXTS) for _ in range(rank))
+        if rng.random() < 0.5
+        else None,
         flags=VerdictFlags(
-            cyt=rng.choice([True, None]),
-            skt=rng.choice([True, False, None]),
-            topology_label=rng.choice(["S³×S³", None]),
-            scale=rng.choice(["2/1", "1/2", None]),
+            cyt=rng.choice(FLAG_VALUES),
+            skt=rng.choice(FLAG_VALUES),
+            balanced=rng.choice(FLAG_VALUES),
+            spin=rng.choice(FLAG_VALUES),
+            topology_label=rng.choice((None,) + TEXTS),
+            cyt_route=rng.choice((None, "ray", "anticanonical_ray", "ansatz")),
+            scale=rng.choice((None, "2/1", "1/2") + TEXTS),
         ),
-        canonical_key=f"key{rng.randint(0, 10 ** 6)}",
+        canonical_key=rng.choice((f"key{rng.randint(0, 10 ** 6)}",) + TEXTS),
     )
+
+
+def reference_doc(rec):
+    """The record body as a dict, the way json.dumps is handed it."""
+    return {
+        "model": rec.model,
+        "omega1": list(rec.omega1),
+        "omega2": list(rec.omega2),
+        "kahler": list(rec.kahler) if rec.kahler is not None else None,
+        "flags": {f.name: getattr(rec.flags, f.name) for f in fields(VerdictFlags)},
+        "canonical_key": rec.canonical_key,
+    }
+
+
+def json_line(doc):
+    """A catalog line written through json.dumps: the body plus its digest."""
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return json.dumps({**doc, "digest": digest}, sort_keys=True, separators=(",", ":"))
+
+
+def test_json_dumps_is_the_oracle_for_every_line():
+    rng = random.Random(23)
+    for _ in range(2000):
+        rec = random_record(rng)
+        doc = reference_doc(rec)
+        line = rec.to_line()
+        assert rec.body_text() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert line == json_line(doc)
+        assert line.isascii()
+        assert CatalogRecord.from_doc(json.loads(line)) == rec
 
 
 def test_round_trip_hundred_records(tmp_path):
@@ -70,3 +128,45 @@ def test_digest_tamper_detected(tmp_path):
         assert errors and errors[0].line_number == 1
     else:
         assert loaded  # replacement was a no-op
+
+
+def _good_doc():
+    rec = CatalogRecord("quadric", (1, 1), (1, -1), ("1/2", "1/2"), VerdictFlags(cyt=True, skt=True), "1,1|1,-1")
+    return reference_doc(rec)
+
+
+def _with(path, value):
+    """A json.dumps line of the good doc with one field replaced: its digest
+    matches json's rendering, so only the field's type makes it corrupt."""
+    doc = _good_doc()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json_line(doc).encode()
+
+
+MALFORMED = {
+    "flags-a-list": _with(("flags",), []),
+    "flags-an-int": _with(("flags",), 1),
+    "invalid-utf8": json_line(_good_doc()).encode().replace(b'"quadric"', b'"quadr\xffic"'),
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "list-flag-value": _with(("flags", "cyt"), [True]),
+    "list-flag-value-without-digest": json.dumps({**_good_doc(), "flags": {"cyt": [True]}}).encode(),
+    "float-flag-value": _with(("flags", "spin"), 1.5),
+    "number-among-kahler": _with(("kahler", 0), 1),
+    "object-as-model": _with(("model",), {"name": "quadric"}),
+    "infinite-omega": json_line(_good_doc()).encode().replace(b'"omega1":[1,1]', b'"omega1":[1e400,1]'),
+    "tampered-model": json_line(_good_doc()).encode().replace(b'"quadric"', b'"other"'),
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_a_malformed_line_is_one_corrupt_record(tmp_path, bad):
+    good = CatalogRecord.from_doc(_good_doc())
+    path = tmp_path / "catalog.jsonl"
+    path.write_bytes(good.to_line().encode() + b"\n" + bad + b"\n" + good.to_line().encode() + b"\n")
+    loaded, errors = load_catalog(str(path))
+    assert [e.line_number for e in errors] == [2]
+    assert loaded == [good, good]
