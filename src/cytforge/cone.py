@@ -4,17 +4,22 @@ self-intersection, and positivity against an ample witness.  Every inequality
 is decided by exact sign computation and recorded in a certificate.
 
 The curves a class is checked against are listed once per model, with their
-Gram rows G.n_C (n_C the curve's cleared numerators).  For a class F = n/d,
-d > 0, the sign of F.C is the sign of the dot product n.(G.n_C): integer
-numerators for a rational class, the coefficients over 1 for a class with a
-Q(sqrt(d)) coefficient, so the verdict comes from one row per curve.  For
-a rational class those signs depend only on the direction of n, so each
-model keeps a small memo of them keyed on the primitive vector of n; a
-search rechecking s * R for many scales s computes them once per ray.
-Q(F,F) and the ample-witness pairing are one `intersect` call each, on
-every call.  The per-curve values of a certificate are rendered on first
-read of `curve_checks`, one `intersect` call per curve, and each value's
-sign is checked against the sign the verdict read.
+integer Gram rows G.n_C (n_C the curve's cleared numerators, and G.m_C too
+for a curve with Q(sqrt(e)) coefficients).  For a rational class F = n/d,
+d > 0, the sign of F.C is the sign of the dot product n.(G.n_C).  A class
+with Q(sqrt(d)) coefficients, F = (n + m sqrt(d)) / den, pairs with a
+rational curve as p + q sqrt(d) with p = n.(G.n_C) and q = m.(G.n_C), two
+integer dots over den, and its sign is decided on integers from the signs
+of p and q, or else by comparing p^2 with q^2 d (`scalars.surd_sign`).
+So the verdict comes from integer rows alone.  The signs depend only on the
+direction of n (of (n, m) for a Q(sqrt(d)) class), so each model keeps a
+small memo of them keyed on the primitive vector; a search rechecking
+s * R for many scales s computes them once per ray, and `verify_cyt`
+rechecking a solved class finds them there.  Q(F,F) and the ample-witness
+pairing are one `intersect` call each, on every call.  The per-curve values
+of a certificate are rendered on first read of `curve_checks`, one
+`intersect` call per curve, and each value's sign is checked against the
+sign the verdict read.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CytForgeError, InvariantViolation, MissingAmpleWitness, MissingCurveData, RankMismatch
-from .scalars import Scalar, exact_sign, ratio_terms
+from .scalars import Scalar, exact_sign, ratio_terms, surd_sign
 from .surfaces import (
     REGIME_ENUMERATE,
     REGIME_EXPLICIT,
@@ -35,8 +40,8 @@ from .surfaces import (
     REGIME_RULINGS,
     CohClass,
     SurfaceModel,
-    exact_dot,
     intersect,
+    surd_dot,
 )
 
 
@@ -123,15 +128,19 @@ def _curves_for(model: SurfaceModel) -> tuple[CohClass, ...]:
         return model.curves
     k = model.rank - 1
     if regime == REGIME_ON_CUBIC:
-        curves = [
-            CohClass.of([0] + [1 if i == j else 0 for j in range(k)])
-            for i in range(k)
-        ]
+        # E_i, then H - E_i - E_j, with their cleared forms seeded: the list
+        # runs to k(k+1)/2 curves, and reading back their coefficients cost
+        # more than pairing a class against them
+        curves = []
+        for i in range(k):
+            v = [0] * (k + 1)
+            v[i + 1] = 1
+            curves.append(CohClass.from_cleared(tuple(v)))
         for i in range(k):
             for j in range(i + 1, k):
-                curves.append(
-                    CohClass.of([1] + [-1 if t in (i, j) else 0 for t in range(k)])
-                )
+                v = [1] + [0] * k
+                v[i + 1] = v[j + 1] = -1
+                curves.append(CohClass.from_cleared(tuple(v)))
         if k >= 10:
             curves.append(model.c1)  # proper transform of the cubic, class -K
         return tuple(curves)
@@ -141,45 +150,61 @@ def _curves_for(model: SurfaceModel) -> tuple[CohClass, ...]:
     raise MissingCurveData(f"unknown curve regime {regime!r}")
 
 
+_Rows = tuple[tuple[int, ...], ...]
+_SurdRows = Optional[tuple[Optional[tuple[tuple[int, ...], int]], ...]]
+
+
 @lru_cache(maxsize=None)
-def _curve_rows(
-    model: SurfaceModel,
-) -> tuple[tuple[CohClass, ...], tuple[tuple[Scalar, ...], ...], dict]:
+def _curve_rows(model: SurfaceModel) -> tuple[tuple[CohClass, ...], _Rows, _SurdRows, dict]:
     """The curves is_kahler checks a class against, in certificate order (the
-    negative curves, or the two rulings of the quadric), with their Gram
-    rows G.n_C and an empty memo for _curve_signs.  A curve with a
-    Q(sqrt(d)) coefficient has its coefficients for n_C; a curve of the
-    wrong rank raises RankMismatch."""
+    negative curves, or the two rulings of the quadric), with their integer
+    Gram rows G.n_C, the rows (G.m_C, e) of the curves with Q(sqrt(e))
+    coefficients (None for a rational curve; None in all when every curve
+    is rational), and an empty memo for _curve_signs.  A curve of the wrong
+    rank raises RankMismatch."""
     if model.curve_regime == REGIME_RULINGS:
         curves: tuple[CohClass, ...] = (CohClass.of([1, 0]), CohClass.of([0, 1]))
     else:
         curves = _curves_for(model)
-    rows = []
+    rows, surds = [], []
     for c in curves:
         if c.rank != model.rank:
             raise RankMismatch(f"classes of rank {model.rank}/{c.rank} on a rank-{model.rank} model")
-        n, _ = c.cleared_form or (c.coeffs, 1)
+        form = c.cleared_form  # a rational curve caches no surd form
+        n, m, e = (form[0], None, None) if form is not None else c.surd_form[:3]
         rows.append(tuple(model.gram_row(n)))
-    return curves, tuple(rows), {}
+        surds.append(None if m is None else (tuple(model.gram_row(m)), e))
+    return curves, tuple(rows), tuple(surds) if any(surds) else None, {}
 
 
 _SIGN_MEMO_SIZE = 8  # sign vectors kept per model; the oldest goes first
 
 
-def _row_signs(n: Sequence[int], rows: tuple[tuple[Scalar, ...], ...]) -> tuple[int, ...]:
-    """The sign of n.(G.n_C) for each curve row."""
-    return tuple([(v > 0) - (v < 0) for v in [sum(map(mul, n, row)) for row in rows]])
+def _row_signs(
+    n: Sequence[int], m: Optional[Sequence[int]], d: Optional[int], rows: _Rows, surds: _SurdRows
+) -> tuple[int, ...]:
+    """The sign of (n + m sqrt(d)).G.C for each curve row, on integers: one
+    dot per row for a rational class against rational curves, else
+    surd_dot and surd_sign."""
+    if m is None and surds is None:
+        return tuple([(v > 0) - (v < 0) for v in [sum(map(mul, n, row)) for row in rows]])
+    surds = surds or (None,) * len(rows)
+    return tuple(surd_sign(*surd_dot(n, m, d, row, *(s or (None, None)))) for row, s in zip(rows, surds))
 
 
-def _curve_signs(n: Sequence[int], rows: tuple[tuple[Scalar, ...], ...], memo: dict) -> tuple[int, ...]:
-    """_row_signs of n, memoised on the primitive vector of n: a positive
-    multiple of n has the same signs, so a search that rechecks s * R for
-    many scales s computes them once per ray."""
-    g = gcd(*n)
-    key = tuple(x // g for x in n) if g > 1 else tuple(n)
+def _curve_signs(
+    n: Sequence[int], m: Optional[Sequence[int]], d: Optional[int], rows: _Rows, surds: _SurdRows, memo: dict
+) -> tuple[int, ...]:
+    """_row_signs of n + m sqrt(d), memoised on the primitive vector of n,
+    or of (n, m) with d: a positive multiple has the same signs, so a search
+    that rechecks s * R for many scales s computes them once per ray."""
+    g = gcd(*n, *(m or ()))
+    if g > 1:
+        n, m = tuple(x // g for x in n), m and tuple(x // g for x in m)
+    key = tuple(n) if m is None else (tuple(n), m, d)
     signs = memo.get(key)
     if signs is None:
-        signs = _row_signs(key, rows)
+        signs = _row_signs(n, m, d, rows, surds)
         if len(memo) >= _SIGN_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[key] = signs
@@ -219,12 +244,15 @@ def is_kahler(
     model: SurfaceModel, f: CohClass, witness: Optional[CohClass] = None
 ) -> ConeCertificate:
     """Certified cone membership for the class f.  The sign of each curve
-    pairing is the sign of n.(G.n_C) against the model's cached rows: for a
-    rational f = n/d memoised on the primitive vector of n (_curve_signs),
-    for a class with a Q(sqrt(d)) coefficient (n its coefficients) decided
-    by exact_sign.  The verdict reads those signs with Q(F,F) and the ample
-    pairing, which are computed on every call; the curve values are
-    rendered only when curve_checks is read."""
+    pairing is read from integer dots against the model's cached rows: for
+    a rational f = n/d the sign of n.(G.n_C), for f = (n + m sqrt(d)) / den
+    the sign of p + q sqrt(d) from the two dots p = n.(G.n_C) and
+    q = m.(G.n_C), decided on integers; either is memoised on the primitive
+    vector (_curve_signs).  A class mixing two radicands, or paired with a
+    curve in another Q(sqrt(e)), raises MixedFieldError.  The verdict reads
+    those signs with Q(F,F) and the ample pairing, which are computed on
+    every call; the curve values are rendered only when curve_checks is
+    read."""
     if not isinstance(model, SurfaceModel):
         raise CytForgeError("cone checks need a full lattice model")
     if f.rank != model.rank:
@@ -232,12 +260,10 @@ def is_kahler(
     self_int = intersect(model, f, f)
     self_sign = exact_sign(self_int)
 
-    curves, rows, memo = _curve_rows(model)
+    curves, rows, surds, memo = _curve_rows(model)
     form = f.cleared_form
-    if form is None:
-        signs = tuple(exact_sign(exact_dot(f.coeffs, row)) for row in rows)
-    else:
-        signs = _curve_signs(form[0], rows, memo)
+    n, m, d = (form[0], None, None) if form is not None else f.surd_form[:3]
+    signs = _curve_signs(n, m, d, rows, surds, memo)
 
     if witness is not None:
         source = "user"

@@ -27,15 +27,15 @@ from typing import Iterable, Optional
 from . import intlinalg
 from .cone import ConeCertificate, is_kahler, positively_proportional
 from .errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass, RankMismatch
-from .scalars import Scalar, exact_div, exact_sign, is_rational, ratio_terms, solve_quadratic
+from .scalars import Scalar, exact_div, exact_sign, is_rational, quadratic, ratio_terms, solve_quadratic
 from .surfaces import (
     CohClass,
     Model,
     PairingFunctionalModel,
     SurfaceModel,
     blowup_cp2,
-    exact_dot,
     intersect,
+    surd_dot,
 )
 
 BASE_COMPLEX_DIMENSION = 2  # all built-in bases are surfaces
@@ -75,8 +75,9 @@ class _Traces:
 
     trace_l = nums[l] / nn, the traced sum is summed / nn and Q(f,f) = nn / d^2.
     With c1 = m / e the defect vanishes iff e * summed == nn * m.  The same
-    formulas run on integers for a rational f on a SurfaceModel and in
-    exact scalars otherwise.  lambdas and traced are rendered on first
+    formulas run on integers for a rational f on a SurfaceModel, and on the
+    canonical scalars of the integer pairs p + q sqrt(r) for a Q(sqrt(r))
+    class f = (n + m sqrt(r)) / d.  lambdas and traced are rendered on first
     read.  NullClass when nn = 0, before a pairing is read: a pairing
     table may leave an entry of a later pairing undeclared."""
 
@@ -84,7 +85,7 @@ class _Traces:
         if nn == 0:
             raise NullClass("Q(F,F) = 0")
         self.bundle, self.nn = bundle, nn
-        self.ff = nn if d == 1 else Fraction(nn, d * d)
+        self.ff = nn if d == 1 else exact_div(nn, d * d)
         self.nums = [BASE_COMPLEX_DIMENSION * d * t for t in pairings]
         # every curvature class is integral, so its cleared form has d = 1
         ns = [w.cleared_form[0] for w in bundle.curvatures]
@@ -122,11 +123,13 @@ class _Traces:
 
 def _traced_sum(bundle: BundleSpec, f: CohClass) -> _Traces:
     """The traces of the curvature classes against f; NullClass when Q(f,f)
-    = 0.  On a SurfaceModel f = n/d pairs through one Gram row G n, on
-    integers for a rational f and in exact scalars (n the coefficients,
-    d = 1) for a class with a Q(sqrt(d)) coefficient; a pairing table pairs
-    class by class.  Every CYT reader takes Q(F,F), the traces and the
-    defect test from here."""
+    = 0.  On a SurfaceModel a rational f = n/d pairs through one Gram row
+    G n, on integers.  A class f = (n + m sqrt(d)) / den pairs through the
+    two rows G n and G m: each curvature w gives w.Gn + (w.Gm) sqrt(d), two
+    integer dots, and Q(F,F) is n.Gn + d m.Gm + 2 (n.Gm) sqrt(d) over den^2,
+    each read as one canonical scalar.  A pairing table pairs class by
+    class.  Every CYT reader takes Q(F,F), the traces and the defect test
+    from here."""
     base = bundle.base
     if f.rank != base.rank:
         raise RankMismatch(f"classes of rank {f.rank}/{f.rank} on a rank-{base.rank} model")
@@ -134,12 +137,15 @@ def _traced_sum(bundle: BundleSpec, f: CohClass) -> _Traces:
         pairings = (intersect(base, w, f) for w in bundle.curvatures)  # read after the nn test
         return _Traces(bundle, pairings, intersect(base, f, f), 1)
     form = f.cleared_form
-    n, d = form or (f.coeffs, 1)
-    row = base.gram_row(n)
-    ws = bundle.curvatures
-    if form is None:
-        return _Traces(bundle, [exact_dot(w.cleared_form[0], row) for w in ws], exact_dot(n, row), d)
-    return _Traces(bundle, [sum(map(mul, w.cleared_form[0], row)) for w in ws], sum(map(mul, n, row)), d)
+    ws = [w.cleared_form[0] for w in bundle.curvatures]
+    if form is not None:
+        n, d = form
+        row = base.gram_row(n)
+        return _Traces(bundle, [sum(map(mul, w, row)) for w in ws], sum(map(mul, n, row)), d)
+    n, m, r, d = f.surd_form
+    rows = base.gram_row(n), base.gram_row(m), r
+    pairings = [quadratic(*surd_dot(w, None, None, *rows)) for w in ws]
+    return _Traces(bundle, pairings, quadratic(*surd_dot(n, m, r, *rows)), d)
 
 
 def cyt_defect(bundle: BundleSpec, f: CohClass) -> CohClass:

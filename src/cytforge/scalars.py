@@ -28,6 +28,20 @@ def _int_sign(x) -> int:
     return 0
 
 
+def surd_sign(p, q, d: Optional[int]) -> int:
+    """Sign of p + q*sqrt(d) for rational p, q and d > 0 (d may be None when
+    q = 0): the common sign of p and q when they agree or one of them is 0,
+    else the sign of the larger of p^2 and q^2 d.  Exact on ints and
+    Fractions alike."""
+    sp, sq = _int_sign(p), _int_sign(q)
+    if sp == sq or sq == 0:
+        return sp
+    if sp == 0:
+        return sq
+    t = _int_sign(p * p - q * q * d)
+    return sp if t > 0 else sq if t < 0 else 0
+
+
 def square_free_decomposition(n: int) -> tuple[int, int]:
     """Write n > 0 as s**2 * m with m square-free; returns (s, m)."""
     if n <= 0:
@@ -172,16 +186,7 @@ class QuadraticNumber:
     # -- comparisons ----------------------------------------------------
 
     def sign(self) -> int:
-        sa = _int_sign(self.a)
-        sb = _int_sign(self.b)
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        t = _int_sign(self.a * self.a - self.b * self.b * self.d)
-        if t == 0:
-            return 0
-        return sa if t > 0 else sb
+        return surd_sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QuadraticNumber):

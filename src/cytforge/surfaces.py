@@ -6,15 +6,17 @@ Built-in models: the projective plane, the smooth quadric, blow-ups of the
 plane at k points (general position for k <= 8, points on a cubic for k >= 2),
 and a Kummer-surface fragment given by a partial pairing table.
 
-Pairings on a lattice model run on one Gram row: a rational class caches its
-cleared form (integer numerators over the least common denominator), a
-class with a Q(sqrt(d)) coefficient is its coefficients over 1, and
-`SurfaceModel.gram_row` is the one Gram product.  `intersect` dots a
-cleared form with it, the CYT traces and the cone signs read one such row,
-and the topology pairing matrix and the search's ray functional are rows of
-it.  Only the cleared form reads coefficient types: integrality, int
-vectors and proportionality (`CohClass.positive_ratio`) read its
-numerators.  Pairing-table models keep the exact scalar loop.
+Pairings on a lattice model run on integer Gram rows: a rational class
+caches its cleared form (integer numerators over the least common
+denominator), a class with Q(sqrt(d)) coefficients its surd form (n + m
+sqrt(d)) / den with integer vectors n and m, and `SurfaceModel.gram_row` is
+the one Gram product.  `intersect` dots a cleared form with one row, and a
+surd form with the rows of n and m (`surd_dot`: two integer dot products
+per side); the CYT traces and the cone signs read the same rows, and the
+topology pairing matrix and the search's ray functional are rows of it.
+Only the two forms read coefficient types: integrality, int vectors and
+proportionality (`CohClass.positive_ratio`) read the cleared numerators.
+Pairing-table models keep the exact scalar loop.
 """
 
 from __future__ import annotations
@@ -32,22 +34,25 @@ from . import intlinalg
 from .errors import (
     CytForgeError,
     InvalidPosition,
+    MixedFieldError,
     NonSymmetricGram,
     RankMismatch,
     ScalarParseError,
     UndeclaredPairing,
     ZeroClass,
 )
-from .scalars import Scalar, exact_div, format_scalar, is_rational, parse_scalar, ratio_of
+from .scalars import QuadraticNumber, Scalar, exact_div, format_scalar, is_rational, parse_scalar, quadratic, ratio_of
 
 
 @dataclass(frozen=True)
 class CohClass:
     """A degree-2 class as a coefficient vector over a model's ordered basis.
 
-    A rational class also carries its cleared form, and every class its
-    exact scalar text; both are computed on first use and kept out of
-    equality, hashing and pickles."""
+    A rational class also carries its cleared form, a class with Q(sqrt(d))
+    coefficients its surd form, and every class its exact scalar text; each
+    is computed on first use and kept out of equality, hashing and
+    pickles.  On a lattice model a rational class pairs as one integer dot
+    over its denominator, a Q(sqrt(d)) class as two (`surd_dot`)."""
 
     coeffs: tuple[Scalar, ...]
 
@@ -65,6 +70,28 @@ class CohClass:
             c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
             for c in self.coeffs
         ), den
+
+    @cached_property
+    def surd_form(self) -> tuple[tuple[int, ...], Optional[tuple[int, ...]], Optional[int], int]:
+        """(n, m, d, den) with coeffs = (n + m sqrt(d)) / den: integer vectors
+        n and m, the one radicand d of the irrational coefficients and den
+        the least positive common denominator.  A rational class has m and
+        d None and its cleared form for n and den; MixedFieldError when the
+        coefficients lie in two different Q(sqrt(d))."""
+        form = self.cleared_form
+        if form is not None:
+            return form[0], None, None, form[1]
+        d, den = None, 1
+        for c in self.coeffs:
+            if isinstance(c, QuadraticNumber):
+                if d not in (None, c.d):
+                    raise MixedFieldError(f"sqrt({d}) and sqrt({c.d}) in one class")
+                d, den = c.d, lcm(den, c.a.denominator, c.b.denominator)
+            elif isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+        parts = [(c.a, c.b) if isinstance(c, QuadraticNumber) else (c, 0) for c in self.coeffs]
+        n, m = (tuple(x.numerator * (den // x.denominator) for x in xs) for xs in zip(*parts))
+        return n, m, d, den
 
     def __getstate__(self) -> dict:
         return {"coeffs": self.coeffs}
@@ -243,34 +270,49 @@ class PairingFunctionalModel:
 Model = Union[SurfaceModel, PairingFunctionalModel]
 
 
-def exact_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """u . v over the entries where both are nonzero: the dot product for a
-    vector with a Q(sqrt(d)) entry, where a product costs far more than the
-    test that skips it.  Integer vectors take sum(map(mul, u, v)), which
-    skipping would slow down."""
-    return sum(a * b for a, b in zip(u, v) if a and b)
+def surd_dot(
+    n: Sequence[int], m: Optional[Sequence[int]], d: Optional[int],
+    row_n: Sequence[int], row_m: Optional[Sequence[int]], e: Optional[int],
+) -> tuple[int, int, Optional[int]]:
+    """(p, q, r) with (n + m sqrt(d)) . (row_n + row_m sqrt(e)) = p + q sqrt(r),
+    on integers: two dot products when one side is rational (m or row_m
+    None), four when both lie in one Q(sqrt(d)).  MixedFieldError when they
+    lie in two."""
+    p = sum(map(mul, n, row_n))
+    if row_m is None:
+        return (p, 0, None) if m is None else (p, sum(map(mul, m, row_n)), d)
+    if m is None:
+        return p, sum(map(mul, n, row_m)), e
+    if d != e:
+        raise MixedFieldError(f"sqrt({d}) and sqrt({e}) do not mix")
+    return p + d * sum(map(mul, m, row_m)), sum(map(mul, n, row_m)) + sum(map(mul, m, row_n)), d
 
 
 def intersect(model: Model, x: CohClass, y: CohClass) -> Scalar:
     """x . y under the model's intersection form, exactly.
 
-    On a SurfaceModel x = n_x / d_x and y = n_y / d_y pair as one dot
-    product n_x . G n_y over d_x d_y: integer numerators for a rational
-    class, the coefficients over 1 for a class with a Q(sqrt(d))
-    coefficient.  The value is an int when both classes are integral.
-    Pairing-table models take the scalar loop, which raises
+    On a SurfaceModel two rational classes x = n_x / d_x and y = n_y / d_y
+    pair as one integer dot product n_x . G n_y over d_x d_y, an int when
+    both are integral.  When either has Q(sqrt(d)) coefficients, both are
+    read in surd form, (n + m sqrt(d)) / den, and pair as p + q sqrt(d) with
+    p = n_x.Gn_y + d m_x.Gm_y and q = n_x.Gm_y + m_x.Gn_y (`surd_dot`); the
+    value is the canonical scalar quadratic(p/den, q/den, d), a Fraction
+    when q = 0.  Pairing-table models take the scalar loop, which raises
     UndeclaredPairing on an entry the table leaves open."""
     b = model.rank
     if x.rank != b or y.rank != b:
         raise RankMismatch(f"classes of rank {x.rank}/{y.rank} on a rank-{b} model")
     if isinstance(model, SurfaceModel):
         fx, fy = x.cleared_form, y.cleared_form
-        nx, dx = fx or (x.coeffs, 1)
-        ny, dy = fy or (y.coeffs, 1)
-        row = model.gram_row(ny)
-        dot = exact_dot(nx, row) if fx is None or fy is None else sum(map(mul, nx, row))
-        d = dx * dy
-        return dot if d == 1 else exact_div(dot, d)
+        if fx is not None and fy is not None:
+            dot = sum(map(mul, fx[0], model.gram_row(fy[0])))
+            d = fx[1] * fy[1]
+            return dot if d == 1 else exact_div(dot, d)
+        nx, mx, rx, dx = x.surd_form
+        ny, my, ry, dy = y.surd_form
+        row_m = None if my is None else model.gram_row(my)
+        p, q, r = surd_dot(nx, mx, rx, model.gram_row(ny), row_m, ry)
+        return quadratic(Fraction(p, dx * dy), Fraction(q, dx * dy), r)
     gram = model.gram
     total: Scalar = 0
     for i, xi in enumerate(x.coeffs):

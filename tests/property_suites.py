@@ -12,7 +12,7 @@ import random
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from hypothesis import given, settings
@@ -28,9 +28,10 @@ from cytforge.cyt import (
     solve_symmetric_ansatz,
     verify_cyt,
 )
-from cytforge.errors import NotKahler, NotPositiveRay, NullClass
+from cytforge.errors import MixedFieldError, NotKahler, NotPositiveRay, NullClass
 from cytforge.intlinalg import IntegerSolver, mat_mul, mat_vec, snf, solve_integer_linear
 from cytforge.scalars import (
+    QuadraticNumber,
     exact_div,
     exact_sign,
     format_scalar,
@@ -385,6 +386,7 @@ def check_cleared_form(data) -> None:
             pass
         else:
             raise AssertionError("as_int_vector accepted a non-integral class")
+    _check_surd_form(x)
     if not all(is_rational(c) for c in x.coeffs):
         assert x.cleared_form is None
         _check_caches_stay_private(x, digest)
@@ -394,6 +396,25 @@ def check_cleared_form(data) -> None:
     assert all(type(v) is int for v in n)
     assert tuple(Fraction(v, d) for v in n) == x.coeffs
     _check_caches_stay_private(x, digest)
+
+
+def _check_surd_form(x: CohClass) -> None:
+    """coeffs = (n + m sqrt(d)) / den with int vectors n and m and den the
+    least positive denominator; m and d None on a rational class, whose n
+    and den are its cleared form; MixedFieldError exactly when the
+    irrational coefficients lie in two fields."""
+    radicands = {c.d for c in x.coeffs if isinstance(c, QuadraticNumber)}
+    try:
+        n, m, d, den = x.surd_form
+    except MixedFieldError:
+        assert len(radicands) > 1
+        return
+    assert len(radicands) <= 1 and all(type(v) is int for v in n + (m or ()))
+    if m is None:
+        assert d is None and (n, den) == x.cleared_form
+        return
+    assert {d} == radicands and den > 0 and gcd(den, *n, *m) == 1
+    assert tuple(quadratic(Fraction(a, den), Fraction(b, den), d) for a, b in zip(n, m)) == x.coeffs
 
 
 def _check_caches_stay_private(x: CohClass, digest: int) -> None:
@@ -864,3 +885,201 @@ def check_rendered_fields(case) -> None:
         assert [type(c) for c in cyt_cert.defect.coeffs] == types
         assert cyt_cert.solved_scale == want["solved_scale"]
         assert type(cyt_cert.solved_scale) in (Fraction, type(None))
+
+
+# -- Q(sqrt(d)) classes on integers against the QuadraticNumber reference -----
+#
+# intersect, is_kahler and _traced_sum read a class with Q(sqrt(d))
+# coefficients in surd form, (n + m sqrt(d)) / den, and pair it through
+# integer dots against the Gram rows.  The reference is the scalar formula
+# they replaced: the coefficients over 1, dotted entry by entry in
+# QuadraticNumber arithmetic over the nonzero products.  Signs are checked
+# against 200-bit mpmath values as well, since QuadraticNumber.sign and the
+# kernel share scalars.surd_sign.
+
+
+def _reference_dot(u, v):
+    return sum(a * b for a, b in zip(u, v) if a and b)
+
+
+@lru_cache(maxsize=4096)
+def _reference_row(model, v: tuple) -> tuple:
+    return tuple(_reference_dot(row, v) for row in model.gram)
+
+
+def _reference_intersect(model, x: CohClass, y: CohClass):
+    nx, dx = x.cleared_form or (x.coeffs, 1)
+    ny, dy = y.cleared_form or (y.coeffs, 1)
+    dot = _reference_dot(nx, _reference_row(model, tuple(ny)))
+    return dot if dx * dy == 1 else exact_div(dot, dx * dy)
+
+
+def _canonical_type(value) -> type:
+    """The type of a canonical Q(sqrt(d)) pairing: a Fraction when the value
+    is rational (the scalar formula gave an int when no irrational
+    coefficient met a nonzero Gram entry), else a QuadraticNumber."""
+    return Fraction if is_rational(value) else QuadraticNumber
+
+
+def _pairing_type(x: CohClass, y: CohClass, value) -> type:
+    """Two rational classes pair to an int exactly when both cleared
+    denominators are 1 (as check_integer_intersect states); a pair with a
+    Q(sqrt(d)) side is canonical."""
+    if x.cleared_form and y.cleared_form:
+        return int if x.cleared_form[1] * y.cleared_form[1] == 1 else Fraction
+    return _canonical_type(value)
+
+
+def _mp_sign(x) -> int:
+    import mpmath
+
+    if is_rational(x):
+        return exact_sign(x)
+    with mpmath.workprec(200):
+        approx = mpmath.mpf(x.a.numerator) / x.a.denominator + (
+            mpmath.mpf(x.b.numerator) / x.b.denominator
+        ) * mpmath.sqrt(x.d)
+        return 1 if approx > 0 else -1
+
+
+def _fraction_in(lo: int = -40, hi: int = 40):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 12))
+
+
+def _surd_in(d: int):
+    """A Q(sqrt(d)) coefficient with mixed denominators, never rational."""
+    nonzero = _fraction_in(1, 30) | _fraction_in(-30, -1)
+    return st.builds(quadratic, _fraction_in(), nonzero, st.just(d))
+
+
+def _surd_class(draw, model, d: int) -> CohClass:
+    """A class with at least one Q(sqrt(d)) coefficient; the other entries
+    are zero, ints or fractions, so m has zero entries."""
+    coeffs = [draw(_surd_in(d) | _coefficients) for _ in range(model.rank - 1)]
+    coeffs.insert(draw(st.integers(0, model.rank - 1)), draw(_surd_in(d)))
+    return CohClass(tuple(coeffs))
+
+
+def _curve_radicands(model) -> set:
+    if model.curve_regime != "explicit":
+        return set()
+    return {c.d for curve in model.curves for c in curve.coeffs if isinstance(c, QuadraticNumber)}
+
+
+def _ray_curves(model) -> list:
+    if model.curve_regime == "rulings":
+        return [CohClass.of([1, 0]), CohClass.of([0, 1])]
+    return negative_curves(model)
+
+
+@lru_cache(maxsize=None)
+def _ansatz_bundle(k: int):
+    sol = solve_symmetric_ansatz(k)
+    return blowup_cp2(k, "on_cubic"), sol.kahler_class, (sol.omega1, sol.omega2)
+
+
+def _reference_surd_traces(model, ws, f):
+    """The fields of _traced_fields from the scalar formula: the pairings
+    w . G coeffs and Q(f,f) in QuadraticNumber arithmetic, then the traces,
+    the traced sum, the defect and the ratio to c1 class by class."""
+    row = _reference_row(model, f.coeffs)
+    ff = _reference_dot(f.coeffs, row)
+    if ff == 0:
+        return None
+    lambdas = tuple(exact_div(2 * _reference_dot(w.coeffs, row), ff) for w in ws)
+    traced = CohClass.zero(model.rank)
+    for lam, w in zip(lambdas, ws):
+        if lam != 0:
+            traced = traced + lam * w
+    s = ratio_of(traced.coeffs, model.c1.coeffs)
+    scale = s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
+    trace_free = tuple(lam == 0 for lam in lambdas)
+    return lambdas, traced, ff, _mp_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale
+
+
+def _check_surd_cone(model, f: CohClass, witness) -> None:
+    cert = is_kahler(model, f, witness)
+    curves = _ray_curves(model)
+    values = [_reference_intersect(model, f, c) for c in curves]
+    signs = tuple(_mp_sign(v) for v in values)
+    assert cert.curve_signs == signs
+    assert [(c.curve, c.value, type(c.value)) for c in cert.curve_checks] == [
+        (c, v, _pairing_type(f, c, v)) for c, v in zip(curves, values)
+    ]
+    ff = _reference_intersect(model, f, f)
+    assert (cert.self_intersection, type(cert.self_intersection), cert.self_sign) == (
+        ff, _pairing_type(f, f, ff), _mp_sign(ff)
+    )
+    witness = witness if witness is not None else model.ample_witness
+    ample = _reference_intersect(model, f, witness)
+    assert (cert.ample_value, type(cert.ample_value), cert.ample_sign) == (
+        ample, _pairing_type(f, witness, ample), _mp_sign(ample)
+    )
+    assert cert.verdict == (_mp_sign(ff) > 0 and min(signs, default=1) > 0 and _mp_sign(ample) > 0)
+    # a positive multiple has the same signs, and an equal class reads them from the memo
+    for t in (Fraction(3, 7), 2):
+        assert is_kahler(model, t * f, witness).curve_signs == signs
+    assert is_kahler(model, CohClass(f.coeffs), witness).curve_signs == signs
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def check_surd_kernel(data) -> None:
+    """intersect, is_kahler and _traced_sum on classes with Q(sqrt(d))
+    coefficients equal the QuadraticNumber reference: pairing values with
+    their canonical type, every curve sign (also against mpmath), the
+    verdict, the rendered curve checks, and the traces, defect and scale.
+    Random d, mixed denominators, zero m entries, the ansatz classes for
+    k = 9..12, rational classes against curves with Q(sqrt(3))
+    coefficients, and non-diagonal custom Grams are drawn.  A class whose
+    field differs from a curve's, or one that mixes two radicands, raises
+    MixedFieldError."""
+    kind = data.draw(st.sampled_from(("random", "random", "random", "ansatz", "mixed")))
+    if kind == "ansatz":
+        model, f, ws = _ansatz_bundle(data.draw(st.integers(9, 12)))
+        if data.draw(st.booleans()):
+            ws = tuple(data.draw(classes(model.rank, _integral)) for _ in range(2))
+    else:
+        model = data.draw(cone_models())
+        d = data.draw(st.sampled_from((3, 3) + SQUARE_FREE))
+        f = _surd_class(data.draw, model, d)
+        if kind == "random" and model.curve_regime == "explicit" and data.draw(st.integers(0, 4)) == 0:
+            f = data.draw(classes(model.rank))  # rational, against Q(sqrt(3)) curves
+        ws = tuple(data.draw(classes(model.rank, _integral)) for _ in range(data.draw(st.sampled_from((2, 4)))))
+    witness = data.draw(st.sampled_from((None, None, 2 * model.ample_witness)) | classes(model.rank, _integral))
+    if kind == "mixed" and model.rank >= 2:
+        other = data.draw(st.sampled_from([e for e in SQUARE_FREE if e != d]))
+        coeffs = list(f.coeffs)
+        j = next(i for i, c in enumerate(coeffs) if isinstance(c, QuadraticNumber))
+        coeffs[(j + 1) % model.rank] = data.draw(_surd_in(other))
+        f = CohClass(tuple(coeffs))
+        calls = (intersect, model, f, model.c1), (is_kahler, model, f, witness), (_traced_sum, BundleSpec(model, ws), f)
+        for fn, *args in calls:
+            try:
+                fn(*args)
+            except MixedFieldError:
+                continue
+            raise AssertionError(f"{f.coeffs} mixes two radicands but paired")
+        return
+
+    for y in (model.c1, witness or model.ample_witness, f, -f, ws[0]):
+        want = _reference_intersect(model, f, y)
+        for got in (intersect(model, f, y), intersect(model, y, f)):
+            assert (got, type(got)) == (want, _pairing_type(f, y, want))
+
+    foreign = _curve_radicands(model) - ({f.surd_form[2]} if f.cleared_form is None else {None})
+    if f.cleared_form is None and foreign:
+        try:
+            is_kahler(model, f, witness)
+        except MixedFieldError:
+            pass
+        else:
+            raise AssertionError(f"a Q(sqrt({f.surd_form[2]})) class paired with Q(sqrt({foreign})) curves")
+    else:
+        _check_surd_cone(model, f, witness)
+
+    got, want = _traced_fields(BundleSpec(model, ws), f), _reference_surd_traces(model, ws, f)
+    assert got == want
+    if got is not None:
+        assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]
+        assert type(got[2]) is _pairing_type(f, f, want[2])

@@ -119,15 +119,14 @@ def test_corrupt_line_reported_and_rest_loads(tmp_path):
 
 def test_digest_tamper_detected(tmp_path):
     rng = random.Random(16)
-    rec = random_record(rng)
-    line = rec.to_line().replace('"model":"quadric"', '"model":"other"')
-    path = tmp_path / "catalog.jsonl"
-    path.write_text(line + "\n")
-    loaded, errors = load_catalog(str(path))
-    if rec.model == "quadric":
-        assert errors and errors[0].line_number == 1
-    else:
-        assert loaded  # replacement was a no-op
+    for field in ("model", "canonical_key"):
+        rec = random_record(rng)
+        doc = json.loads(rec.to_line())
+        doc[field] += " tampered"  # the stored digest is left as it was
+        path = tmp_path / "catalog.jsonl"
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        loaded, errors = load_catalog(str(path))
+        assert (loaded, [e.line_number for e in errors]) == ([], [1]), field
 
 
 def _good_doc():

@@ -929,6 +929,8 @@ QUADRATIC_DIGESTS = [
     (["verify", *_P9, "--kahler", _K9], 0, "3557ceee131c2eff16f58f73db1193361ef74994b7d717f8d4cbc0233200548a"),
     (["verify", *_P10, "--kahler", _K10], 0, "afa59e8f78423639f64fe5f10b4e564346718b0e98ebc574eb836958c2e7b990"),
     (["solve-scale", *_P9, "--ray", _K9], 0, "8ccb741cec4a5649ab8f97aa2c4beead9effef523133cb726db1b8f7564fc47f"),
+    # taken before these classes were paired as integer dots in surd form
+    (["reproduce-paper", "--section", "4.4", "--k", "12"], 0, "78f836e5af5ef3e953cbd6b12cbd3b21a4537dec10b9a131ac9478824b4e6bfd"),
 ]
 
 
@@ -936,6 +938,25 @@ def test_quadratic_class_digests_frozen(capsys):
     for argv, code, digest in QUADRATIC_DIGESTS:
         got, out, err = run(capsys, *argv, "--format", "json")
         assert (got, json.loads(out)["digest"], err) == (code, digest, ""), argv
+
+
+_MIXED = "[1+1*sqrt(2),1+1*sqrt(3)]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone-check", "--model", "quadric", "--class", _MIXED],
+        ["verify", *_QUADRIC, "--kahler", _MIXED],
+        ["verify", *_QUADRIC, "--kahler", _MIXED, "--expect", "skt"],
+        ["solve-scale", *_QUADRIC, "--ray", _MIXED],
+        ["cone-check", "--model", "blowup_cp2(2)", "--class", "[3+1*sqrt(2),-1,-1-1*sqrt(3)]"],
+    ],
+)
+def test_a_class_in_two_fields_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sqrt(") and "Traceback" not in err
 
 
 def test_a_witness_may_start_with_a_minus(capsys):

@@ -210,11 +210,28 @@ def test_an_irrational_class_renders_its_checks_on_read(monkeypatch):
     assert counts == {"intersect": 1 + curves + 1, "checks": curves}
 
 
+def test_verify_cyt_rechecks_the_ansatz_class_from_the_memo(monkeypatch):
+    from cytforge.cyt import BundleSpec, verify_cyt
+
+    computed = []
+    row_signs = cone._row_signs
+    monkeypatch.setattr(cone, "_row_signs", lambda *args: computed.append(args[1] is not None) or row_signs(*args))
+    for k in (9, 12):
+        m = blowup_cp2(k, "on_cubic")
+        cone._curve_rows(m)[3].clear()
+        sol = solve_symmetric_ansatz(k)
+        f = sol.kahler_class
+        bundle = BundleSpec(m, (sol.omega1, sol.omega2))
+        for g in (f, CohClass(f.coeffs), Fraction(5, 3) * f):  # the class, a copy, a positive multiple
+            assert verify_cyt(bundle, g).cone.curve_signs == sol.cone.curve_signs
+    assert computed == [True, True]  # one surd sign vector per model
+
+
 def test_a_corrupted_row_fails_the_rendered_cross_check(monkeypatch):
     m = blowup_cp2(3)
-    curves, rows, _ = cone._curve_rows(m)
+    curves, rows, surds, _ = cone._curve_rows(m)
     flipped = (tuple(-g for g in rows[0]),) + rows[1:]
-    monkeypatch.setattr(cone, "_curve_rows", lambda model: (curves, flipped, {}))
+    monkeypatch.setattr(cone, "_curve_rows", lambda model: (curves, flipped, surds, {}))
     cert = is_kahler(m, m.c1)
     assert not cert.verdict
     with pytest.raises(InvariantViolation, match="integer row gave the sign -1"):

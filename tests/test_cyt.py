@@ -313,6 +313,21 @@ def test_ansatz_pairing_check_is_explicit(monkeypatch):
         solve_symmetric_ansatz(9)
 
 
+def test_the_section_4_4_ansatz_holds_for_k_9_to_60():
+    """For every k in 9..60 the ansatz root n lies in (3, 22/5), the class
+    pairs as (4, 2, 2) with itself and the curvatures, and both the cone
+    check and the CYT recheck pass: the sweep behind the all-k family."""
+    for k in range(9, 61):
+        sol = solve_symmetric_ansatz(k)
+        assert sol is not None, k
+        assert exact_sign(sol.n - 3) == 1 and exact_sign(Fraction(22, 5) - sol.n) == 1, k
+        m, f = blowup_cp2(k, "on_cubic"), sol.kahler_class
+        assert (intersect(m, f, f), intersect(m, sol.omega1, f), intersect(m, sol.omega2, f)) == (4, 2, 2), k
+        assert sol.cone.verdict, k
+        cert = verify_cyt(BundleSpec(m, (sol.omega1, sol.omega2)), f)
+        assert cert.verdict and cert.reason is None, k
+
+
 def test_trace_readers_match_the_class_by_class_reference():
     property_suites.check_trace_readers()
 

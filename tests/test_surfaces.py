@@ -11,6 +11,7 @@ from cytforge.scalars import quadratic
 from cytforge.errors import (
     CytForgeError,
     InvalidPosition,
+    MixedFieldError,
     NonSymmetricGram,
     RankMismatch,
     ScalarParseError,
@@ -152,12 +153,32 @@ def test_integer_intersect_matches_the_scalar_loop():
     property_suites.check_integer_intersect()
 
 
+def test_surd_form_clears_a_q_sqrt_d_class():
+    k9 = CohClass((quadratic(38, -20, 3),) + (quadratic(-10, 5, 3),) * 4 + (quadratic(-14, 8, 3),) * 5)
+    assert k9.surd_form == ((38,) + (-10,) * 4 + (-14,) * 5, (-20,) + (5,) * 4 + (8,) * 5, 3, 1)
+    x = CohClass((quadratic(-18, 2, 114), quadratic(4, -HALF, 114), quadratic(7, Fraction(-2, 3), 114), HALF, 0))
+    assert x.surd_form == ((-108, 24, 42, 3, 0), (12, -3, -4, 0, 0), 114, 6)
+    assert CohClass((HALF, 3)).surd_form == ((1, 6), None, None, 2)
+    with pytest.raises(MixedFieldError, match=r"sqrt\(2\) and sqrt\(3\) in one class"):
+        CohClass((quadratic(1, 1, 2), 0, quadratic(1, 1, 3))).surd_form
+    # a Q(sqrt(2)) class against a Q(sqrt(3)) class, however the entries meet
+    m = blowup_cp2(2)
+    y, z = CohClass((quadratic(1, 1, 2), 1, 0)), CohClass((1, 0, quadratic(0, 1, 3)))
+    for a, b in ((y, z), (z, y)):
+        with pytest.raises(MixedFieldError, match="do not mix"):
+            intersect(m, a, b)
+
+
+def test_surd_kernel_matches_the_quadratic_reference():
+    property_suites.check_surd_kernel()
+
+
 def test_irrational_classes_pair_on_the_row_and_pairing_tables_in_the_scalar_loop():
     m = blowup_cp2(3)
     root = quadratic(1, 1, 2)
     x = CohClass((root, HALF, 0, -1))
     assert x.cleared_form is None
-    # the coefficients over 1 against the row of c1's numerators
+    # (n + m sqrt(2)) / 2, two integer dots against the row of c1's numerators
     assert intersect(m, x, m.c1) == intersect(m, m.c1, x) == 3 * root - HALF
     assert intersect(m, x, HALF * m.c1) == (3 * root - HALF) / 2
     # on a pairing table the classes are never cleared, and open entries raise
