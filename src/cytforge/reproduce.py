@@ -208,15 +208,17 @@ _K_RANGES = {
 SECTIONS = tuple(_K_RANGES)
 
 
-def compute(section: str, k: Optional[int] = None) -> dict:
+def _check(section: str, k: Optional[int]) -> None:
     if section not in _K_RANGES:
         raise ValueError(f"unknown section {section!r}; choose from {SECTIONS}")
-    target = globals()["compute_" + section.replace(".", "_")]
-    if _K_RANGES[section] is None:
-        return target()
-    if k is None:
+    if _K_RANGES[section] is not None and k is None:
         raise ValueError(f"section {section} needs k ({_K_RANGES[section]})")
-    return target(k)
+
+
+def compute(section: str, k: Optional[int] = None) -> dict:
+    _check(section, k)
+    target = globals()["compute_" + section.replace(".", "_")]
+    return target() if _K_RANGES[section] is None else target(k)
 
 
 def diff_against(expected: dict, actual: dict) -> list[str]:
@@ -232,9 +234,11 @@ def diff_against(expected: dict, actual: dict) -> list[str]:
 def reproduce_paper(section: str, k: Optional[int] = None, strict: bool = True) -> dict:
     """Run a target and compare with its frozen certificate.  Returns
     {"section", "k", "computed", "expected", "diffs"}; raises
-    MismatchAgainstExpected in strict mode when any value disagrees."""
-    computed = compute(section, k)
+    MismatchAgainstExpected in strict mode when any value disagrees.  The
+    golden is loaded before the target runs, so a missing one costs nothing."""
+    _check(section, k)
     golden = load_golden(section, k)
+    computed = compute(section, k)
     diffs = diff_against(golden["expected"], computed)
     result = {
         "section": section,

@@ -323,6 +323,7 @@ _SCALAR_RE = re.compile(
     rf"(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?$"
 )
 _PURE_RADICAL_RE = re.compile(rf"^(?P<b>{_FRAC_RE})\*sqrt\((?P<d>\d+)\)$")
+MAX_RADICAND = 10**12  # quadratic() trial-divides d up to sqrt(d)
 
 
 def _format_fraction(q: Fraction) -> str:
@@ -351,18 +352,17 @@ def _parse_fraction(part: str, text: str) -> Fraction:
 def parse_scalar(text: str) -> Scalar:
     s = text.strip()
     m = _SCALAR_RE.match(s)
-    if m:
-        a = _parse_fraction(m.group("a"), text)
-        if m.group("b") is None:
-            return a
-        b = _parse_fraction(m.group("b"), text)
-        if m.group("sign") == "-":
-            b = -b
-        return quadratic(a, b, int(m.group("d")))
-    m = _PURE_RADICAL_RE.match(s)
-    if m:
-        return quadratic(0, _parse_fraction(m.group("b"), text), int(m.group("d")))
-    raise ScalarParseError(f"not an exact scalar: {text!r}")
+    if m and m.group("b") is None:
+        return _parse_fraction(m.group("a"), text)
+    m = m or _PURE_RADICAL_RE.match(s)
+    if m is None:
+        raise ScalarParseError(f"not an exact scalar: {text!r}")
+    parts = m.groupdict()
+    b = _parse_fraction(parts.get("sign", "") + parts["b"], text)
+    d = int(parts["d"])
+    if d > MAX_RADICAND:
+        raise ScalarParseError(f"radicand above {MAX_RADICAND} in {text!r}")
+    return quadratic(_parse_fraction(parts.get("a", "0"), text), b, d)
 
 
 def approx_str(x: Scalar, digits: int = 4) -> str:

@@ -8,17 +8,20 @@ solver-aware: along a ray R the condition forces
     2 Q(w1,R) w1 + 2 Q(w2,R) w2  =  s * Q(R,R) * c1,   s > 0,
 
 so for fixed w1 the admissible w2 are finitely many explicit integer vectors
-(one per value of Q(w2,R), an integer root of one quadratic per box value
-of a coordinate) plus the trace-free ones, Q(w2,R) = 0, when w1 is
-proportional to c1.  Every candidate is then re-verified through the full
-certificate path, so emitted records never rest on the shortcut.  A pair
-pays for the verdicts only: solve_scale and the recheck's defect test
-compare integer numerators, the topology label is decided from the gcd of
-the pairing matrix's 2x2 minors, and the cone verdict reads integer signs
-against the model's cached curve rows, memoised per ray.  The documents
-(Fraction traces, the defect class, per-curve values, the Smith normal
-form and the witnesses) are rendered only when read, and a search reads
-none of them.
+plus the trace-free ones, Q(w2,R) = 0, when w1 is proportional to c1.  With
+q_l = Q(w_l,R) and d = Q(c1,R) > 0, each q2 != 0 fixes at most one w2, as
+q2 d w2 = (q1^2 + q2^2) c1 - q1 d w1.  The box bounds |q2| through
+(q1^2 + q2^2) max|c1_j| <= d b (|q1| + |q2|); as q1 w1 + q2 w2 = (q1^2 + q2^2)
+c1 / d is integral, q2 steps by m = d / gcd(d, gcd(c1)) from each root of
+q2^2 = -q1^2 mod m, O(b) steps per root.  Every candidate is then re-verified
+through the full certificate path, so emitted records never rest on the
+shortcut.  A pair pays for the verdicts only: solve_scale and the recheck's
+defect test compare integer numerators, the topology label is decided from
+the gcd of the pairing matrix's 2x2 minors, and the cone verdict reads
+integer signs against the model's cached curve rows, memoised per ray.  The
+documents (Fraction traces, the defect class, per-curve values, the Smith
+normal form and the witnesses) are rendered only when read, and a search
+reads none of them.
 Enumeration, dedup and the skt and spin pre-filters run on integer tuples;
 classes are built only for the pairs that reach the solver, balance and
 topology checks, with their cleared forms seeded from the tuples.
@@ -272,17 +275,13 @@ class _RayData:
         )
         self.sorted_perp = sorted_perp  # perp holds only sorted exceptionals
         self.perp: Optional[list[tuple[int, ...]]] = None  # lazy: {v : Q(v,R)=0}
-        # the generic w2 solves q2*d_pair*w2 = (q1^2+q2^2)*c1 - q1*d_pair*w1 with
-        # q2 = Q(w2,R) != 0; at a coordinate jc with c1_jc != 0 its entry x in
-        # [-b, b] makes q2 an integer root of
-        #     c1_jc*q2^2 - x*d_pair*q2 + q1*(q1*c1_jc - d_pair*w1_jc) = 0,
-        # so candidates_for solves one quadratic per x instead of scanning q2
-        self.jc = next((j for j, x in enumerate(self.c1) if x), 0)
-        self.x_terms = (
-            [(x * self.d_pair, (x * self.d_pair) ** 2) for x in range(-bound, bound + 1)]
-            if self.d_pair > 0
-            else []
-        )
+        # candidates_for steps q2 = Q(w2,R) by m from each root of q2^2 = -q1^2
+        # mod m (see the module docstring), and memoises the steps per q1
+        self.m = m = self.d_pair // gcd(self.d_pair, g1) if self.d_pair > 0 else 1
+        self.roots: dict[int, list[int]] = {}  # the s mod m by s^2 mod m
+        for s in range(m):
+            self.roots.setdefault(s * s % m, []).append(s)
+        self.q2_terms: dict[int, list[tuple[int, int]]] = {}  # q1: [(q1^2+q2^2, q2*d)]
 
     def at(self, s: Fraction) -> CohClass:
         """The class s * R.  With s * unit = p/q in lowest terms and ray_int
@@ -324,37 +323,32 @@ class _RayData:
         out: list[tuple[int, ...]] = []
         w, c1, dp, bound = self.w, self.c1, self.d_pair, self.bound
         q1 = sum(a * b for a, b in zip(w1, w))
-        rank = len(w1)
-        q1sq = q1 * q1
         q1dp = q1 * dp
-        # generic branch: Q(w2,R) = q2 != 0 determines w2, and q2 is an
-        # integer root of the quadratic at coordinate jc for some x in the box
-        c = c1[self.jc]
-        four_ac = 4 * c * q1 * (q1 * c - dp * w1[self.jc])
-        for xdp, xdp_sq in self.x_terms:
-            disc = xdp_sq - four_ac
-            if disc < 0:
-                continue
-            root = isqrt(disc)
-            if root * root != disc:
-                continue
-            for num in {xdp + root, xdp - root}:
-                q2, rem = divmod(num, 2 * c)
-                if rem or not q2:
-                    continue
-                den = q2 * dp
-                lam = q1sq + q2 * q2
-                vec = []
-                for j in range(rank):
-                    x, rem = divmod(lam * c1[j] - q1dp * w1[j], den)
-                    if rem or x < -bound or x > bound:
-                        break
-                    vec.append(x)
-                else:
-                    out.append(tuple(vec))
+        # generic branch: |q2| is at most the larger root t of
+        # c*t^2 - d*b*t + c*q1^2 - d*b*|q1| = 0, c = max|c1_j|
+        terms = self.q2_terms.get(q1)
+        if terms is None:
+            c, db, m = max(map(abs, c1)), dp * bound, self.m
+            disc = db * db - 4 * c * (c * q1 * q1 - db * abs(q1))
+            top = (db + isqrt(disc)) // (2 * c) if disc >= 0 else 0
+            terms = self.q2_terms[q1] = [
+                (q1 * q1 + q2 * q2, q2 * dp)
+                for s in self.roots.get(-q1 * q1 % m, ())
+                for q2 in range(s - (top + s) // m * m, top + 1, m)
+                if q2
+            ]
+        for lam, den in terms:
+            vec = []
+            for j in range(len(w1)):
+                x, rem = divmod(lam * c1[j] - q1dp * w1[j], den)
+                if rem or x < -bound or x > bound:
+                    break
+                vec.append(x)
+            else:
+                out.append(tuple(vec))
         # parallel branch: w1 proportional to c1 frees w2 to the trace-free locus
         if w1 in self.c1_multiples:
-            out.extend(self.perp_vectors(rank))
+            out.extend(self.perp_vectors(len(w1)))
         return out
 
 
@@ -450,8 +444,9 @@ class _Plan:
         passed_keys: set[str] = set()
         rank, bound = self.query.model.rank, self.query.coeff_bound
         for v1 in _vectors_with_lead(lead, rank, bound, self.sorted_v1):
-            runs = _equal_runs(v1) if self.sorted_v1 else []
-            for v2 in self.candidates(v1):
+            cands = self.candidates(v1)
+            runs = _equal_runs(v1) if self.sorted_v1 and cands else []
+            for v2 in cands:
                 visited += 1
                 if self.prune and not _is_orbit_minimum(v1, v2, runs, self.sorted_v1):
                     skipped += 1

@@ -11,11 +11,12 @@ import pickle
 import random
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
+from typing import Callable
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cytforge.cone import is_kahler, negative_curves, positively_proportional
@@ -40,7 +41,7 @@ from cytforge.scalars import (
     quadratic,
     ratio_of,
 )
-from cytforge.search import SearchQuery, canonical_form, search
+from cytforge.search import SearchQuery, _RayData, canonical_form, search
 from cytforge.skt import hodge_obstruction, verify_skt
 from cytforge.surfaces import (
     CohClass,
@@ -1083,3 +1084,94 @@ def check_surd_kernel(data) -> None:
     if got is not None:
         assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]
         assert type(got[2]) is _pairing_type(f, f, want[2])
+
+
+# -- search candidates against the box ------------------------------------
+#
+# Pairing 2 q1 w1 + 2 q2 w2 = s Q(R,R) c1 with R, for q_l = Q(w_l,R) and
+# d = Q(c1,R) > 0, gives d (q1 w1 + q2 w2) = (q1^2 + q2^2) c1, and s > 0 needs
+# q1^2 + q2^2 > 0.  The reference indexes every box w2 by (q2, d q2 w2) and
+# looks the right side up, so it assumes no bound on q2.
+
+
+def box_candidates(data: _RayData, box: list) -> Callable[[tuple, bool], list]:
+    """The reference for data.candidates_for(w1): the box w2 on the locus,
+    sorted, with only the sorted trace-free ones when sorted_perp is set."""
+    w, c1, d = data.w, data.c1, data.d_pair
+    by_side: dict = {}
+    for w2 in box:
+        q2 = sum(map(mul, w2, w))
+        by_side.setdefault((q2, tuple(d * q2 * b for b in w2)), []).append(w2)
+    q2s = sorted({q2 for q2, _ in by_side})
+
+    def reference(w1: tuple, sorted_perp: bool) -> list:
+        q1 = sum(map(mul, w1, w))
+        return sorted(
+            w2
+            for q2 in q2s
+            if q1 or q2
+            for w2 in by_side.get((q2, tuple((q1 * q1 + q2 * q2) * c - d * q1 * a for a, c in zip(w1, c1))), [])
+            if q2 or not sorted_perp or list(w2[1:]) == sorted(w2[1:])
+        )
+
+    return reference
+
+
+# the largest |c1_j| sits at index 2, and e3 is a positive direction
+OFF_LEAD = custom_model("off_lead", [[-1, 0, 0], [0, -1, 1], [0, 1, 2]], [1, -1, 3])
+
+
+@st.composite
+def candidate_rays(draw):
+    """A model, a rational ray R = t A + P with Q(R,R) > 0 and Q(c1,R) > 0
+    near an anchor A of the model, and a bound whose box has at most 3125
+    vectors."""
+    model, anchor = draw(
+        st.sampled_from(
+            [(blowup_cp2(k), (3,) + (-1,) * k) for k in (2, 3, 4)]
+            + [(quadric(), (1, 1)), (OFF_LEAD, (0, 0, 1))]
+        )
+    )
+    t = draw(st.integers(1, 3))
+    shift = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    ray = CohClass.of([t * a + draw(shift) for a in anchor])
+    assume(_oracle_pairing(model, ray, ray) > 0 and _oracle_pairing(model, model.c1, ray) > 0)
+    return model, ray, draw(st.integers(1, 2 if model.rank > 4 else 3))
+
+
+@KERNEL_SETTINGS
+@given(candidate_rays(), st.data())
+def check_candidates_for(case, data) -> None:
+    """candidates_for(w1), sorted, is the set of box w2 with (w1, w2) on the
+    ray's locus, with the trace-free ones all of them or, with sorted_perp,
+    those with sorted exceptional coordinates.  Every generic w2 of the
+    reference satisfies the bound and the divisibility the walk relies on:
+    (q1^2 + q2^2) max|c1_j| <= d b (|q1| + |q2|), so |q1| + |q2| <= 2 d b /
+    max|c1_j|, and d divides (q1^2 + q2^2) gcd(c1)."""
+    model, ray, bound = case
+    rays = [_RayData("ray", model, ray, bound, sorted_perp) for sorted_perp in (False, True)]
+    w, c1, d = rays[0].w, rays[0].c1, rays[0].d_pair
+    c_max, g = max(map(abs, c1)), gcd(*c1)
+    box = list(product(range(-bound, bound + 1), repeat=model.rank))
+    reference = box_candidates(rays[0], box)
+
+    # random box w1, the c1 multiples, and every w1 partnered with one of them
+    todo = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=20)) + sorted(rays[0].c1_multiples)
+    seen = set()
+    while todo and len(seen) < 60:
+        w1 = todo.pop()
+        if w1 in seen:
+            continue
+        seen.add(w1)
+        brute = reference(w1, False)
+        for rd, sorted_perp in zip(rays, (False, True)):
+            assert sorted(rd.candidates_for(w1)) == reference(w1, sorted_perp), (w1, sorted_perp)
+        q1 = sum(map(mul, w1, w))
+        for w2 in brute:
+            q2 = sum(map(mul, w2, w))
+            if q2:
+                lam = q1 * q1 + q2 * q2
+                assert lam * c_max <= d * bound * (abs(q1) + abs(q2)), (w1, w2)
+                assert (abs(q1) + abs(q2)) * c_max <= 2 * d * bound, (w1, w2)
+                assert lam * g % d == 0, (w1, w2)
+        todo.extend(brute[:8])

@@ -399,6 +399,12 @@ def test_a_zero_denominator_exits_2(capsys, argv):
     assert err.startswith("error: zero denominator in ") and "Traceback" not in err
 
 
+def test_a_radicand_above_the_bound_exits_2(capsys):
+    code, out, err = run(capsys, "cone-check", "--model", "quadric", "--class", f"[1+1*sqrt({10**12 + 39}),1]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: radicand above 1000000000000 in ") and "Traceback" not in err
+
+
 def test_the_cached_parser_keeps_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     two = ["verify", *_QUADRIC, "--kahler", "1/2C+1/2D", "--format", "json"]

@@ -66,3 +66,19 @@ def test_targets_are_looked_up_when_they_run(monkeypatch):
     monkeypatch.setattr(reproduce_mod, "compute_4_3", lambda k: {"k": k})
     assert compute("5", 7) == {"patched": True}  # a target without k ignores it
     assert compute("4.3", 4) == {"k": 4}
+
+
+def test_a_missing_golden_is_found_before_the_target_runs(monkeypatch, capsys):
+    import cytforge.reproduce as reproduce_mod
+    from cytforge.cli import main
+
+    def never(k):
+        raise AssertionError(f"compute_4_4({k}) ran")
+
+    monkeypatch.setattr(reproduce_mod, "compute_4_4", never)
+    with pytest.raises(FileNotFoundError, match="no frozen expected data for 4.4 k=300"):
+        reproduce_mod.reproduce_paper("4.4", 300)
+    assert main(["reproduce-paper", "--section", "4.4", "--k", "300"]) == 2
+    assert capsys.readouterr().err.strip() == "error: no frozen expected data for 4.4 k=300"
+    with pytest.raises(ValueError, match="needs k"):
+        reproduce_mod.reproduce_paper("4.4")

@@ -140,6 +140,15 @@ def test_serialization_round_trip():
         parse_scalar("sqrt")
 
 
+def test_a_radicand_above_the_bound_is_a_parse_error():
+    # quadratic() reduces d by trial division up to sqrt(d): 0.5 s at 10**12 + 39
+    assert parse_scalar(f"1+1*sqrt({10**12})") == 10**6 + 1
+    assert parse_scalar(f"-1*sqrt({10**12})") == -(10**6)
+    for text in (f"1+1*sqrt({10**12 + 39})", f"1*sqrt({10**12 + 39})", "0-1*sqrt(1000000000000000003)"):
+        with pytest.raises(ScalarParseError, match=r"radicand above 1000000000000"):
+            parse_scalar(text)
+
+
 def test_square_free_decomposition():
     assert square_free_decomposition(4800) == (40, 3)
     assert square_free_decomposition(456) == (2, 114)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 
+import property_suites
 import pytest
 
 from cytforge.catalog import VerdictFlags
@@ -338,30 +339,16 @@ def test_sorted_perp_vectors_match_the_sorted_box_filter(model, ray, bound):
     ],
 )
 def test_candidates_match_the_ray_condition_on_the_box(model, ray, bound, sorted_perp):
-    # pairing 2 q1 w1 + 2 q2 w2 = s Q(R,R) c1 with R, q_i = Q(w_i,R), gives
-    # Q(c1,R) (q1 w1 + q2 w2) = (q1^2 + q2^2) c1, and s > 0 needs q1^2 + q2^2 > 0;
-    # every box w2 is indexed by (q2, Q(c1,R) q2 w2), the right side is looked up
     data = search_module._RayData("ray", model, parse_class(model, ray), bound, sorted_perp)
-    w, c1, dp = data.w, data.c1, data.d_pair
-    assert dp > 0
+    assert data.d_pair > 0
     box = list(itertools.product(range(-bound, bound + 1), repeat=model.rank))
-    by_side: dict = {}
-    for w2 in box:
-        q2 = sum(a * b for a, b in zip(w2, w))
-        if q2 or not sorted_perp or list(w2[1:]) == sorted(w2[1:]):
-            by_side.setdefault((q2, tuple(dp * q2 * b for b in w2)), []).append(w2)
-    q2s = sorted({q2 for q2, _ in by_side})
+    reference = property_suites.box_candidates(data, box)
     for w1 in box[:: max(1, len(box) // 3000)] + sorted(data.c1_multiples):
-        q1 = sum(a * b for a, b in zip(w1, w))
-        brute = sorted(
-            w2
-            for q2 in q2s
-            if q1 or q2
-            for w2 in by_side.get(
-                (q2, tuple((q1 * q1 + q2 * q2) * c - dp * q1 * a for a, c in zip(w1, c1))), []
-            )
-        )
-        assert sorted(data.candidates_for(w1)) == brute, w1
+        assert sorted(data.candidates_for(w1)) == reference(w1, sorted_perp), w1
+
+
+def test_candidates_match_the_box_on_random_rays():
+    property_suites.check_candidates_for()
 
 
 PRUNING_CASES = [
