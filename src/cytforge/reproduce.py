@@ -211,7 +211,10 @@ SECTIONS = tuple(_K_RANGES)
 def _check(section: str, k: Optional[int]) -> None:
     if section not in _K_RANGES:
         raise ValueError(f"unknown section {section!r}; choose from {SECTIONS}")
-    if _K_RANGES[section] is not None and k is None:
+    if _K_RANGES[section] is None:
+        if k is not None:
+            raise ValueError(f"section {section} takes no k")
+    elif k is None:
         raise ValueError(f"section {section} needs k ({_K_RANGES[section]})")
 
 

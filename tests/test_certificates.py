@@ -1,6 +1,13 @@
 import json
 
-from cytforge.certificates import Certificate, build_certificate, digest_of
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_catalog import TEXTS
+from test_cli import FROZEN_COMMANDS
+
+from cytforge.certificates import Certificate, _indented, build_certificate, digest_of
+from cytforge.cli import main
 from cytforge.cyt import BundleSpec, verify_cyt
 from cytforge.certificates import cyt_doc
 from cytforge.surfaces import blowup_cp2, parse_class
@@ -54,3 +61,73 @@ def test_doc_is_json_clean():
     json.dumps(doc)  # every value must be JSON-native
     assert doc["normalization_note"]
     assert doc["results"]["cyt"]["lambdas"] == ["1/1", "0/1"]
+
+
+def oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_json_dumps_is_the_oracle_for_every_frozen_certificate(monkeypatch, capsys):
+    seen = []
+    to_json = Certificate.to_json
+
+    def checked(cert):
+        text = to_json(cert)
+        assert text == oracle(cert.to_doc()) + "\n", cert.command
+        seen.append(cert.command)
+        return text
+
+    monkeypatch.setattr(Certificate, "to_json", checked)
+    printed = 0
+    for argv in FROZEN_COMMANDS:
+        main(list(argv))
+        out = capsys.readouterr().out
+        printed += "json" in argv and out != ""
+    assert len(seen) == printed == 19
+
+
+_STRINGS = st.one_of(
+    st.sampled_from(TEXTS),
+    st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\x00\x1f\x7f\u2028\udcff😀'))),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from((0, 1, -1, True, False, 2**64, -(2**64) - 1)),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    _STRINGS,
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.lists(_STRINGS, max_size=6),
+        st.dictionaries(_STRINGS, inner, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_DOCS)
+def test_json_dumps_is_the_oracle_for_drawn_documents(doc):
+    assert _indented(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("bad", [1.5, [0, 2.0], {"a": {1: "b"}}, {"a", "b"}, ["a", {"x"}], [type("Label", (str,), {})("x")]])
+def test_a_value_outside_the_certificate_types_raises(bad):
+    with pytest.raises(TypeError):
+        _indented(bad)
+
+
+def test_to_json_never_enters_the_pure_python_encoder(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    k8 = "[30/1," + ",".join(["-10/1"] * 8) + "]"
+    assert main(["cone-check", "--model", "blowup_cp2(8)", "--class", k8, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"]["cone"]["curve_checks"]) == 240

@@ -58,13 +58,28 @@ def test_unknown_section_and_missing_k():
         load_golden("4.3", 99)
 
 
+def test_a_section_without_k_rejects_one(monkeypatch, capsys):
+    import cytforge.reproduce as reproduce_mod
+    from cytforge.cli import main
+
+    def never():
+        raise AssertionError("compute_4_1 ran")
+
+    monkeypatch.setattr(reproduce_mod, "compute_4_1", never)
+    for run in (compute, reproduce_paper):
+        with pytest.raises(ValueError, match="section 4.1 takes no k"):
+            run("4.1", 5)
+    assert main(["reproduce-paper", "--section", "4.1", "--k", "5"]) == 2
+    assert capsys.readouterr().err.strip() == "error: section 4.1 takes no k"
+
+
 def test_targets_are_looked_up_when_they_run(monkeypatch):
     import cytforge.reproduce as reproduce_mod
 
     assert reproduce_mod.SECTIONS == ("4.1", "4.2", "4.3", "4.4", "5", "6.1", "maxroot")
     monkeypatch.setattr(reproduce_mod, "compute_5", lambda: {"patched": True})
     monkeypatch.setattr(reproduce_mod, "compute_4_3", lambda k: {"k": k})
-    assert compute("5", 7) == {"patched": True}  # a target without k ignores it
+    assert compute("5") == {"patched": True}
     assert compute("4.3", 4) == {"k": 4}
 
 
