@@ -23,11 +23,16 @@ line with a float, list or object in a scalar field reads as corrupt.
 
 Records hold no rendered text: caching the body and digest on each record
 raised the peak RSS of a 5 133-record skt search by 11 MB, and was slower
-than rendering again.
+than rendering again.  They do share their flags: the search and the load
+build a VerdictFlags through one cache of the last 256 verdicts, so records
+with the same verdict hold one object.  The cache key carries the types,
+since 1 == True and a line's "skt":1 must not be handed the object that
+renders true.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields
@@ -51,6 +56,10 @@ class VerdictFlags:
 
 # positional order of VerdictFlags, for building one from a parsed line
 _FLAG_NAMES = tuple(f.name for f in fields(VerdictFlags))
+
+# one shared VerdictFlags per distinct verdict, for the search and the load;
+# typed, as 1 == True and a line's "skt":1 must not get the object that renders true
+_flags = functools.lru_cache(maxsize=256, typed=True)(VerdictFlags)
 
 
 def _flag_text(value) -> str:
@@ -122,7 +131,7 @@ class CatalogRecord:
             tuple(kahler) if kahler is not None else None,
             # a list, not a map: a map's unsized star-args tuple is shrunk after
             # filling, and its freed 7-tuples pile up on the tuple free list
-            VerdictFlags(*[flags.get(name) for name in _FLAG_NAMES]),
+            _flags(*[flags.get(name) for name in _FLAG_NAMES]),
             doc["canonical_key"],
         )
         body = rec.body_text()  # a field the template cannot render raises here

@@ -183,11 +183,19 @@ def _cmd_search(args) -> int:
         ray=parse_class(model, args.ray) if args.ray else None,
         limit=args.limit,
     )
-    records, stats = search(
-        query,
-        threads=args.threads,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
+    created = bool(args.out) and not os.path.exists(args.out)
+    if args.out:
+        open(args.out, "a").close()  # a catalog that cannot be written fails before the search
+    try:
+        records, stats = search(
+            query,
+            threads=args.threads,
+            progress=lambda msg: print(msg, file=sys.stderr),
+        )
+    except BaseException:
+        if created:
+            os.remove(args.out)  # a query the search rejects leaves no empty catalog behind
+        raise
     if args.out:
         catalog_io.append_records(args.out, records)
     else:

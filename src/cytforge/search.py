@@ -48,7 +48,12 @@ evaluates a pair only when it is the lexicographic minimum of its orbit.
 That minimum is exactly the canonical key (column sort, then the least of
 the swap), and it is also the pair the unpruned lexicographic enumeration
 would emit first for the orbit, so records and catalog bytes are the same
-as without pruning.
+as without pruning.  So when the search's group is the key's own group (the
+permutations and the swap on a model they fix, the swap alone on one they
+do not), an evaluated pair spells its key as it stands.  _canonical_key
+still runs for the swap-only group on a model whose exceptionals permute (an
+unsymmetric ray, an in-box ansatz pair), where the key sorts what the orbit
+rule did not, and for every pair of the unpruned NO_SYMMETRY reference.
 
 Under the permutations the trace-free candidates are generated with
 non-decreasing exceptional coordinates.  They join only w1 proportional to
@@ -68,7 +73,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Iterable, Optional
 
-from .catalog import CatalogRecord, VerdictFlags
+from .catalog import CatalogRecord, _flags
 from .intlinalg import gf2_in_span
 from .cone import is_kahler
 from .cyt import (
@@ -164,19 +169,23 @@ def _permutes_exceptionals(model: SurfaceModel) -> bool:
     )
 
 
+def _pair_text(a: tuple[int, ...], b: tuple[int, ...]) -> str:
+    """The pair as key text, 'a0,a1,..|b0,b1,..'."""
+    return ",".join(map(str, a)) + "|" + ",".join(map(str, b))
+
+
 def _canonical_key(a: tuple[int, ...], b: tuple[int, ...], permute: bool) -> str:
     """Least of the pair and its swap, with the exceptional coordinates
     sorted column-wise when permute is set, as 'a0,a1,..|b0,b1,..'."""
 
-    def canon(x: tuple, y: tuple) -> tuple:
+    def canon(x: tuple, y: tuple) -> _Pair:
         if permute:
             xs, ys = zip(*sorted(zip(x[1:], y[1:])))
-            return (x[0], *xs, y[0], *ys)
-        return x + y
+            return (x[0], *xs), (y[0], *ys)
+        return x, y
 
-    best = min(canon(a, b), canon(b, a))
-    half = len(a)
-    return ",".join(map(str, best[:half])) + "|" + ",".join(map(str, best[half:]))
+    # the halves have equal lengths, so pairs compare as their concatenations
+    return _pair_text(*min(canon(a, b), canon(b, a)))
 
 
 def canonical_form(model: SurfaceModel, w1: CohClass, w2: CohClass) -> str:
@@ -443,6 +452,8 @@ class _Plan:
         rejected = dict.fromkeys(REJECT_STAGES, 0)
         passed_keys: set[str] = set()
         rank, bound = self.query.model.rank, self.query.coeff_bound
+        # an orbit minimum under the key's own group is its key (see the module docstring)
+        own_key = self.prune and self.sorted_v1 == self.permute
         for v1 in _vectors_with_lead(lead, rank, bound, self.sorted_v1):
             cands = self.candidates(v1)
             runs = _equal_runs(v1) if self.sorted_v1 and cands else []
@@ -451,7 +462,7 @@ class _Plan:
                 if self.prune and not _is_orbit_minimum(v1, v2, runs, self.sorted_v1):
                     skipped += 1
                     continue
-                key = _canonical_key(v1, v2, self.permute)
+                key = _pair_text(v1, v2) if own_key else _canonical_key(v1, v2, self.permute)
                 # without the permutations in the group the key still merges
                 # permuted pairs; the merge keeps the first, so later ones can go
                 if key in passed_keys:
@@ -528,7 +539,7 @@ class _Plan:
             omega1=v1,
             omega2=v2,
             kahler=tuple(kahler.serialize()) if kahler is not None else None,
-            flags=VerdictFlags(**flags),
+            flags=_flags(**flags),
             canonical_key=key,
         )
 

@@ -5,7 +5,9 @@ from dataclasses import fields
 
 import pytest
 
-from cytforge.catalog import CatalogRecord, VerdictFlags, append_records, load_catalog
+from cytforge.catalog import CatalogRecord, VerdictFlags, _flags, append_records, load_catalog
+from cytforge.search import SearchQuery, search
+from cytforge.surfaces import blowup_cp2, parse_class
 
 # every kind of text the template must escape as json.dumps does: non-ASCII,
 # quotes, backslashes, control characters, astral characters, lone
@@ -169,3 +171,44 @@ def test_a_malformed_line_is_one_corrupt_record(tmp_path, bad):
     loaded, errors = load_catalog(str(path))
     assert [e.line_number for e in errors] == [2]
     assert loaded == [good, good]
+
+
+# -- one shared VerdictFlags per distinct verdict ----------------------------
+
+
+def test_interned_flags_keep_their_types():
+    assert _flags(skt=True) is _flags(skt=True)
+    assert _flags(skt=True) is not _flags(skt=1)
+    assert _flags(None, False) is not _flags(None, 0)
+
+
+@pytest.mark.parametrize("order", [(True, 1), (1, True)], ids=["true-first", "one-first"])
+def test_true_and_one_lines_both_load_as_written(tmp_path, order):
+    lines = []
+    for skt in order:
+        doc = _good_doc()
+        doc["flags"]["skt"] = skt
+        lines.append(json_line(doc))
+    assert [f'"skt":{json.dumps(skt)}' in line for skt, line in zip(order, lines)] == [True, True]
+    path = tmp_path / "catalog.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    _flags.cache_clear()  # the first line meets an empty cache
+    loaded, errors = load_catalog(str(path))
+    assert errors == []
+    assert [r.to_line() for r in loaded] == lines
+
+
+def test_records_share_one_flags_object_per_verdict(tmp_path):
+    model = blowup_cp2(2)
+    # records on both cyt routes, so two verdicts
+    ray = parse_class(model, "4H-E1-2E2")
+    q = SearchQuery(model=model, coeff_bound=3, filters=frozenset({"cyt", "topology"}), ray=ray)
+    records, _ = search(q, threads=1)
+    path = tmp_path / "catalog.jsonl"
+    append_records(str(path), records)
+    loaded, errors = load_catalog(str(path))
+    assert errors == [] and len(loaded) == len(records)
+    for recs in (records, loaded):
+        verdicts = {r.flags for r in recs}
+        assert 1 < len(verdicts) < len(recs)
+        assert len({id(r.flags) for r in recs}) == len(verdicts)

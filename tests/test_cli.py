@@ -383,6 +383,24 @@ def test_unreadable_paths_exit_2(tmp_path, capsys):
     assert code == 2 and err.splitlines()[-1].startswith("error: ")
 
 
+def test_an_unwritable_catalog_fails_before_the_search(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "x.jsonl"
+    search = ["search", "--model", "blowup_cp2(3)", "--bound", "3", "--filter", "skt", "--threads", "2"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "search", lambda *args, **kwargs: pytest.fail("the search ran"))
+        code, out_text, err = run(capsys, *search, "--out", str(out))
+    assert (code, out_text) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    # a query the search rejects leaves no new file, and an existing one as it was
+    unfiltered = ["search", "--model", "blowup_cp2(3)", "--bound", "3", "--threads", "1"]
+    out = tmp_path / "x.jsonl"
+    code, _, err = run(capsys, *unfiltered, "--out", str(out))
+    assert code == 2 and "exceed the enumeration cap" in err and not out.exists()
+    out.write_text("kept\n")
+    code, _, err = run(capsys, *unfiltered, "--out", str(out))
+    assert code == 2 and out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

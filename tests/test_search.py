@@ -361,6 +361,8 @@ PRUNING_CASES = [
     (quadric(), 3, {"cyt", "skt"}, None),
     (blowup_cp2(3), 2, {"cyt", "topology"}, "5H-E1-E2-E3"),
     (blowup_cp2(2), 3, {"cyt"}, "4H-E1-2E2"),
+    # exceptionals that do not permute: under NO_SYMMETRY only the key merges swaps
+    (custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1]), 2, {"skt"}, None),
 ]
 
 
@@ -380,6 +382,49 @@ def test_pruning_changes_no_output(monkeypatch, model, bound, filters, ray):
         unpruned, unpruned_stats = search(q, threads=1)
         assert [r.to_line() for r in unpruned] == lines, group
         assert unpruned_stats.pairs_evaluated >= stats.pairs_evaluated
+
+
+def test_orbit_minima_spell_their_own_key(monkeypatch):
+    s = search_module
+    canonical_key = s._canonical_key
+    calls = []
+    keys = []  # (pair, key, permute) of every evaluated pair
+    evaluate = s._Plan.evaluate
+
+    def counted_key(*args):
+        calls.append(args)
+        return canonical_key(*args)
+
+    def recorded(self, v1, v2, key):
+        keys.append(((v1, v2), key, self.permute))
+        return evaluate(self, v1, v2, key)
+
+    monkeypatch.setattr(s, "_canonical_key", counted_key)
+    monkeypatch.setattr(s._Plan, "evaluate", recorded)
+    custom = custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1])
+    m3 = blowup_cp2(3)
+    skt, cyt = frozenset({"skt"}), frozenset({"cyt"})
+    cases = [
+        (SearchQuery(model=m3, coeff_bound=2, filters=skt), s.PERMUTE_AND_SWAP, False),
+        (SearchQuery(model=custom, coeff_bound=2, filters=skt), s.SWAP, False),
+        # swap only on a model whose exceptionals permute: the key sorts what the orbit rule did not
+        (SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-2E1-E2-E3")), s.SWAP, True),
+    ]
+    for q, group, keyed in cases:
+        assert s.search_symmetry(q, s._permutes_exceptionals(q.model), s._ansatz_pair(q)) == group
+        calls.clear()
+        keys.clear()
+        assert search(q, threads=1)[0]
+        assert bool(calls) == keyed, (q.model.name, group)
+        assert keys and all(key == canonical_key(*pair, permute) for pair, key, permute in keys)
+    # the unpruned reference writes the canonical key of every pair it evaluates
+    monkeypatch.setattr(s, "search_symmetry", lambda *args: s.NO_SYMMETRY)
+    for q, _, _ in cases:
+        calls.clear()
+        keys.clear()
+        _, stats = search(q, threads=1)
+        assert keys and len(calls) == stats.pairs_evaluated  # one key per visited pair
+        assert all(key == canonical_key(*pair, permute) for pair, key, permute in keys)
 
 
 # -- one plan per query ------------------------------------------------------
