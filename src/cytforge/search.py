@@ -18,7 +18,7 @@ through the full certificate path, so emitted records never rest on the
 shortcut.  A pair pays for the verdicts only: solve_scale and the recheck's
 defect test compare integer numerators, the topology label is decided from
 the gcd of the pairing matrix's 2x2 minors, and the cone verdict reads
-integer signs against the model's cached curve rows, memoised per ray.  The
+integer signs against the model's curve rows, memoised per ray.  The
 documents (Fraction traces, the defect class, per-curve values, the Smith
 normal form and the witnesses) are rendered only when read, and a search
 reads none of them.
@@ -31,10 +31,11 @@ rays, the balanced fallback class, the skt buckets, the ansatz pair, the
 symmetry group and, for the topology filter, the Gram matrix's invariant
 factors.  A ray (the query's, then the anticanonical) enters it only
 if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing the condition with
-R shows that Q(c1,R) <= 0 forces s <= 0.  Work is split by the leading
-coefficient of w1; every chunk, serial or in a pool worker, runs on that one
-plan, and chunks merge in order, which keeps parallel runs bit-identical to
-serial ones.
+R shows that Q(c1,R) <= 0 forces s <= 0.  With no ray, only the ansatz
+pair has candidates, so a cyt search walks its two vectors, not the box.
+Work is split by the leading coefficient of w1; every chunk, serial or in a
+pool worker, runs on that one plan, and chunks merge in order, which keeps
+parallel runs bit-identical to serial ones.
 
 Enumeration is isomorph-free up to the query's symmetry group (orderly
 generation in McKay's sense).  The pair swap always belongs to it: the ray
@@ -454,7 +455,12 @@ class _Plan:
         rank, bound = self.query.model.rank, self.query.coeff_bound
         # an orbit minimum under the key's own group is its key (see the module docstring)
         own_key = self.prune and self.sorted_v1 == self.permute
-        for v1 in _vectors_with_lead(lead, rank, bound, self.sorted_v1):
+        if "cyt" in self.query.filters and not self.rays:
+            # only the ansatz pair has candidates: walk its vectors, not the box
+            v1s: Iterable[tuple[int, ...]] = sorted({v for v in self.ansatz_pair or () if v[0] == lead})
+        else:
+            v1s = _vectors_with_lead(lead, rank, bound, self.sorted_v1)
+        for v1 in v1s:
             cands = self.candidates(v1)
             runs = _equal_runs(v1) if self.sorted_v1 and cands else []
             for v2 in cands:

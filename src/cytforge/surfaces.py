@@ -6,6 +6,10 @@ Built-in models: the projective plane, the smooth quadric, blow-ups of the
 plane at k points (general position for k <= 8, points on a cubic for k >= 2),
 and a Kummer-surface fragment given by a partial pairing table.
 
+A lattice model owns its curves, cached on it and freed with it: the
+integral list its regime gives (`SurfaceModel.cone_curves`), and their Gram
+rows with the cone check's sign memo (`SurfaceModel.cone_rows`).
+
 Pairings on a lattice model run on integer Gram rows: a rational class
 caches its cleared form (integer numerators over the least common
 denominator), a class with Q(sqrt(d)) coefficients its surd form (n + m
@@ -14,9 +18,8 @@ the one Gram product.  `intersect` dots a cleared form with one row, and a
 surd form with the rows of n and m (`surd_dot`: two integer dot products
 per side); the CYT traces and the cone signs read the same rows, and the
 topology pairing matrix and the search's ray functional are rows of it.
-Only the two forms read coefficient types: integrality, int vectors and
-proportionality (`CohClass.positive_ratio`) read the cleared numerators.
-Pairing-table models keep the exact scalar loop.
+Only the two forms read coefficient types: integrality and int vectors read
+the cleared numerators.  Pairing-table models keep the exact scalar loop.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -34,6 +37,7 @@ from . import intlinalg
 from .errors import (
     CytForgeError,
     InvalidPosition,
+    MissingCurveData,
     MixedFieldError,
     NonSymmetricGram,
     RankMismatch,
@@ -41,7 +45,7 @@ from .errors import (
     UndeclaredPairing,
     ZeroClass,
 )
-from .scalars import QuadraticNumber, Scalar, exact_div, format_scalar, is_rational, parse_scalar, quadratic, ratio_of
+from .scalars import QuadraticNumber, Scalar, exact_div, format_scalar, parse_scalar, quadratic
 
 
 @dataclass(frozen=True)
@@ -142,17 +146,6 @@ class CohClass:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    def positive_ratio(self, other: "CohClass") -> Optional[Scalar]:
-        """The rational t > 0 with self = t * other, else None, cross-multiplied
-        on the numerators of the two cleared forms; a class with a
-        Q(sqrt(d)) coefficient is its coefficients over the denominator 1."""
-        nx, dx = self.cleared_form or (self.coeffs, 1)
-        ny, dy = other.cleared_form or (other.coeffs, 1)
-        t = ratio_of(nx, ny)
-        if t is None or not is_rational(t) or t <= 0:
-            return None
-        return t if dx == dy else t * dy / dx
-
     def is_integral(self) -> bool:
         form = self.cleared_form
         return form is not None and form[1] == 1
@@ -181,6 +174,34 @@ REGIME_RULINGS = "rulings"  # quadric: cone cut out by the two rulings
 REGIME_ENUMERATE = "enumerate_neg1"  # del Pezzo: exhaustive (-1)-class enumeration
 REGIME_ON_CUBIC = "on_cubic"  # blow-up along a cubic: explicit curve families
 REGIME_EXPLICIT = "explicit"  # custom model with a user-supplied list
+
+
+def _neg1_classes(k: int, degree_bound: int) -> tuple[tuple[int, ...], ...]:
+    """All integral aH - sum(b_i E_i), 0 <= a <= degree_bound, with
+    self-intersection -1 and anti-canonical degree 1, by pruned search."""
+    found: list[tuple[int, ...]] = []
+    for a in range(0, degree_bound + 1):
+        target_sum = 3 * a - 1  # sum of b_i
+        target_sq = a * a + 1  # sum of b_i^2
+        bs: list[int] = []
+
+        def descend(i: int, rem_sum: int, rem_sq: int):
+            if i == k:
+                if rem_sum == 0 and rem_sq == 0:
+                    found.append((a, *bs))
+                return
+            slots = k - i
+            # Cauchy-Schwarz feasibility on the remaining slots
+            if rem_sq < 0 or rem_sum * rem_sum > slots * rem_sq:
+                return
+            top = isqrt(rem_sq)
+            for b in range(-top, top + 1):
+                bs.append(b)
+                descend(i + 1, rem_sum - b, rem_sq - b * b)
+                bs.pop()
+
+        descend(0, target_sum, target_sq)
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -219,6 +240,66 @@ class SurfaceModel:
         1 iff the form is unimodular, none 0 iff it is nondegenerate."""
         return intlinalg.snf(self.gram).diagonal
 
+    @cached_property
+    def cone_curves(self) -> tuple[CohClass, ...]:
+        """The curves a cone check pairs a class with, in certificate order,
+        listed once per model: the two rulings on the quadric, else the
+        negative curves of the regime.  Curves are integral: a listed curve
+        with a fractional or Q(sqrt(d)) coefficient raises CytForgeError,
+        and a custom model without a list MissingCurveData."""
+        regime = self.curve_regime
+        if regime == REGIME_NONE:
+            return ()
+        if regime == REGIME_RULINGS:
+            return (CohClass.of([1, 0]), CohClass.of([0, 1]))
+        if regime == REGIME_EXPLICIT:
+            if self.curves is None:
+                raise MissingCurveData(f"{self.name} has no negative-curve list")
+            for c in self.curves:
+                if not c.is_integral():
+                    raise CytForgeError(f"{self.name}: the curve {c.serialize()} is not integral")
+            return self.curves
+        k = self.rank - 1
+        if regime == REGIME_ON_CUBIC:
+            # E_i, then H - E_i - E_j, with their cleared forms seeded: the list
+            # runs to k(k+1)/2 curves, and reading back their coefficients cost
+            # more than pairing a class against them
+            curves = []
+            for i in range(k):
+                v = [0] * (k + 1)
+                v[i + 1] = 1
+                curves.append(CohClass.from_cleared(tuple(v)))
+            for i in range(k):
+                for j in range(i + 1, k):
+                    v = [1] + [0] * k
+                    v[i + 1] = v[j + 1] = -1
+                    curves.append(CohClass.from_cleared(tuple(v)))
+            if k >= 10:
+                curves.append(self.c1)  # proper transform of the cubic, class -K
+            return tuple(curves)
+        if regime == REGIME_ENUMERATE:
+            vecs = _neg1_classes(k, degree_bound=6)
+            return tuple(CohClass.of([a] + [-b for b in bs]) for a, *bs in vecs)
+        raise MissingCurveData(f"unknown curve regime {regime!r}")
+
+    @property
+    def negative_curves(self) -> tuple[CohClass, ...]:
+        """The listed curves of negative self-intersection: cone_curves,
+        but none on the quadric, whose rulings are null."""
+        return () if self.curve_regime == REGIME_RULINGS else self.cone_curves
+
+    @cached_property
+    def cone_rows(self) -> tuple[tuple[tuple[int, ...], ...], dict]:
+        """The integer Gram rows G.n_C of cone_curves, in order, and the cone
+        check's memo of sign vectors, built on the first cone check.  A
+        curve of the wrong rank raises RankMismatch."""
+        rows = []
+        for c in self.cone_curves:
+            if c.rank != self.rank:
+                raise RankMismatch(f"classes of rank {self.rank}/{c.rank} on a rank-{self.rank} model")
+            rows.append(tuple(self.gram_row(c.cleared_form[0])))
+        return tuple(rows), {}
+
     def __post_init__(self):
         b = self.rank
         if len(self.gram) != b or any(len(row) != b for row in self.gram):
@@ -229,6 +310,10 @@ class SurfaceModel:
                     raise NonSymmetricGram(f"gram[{i}][{j}] != gram[{j}][{i}]")
         if self.c1.rank != b:
             raise RankMismatch("c1 length does not match basis")
+        labels = self.basis_labels
+        if len(set(labels)) != b:
+            label = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise CytForgeError(f"model {self.name}: basis label {label!r} appears twice")
 
 
 @dataclass(frozen=True)

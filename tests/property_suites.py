@@ -704,11 +704,8 @@ def _certificate_fields(cert) -> dict:
 def cone_models(draw):
     """The plane, the quadric, blow-ups in general position and on a cubic,
     and custom models with a random, mostly non-diagonal Gram matrix, an
-    explicit curve list and an ample witness.  Curves with a coefficient in
-    Q(sqrt(3)), the ansatz class's field, come on one random custom model in
-    two and on a blow-up's Gram matrix, with its curves and witness and one
-    curve E_i + q H."""
-    kind = draw(st.sampled_from(("plane", "quadric", "general", "on_cubic", "custom", "sqrt3_curve")))
+    explicit integral curve list and an ample witness."""
+    kind = draw(st.sampled_from(("plane", "quadric", "general", "on_cubic", "custom")))
     if kind == "plane":
         return projective_plane()
     if kind == "quadric":
@@ -717,20 +714,10 @@ def cone_models(draw):
         return blowup_cp2(draw(st.integers(2, 8)))
     if kind == "on_cubic":
         return blowup_cp2(draw(st.integers(9, 12)), "on_cubic")
-    if kind == "sqrt3_curve":
-        base = blowup_cp2(draw(st.integers(2, 5)))
-        curve = [0] * base.rank
-        curve[0], curve[draw(st.integers(1, base.rank - 1))] = draw(_quadratic_in(3)), 1
-        curves = [c.coeffs for c in negative_curves(base)] + [curve]
-        return custom_model("sqrt3_curve", base.gram, base.c1.coeffs, curves=curves, ample_witness=base.ample_witness.coeffs)
     rank = draw(st.integers(1, 5))
     gram = _random_gram(draw, rank)
     vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
     witness, curves = draw(vector), draw(st.lists(vector, max_size=6))
-    if draw(st.booleans()):
-        curve = draw(vector)
-        curve[draw(st.integers(0, rank - 1))] = draw(_quadratic_in(3))
-        curves.append(curve)
     if draw(st.booleans()):  # keep the curves the witness is positive on
         curves = [c for c in curves if sum(map(mul, witness, (sum(map(mul, row, c)) for row in gram))) > 0]
     return custom_model("random", gram, draw(vector), curves=curves, ample_witness=witness)
@@ -762,8 +749,8 @@ def check_cone_kernel(data) -> None:
     Q(F,F) and its sign, each rendered curve check (curve, value with its
     type, sign), the ample fields and anticanonical_ray.  Classes with int,
     Fraction(x, 1), proper-fraction and Q(sqrt(3)) coefficients, zero and
-    negative classes, user witnesses, the Q(sqrt(3)) ansatz class and
-    curves with a Q(sqrt(3)) coefficient are drawn."""
+    negative classes, user witnesses and the Q(sqrt(3)) ansatz class are
+    drawn."""
     if data.draw(st.integers(0, 9)) == 0:
         model, f, _ = _ansatz_case()
     else:
@@ -961,12 +948,6 @@ def _surd_class(draw, model, d: int) -> CohClass:
     return CohClass(tuple(coeffs))
 
 
-def _curve_radicands(model) -> set:
-    if model.curve_regime != "explicit":
-        return set()
-    return {c.d for curve in model.curves for c in curve.coeffs if isinstance(c, QuadraticNumber)}
-
-
 def _ray_curves(model) -> list:
     if model.curve_regime == "rulings":
         return [CohClass.of([1, 0]), CohClass.of([0, 1])]
@@ -1031,10 +1012,8 @@ def check_surd_kernel(data) -> None:
     their canonical type, every curve sign (also against mpmath), the
     verdict, the rendered curve checks, and the traces, defect and scale.
     Random d, mixed denominators, zero m entries, the ansatz classes for
-    k = 9..12, rational classes against curves with Q(sqrt(3))
-    coefficients, and non-diagonal custom Grams are drawn.  A class whose
-    field differs from a curve's, or one that mixes two radicands, raises
-    MixedFieldError."""
+    k = 9..12 and non-diagonal custom Grams are drawn.  A class that mixes
+    two radicands raises MixedFieldError."""
     kind = data.draw(st.sampled_from(("random", "random", "random", "ansatz", "mixed")))
     if kind == "ansatz":
         model, f, ws = _ansatz_bundle(data.draw(st.integers(9, 12)))
@@ -1044,8 +1023,6 @@ def check_surd_kernel(data) -> None:
         model = data.draw(cone_models())
         d = data.draw(st.sampled_from((3, 3) + SQUARE_FREE))
         f = _surd_class(data.draw, model, d)
-        if kind == "random" and model.curve_regime == "explicit" and data.draw(st.integers(0, 4)) == 0:
-            f = data.draw(classes(model.rank))  # rational, against Q(sqrt(3)) curves
         ws = tuple(data.draw(classes(model.rank, _integral)) for _ in range(data.draw(st.sampled_from((2, 4)))))
     witness = data.draw(st.sampled_from((None, None, 2 * model.ample_witness)) | classes(model.rank, _integral))
     if kind == "mixed" and model.rank >= 2:
@@ -1068,16 +1045,7 @@ def check_surd_kernel(data) -> None:
         for got in (intersect(model, f, y), intersect(model, y, f)):
             assert (got, type(got)) == (want, _pairing_type(f, y, want))
 
-    foreign = _curve_radicands(model) - ({f.surd_form[2]} if f.cleared_form is None else {None})
-    if f.cleared_form is None and foreign:
-        try:
-            is_kahler(model, f, witness)
-        except MixedFieldError:
-            pass
-        else:
-            raise AssertionError(f"a Q(sqrt({f.surd_form[2]})) class paired with Q(sqrt({foreign})) curves")
-    else:
-        _check_surd_cone(model, f, witness)
+    _check_surd_cone(model, f, witness)
 
     got, want = _traced_fields(BundleSpec(model, ws), f), _reference_surd_traces(model, ws, f)
     assert got == want

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from cytforge.cone import negative_curves, _neg1_classes
+from cytforge.cone import negative_curves
 from cytforge.cyt import (
     BundleSpec,
     balanced_check,
@@ -24,6 +24,7 @@ from cytforge.search import SearchQuery, canonical_form, search
 from cytforge.skt import verify_skt
 from cytforge.surfaces import (
     CohClass,
+    _neg1_classes,
     blowup_cp2,
     divisibility_index,
     intersect,

@@ -336,6 +336,14 @@ def test_malformed_model_file_exits_2(tmp_path, doc, message):
     assert message in proc.stderr and proc.stderr.startswith("error: model file ")
 
 
+def test_a_model_file_with_a_repeated_basis_label_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"gram": [[1, 0], [0, -1]], "c1": [3, -1], "basis": ["H", "H"]}')
+    code, out, err = run(capsys, "cone-check", "--model", str(path), "--class", "[2,-1]")
+    assert code == 2 and out == ""
+    assert err == f"error: model {path}: basis label 'H' appears twice\n"
+
+
 @pytest.mark.parametrize("doc, field", [('{"gram": [], "c1": []}', "gram"), ('{"gram": [[1]], "c1": []}', "c1")])
 def test_empty_gram_or_c1_exits_2(tmp_path, capsys, doc, field):
     path = tmp_path / "model.json"

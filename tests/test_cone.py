@@ -1,16 +1,21 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import property_suites
 import pytest
 
 from cytforge import cone
-from cytforge.cone import _neg1_classes, is_kahler, negative_curves
+from cytforge.cone import is_kahler, negative_curves
 from cytforge.cyt import solve_symmetric_ansatz
-from cytforge.errors import InvariantViolation, MissingAmpleWitness, MissingCurveData, RankMismatch
+from cytforge.errors import CytForgeError, InvariantViolation, MissingAmpleWitness, MissingCurveData, RankMismatch
+from cytforge.scalars import quadratic
 from cytforge.surfaces import (
     CohClass,
+    _neg1_classes,
     blowup_cp2,
+    builtin_model,
     custom_model,
     intersect,
     parse_class,
@@ -72,6 +77,9 @@ def test_on_cubic_cone_check_sees_the_conic():
 def test_quadric_and_plane_have_no_negative_curves():
     assert negative_curves(quadric()) == []
     assert negative_curves(projective_plane()) == []
+    q = quadric()  # the cone check pairs with the two null rulings instead
+    cert = is_kahler(q, parse_class(q, "C+D"))
+    assert [c.coeffs for c in cert.curves] == [(1, 0), (0, 1)] and cert.curve_signs == (1, 1)
 
 
 def test_missing_curve_data():
@@ -218,7 +226,7 @@ def test_verify_cyt_rechecks_the_ansatz_class_from_the_memo(monkeypatch):
     monkeypatch.setattr(cone, "_row_signs", lambda *args: computed.append(args[1] is not None) or row_signs(*args))
     for k in (9, 12):
         m = blowup_cp2(k, "on_cubic")
-        cone._curve_rows(m)[3].clear()
+        m.cone_rows[1].clear()
         sol = solve_symmetric_ansatz(k)
         f = sol.kahler_class
         bundle = BundleSpec(m, (sol.omega1, sol.omega2))
@@ -229,9 +237,9 @@ def test_verify_cyt_rechecks_the_ansatz_class_from_the_memo(monkeypatch):
 
 def test_a_corrupted_row_fails_the_rendered_cross_check(monkeypatch):
     m = blowup_cp2(3)
-    curves, rows, surds, _ = cone._curve_rows(m)
+    rows, _ = m.cone_rows
     flipped = (tuple(-g for g in rows[0]),) + rows[1:]
-    monkeypatch.setattr(cone, "_curve_rows", lambda model: (curves, flipped, surds, {}))
+    monkeypatch.setitem(m.__dict__, "cone_rows", (flipped, {}))  # the model's store, with a fresh memo
     cert = is_kahler(m, m.c1)
     assert not cert.verdict
     with pytest.raises(InvariantViolation, match="integer row gave the sign -1"):
@@ -243,3 +251,29 @@ def test_a_curve_of_the_wrong_rank_still_raises():
     m = custom_model("short", [[1, 0], [0, -1]], [3, -1], curves=[[0]], ample_witness=[2, -1])
     with pytest.raises(RankMismatch, match="classes of rank 2/1 on a rank-2 model"):
         is_kahler(m, parse_class(m, "[2,-1]"))
+
+
+def test_a_custom_model_is_freed_after_its_cone_check():
+    m = custom_model("freed", [[1, 0], [0, -1]], [3, -1], curves=[[0, 1]], ample_witness=[2, -1])
+    assert is_kahler(m, parse_class(m, "[2,-1]")).verdict
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None  # the curve store lives on the model, not in a cache keyed on it
+
+
+@pytest.mark.parametrize("spec", ["blowup_cp2(2)", "blowup_cp2(8)", "blowup_cp2(9,on_cubic)", "blowup_cp2(10,on_cubic)"])
+def test_negative_curves_are_the_objects_the_cone_check_pairs_with(spec):
+    m = builtin_model(spec)
+    curves = negative_curves(m)
+    cert = is_kahler(m, 2 * m.ample_witness)
+    assert len(cert.curves) == len(curves) and all(a is b for a, b in zip(cert.curves, curves))
+    assert negative_curves(m) == curves and all(a is b for a, b in zip(negative_curves(m), curves))
+
+
+@pytest.mark.parametrize("curve", [[Fraction(1, 2), 1], [quadratic(1, 1, 3), 1]], ids=["fraction", "sqrt3"])
+def test_a_non_integral_curve_is_rejected(curve):
+    m = custom_model("frac", [[1, 0], [0, -1]], [3, -1], curves=[[0, 1], curve], ample_witness=[2, -1])
+    for check in (lambda: is_kahler(m, parse_class(m, "[2,-1]")), lambda: negative_curves(m)):
+        with pytest.raises(CytForgeError, match="is not integral"):
+            check()

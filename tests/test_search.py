@@ -525,6 +525,24 @@ def test_plan_keeps_only_rays_a_record_can_stand_on():
     assert stats.pairs_evaluated == 0 and stats.exhausted
 
 
+@pytest.mark.parametrize("k", [9, 10, 11, 12])
+def test_a_rayless_cyt_search_visits_only_the_ansatz_vectors(k, monkeypatch):
+    # c1^2 = 9 - k <= 0 leaves no ray, and the in-box ansatz pair drops the
+    # permutations: the box at bound 4 holds 9^(k+1) unsorted w1, and only
+    # the two ansatz vectors have a candidate
+    model = blowup_cp2(k, "on_cubic")
+    asked = []
+    candidates = search_module._Plan.candidates
+    monkeypatch.setattr(search_module._Plan, "candidates", lambda plan, v1: asked.append(v1) or candidates(plan, v1))
+    q = SearchQuery(model=model, coeff_bound=4, filters=frozenset({"cyt", "topology", "spin"}))
+    records, stats = search(q, threads=1)
+    assert sorted(asked) == sorted(search_module._ansatz_pair(q))
+    assert (stats.pairs_evaluated, stats.pairs_skipped, stats.cyt_routes) == (2, 1, ())
+    assert [(r.flags.cyt_route, r.flags.topology_label) for r in records] == [
+        ("ansatz", f"{k - 1}(S²×S⁴) # {k}(S³×S³)")
+    ]
+
+
 def test_integer_filters_build_no_classes(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("skt and spin run on integer tuples")
@@ -711,7 +729,7 @@ def test_a_verdict_search_renders_no_documents(monkeypatch):
 
     model = blowup_cp2(5)
     model.gram_factors  # the Gram matrix is factored once per model, not per pair
-    cone._curve_rows.cache_clear()  # a fresh sign memo for this model
+    model.cone_rows[1].clear()  # a fresh sign memo for this model
     counts = Counter()
 
     def counted(name, fn):

@@ -284,6 +284,15 @@ def test_model_file_round_trip(tmp_path):
     assert loaded.ample_witness == m.ample_witness
 
 
+def test_a_repeated_basis_label_is_rejected(tmp_path):
+    with pytest.raises(CytForgeError, match="basis label 'H' appears twice"):
+        custom_model("twice", [[1, 0], [0, -1]], [3, -1], basis_labels=["H", "H"])
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]], "c1": [3, -1, -1], "basis": ["H", "E", "E"]}))
+    with pytest.raises(CytForgeError, match="basis label 'E' appears twice"):
+        load_model(str(path))
+
+
 def test_builtin_resolution():
     assert builtin_model("quadric").name == "quadric"
     assert builtin_model("cp2").rank == 1
