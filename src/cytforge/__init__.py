@@ -46,7 +46,6 @@ from .surfaces import (
     intersect,
     kummer_model,
     load_model,
-    mod2_membership,
     parse_class,
     projective_plane,
     quadric,

@@ -1,5 +1,5 @@
 """Integer matrix services: Smith normal form with transforms, integer linear
-solving, and GF(2) span membership.
+solving, and the spin test: membership mod 2 in the span of a pair.
 
 Matrices are lists of lists of Python ints (arbitrary precision).  The SNF
 pivot rule is fixed (smallest absolute value, ties by lowest row then column
@@ -222,24 +222,8 @@ def _gf2_mask(vec: Sequence[int]) -> int:
     return mask
 
 
-def gf2_in_span(target: IntVector, span: list[IntVector]) -> bool:
-    """Membership of target (mod 2) in the GF(2) span of the given vectors.
-    Each vector is a bit mask; the span is reduced to masks with distinct
-    leading bits, and target is in it iff XOR-ing those away clears it."""
-    basis: dict[int, int] = {}  # leading bit -> mask
-    for vec in span:
-        mask = _gf2_mask(vec)
-        while mask:
-            lead = mask.bit_length()
-            pivot = basis.get(lead)
-            if pivot is None:
-                basis[lead] = mask
-                break
-            mask ^= pivot
-    t = _gf2_mask(target)
-    while t:
-        pivot = basis.get(t.bit_length())
-        if pivot is None:
-            return False
-        t ^= pivot
-    return True
+def gf2_in_span(target: Sequence[int], a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether target mod 2 lies in the GF(2) span of the pair a, b: its bit
+    mask is 0, the mask of a, that of b, or their XOR."""
+    x, y = _gf2_mask(a), _gf2_mask(b)
+    return _gf2_mask(target) in (0, x, y, x ^ y)

@@ -32,7 +32,8 @@ symmetry group and, for the topology filter, the Gram matrix's invariant
 factors.  A ray (the query's, then the anticanonical) enters it only
 if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing the condition with
 R shows that Q(c1,R) <= 0 forces s <= 0.  With no ray, only the ansatz
-pair has candidates, so a cyt search walks its two vectors, not the box.
+pair has candidates, so a cyt search walks its two vectors, not the box,
+and runs serially.
 Work is split by the leading coefficient of w1; every chunk, serial or in a
 pool worker, runs on that one plan, and chunks merge in order, which keeps
 parallel runs bit-identical to serial ones.
@@ -495,7 +496,7 @@ class _Plan:
                 return "skt"
             flags["skt"] = True
         if "spin" in filters:
-            if not gf2_in_span(self.c1, [v1, v2]):
+            if not gf2_in_span(self.c1, v1, v2):
                 return "spin"
             flags["spin"] = True
 
@@ -583,7 +584,7 @@ def search(
     plan = _Plan(query)
     leads = list(range(-bound, bound + 1))
     nthreads = resolve_threads(threads)
-    if nthreads <= 1 or len(leads) <= 1:
+    if nthreads <= 1 or len(leads) <= 1 or ("cyt" in query.filters and not plan.rays):
         results = []
         for lead in leads:
             results.append(plan.chunk(lead))

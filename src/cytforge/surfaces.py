@@ -640,14 +640,6 @@ def divisibility_index(model: Model, x: CohClass) -> int:
     return g
 
 
-def mod2_membership(model: Model, target: CohClass, span: Sequence[CohClass]) -> bool:
-    tv = target.as_int_vector()
-    sv = [c.as_int_vector() for c in span]
-    if len(tv) != model.rank or any(len(v) != model.rank for v in sv):
-        raise RankMismatch("class rank does not match model")
-    return intlinalg.gf2_in_span(tv, sv)
-
-
 # -- class expression parsing / printing --------------------------------
 
 _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?([A-Za-z][A-Za-z0-9]*)")

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 from .cyt import BundleSpec, c1_bundle_triviality
 from .errors import HypothesesNotMet, InvariantViolation, WrongFiberRank
-from .intlinalg import IntegerSolver
-from .surfaces import CohClass, SurfaceModel, basis_extension_check, mod2_membership
+from .intlinalg import IntegerSolver, gf2_in_span
+from .surfaces import CohClass, SurfaceModel, basis_extension_check
 
 UNCLASSIFIED = "unclassified"
 
@@ -101,13 +101,12 @@ def _lattice_base(bundle: BundleSpec) -> SurfaceModel:
     return base
 
 
-def _pairing_matrix(bundle: BundleSpec) -> list[list[int]]:
-    """Rows Q(w_l, .) of the two curvature classes; a pairing-table base
-    has no Gram rows, so it fails the full_lattice_model hypothesis."""
+def _curvature_vectors(bundle: BundleSpec) -> list[tuple[int, ...]]:
+    """The cleared numerators of the two curvature classes, which BundleSpec
+    keeps integral and of the base's rank."""
     if len(bundle.curvatures) != 2:
         raise WrongFiberRank(f"{len(bundle.curvatures)} curvature classes; need exactly 2")
-    base = _lattice_base(bundle)
-    return [base.gram_row(w.as_int_vector()) for w in bundle.curvatures]
+    return [w.cleared_form[0] for w in bundle.curvatures]
 
 
 def _witnesses(solver: IntegerSolver) -> Optional[tuple[CohClass, CohClass]]:
@@ -121,8 +120,11 @@ def _witnesses(solver: IntegerSolver) -> Optional[tuple[CohClass, CohClass]]:
 def find_alpha_beta(bundle: BundleSpec) -> Optional[tuple[CohClass, CohClass]]:
     """Integral classes with Q(w1,a) = 1, Q(w2,a) = 0, Q(w2,b) = 1,
     Q(w1,b) = 0.  None iff the pairing map does not hit a unimodular pair,
-    i.e. is not onto Z^2."""
-    return _witnesses(IntegerSolver(_pairing_matrix(bundle)))
+    i.e. is not onto Z^2.  A pairing-table base has no Gram rows, so it
+    fails the full_lattice_model hypothesis."""
+    vectors = _curvature_vectors(bundle)
+    base = _lattice_base(bundle)
+    return _witnesses(IntegerSolver([base.gram_row(v) for v in vectors]))
 
 
 @lru_cache(maxsize=None)
@@ -191,14 +193,16 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     matrix G is unimodular, P and W have the same invariant factors (Newman,
     Integral Matrices, 1972), so basis extension equals the surrogate; on any
     other model it falls back to basis_extension_check, which factors W
-    itself.  spin_mod2 is one GF(2) span test.  The Smith normal form of P,
-    the witnesses alpha and beta, spin_integral and the tables are rendered
-    when first read (see TopologyCertificate).
+    itself.  spin_mod2 is the search's spin filter, gf2_in_span: c1 is 0,
+    w1, w2 or w1 + w2 mod 2, one compare of bit masks.  The Smith normal
+    form of P, the witnesses alpha and beta, spin_integral and the tables
+    are rendered when first read (see TopologyCertificate).
     """
     base = _lattice_base(bundle)
     if not base.simply_connected:
         raise HypothesesNotMet("simply_connected_base", f"{base.name} is not simply connected")
-    pairing = _pairing_matrix(bundle)
+    vectors = _curvature_vectors(bundle)
+    pairing = [base.gram_row(v) for v in vectors]  # rows Q(w_l, .)
     minors_gcd = _minors_gcd(pairing)
     surrogate = minors_gcd == 1
 
@@ -206,7 +210,7 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
         extension = surrogate
     else:
         extension = basis_extension_check(base, bundle.curvatures)
-    spin_mod2 = mod2_membership(base, base.c1, bundle.curvatures)
+    spin_mod2 = gf2_in_span(base.c1.as_int_vector(), *vectors)
 
     classified = surrogate and extension
     return TopologyCertificate(

@@ -150,28 +150,34 @@ def test_solve_shape_checks():
 
 
 def test_gf2_span():
-    assert gf2_in_span([3, -1, -1], [[3, -1, -1]])
-    assert not gf2_in_span([3, -1, -1], [[1, 0, 0], [0, 1, 0]])
-    assert gf2_in_span([0, 0, 0], [])
-    assert gf2_in_span([2, 4, 6], [])  # even vectors vanish mod 2
-    assert gf2_in_span([1, 1, 0], [[1, 0, 0], [0, 1, 0]])
+    zero = [0, 0, 0]
+    # c1 of blowup_cp2(2) against itself, against (H, E1), and zero against zero
+    assert gf2_in_span([3, -1, -1], [3, -1, -1], zero)
+    assert not gf2_in_span([3, -1, -1], [1, 0, 0], [0, 1, 0])
+    assert gf2_in_span(zero, zero, zero)
+    assert gf2_in_span([2, 4, 6], zero, zero)  # even vectors vanish mod 2
+    assert gf2_in_span([1, 1, 0], [1, 0, 0], [0, 1, 0])
+    assert gf2_in_span([1, 1, 0], [1, 1, 1], [0, 0, -1])  # the sum of the pair
+    assert not gf2_in_span([1, 1, 0], [1, 1, 1], [1, 1, 1])
 
 
 def test_gf2_span_matches_every_combination():
-    # the span mod 2 is the set of sums of subsets of the vectors
+    # the span mod 2 is the set of sums of subsets of the pair; a span of
+    # fewer vectors is a pair padded with zero vectors
     rng = random.Random(53)
     for _ in range(400):
         n = rng.randint(1, 9)
-        span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        span = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        span += [[0] * n] * (2 - len(span))
         target = [rng.randint(-3, 3) for _ in range(n)]
-        if span and rng.random() < 0.3:  # a member: a subset sum plus even noise
+        if rng.random() < 0.3:  # a member: a subset sum plus even noise
             subset = [v for v in span if rng.random() < 0.5]
             target = [2 * rng.randint(-2, 2) + sum(v[i] for v in subset) for i in range(n)]
         members = {
             tuple(sum(v[i] for v, on in zip(span, pick) if on) % 2 for i in range(n))
             for pick in product((0, 1), repeat=len(span))
         }
-        assert gf2_in_span(target, span) == (tuple(t % 2 for t in target) in members)
+        assert gf2_in_span(target, *span) == (tuple(t % 2 for t in target) in members)
 
 
 def test_solver_residual_check_is_explicit(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import multiprocessing
 
 import property_suites
 import pytest
@@ -542,6 +543,13 @@ def test_a_rayless_cyt_search_visits_only_the_ansatz_vectors(k, monkeypatch):
         ("ansatz", f"{k - 1}(S²×S⁴) # {k}(S³×S³)")
     ]
 
+    # two vectors are too few for a pool: threads=2 runs serially
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a ray-less search started a pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    assert search(q, threads=2) == (records, stats)
+
 
 def test_integer_filters_build_no_classes(monkeypatch):
     def refuse(*args, **kwargs):
@@ -705,6 +713,21 @@ def test_reject_counts_match_the_brute_force_stages(monkeypatch, model, filters)
         # every visited pair is skipped, rejected by one stage or a record
         assert sum(stats.rejected.values()) + stats.records_emitted + stats.pairs_skipped == stats.pairs_evaluated
     assert len(evaluated) == sum(want.values()) + len(records)
+
+
+@pytest.mark.parametrize("model", [blowup_cp2(1), blowup_cp2(2), quadric()], ids=lambda m: m.name)
+def test_the_spin_filter_is_the_topology_spin_check(model):
+    # one mask test decides both; compare them on every pair of the box
+    plan = search_module._Plan(SearchQuery(model=model, coeff_bound=1, filters=frozenset({"spin"})))
+    box = list(itertools.product(range(-1, 2), repeat=model.rank))
+    verdicts = set()
+    for v1, v2 in itertools.product(box, repeat=2):
+        rejected = plan.evaluate(v1, v2, "key") == "spin"
+        cert = topology_certificate(BundleSpec(model, (CohClass.of(v1), CohClass.of(v2))))
+        assert rejected == (not cert.spin_mod2), (v1, v2)
+        verdicts.add(rejected)
+    # the quadric's c1 = 2C + 2D is even, so every pair there is spin
+    assert verdicts == ({False} if model.name == quadric().name else {False, True})
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from cytforge.surfaces import (
     intersect,
     kummer_model,
     load_model,
-    mod2_membership,
     model_to_dict,
     parse_class,
     projective_plane,
@@ -124,14 +123,6 @@ def test_divisibility_index():
         assert divisibility_index(m, m.c1) == 1
     with pytest.raises(ZeroClass):
         divisibility_index(quadric(), CohClass.zero(2))
-
-
-def test_mod2_membership():
-    m2 = blowup_cp2(2)
-    c1 = m2.c1
-    assert mod2_membership(m2, c1, [c1])
-    assert not mod2_membership(m2, c1, [parse_class(m2, "H"), parse_class(m2, "E1")])
-    assert mod2_membership(m2, CohClass.zero(3), [])
 
 
 def test_kummer_pairing_table():
