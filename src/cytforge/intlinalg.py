@@ -222,8 +222,11 @@ def _gf2_mask(vec: Sequence[int]) -> int:
     return mask
 
 
+def _gf2_spanned(t: int, x: int, y: int) -> bool:
+    """Whether the bit mask t is 0, x, y or x ^ y: in the GF(2) span of x, y."""
+    return t in (0, x, y, x ^ y)
+
+
 def gf2_in_span(target: Sequence[int], a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether target mod 2 lies in the GF(2) span of the pair a, b: its bit
-    mask is 0, the mask of a, that of b, or their XOR."""
-    x, y = _gf2_mask(a), _gf2_mask(b)
-    return _gf2_mask(target) in (0, x, y, x ^ y)
+    """Whether target mod 2 lies in the GF(2) span of the pair a, b."""
+    return _gf2_spanned(_gf2_mask(target), _gf2_mask(a), _gf2_mask(b))

@@ -15,16 +15,18 @@ q2 d w2 = (q1^2 + q2^2) c1 - q1 d w1.  The box bounds |q2| through
 c1 / d is integral, q2 steps by m = d / gcd(d, gcd(c1)) from each root of
 q2^2 = -q1^2 mod m, O(b) steps per root.  Every candidate is then re-verified
 through the full certificate path, so emitted records never rest on the
-shortcut.  A pair pays for the verdicts only: solve_scale and the recheck's
-defect test compare integer numerators, the topology label is decided from
-the gcd of the pairing matrix's 2x2 minors, and the cone verdict reads
-integer signs against the model's curve rows, memoised per ray.  The
-documents (Fraction traces, the defect class, per-curve values, the Smith
-normal form and the witnesses) are rendered only when read, and a search
-reads none of them.
-Enumeration, dedup and the skt and spin pre-filters run on integer tuples;
+shortcut.  A pair pays for the verdicts only: the first plan ray whose locus
+identity holds (q1^2 + q2^2 > 0) gives its route and, on the primitive ray,
+its scale 2 (q1^2 + q2^2) / (Q(R,R) d), with no trace; the recheck's defect
+test compares integer numerators, the topology label is decided from the gcd
+of the pairing matrix's 2x2 minors, and the cone verdict reads integer signs
+against the model's curve rows, memoised per ray.  The documents (Fraction
+traces, the defect class, per-curve values, the Smith normal form and the
+witnesses) are rendered only when read, and a search reads none.  Enumeration,
+dedup and the skt and spin stages (bit masks, w1's once per w1) run on integer
+tuples, the stages ahead of the key, under whose group they are invariant;
 classes are built only for the pairs that reach the solver, balance and
-topology checks, with their cleared forms seeded from the tuples.
+topology checks.
 
 A search builds one plan per query with everything the pairs share: the
 rays, the balanced fallback class, the skt buckets, the ansatz pair, the
@@ -76,9 +78,8 @@ from operator import mul
 from typing import Callable, Iterable, Optional
 
 from .catalog import CatalogRecord, _flags
-from .intlinalg import gf2_in_span
 from .cone import is_kahler
-from .cyt import (
+from .cyt import (  # noqa: F401  solve_scale stays bound here for perfbench's tracer test
     BundleSpec,
     ansatz_curvatures,
     balanced_check,
@@ -87,6 +88,7 @@ from .cyt import (
     verify_cyt,
 )
 from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
+from .intlinalg import _gf2_mask, _gf2_spanned
 from .scalars import exact_sign, format_scalar
 from .surfaces import REGIME_ON_CUBIC, CohClass, SurfaceModel, intersect
 from .topology import UNCLASSIFIED, topology_certificate
@@ -141,6 +143,8 @@ class SearchStats:
     # evaluated pairs each stage rejected, per REJECT_STAGES name, summed over
     # the chunks in chunk order
     rejected: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECT_STAGES, 0))
+    omega1_walked: int = 0  # w1 the chunks walked, summed over the chunks
+    omega1_with_candidates: int = 0  # of those, the w1 with any candidate
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
@@ -276,6 +280,7 @@ class _RayData:
         self.c1 = model.c1.as_int_vector()
         self.d_pair = sum(a * b for a, b in zip(self.c1, self.w))  # Q(c1,R)
         self.bound = bound
+        self.classes: dict[Fraction, CohClass] = {}  # at(s), which records at one scale share
         # w1 is parallel to c1 iff it is a nonzero box multiple of the
         # primitive c1; a kept ray has Q(c1,R) > 0, so each has Q(w1,R) != 0
         g1 = gcd(*self.c1)
@@ -295,10 +300,22 @@ class _RayData:
         self.q2_terms: dict[int, list[tuple[int, int]]] = {}  # q1: [(q1^2+q2^2, q2*d)]
 
     def at(self, s: Fraction) -> CohClass:
-        """The class s * R.  With s * unit = p/q in lowest terms and ray_int
-        primitive, its cleared form is (p * ray_int, q)."""
-        t = s * self.unit
-        return CohClass.from_cleared(tuple(t.numerator * v for v in self.ray_int), t.denominator)
+        """The class s * R, one object per s.  With s * unit = p/q in lowest
+        terms and ray_int primitive, its cleared form is (p * ray_int, q)."""
+        if s not in self.classes:
+            t = s * self.unit
+            self.classes[s] = CohClass.from_cleared(tuple(t.numerator * v for v in self.ray_int), t.denominator)
+        return self.classes[s]
+
+    def locus_scale(self, v1: tuple[int, ...], v2: tuple[int, ...]) -> Optional[Fraction]:
+        """The s > 0 with the pair CYT at s * R when d (q1 w1 + q2 w2) = (q1^2 +
+        q2^2) c1 != 0: s * unit = 2 (q1^2 + q2^2) / (r d).  None otherwise."""
+        w, dp, unit = self.w, self.d_pair, self.unit
+        q1, q2 = sum(map(mul, v1, w)), sum(map(mul, v2, w))
+        lam = q1 * q1 + q2 * q2
+        if lam and all(dp * (q1 * a + q2 * b) == lam * c for a, b, c in zip(v1, v2, self.c1)):
+            return Fraction(2 * lam * unit.denominator, self.r * dp * unit.numerator)
+        return None
 
     def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
         """The box vectors v with Q(v,R) = 0, in lexicographic order.  With
@@ -381,14 +398,15 @@ def _ansatz_pair(query: SearchQuery) -> Optional[_Pair]:
 class _Plan:
     """Everything the pairs of one query share, built once per search: the
     rays a record can stand on, the balanced filter's fallback class, the
-    skt buckets, the ansatz pair, the symmetry group, and a cache of integer
-    self-intersections."""
+    skt buckets, the ansatz pair, the symmetry group, the bit mask of c1,
+    and a cache of integer self-intersections."""
 
     def __init__(self, query: SearchQuery):
         model = query.model
         rank, bound = model.rank, query.coeff_bound
         self.query = query
-        self.c1 = tuple(model.c1.as_int_vector())
+        self.c1_mask = _gf2_mask(model.c1.as_int_vector())
+        self.screen_flags = {name: True for name in ("skt", "spin") if name in query.filters}
         self.squares: dict[tuple[int, ...], int] = {}
         self.permute = _permutes_exceptionals(model)  # canonical keys
         self.ansatz_pair = _ansatz_pair(query)
@@ -421,6 +439,8 @@ class _Plan:
             self.skt_buckets = {}
             for v in _all_vectors(rank, bound):
                 self.skt_buckets.setdefault(self.square(v), []).append(v)
+        # a bucket holds only the partners that pass skt, so only solver pairs are screened for it
+        self.skt = "skt" in query.filters and self.skt_buckets is None
 
     def square(self, v: tuple[int, ...]) -> int:
         q = self.squares.get(v)
@@ -431,44 +451,51 @@ class _Plan:
 
     def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         if "cyt" in self.query.filters:
-            cand: set[tuple[int, ...]] = set()
-            for data in self.rays:
-                cand.update(data.candidates_for(v1))
+            found = [data.candidates_for(v1) for data in self.rays]
             if self.ansatz_pair is not None:
                 a1, a2 = self.ansatz_pair
-                if v1 == a1:
-                    cand.add(a2)
-                elif v1 == a2:
-                    cand.add(a1)
-            return sorted(cand)
+                found.append([a2] if v1 == a1 else [a1] if v1 == a2 else [])
+            # one ray's generic (q2 != 0) and trace-free (q2 = 0) candidates are distinct
+            return sorted(found[0] if len(found) == 1 else set().union(*found))
         if self.skt_buckets is not None:
             return self.skt_buckets.get(-self.square(v1), [])
         return _all_vectors(len(v1), self.query.coeff_bound)
 
-    def chunk(self, lead: int) -> tuple[list[CatalogRecord], int, int, dict[str, int]]:
+    def chunk(self, lead: int) -> tuple[list[CatalogRecord], tuple[int, ...], dict[str, int]]:
         """Records of the pairs whose w1 starts with lead, with the counts of
-        visited pairs, of those not evaluated and of the evaluated pairs
-        each stage rejected."""
+        visited pairs, of those not evaluated, of w1 walked and of those
+        with a candidate, and of the evaluated pairs each stage rejected."""
         records: list[CatalogRecord] = []
-        visited = skipped = 0
+        visited = skipped = walked = with_candidates = 0
         rejected = dict.fromkeys(REJECT_STAGES, 0)
         passed_keys: set[str] = set()
         rank, bound = self.query.model.rank, self.query.coeff_bound
         # an orbit minimum under the key's own group is its key (see the module docstring)
         own_key = self.prune and self.sorted_v1 == self.permute
+        spin = "spin" in self.screen_flags
         if "cyt" in self.query.filters and not self.rays:
             # only the ansatz pair has candidates: walk its vectors, not the box
             v1s: Iterable[tuple[int, ...]] = sorted({v for v in self.ansatz_pair or () if v[0] == lead})
         else:
             v1s = _vectors_with_lead(lead, rank, bound, self.sorted_v1)
         for v1 in v1s:
+            walked += 1
             cands = self.candidates(v1)
-            runs = _equal_runs(v1) if self.sorted_v1 and cands else []
+            if not cands:
+                continue
+            with_candidates += 1
+            runs = _equal_runs(v1) if self.sorted_v1 else []
+            m1 = _gf2_mask(v1) if spin else None
             for v2 in cands:
                 visited += 1
                 if self.prune and not _is_orbit_minimum(v1, v2, runs, self.sorted_v1):
                     skipped += 1
                     continue
+                if spin or self.skt:
+                    stage = self.screen(v1, v2, m1)
+                    if stage is not None:
+                        rejected[stage] += 1
+                        continue
                 key = _pair_text(v1, v2) if own_key else _canonical_key(v1, v2, self.permute)
                 # without the permutations in the group the key still merges
                 # permuted pairs; the merge keeps the first, so later ones can go
@@ -481,24 +508,23 @@ class _Plan:
                 else:
                     passed_keys.add(key)
                     records.append(rec)
-        return records, visited, skipped, rejected
+        return records, (visited, skipped, walked, with_candidates), rejected
+
+    def screen(self, v1: tuple[int, ...], v2: tuple[int, ...], m1: Optional[int]) -> Optional[str]:
+        """The tuple stage, skt then spin, that rejects the pair, or None; m1
+        is the bit mask of v1, None without the spin filter."""
+        if self.skt and self.square(v1) + self.square(v2):
+            return "skt"
+        if m1 is not None and not _gf2_spanned(self.c1_mask, m1, _gf2_mask(v2)):
+            return "spin"
+        return None
 
     def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str) -> CatalogRecord | str:
-        """The record of the pair, or the name of the stage that rejected it."""
+        """The record of a pair that passed screen, or the stage that rejected it."""
         query = self.query
         model = query.model
         filters = query.filters
-        flags = {}
-
-        # integer pre-filters on the coefficient tuples
-        if "skt" in filters:
-            if self.square(v1) + self.square(v2) != 0:
-                return "skt"
-            flags["skt"] = True
-        if "spin" in filters:
-            if not gf2_in_span(self.c1, v1, v2):
-                return "spin"
-            flags["spin"] = True
+        flags = self.screen_flags.copy()
 
         kahler: Optional[CohClass] = None
         if filters & _CLASS_FILTERS:
@@ -506,7 +532,7 @@ class _Plan:
         if "cyt" in filters:
             route = None
             for data in self.rays:
-                s = solve_scale(bundle, data.ray)
+                s = data.locus_scale(v1, v2)
                 if s is None:
                     continue
                 kahler, route = data.at(s), data.name
@@ -559,7 +585,7 @@ def _start_worker(plan: _Plan) -> None:
     _worker_plan = plan
 
 
-def _worker_chunk(lead: int) -> tuple[list[CatalogRecord], int, int, dict[str, int]]:
+def _worker_chunk(lead: int) -> tuple[list[CatalogRecord], tuple[int, ...], dict[str, int]]:
     return _worker_plan.chunk(lead)
 
 
@@ -601,11 +627,9 @@ def search(
 
     merged: list[CatalogRecord] = []
     seen: set[str] = set()
-    visited = skipped = 0
+    visited, skipped, walked, with_candidates = map(sum, zip(*(counts for _, counts, _ in results)))
     rejected = dict.fromkeys(REJECT_STAGES, 0)
-    for records, chunk_visited, chunk_skipped, chunk_rejected in results:
-        visited += chunk_visited
-        skipped += chunk_skipped
+    for records, _, chunk_rejected in results:
         for stage, count in chunk_rejected.items():
             rejected[stage] += count
         for rec in records:
@@ -622,5 +646,7 @@ def search(
         pairs_skipped=skipped,
         cyt_routes=tuple(data.name for data in plan.rays),
         rejected=rejected,
+        omega1_walked=walked,
+        omega1_with_candidates=with_candidates,
     )
     return emitted, stats

@@ -193,8 +193,8 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     matrix G is unimodular, P and W have the same invariant factors (Newman,
     Integral Matrices, 1972), so basis extension equals the surrogate; on any
     other model it falls back to basis_extension_check, which factors W
-    itself.  spin_mod2 is the search's spin filter, gf2_in_span: c1 is 0,
-    w1, w2 or w1 + w2 mod 2, one compare of bit masks.  The Smith normal
+    itself.  spin_mod2 is gf2_in_span: c1 is 0, w1, w2 or w1 + w2 mod 2,
+    the compare of bit masks the search's spin stage makes too.  The Smith normal
     form of P, the witnesses alpha and beta, spin_integral and the tables
     are rendered when first read (see TopologyCertificate).
     """

@@ -41,7 +41,7 @@ from cytforge.scalars import (
     quadratic,
     ratio_of,
 )
-from cytforge.search import SearchQuery, _RayData, canonical_form, search
+from cytforge.search import SearchQuery, _Plan, _RayData, canonical_form, search
 from cytforge.skt import hodge_obstruction, verify_skt
 from cytforge.surfaces import (
     CohClass,
@@ -1143,3 +1143,75 @@ def check_candidates_for(case, data) -> None:
                 assert (abs(q1) + abs(q2)) * c_max <= 2 * d * bound, (w1, w2)
                 assert lam * g % d == 0, (w1, w2)
         todo.extend(brute[:8])
+
+
+# -- the walk's scale against solve_scale ----------------------------------
+#
+# The search takes a candidate's scale on the primitive ray, t = 2 (q1^2 +
+# q2^2) / (r d), from the integers of the walk; solve_scale reads it from
+# the traces against the ray as given.
+
+
+@st.composite
+def walk_rays(draw):
+    """A model, a ray with Q(R,R) > 0 and Q(c1,R) > 0, a bound as in
+    candidate_rays, and whether the ray is a multiple of c1 other than c1:
+    a rational ray near an anchor, an integer multiple of an integral one
+    (never primitive), or s * c1 with s != 1, which keeps two rays.  The
+    plan checks its rays against the cone, so every model has curve data."""
+    model, anchor = draw(
+        st.sampled_from([(blowup_cp2(k), (3,) + (-1,) * k) for k in (1, 2, 3, 4)] + [(quadric(), (1, 1))])
+    )
+    kind = draw(st.sampled_from(("rational", "multiple", "c1")))
+    if kind == "c1":
+        s = draw(st.sampled_from([Fraction(1, 3), Fraction(3, 2), Fraction(2), Fraction(7, 3)]))
+        ray = CohClass.of([s * c for c in model.c1.coeffs])
+    elif kind == "multiple":
+        m = draw(st.integers(2, 4))
+        ray = CohClass.of([m * (a + draw(st.integers(-1, 1))) for a in anchor])
+    else:
+        t = draw(st.integers(1, 3))
+        shift = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+        ray = CohClass.of([t * a + draw(shift) for a in anchor])
+    assume(_oracle_pairing(model, ray, ray) > 0 and _oracle_pairing(model, model.c1, ray) > 0)
+    return model, ray, draw(st.integers(1, 2 if model.rank > 4 else 3)), kind == "c1"
+
+
+@KERNEL_SETTINGS
+@given(walk_rays(), st.data())
+def check_walk_scales(case, data) -> None:
+    """Every candidate pair of a cyt plan, the parallel branch's included,
+    takes the route of the first plan ray on which solve_scale finds a
+    scale s, the scale text format_scalar(s) and the class s * R, built
+    here from the ray's coefficients, with the cleared form of data.at(s).
+    Each ray's locus test agrees with solve_scale, also on random box pairs
+    and on pairs of trace-free vectors, where q1 = q2 = 0.  A ray
+    proportional to c1 keeps both routes, and every pair takes the first."""
+    model, ray, bound, c1_ray = case
+    plan = _Plan(SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"cyt"}), ray=ray))
+    assume(plan.rays)
+    if c1_ray:
+        assert [rd.name for rd in plan.rays] == ["ray", "anticanonical_ray"]
+    box = list(product(range(-bound, bound + 1), repeat=model.rank))
+    w1s = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=12)) + sorted(plan.rays[0].c1_multiples)
+    for w1 in w1s:
+        cands = plan.candidates(w1)
+        for w2 in cands[:: max(1, len(cands) // 6)]:
+            bundle = BundleSpec(model, (CohClass.of(w1), CohClass.of(w2)))
+            scales = [solve_scale(bundle, rd.ray) for rd in plan.rays]
+            assert [rd.locus_scale(w1, w2) is None for rd in plan.rays] == [s is None for s in scales]
+            rd, s = next((rd, s) for rd, s in zip(plan.rays, scales) if s is not None)
+            rec = plan.evaluate(w1, w2, "key")
+            assert rec.flags.cyt_route == ("ray" if c1_ray else rd.name), (w1, w2)
+            assert rec.flags.scale == format_scalar(s), (w1, w2)
+            assert rd.locus_scale(w1, w2) == s, (w1, w2)
+            want = CohClass.of([s * c for c in rd.ray.coeffs])
+            assert rec.kahler == tuple(want.serialize()), (w1, w2)
+            assert rd.at(s).cleared_form == want.cleared_form, (w1, w2)
+    for rd in plan.rays:
+        perp = rd.perp_vectors(model.rank)
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(box), st.sampled_from(box)), max_size=8))
+        pairs += data.draw(st.lists(st.tuples(st.sampled_from(perp), st.sampled_from(perp)), min_size=1, max_size=4))
+        for w1, w2 in pairs:
+            s = solve_scale(BundleSpec(model, (CohClass.of(w1), CohClass.of(w2))), rd.ray)
+            assert rd.locus_scale(w1, w2) == s, (w1, w2)

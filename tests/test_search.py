@@ -9,6 +9,7 @@ import pytest
 from cytforge.catalog import VerdictFlags
 from cytforge.cyt import BundleSpec, verify_cyt
 from cytforge.errors import BoundTooLarge
+from cytforge.intlinalg import _gf2_mask
 from cytforge.search import REJECT_STAGES, SearchQuery, canonical_form, resolve_threads, search
 from cytforge.skt import verify_skt
 from cytforge.surfaces import CohClass, blowup_cp2, custom_model, parse_class, quadric
@@ -352,6 +353,10 @@ def test_candidates_match_the_box_on_random_rays():
     property_suites.check_candidates_for()
 
 
+def test_walk_scales_match_solve_scale_on_random_rays():
+    property_suites.check_walk_scales()
+
+
 PRUNING_CASES = [
     (blowup_cp2(2), 3, {"cyt"}, None),
     (blowup_cp2(3), 3, {"cyt", "topology", "spin"}, None),
@@ -614,6 +619,10 @@ def _brute_stage(model, filters, v1, v2, ray=None):
         return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
 
     flags = {}
+    if "skt" in filters:
+        if pair(v1, v1) + pair(v2, v2):
+            return "skt"
+        flags["skt"] = True
     if "spin" in filters:
         # c1 is 0, v1, v2 or v1 + v2 mod 2
         if not any(
@@ -654,10 +663,11 @@ BOX_SEARCH_COUNTS = {
     ("topology",): (20, 94, 20),
     ("spin",): (34, 124, 45),
     ("balanced", "spin"): (0, 0, 6),
+    ("skt", "spin"): (18, 12, 19),
 }
 BOX_SEARCH_CASES = [
     (model, filters)
-    for filters in [("balanced",), ("topology",), ("spin",), ("balanced", "spin")]
+    for filters in [("balanced",), ("topology",), ("spin",), ("balanced", "spin"), ("skt", "spin")]
     for model in [blowup_cp2(1), blowup_cp2(2), quadric()]
 ] + [(NULL_C1, ("balanced",)), (NULL_C1, ("balanced", "spin"))]
 
@@ -689,17 +699,34 @@ def test_box_balanced_search_tests_against_the_ray():
         assert [(r.omega1, r.omega2, r.canonical_key, r.flags) for r in records] == want, threads
 
 
-@pytest.mark.parametrize("model,filters", BOX_SEARCH_CASES, ids=lambda v: "+".join(v) if isinstance(v, tuple) else v.name)
+# the box cases at bound 1, and a solver case at bound 3: the solver proposes
+# only pairs on the cyt locus, so cyt rejects none of them and the brute
+# stages, which leave cyt out, name every reject; there 3 pairs fail both
+# skt and spin and pin the order of the two stages
+REJECT_CASES = BOX_SEARCH_CASES + [(blowup_cp2(3), ("cyt", "skt", "spin"))]
+
+
+@pytest.mark.parametrize("model,filters", REJECT_CASES, ids=lambda v: "+".join(v) if isinstance(v, tuple) else v.name)
 def test_reject_counts_match_the_brute_force_stages(monkeypatch, model, filters):
+    # screen sees every pair past the orbit rule when skt or spin is a
+    # filter, ahead of the key, and evaluate every pair past the key
+    bound = 3 if "cyt" in filters else 1
     evaluated = []
-    evaluate = search_module._Plan.evaluate
+    screen, evaluate = search_module._Plan.screen, search_module._Plan.evaluate
+
+    def screened(plan, v1, v2, m1):
+        stage = screen(plan, v1, v2, m1)
+        if stage is not None:
+            evaluated.append((v1, v2))
+        return stage
 
     def recorded(plan, v1, v2, key):
         evaluated.append((v1, v2))
         return evaluate(plan, v1, v2, key)
 
-    q = SearchQuery(model=model, coeff_bound=1, filters=frozenset(filters))
+    q = SearchQuery(model=model, coeff_bound=bound, filters=frozenset(filters))
     parallel = search(q, threads=2)[1]
+    monkeypatch.setattr(search_module._Plan, "screen", screened)
     monkeypatch.setattr(search_module._Plan, "evaluate", recorded)
     records, serial = search(q, threads=1)
     want = dict.fromkeys(REJECT_STAGES, 0)
@@ -707,6 +734,9 @@ def test_reject_counts_match_the_brute_force_stages(monkeypatch, model, filters)
         stage = _brute_stage(model, filters, v1, v2)
         if isinstance(stage, str):
             want[stage] += 1
+    if "cyt" in filters:
+        both = [pair for pair in evaluated if _brute_stage(model, ("spin",), *pair) == "spin"]
+        assert want["skt"] > 0 and want["spin"] > 0 and len(both) - want["spin"] == 3
     for stats in (serial, parallel):
         assert stats.rejected == want
         assert list(stats.rejected) == list(REJECT_STAGES)
@@ -722,7 +752,7 @@ def test_the_spin_filter_is_the_topology_spin_check(model):
     box = list(itertools.product(range(-1, 2), repeat=model.rank))
     verdicts = set()
     for v1, v2 in itertools.product(box, repeat=2):
-        rejected = plan.evaluate(v1, v2, "key") == "spin"
+        rejected = plan.screen(v1, v2, _gf2_mask(v1)) == "spin"
         cert = topology_certificate(BundleSpec(model, (CohClass.of(v1), CohClass.of(v2))))
         assert rejected == (not cert.spin_mod2), (v1, v2)
         verdicts.add(rejected)
@@ -769,8 +799,20 @@ def test_a_verdict_search_renders_no_documents(monkeypatch):
                (TopologyCertificate, "_solver"))
     for cls, name in renders:
         monkeypatch.setattr(cls, name, property(counted(name, vars(cls)[name].func)))
+    for module in (cyt, search_module):
+        monkeypatch.setattr(module, "solve_scale", counted("solve_scale", cyt.solve_scale))
+    monkeypatch.setattr(search_module, "verify_cyt", counted("verify_cyt", cyt.verify_cyt))
     records, stats = search(SearchQuery(model, 3, frozenset({"cyt", "topology", "spin"})), threads=1)
     assert len(records) == 346 and stats.cyt_routes == ("anticanonical_ray",)
     # the plan's ray check computes the signs of the ray; every record's
-    # class is a positive multiple of it
-    assert counts == {"curve signs": 1}
+    # class is a positive multiple of it.  The walk gives each pair its
+    # scale, so solve_scale never runs, and the recheck runs once a record
+    assert counts == {"curve signs": 1, "verify_cyt": 346}
+
+
+def test_search_stats_count_the_w1_walked():
+    # k = 5, bound 3: 7 leads times the 462 sorted exceptional tails
+    q = SearchQuery(blowup_cp2(5), 3, frozenset({"cyt", "topology", "spin"}))
+    for threads in (1, 2):
+        stats = search(q, threads=threads)[1]
+        assert (stats.omega1_walked, stats.omega1_with_candidates) == (3234, 304), threads
