@@ -9,12 +9,8 @@ from .cyt import (
     AnsatzSolution,
     BundleSpec,
     CytCertificate,
-    RicciPolynomial,
     balanced_check,
     c1_bundle_triviality,
-    canonical_ricci_class,
-    cyt_defect,
-    lambda_trace,
     primitive_route_check,
     solve_scale,
     solve_symmetric_ansatz,
@@ -31,7 +27,7 @@ from .scalars import (
     quadratic,
     solve_quadratic,
 )
-from .search import SearchQuery, canonical_form, search
+from .search import SearchQuery, search
 from .skt import SktReport, hodge_obstruction, verify_skt
 from .surfaces import (
     CohClass,
@@ -42,7 +38,6 @@ from .surfaces import (
     builtin_model,
     custom_model,
     divisibility_index,
-    format_class,
     intersect,
     kummer_model,
     load_model,
@@ -50,12 +45,6 @@ from .surfaces import (
     projective_plane,
     quadric,
 )
-from .topology import (
-    SpectralTables,
-    TopologyCertificate,
-    find_alpha_beta,
-    spectral_tables,
-    topology_certificate,
-)
+from .topology import SpectralTables, TopologyCertificate, topology_certificate
 
 __version__ = "0.1.0"

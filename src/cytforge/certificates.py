@@ -1,5 +1,5 @@
 """Machine-readable certificates: every inequality and identity a verdict
-rests on, serialized with exact scalar text, digestible and round-trippable.
+rests on, serialized with exact scalar text and digestible.
 
 The digest covers the canonical JSON of everything except the timestamp, so
 re-running the echoed command reproduces the certificate byte for byte up to
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _escape  # the C escaper of json.dumps
 from typing import Optional
@@ -210,14 +210,6 @@ class Certificate:
         ``_indented`` writes it because json runs ``indent=`` in pure Python
         before 3.13."""
         return _indented(self.to_doc()) + "\n"
-
-    @staticmethod
-    def from_doc(doc: dict) -> "Certificate":
-        return Certificate(**{f.name: doc[f.name] for f in fields(Certificate)})
-
-    @staticmethod
-    def from_json(text: str) -> "Certificate":
-        return Certificate.from_doc(json.loads(text))
 
 
 def build_certificate(

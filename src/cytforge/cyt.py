@@ -19,7 +19,6 @@ is solved exactly in Q or Q(sqrt(d)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Optional
@@ -57,14 +56,6 @@ class BundleSpec:
                 raise InvalidBundle("curvature class rank does not match the base")
             if not w.is_integral():
                 raise InvalidBundle("curvature classes must be integral")
-
-
-def lambda_trace(model: Model, omega: CohClass, f: CohClass) -> Scalar:
-    """Trace of omega against the Kaehler class f: 2 Q(omega,f) / Q(f,f)."""
-    ff = intersect(model, f, f)
-    if ff == 0:
-        raise NullClass("Q(F,F) = 0")
-    return exact_div(BASE_COMPLEX_DIMENSION * intersect(model, omega, f), ff)
 
 
 class _Traces:
@@ -146,40 +137,6 @@ def _traced_sum(bundle: BundleSpec, f: CohClass) -> _Traces:
     rows = base.gram_row(n), base.gram_row(m), r
     pairings = [quadratic(*surd_dot(w, None, None, *rows)) for w in ws]
     return _Traces(bundle, pairings, quadratic(*surd_dot(n, m, r, *rows)), d)
-
-
-def cyt_defect(bundle: BundleSpec, f: CohClass) -> CohClass:
-    """c1(X) minus the traced curvature sum; zero iff the bundle with this
-    Kaehler class satisfies the torsion Calabi-Yau condition in cohomology."""
-    return bundle.base.c1 - _traced_sum(bundle, f).traced
-
-
-@dataclass(frozen=True)
-class RicciPolynomial:
-    """Ricci class of the canonical connection family, affine in the family
-    parameter t: constant_class + t * linear_class."""
-
-    constant_class: CohClass
-    linear_class: CohClass
-
-    def evaluate(self, t) -> CohClass:
-        if t == 0:
-            return self.constant_class
-        return self.constant_class + t * self.linear_class
-
-    def is_identically_zero(self) -> bool:
-        return self.constant_class.is_zero() and self.linear_class.is_zero()
-
-
-def canonical_ricci_class(bundle: BundleSpec, f: CohClass) -> RicciPolynomial:
-    """The family t -> c1 + (t-1)/2 * sum(trace_l w_l); t = 1 recovers the
-    Chern Ricci class c1, t = -1 the torsion-connection class c1 - sum."""
-    traced = _traced_sum(bundle, f).traced
-    half = Fraction(1, 2)
-    return RicciPolynomial(
-        constant_class=bundle.base.c1 - half * traced,
-        linear_class=half * traced,
-    )
 
 
 @dataclass(frozen=True)

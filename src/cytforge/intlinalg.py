@@ -21,14 +21,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:
     return [sum(map(mul, row, v)) for row in a]
 

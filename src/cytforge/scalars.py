@@ -165,24 +165,6 @@ class QuadraticNumber:
         a2, b2 = parts
         return quadratic(a2, b2, self.d) * self.inverse()
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result: Scalar = Fraction(1)
-        base: Scalar = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.d)
-
     # -- comparisons ----------------------------------------------------
 
     def sign(self) -> int:
@@ -264,13 +246,6 @@ def ratio_terms(x: Sequence[Scalar], y: Sequence[Scalar]) -> Optional[tuple[Scal
     if any(a * b0 != a0 * b for a, b in zip(x, y)):
         return None
     return a0, b0
-
-
-def ratio_of(x: Sequence[Scalar], y: Sequence[Scalar]) -> Optional[Scalar]:
-    """The t with x = t*y coefficientwise; None when y is zero or x is not a
-    multiple of y.  A division happens only for the returned t."""
-    terms = ratio_terms(x, y)
-    return None if terms is None else exact_div(*terms)
 
 
 def sqrt_fraction(q) -> Scalar:

@@ -194,14 +194,6 @@ def _canonical_key(a: tuple[int, ...], b: tuple[int, ...], permute: bool) -> str
     return _pair_text(*min(canon(a, b), canon(b, a)))
 
 
-def canonical_form(model: SurfaceModel, w1: CohClass, w2: CohClass) -> str:
-    """Deduplication key, invariant under simultaneous permutation of the
-    exceptional coordinates and swapping the pair order."""
-    return _canonical_key(
-        tuple(w1.as_int_vector()), tuple(w2.as_int_vector()), _permutes_exceptionals(model)
-    )
-
-
 # -- orbit rule ----------------------------------------------------------
 
 # search_symmetry never returns NO_SYMMETRY; it evaluates every visited pair

@@ -682,22 +682,3 @@ def parse_class(model: Model, text: str) -> CohClass:
     if not matched:
         raise ScalarParseError(f"bad class expression {text!r}")
     return CohClass(tuple(int(c) if c.denominator == 1 else c for c in coeffs))
-
-
-def format_class(model: Model, x: CohClass) -> str:
-    """Label form like '3H-E1-E2' when all coefficients are rational,
-    else the exact vector form."""
-    if x.cleared_form is None:
-        return "[" + ",".join(format_scalar(c) for c in x.coeffs) + "]"
-    parts = []
-    for coef, label in zip(x.coeffs, model.basis_labels):
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        mag_s = "" if mag == 1 else str(mag)
-        parts.append(f"{sign}{mag_s}{label}")
-    if not parts:
-        return "0"
-    out = "".join(parts)
-    return out[1:] if out.startswith("+") else out

@@ -1,7 +1,8 @@
-"""Topology of the total space of a 2-torus bundle: pairing witnesses, the
-second-page and third-page rank tables of the fibration's spectral sequence,
-Betti numbers, spin checks, and the diffeomorphism-type label for simply
-connected spin total spaces with torsion-free cohomology.
+"""Topology of the total space of a 2-torus bundle, as one certificate per
+bundle (topology_certificate): pairing witnesses, the second-page and
+third-page rank tables of the fibration's spectral sequence, Betti numbers,
+spin checks, and the diffeomorphism-type label for simply connected spin
+total spaces with torsion-free cohomology.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class TopologyCertificate:
     are decided when it is built.  pairing_snf, alpha, beta and
     spin_integral are rendered on first read from one IntegerSolver of the
     pairing matrix, kept; its d1*d2 must equal minors_gcd, else
-    InvariantViolation.  tables is rendered from the decided verdict."""
+    InvariantViolation.  tables is rendered from the decided verdict: None
+    unless the witnesses exist and the curvatures extend to a basis."""
 
     basis_extension: bool
     simply_connected_surrogate: bool
@@ -64,7 +66,12 @@ class TopologyCertificate:
 
     @cached_property
     def _alpha_beta(self) -> tuple[Optional[CohClass], Optional[CohClass]]:
-        return _witnesses(self._solver) or (None, None)
+        # the pairing map hits both unit vectors iff it is onto Z^2, i.e. iff
+        # its invariant factors are (1, 1); then every target is solvable
+        solver = self._solver
+        if solver.diagonal != (1, 1):
+            return None, None
+        return CohClass.of(solver.solve([1, 0])), CohClass.of(solver.solve([0, 1]))
 
     @property
     def alpha(self) -> Optional[CohClass]:
@@ -91,42 +98,6 @@ class TopologyCertificate:
         return None
 
 
-def _lattice_base(bundle: BundleSpec) -> SurfaceModel:
-    base = bundle.base
-    if not isinstance(base, SurfaceModel):
-        raise HypothesesNotMet(
-            "full_lattice_model",
-            f"{base.name} declares pairings only; its witnesses are assumed, not computed",
-        )
-    return base
-
-
-def _curvature_vectors(bundle: BundleSpec) -> list[tuple[int, ...]]:
-    """The cleared numerators of the two curvature classes, which BundleSpec
-    keeps integral and of the base's rank."""
-    if len(bundle.curvatures) != 2:
-        raise WrongFiberRank(f"{len(bundle.curvatures)} curvature classes; need exactly 2")
-    return [w.cleared_form[0] for w in bundle.curvatures]
-
-
-def _witnesses(solver: IntegerSolver) -> Optional[tuple[CohClass, CohClass]]:
-    # the pairing map hits both unit vectors iff it is onto Z^2, i.e. iff its
-    # invariant factors are (1, 1); then every target is solvable
-    if solver.diagonal != (1, 1):
-        return None
-    return CohClass.of(solver.solve([1, 0])), CohClass.of(solver.solve([0, 1]))
-
-
-def find_alpha_beta(bundle: BundleSpec) -> Optional[tuple[CohClass, CohClass]]:
-    """Integral classes with Q(w1,a) = 1, Q(w2,a) = 0, Q(w2,b) = 1,
-    Q(w1,b) = 0.  None iff the pairing map does not hit a unimodular pair,
-    i.e. is not onto Z^2.  A pairing-table base has no Gram rows, so it
-    fails the full_lattice_model hypothesis."""
-    vectors = _curvature_vectors(bundle)
-    base = _lattice_base(bundle)
-    return _witnesses(IntegerSolver([base.gram_row(v) for v in vectors]))
-
-
 @lru_cache(maxsize=None)
 def _tables_for_rank(b: int) -> SpectralTables:
     e2 = (
@@ -144,16 +115,6 @@ def _tables_for_rank(b: int) -> SpectralTables:
         for total in range(7)
     )
     return SpectralTables(e2=e2, e3=e3, betti=betti)
-
-
-def spectral_tables(bundle: BundleSpec) -> SpectralTables:
-    """Rank tables under the hypotheses: pairing witnesses exist and the two
-    curvature classes extend to a lattice basis."""
-    if find_alpha_beta(bundle) is None:
-        raise HypothesesNotMet("alpha_beta", "no unimodular pairing witnesses")
-    if not basis_extension_check(bundle.base, bundle.curvatures):
-        raise HypothesesNotMet("basis_extension", "curvatures do not extend to a basis")
-    return _tables_for_rank(bundle.base.rank)
 
 
 def diffeo_label_for(b2_of_total: int) -> str:
@@ -198,10 +159,18 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     form of P, the witnesses alpha and beta, spin_integral and the tables
     are rendered when first read (see TopologyCertificate).
     """
-    base = _lattice_base(bundle)
+    base = bundle.base
+    if not isinstance(base, SurfaceModel):
+        raise HypothesesNotMet(
+            "full_lattice_model",
+            f"{base.name} declares pairings only; its witnesses are assumed, not computed",
+        )
     if not base.simply_connected:
         raise HypothesesNotMet("simply_connected_base", f"{base.name} is not simply connected")
-    vectors = _curvature_vectors(bundle)
+    if len(bundle.curvatures) != 2:
+        raise WrongFiberRank(f"{len(bundle.curvatures)} curvature classes; need exactly 2")
+    # BundleSpec keeps the curvatures integral and of the base's rank
+    vectors = [w.cleared_form[0] for w in bundle.curvatures]
     pairing = [base.gram_row(v) for v in vectors]  # rows Q(w_l, .)
     minors_gcd = _minors_gcd(pairing)
     surrogate = minors_gcd == 1

@@ -23,14 +23,13 @@ from cytforge.cone import is_kahler, negative_curves, positively_proportional
 from cytforge.cyt import (
     BundleSpec,
     _traced_sum,
-    lambda_trace,
     primitive_route_check,
     solve_scale,
     solve_symmetric_ansatz,
     verify_cyt,
 )
 from cytforge.errors import MixedFieldError, NotKahler, NotPositiveRay, NullClass
-from cytforge.intlinalg import IntegerSolver, mat_mul, mat_vec, snf, solve_integer_linear
+from cytforge.intlinalg import IntegerSolver, mat_vec, snf, solve_integer_linear
 from cytforge.scalars import (
     QuadraticNumber,
     exact_div,
@@ -39,9 +38,8 @@ from cytforge.scalars import (
     is_rational,
     parse_scalar,
     quadratic,
-    ratio_of,
 )
-from cytforge.search import SearchQuery, _Plan, _RayData, canonical_form, search
+from cytforge.search import SearchQuery, _Plan, _RayData, search
 from cytforge.skt import hodge_obstruction, verify_skt
 from cytforge.surfaces import (
     CohClass,
@@ -52,7 +50,7 @@ from cytforge.surfaces import (
     projective_plane,
     quadric,
 )
-from cytforge.topology import spectral_tables, topology_certificate
+from cytforge.topology import SpectralTables, topology_certificate
 
 SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 15, 114)
 
@@ -146,6 +144,11 @@ def _invariant_factors_oracle(mat):
     return tuple(factors)
 
 
+def mat_mul(a, b):
+    """The integer matrix product a b."""
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
 def run_snf_oracle(cases: int = 1000, seed: int = 103) -> int:
     rng = random.Random(seed)
     for i in range(cases):
@@ -198,9 +201,10 @@ def run_lambda_covariance(cases: int = 1000, seed: int = 105) -> int:
         f = CohClass.of([rng.randint(-6, 6) for _ in range(k + 1)])
         if intersect(m, f, f) == 0:
             continue
-        base = lambda_trace(m, w, f)
+        bundle = BundleSpec(m, (w, CohClass.zero(k + 1)))
+        base = verify_cyt(bundle, f).lambdas[0]
         s = rng.choice(scales)
-        assert lambda_trace(m, w, s * f) == base / s
+        assert verify_cyt(bundle, s * f).lambdas == (base / s, 0)
         done += 1
     return done
 
@@ -227,10 +231,30 @@ def run_hodge_suite(cases: int = 1000, seed: int = 106) -> int:
     return done
 
 
+def reference_key(model, v1: tuple, v2: tuple) -> str:
+    """The dedup key from its definition, sharing no code with the search:
+    the least of the pair and its swap as 'a0,a1,..|b0,b1,..', with the
+    exceptional columns sorted when every transposition of the coordinates
+    1..k fixes the Gram matrix and c1."""
+    g, c1, rank = model.gram, model.c1.coeffs, model.rank
+
+    def fixes(i: int, j: int) -> bool:
+        p = [j if a == i else i if a == j else a for a in range(rank)]
+        return c1[i] == c1[j] and all(g[p[a]][p[b]] == g[a][b] for a in range(rank) for b in range(rank))
+
+    permute = all(fixes(i, j) for i, j in combinations(range(1, rank), 2))
+
+    def canon(x: tuple, y: tuple) -> tuple:
+        columns = sorted(zip(x[1:], y[1:])) if permute else list(zip(x[1:], y[1:]))
+        return (x[0], *(c[0] for c in columns), y[0], *(c[1] for c in columns))
+
+    best = min(canon(v1, v2), canon(v2, v1))
+    return ",".join(map(str, best[:rank])) + "|" + ",".join(map(str, best[rank:]))
+
+
 def _reverify_record(model, rec) -> None:
-    w1, w2 = CohClass.of(rec.omega1), CohClass.of(rec.omega2)
-    bundle = BundleSpec(model, (w1, w2))
-    assert rec.canonical_key == canonical_form(model, w1, w2)
+    bundle = BundleSpec(model, (CohClass.of(rec.omega1), CohClass.of(rec.omega2)))
+    assert rec.canonical_key == reference_key(model, rec.omega1, rec.omega2)
     if rec.flags.cyt is not None:
         assert verify_cyt(bundle, rec.kahler_class()).verdict == rec.flags.cyt
     if rec.flags.skt is not None:
@@ -495,21 +519,39 @@ def _traced_fields(bundle, f):
     return t.lambdas, t.traced, t.ff, t.ff_sign(), t.trace_free, t.defect_zero(), t.scale()
 
 
-def _reference_traces(model, ws, f):
-    """The fields of _traced_fields, class by class: lambda_trace on the
-    scalar twin for each curvature, the traced sum and the defect in
-    CohClass arithmetic, the scale from ratio_of on the coefficients; None
-    when Q(f,f) = 0."""
+def _reference_lambdas(model, ws, f) -> tuple:
+    """The trace 2 Q(w,f) / Q(f,f) of each w, paired class by class on the
+    scalar twin; NullClass when Q(f,f) = 0."""
     twin = scalar_twin(model)
     ff = intersect(twin, f, f)
     if ff == 0:
+        raise NullClass("Q(F,F) = 0")
+    return tuple(exact_div(2 * intersect(twin, w, f), ff) for w in ws)
+
+
+def _reference_ratio(x, y):
+    """The t with x = t*y coefficientwise, read at y's first nonzero entry;
+    None when y is zero or x is not a multiple of y."""
+    p = next((i for i, b in enumerate(y) if b != 0), None)
+    if p is None:
         return None
-    lambdas = tuple(lambda_trace(twin, w, f) for w in ws)
+    t = exact_div(x[p], y[p])
+    return t if all(a == t * b for a, b in zip(x, y)) else None
+
+
+def _reference_traces(model, ws, f):
+    """The fields of _traced_fields, class by class: the traces on the
+    scalar twin, the traced sum and the defect in CohClass arithmetic, the
+    scale from the ratio of the coefficients; None when Q(f,f) = 0."""
+    ff = intersect(scalar_twin(model), f, f)
+    if ff == 0:
+        return None
+    lambdas = _reference_lambdas(model, ws, f)
     traced = CohClass.zero(model.rank)
     for lam, w in zip(lambdas, ws):
         if lam != 0:
             traced = traced + lam * w
-    s = ratio_of(traced.coeffs, model.c1.coeffs)
+    s = _reference_ratio(traced.coeffs, model.c1.coeffs)
     scale = s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
     trace_free = tuple(lam == 0 for lam in lambdas)
     return lambdas, traced, ff, exact_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale
@@ -520,12 +562,12 @@ def _reference_traces(model, ws, f):
 # solve_scale, primitive_route_check, hodge_obstruction and
 # positively_proportional read Q(F,F) and the traces from _traced_sum, and
 # compare rational classes on their cleared numerators.  The references below
-# are the class-by-class forms: lambda_trace on the scalar twin, and ratio_of
-# on the coefficients.
+# are the class-by-class forms: _reference_lambdas on the scalar twin, and
+# _reference_ratio on the coefficients.
 
 
 def _reference_proportional(x: CohClass, y: CohClass) -> bool:
-    t = ratio_of(x.coeffs, y.coeffs) if x.rank == y.rank else None
+    t = _reference_ratio(x.coeffs, y.coeffs) if x.rank == y.rank else None
     return t is not None and is_rational(t) and exact_sign(t) > 0
 
 
@@ -534,16 +576,15 @@ def _reference_solve_scale(model, ws, ray):
     if exact_sign(intersect(twin, ray, ray)) <= 0:
         raise NotPositiveRay("ray needs positive self-intersection")
     traced = CohClass.zero(model.rank)
-    for w in ws:
-        lam = lambda_trace(twin, w, ray)
+    for lam, w in zip(_reference_lambdas(model, ws, ray), ws):
         if lam != 0:
             traced = traced + lam * w
-    s = ratio_of(traced.coeffs, model.c1.coeffs)
+    s = _reference_ratio(traced.coeffs, model.c1.coeffs)
     return s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
 
 
 def _reference_primitive(model, ws, f) -> bool:
-    lambdas = [lambda_trace(scalar_twin(model), w, f) for w in ws]
+    lambdas = _reference_lambdas(model, ws, f)
     return (
         _reference_proportional(ws[0], f)
         and all(lam == 0 for lam in lambdas[1:])
@@ -769,7 +810,7 @@ def check_cone_kernel(data) -> None:
 # definition: traces and the defect in plain Fraction arithmetic over the
 # Gram matrix, the invariant factors from intlinalg.snf, the witnesses and
 # c1's membership in the curvature span from IntegerSolver, and the tables
-# from the separately checked hypotheses.
+# from their formula in the rank b, under the separately checked hypotheses.
 
 NON_UNIMODULAR = custom_model(
     "diag2", [[2, 0, 0], [0, -1, 0], [0, 0, -1]], [1, 1, 1], curves=[], ample_witness=[1, 0, 0], simply_connected=True
@@ -804,14 +845,19 @@ def _reference_topology(model, ws) -> dict:
     if diag == (1, 1):
         alpha, beta = (CohClass.of(solver.solve(t)) for t in ([1, 0], [0, 1]))
     columns = [[w.coeffs[i] for w in ws] for i in range(model.rank)]
-    bundle = BundleSpec(model, ws)
     extends = all(d == 1 for d in snf([w.as_int_vector() for w in ws]).diagonal)
+    b = model.rank
+    tables = SpectralTables(
+        e2=((1, 0, b, 0, 1), (2, 0, 2 * b, 0, 2), (1, 0, b, 0, 1)),
+        e3=((1, 0, b - 2, 0, 0), (0, 0, 2 * b - 2, 0, 0), (0, 0, b - 2, 0, 1)),
+        betti=(1, 0, b - 2, 2 * b - 2, b - 2, 0, 1),
+    )
     return {
         "pairing_snf": diag,
         "alpha": alpha,
         "beta": beta,
         "spin_integral": IntegerSolver(columns).solve(model.c1.as_int_vector()) is not None,
-        "tables": spectral_tables(bundle) if diag == (1, 1) and extends else None,
+        "tables": tables if diag == (1, 1) and extends else None,
     }
 
 
@@ -828,7 +874,7 @@ def _reference_cyt(model, ws, f) -> dict:
     defect = tuple(c - t for c, t in zip(model.c1.coeffs, traced))
     scale = None
     if any(defect) and ff > 0:
-        t = ratio_of(traced, model.c1.coeffs)
+        t = _reference_ratio(traced, model.c1.coeffs)
         scale = t if t is not None and t > 0 else None
     return {"lambdas": lambdas, "defect": defect, "solved_scale": scale}
 
@@ -973,7 +1019,7 @@ def _reference_surd_traces(model, ws, f):
     for lam, w in zip(lambdas, ws):
         if lam != 0:
             traced = traced + lam * w
-    s = ratio_of(traced.coeffs, model.c1.coeffs)
+    s = _reference_ratio(traced.coeffs, model.c1.coeffs)
     scale = s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
     trace_free = tuple(lam == 0 for lam in lambdas)
     return lambdas, traced, ff, _mp_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale

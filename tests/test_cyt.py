@@ -10,15 +10,12 @@ from cytforge.cyt import (
     BundleSpec,
     balanced_check,
     c1_bundle_triviality,
-    canonical_ricci_class,
-    cyt_defect,
-    lambda_trace,
     primitive_route_check,
     solve_scale,
     solve_symmetric_ansatz,
     verify_cyt,
 )
-from cytforge.errors import InvalidBundle, InvariantViolation, NotPositiveRay, NullClass, RankMismatch
+from cytforge.errors import InvalidBundle, InvariantViolation, NotPositiveRay, RankMismatch
 from cytforge.scalars import exact_sign, quadratic
 from cytforge.surfaces import (
     CohClass,
@@ -59,25 +56,25 @@ def test_bundle_validation():
 def test_lambda_trace_examples():
     q = quadric()
     f = CohClass((HALF, HALF))
-    assert lambda_trace(q, parse_class(q, "C"), f) == 2
+    assert verify_cyt(BundleSpec(q, (parse_class(q, "C"), CohClass.zero(2))), f).lambdas == (2, 0)
     m5 = blowup_cp2(5)
-    assert lambda_trace(m5, parse_class(m5, "E1-E2"), m5.c1) == 0
-    assert lambda_trace(m5, m5.c1, m5.c1) == 2  # trace of F against itself is the dimension
-    with pytest.raises(NullClass):
-        lambda_trace(q, parse_class(q, "C"), parse_class(q, "C"))
+    # the trace of F against itself is the dimension
+    assert verify_cyt(BundleSpec(m5, (parse_class(m5, "E1-E2"), m5.c1)), m5.c1).lambdas == (0, 2)
+    null = verify_cyt(BundleSpec(q, (parse_class(q, "C"), CohClass.zero(2))), parse_class(q, "C"))
+    assert null.reason == "null_class" and null.lambdas == ()
 
 
 def test_cyt_defect_quadric():
     q, bundle = quadric_bundle()
-    assert cyt_defect(bundle, CohClass((HALF, HALF))).is_zero()
+    assert verify_cyt(bundle, CohClass((HALF, HALF))).defect.is_zero()
 
 
 def test_cyt_defect_dp2():
     m, bundle = dp2_bundle()
     w1 = parse_class(m, "3H-E1-E2")
-    assert cyt_defect(bundle, 2 * w1).is_zero()
+    assert verify_cyt(bundle, 2 * w1).defect.is_zero()
     # at the unscaled class the defect is -w1: the condition is scale-sensitive
-    assert cyt_defect(bundle, w1) == -w1
+    assert verify_cyt(bundle, w1).defect == -w1
 
 
 def test_verify_cyt_constructions_and_double_scale():
@@ -141,7 +138,7 @@ def test_solve_scale_examples():
     pb = BundleSpec(plane, (parse_class(plane, "H"), CohClass.zero(1)))
     assert solve_scale(pb, parse_class(plane, "H")) == Fraction(2, 3)
     # sanity: the trace at the solved scale matches the full anti-canonical class
-    assert lambda_trace(plane, parse_class(plane, "H"), Fraction(2, 3) * parse_class(plane, "H")) == 3
+    assert verify_cyt(pb, Fraction(2, 3) * parse_class(plane, "H")).lambdas == (3, 0)
 
 
 def test_solve_scale_sign_flip_still_solves():
@@ -161,9 +158,9 @@ def test_solved_scale_is_unique_on_ray():
     m, bundle = dp2_bundle()
     ray = parse_class(m, "3H-E1-E2")
     s = solve_scale(bundle, ray)
-    assert cyt_defect(bundle, s * ray).is_zero()
+    assert verify_cyt(bundle, s * ray).defect.is_zero()
     for other in (Fraction(1, 2) * s, 2 * s, s + 1, Fraction(1, 3)):
-        assert not cyt_defect(bundle, other * ray).is_zero()
+        assert not verify_cyt(bundle, other * ray).defect.is_zero()
 
 
 def test_solve_scale_none_and_errors():
@@ -206,28 +203,6 @@ def test_ansatz_out_of_range():
     assert solve_symmetric_ansatz(1) is None
 
 
-def test_canonical_ricci_class():
-    q, bundle = quadric_bundle()
-    f = CohClass((HALF, HALF))
-    poly = canonical_ricci_class(bundle, f)
-    assert poly.evaluate(1) == q.c1  # Chern-connection end of the family
-    assert poly.evaluate(-1) == cyt_defect(bundle, f)
-    assert poly.evaluate(-1).is_zero()
-
-    # Ricci-flat base with primitive curvatures: identically zero family
-    flat = custom_model("flat", [[0, 1], [1, 0]], [0, 0], curves=[], ample_witness=[1, 1])
-    fb = BundleSpec(flat, (parse_class(flat, "[1,-1]"), CohClass.zero(2)))
-    fpoly = canonical_ricci_class(fb, parse_class(flat, "[1,1]"))
-    assert fpoly.is_identically_zero()
-    assert fpoly.evaluate(Fraction(7, 3)).is_zero()
-
-
-def test_ricci_matches_defect_everywhere():
-    m, bundle = dp2_bundle()
-    for f in (parse_class(m, "3H-E1-E2"), parse_class(m, "6H-2E1-2E2"), parse_class(m, "5H-E1-E2")):
-        assert canonical_ricci_class(bundle, f).evaluate(-1) == cyt_defect(bundle, f)
-
-
 def test_c1_bundle_triviality():
     m, bundle = dp2_bundle()
     assert c1_bundle_triviality(bundle)
@@ -267,7 +242,7 @@ def test_rational_traces_come_from_one_integer_row(monkeypatch):
     monkeypatch.setattr(cyt, "intersect", counted)
     m, bundle = dp2_bundle()
     f = Fraction(2, 3) * m.c1
-    assert cyt_defect(bundle, 3 * f).is_zero()
+    assert verify_cyt(bundle, 3 * f).defect.is_zero()
     assert not balanced_check(bundle, f)
     assert not calls
     # a pairing table still pairs class by class
@@ -299,9 +274,10 @@ def test_lambda_scale_covariance():
         f = CohClass.of([rng.randint(1, 8)] + [rng.randint(-2, 0) for _ in range(3)])
         if intersect(m, f, f) == 0:
             continue
-        base = lambda_trace(m, w, f)
+        bundle = BundleSpec(m, (w, CohClass.zero(4)))
+        base = verify_cyt(bundle, f).lambdas[0]
         for s in scales:
-            assert lambda_trace(m, w, s * f) == base / s
+            assert verify_cyt(bundle, s * f).lambdas == (base / s, 0)
 
 
 def test_ansatz_pairing_check_is_explicit(monkeypatch):
@@ -336,7 +312,7 @@ def test_kahler_class_of_the_wrong_rank_is_rejected():
     # the integer row would otherwise pair a truncated vector
     m, bundle = dp2_bundle()
     for f in (CohClass.of([3, -1]), CohClass.of([1, 1, 0, 5])):
-        for check in (cyt_defect, verify_cyt, solve_scale, balanced_check, primitive_route_check):
+        for check in (verify_cyt, solve_scale, balanced_check, primitive_route_check):
             with pytest.raises(RankMismatch, match=f"classes of rank {f.rank}/{f.rank} on a rank-3 model"):
                 check(bundle, f)
 

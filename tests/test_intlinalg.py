@@ -4,11 +4,12 @@ from math import gcd
 
 import pytest
 
+from property_suites import mat_mul
+
 from cytforge.intlinalg import (
     IntegerSolver,
     gf2_in_span,
     identity_matrix,
-    mat_mul,
     mat_vec,
     snf,
     solve_integer_linear,

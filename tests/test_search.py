@@ -10,7 +10,14 @@ from cytforge.catalog import VerdictFlags
 from cytforge.cyt import BundleSpec, verify_cyt
 from cytforge.errors import BoundTooLarge
 from cytforge.intlinalg import _gf2_mask
-from cytforge.search import REJECT_STAGES, SearchQuery, canonical_form, resolve_threads, search
+from cytforge.search import (
+    REJECT_STAGES,
+    SearchQuery,
+    _canonical_key,
+    _permutes_exceptionals,
+    resolve_threads,
+    search,
+)
 from cytforge.skt import verify_skt
 from cytforge.surfaces import CohClass, blowup_cp2, custom_model, parse_class, quadric
 from cytforge.topology import UNCLASSIFIED, topology_certificate
@@ -28,7 +35,7 @@ def test_finds_two_point_construction():
     q = SearchQuery(model=blowup_cp2(2), coeff_bound=3, filters=frozenset({"cyt", "topology"}))
     records, stats = search(q, threads=1)
     m = blowup_cp2(2)
-    key = canonical_form(m, parse_class(m, "3H-E1-E2"), parse_class(m, "H-2E1-E2"))
+    key = _canonical_key((3, -1, -1), (1, -2, -1), _permutes_exceptionals(m))
     hits = [r for r in records if r.canonical_key == key]
     assert hits, "the two-point construction must be discovered"
     rec = hits[0]
@@ -42,7 +49,7 @@ def test_finds_quadric_pair():
     model = quadric()
     q = SearchQuery(model=model, coeff_bound=1, filters=frozenset({"cyt", "skt"}))
     records, _ = search(q, threads=1)
-    key = canonical_form(model, parse_class(model, "C"), parse_class(model, "D"))
+    key = _canonical_key((1, 0), (0, 1), _permutes_exceptionals(model))
     assert key in keys_of(records)
 
 
@@ -82,42 +89,44 @@ def test_emission_is_lexicographic():
 
 
 def test_canonical_form_orbits():
-    m3 = blowup_cp2(3)
-    a = canonical_form(m3, m3.c1, parse_class(m3, "E1-E2"))
-    b = canonical_form(m3, m3.c1, parse_class(m3, "E2-E3"))
-    c = canonical_form(m3, parse_class(m3, "E2-E3"), m3.c1)
-    assert a == b == c
-    q = quadric()
-    assert canonical_form(q, parse_class(q, "C"), parse_class(q, "D")) == canonical_form(
-        q, parse_class(q, "D"), parse_class(q, "C")
-    )
-    assert canonical_form(m3, m3.c1, parse_class(m3, "E1-E2")) != canonical_form(
-        m3, parse_class(m3, "H"), parse_class(m3, "E1")
-    )
+    permute = _permutes_exceptionals(blowup_cp2(3))
+    c1, e1_e2, e2_e3 = (3, -1, -1, -1), (0, 1, -1, 0), (0, 0, 1, -1)
+    a = _canonical_key(c1, e1_e2, permute)
+    assert a == _canonical_key(c1, e2_e3, permute) == _canonical_key(e2_e3, c1, permute)
+    q = _permutes_exceptionals(quadric())
+    assert _canonical_key((1, 0), (0, 1), q) == _canonical_key((0, 1), (1, 0), q)  # (C, D) and (D, C)
+    assert a != _canonical_key((1, 0, 0, 0), (0, 1, 0, 0), permute)  # (H, E1)
 
 
 def test_canonical_form_is_orbit_minimum():
-    """Column-sorting must agree with brute-force minimization over the group."""
+    """Column-sorting must agree with brute-force minimization over the group,
+    which is the swap alone when some permutation of E1..E3 moves the Gram
+    matrix or c1."""
     import random
 
     rng = random.Random(77)
-    m = blowup_cp2(3)
-    for _ in range(60):
-        v1 = tuple(rng.randint(-2, 2) for _ in range(4))
-        v2 = tuple(rng.randint(-2, 2) for _ in range(4))
-        w1, w2 = CohClass.of(v1), CohClass.of(v2)
-        key = canonical_form(m, w1, w2)
-        best = None
-        for perm in itertools.permutations(range(1, 4)):
-            for a, b in ((v1, v2), (v2, v1)):
-                pa = (a[0],) + tuple(a[i] for i in perm)
-                pb = (b[0],) + tuple(b[i] for i in perm)
-                cand = pa + pb
-                if best is None or cand < best:
-                    best = cand
-        half = len(best) // 2
-        oracle = ",".join(map(str, best[:half])) + "|" + ",".join(map(str, best[half:]))
-        assert key == oracle
+    m3 = blowup_cp2(3)
+    models = [
+        (m3, list(itertools.permutations(range(1, 4)))),
+        (custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1]), [(1, 2, 3)]),
+        (custom_model("c1", m3.gram, [3, -1, -1, 0]), [(1, 2, 3)]),
+    ]
+    for m, perms in models:
+        for _ in range(60):
+            v1 = tuple(rng.randint(-2, 2) for _ in range(4))
+            v2 = tuple(rng.randint(-2, 2) for _ in range(4))
+            key = _canonical_key(v1, v2, _permutes_exceptionals(m))
+            best = None
+            for perm in perms:
+                for a, b in ((v1, v2), (v2, v1)):
+                    pa = (a[0],) + tuple(a[i] for i in perm)
+                    pb = (b[0],) + tuple(b[i] for i in perm)
+                    cand = pa + pb
+                    if best is None or cand < best:
+                        best = cand
+            half = len(best) // 2
+            oracle = ",".join(map(str, best[:half])) + "|" + ",".join(map(str, best[half:]))
+            assert key == oracle == property_suites.reference_key(m, v1, v2)
 
 
 def test_labels_found_for_small_k():
@@ -650,7 +659,7 @@ def _brute_records(model, bound, filters, ray=None):
         flags = _brute_stage(model, filters, v1, v2, ray)
         if isinstance(flags, str):
             continue
-        key = canonical_form(model, CohClass.of(v1), CohClass.of(v2))
+        key = property_suites.reference_key(model, v1, v2)
         if key not in seen:
             seen.add(key)
             out.append((v1, v2, key, flags))

@@ -25,7 +25,6 @@ from cytforge.surfaces import (
     builtin_model,
     custom_model,
     divisibility_index,
-    format_class,
     intersect,
     kummer_model,
     load_model,
@@ -215,7 +214,7 @@ def test_empty_gram_or_c1_is_rejected(tmp_path):
         load_model(str(path))
 
 
-def test_class_parsing_and_formatting():
+def test_class_parsing():
     m2 = blowup_cp2(2)
     assert parse_class(m2, "3H-E1-E2") == CohClass.of([3, -1, -1])
     assert parse_class(m2, "[3,-1,-1]") == CohClass.of([3, -1, -1])
@@ -226,9 +225,6 @@ def test_class_parsing_and_formatting():
     assert parse_class(q, "1/2C+1/2D") == CohClass((Fraction(1, 2), Fraction(1, 2)))
     assert parse_class(q, "[1/2,1/2]") == CohClass((Fraction(1, 2), Fraction(1, 2)))
     assert parse_class(q, "[38/1-20/1*sqrt(3),0/1]").coeffs[0] == quadratic(38, -20, 3)
-    assert format_class(m2, CohClass.of([3, -1, -1])) == "3H-E1-E2"
-    assert format_class(m2, CohClass.of([1, 1, -3])) == "H+E1-3E2"
-    assert format_class(m2, CohClass.zero(3)) == "0"
     with pytest.raises(ScalarParseError):
         parse_class(m2, "3X")
     with pytest.raises(RankMismatch):

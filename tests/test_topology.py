@@ -18,13 +18,7 @@ from cytforge.surfaces import (
     projective_plane,
     quadric,
 )
-from cytforge.topology import (
-    UNCLASSIFIED,
-    diffeo_label_for,
-    find_alpha_beta,
-    spectral_tables,
-    topology_certificate,
-)
+from cytforge.topology import UNCLASSIFIED, diffeo_label_for, topology_certificate
 
 
 def dp2_bundle():
@@ -58,17 +52,17 @@ def test_reference_witnesses_verify():
 
 def test_find_alpha_beta_returns_valid_witnesses():
     m, bundle = dp2_bundle()
-    alpha, beta = find_alpha_beta(bundle)
-    assert pairings(m, bundle, alpha) in ([1, 0], [-1, 0])
-    assert pairings(m, bundle, beta) in ([0, 1], [0, -1])
+    cert = topology_certificate(bundle)
+    assert pairings(m, bundle, cert.alpha) in ([1, 0], [-1, 0])
+    assert pairings(m, bundle, cert.beta) in ([0, 1], [0, -1])
 
 
 def test_find_alpha_beta_none_cases():
     m = blowup_cp2(2)
-    bundle = BundleSpec(m, (parse_class(m, "2H"), parse_class(m, "E1")))
-    assert find_alpha_beta(bundle) is None
+    cert = topology_certificate(BundleSpec(m, (parse_class(m, "2H"), parse_class(m, "E1"))))
+    assert cert.alpha is None and cert.beta is None
     with pytest.raises(WrongFiberRank):
-        find_alpha_beta(BundleSpec(m, (m.c1, m.c1, m.c1, m.c1)))
+        topology_certificate(BundleSpec(m, (m.c1, m.c1, m.c1, m.c1)))
 
 
 def _box_has_witnesses(model, w1, w2, radius=6):
@@ -103,19 +97,18 @@ def test_find_alpha_beta_matches_bounded_search():
         rank = k + 1
         w1 = CohClass.of([rng.randint(-spread, spread) for _ in range(rank)])
         w2 = CohClass.of([rng.randint(-spread, spread) for _ in range(rank)])
-        bundle = BundleSpec(m, (w1, w2))
-        result = find_alpha_beta(bundle)
-        if result is None:
-            assert not _box_has_witnesses(m, w1, w2)
+        cert = topology_certificate(BundleSpec(m, (w1, w2)))
+        alpha, beta = cert.alpha, cert.beta
+        if alpha is None:
+            assert beta is None and not _box_has_witnesses(m, w1, w2)
         else:
-            alpha, beta = result
             assert abs(intersect(m, w1, alpha)) == 1 and intersect(m, w2, alpha) == 0
             assert intersect(m, w1, beta) == 0 and abs(intersect(m, w2, beta)) == 1
 
 
 def test_spectral_tables_shapes():
     m, bundle = dp2_bundle()
-    tables = spectral_tables(bundle)
+    tables = topology_certificate(bundle).tables
     b = 3
     assert tables.e2 == ((1, 0, b, 0, 1), (2, 0, 2 * b, 0, 2), (1, 0, b, 0, 1))
     assert tables.e3 == ((1, 0, b - 2, 0, 0), (0, 0, 2 * b - 2, 0, 0), (0, 0, b - 2, 0, 1))
@@ -124,13 +117,11 @@ def test_spectral_tables_shapes():
 
 def test_spectral_tables_hypotheses():
     m = blowup_cp2(2)
-    with pytest.raises(HypothesesNotMet) as err:
-        spectral_tables(BundleSpec(m, (parse_class(m, "2H"), parse_class(m, "E1"))))
-    assert err.value.hypothesis == "alpha_beta"
-    with pytest.raises(HypothesesNotMet) as err:
-        # 2H-2E1 pairs to even values against everything... use dependent classes
-        spectral_tables(BundleSpec(m, (m.c1, 2 * m.c1)))
-    assert err.value.hypothesis in ("alpha_beta", "basis_extension")
+    no_witnesses = topology_certificate(BundleSpec(m, (parse_class(m, "2H"), parse_class(m, "E1"))))
+    assert no_witnesses.alpha is None and no_witnesses.tables is None
+    # dependent classes: neither witnesses nor a basis extension
+    dependent = topology_certificate(BundleSpec(m, (m.c1, 2 * m.c1)))
+    assert dependent.tables is None and not dependent.basis_extension
 
 
 def test_betti_and_euler_consistency():
@@ -144,8 +135,7 @@ def test_betti_and_euler_consistency():
     for model, (w1s, w2s) in cases:
         w1 = model.c1 if w1s is None else parse_class(model, w1s)
         w2 = parse_class(model, w2s)
-        bundle = BundleSpec(model, (w1, w2))
-        tables = spectral_tables(bundle)
+        tables = topology_certificate(BundleSpec(model, (w1, w2))).tables
         b = model.rank
         assert tables.betti[0] == tables.betti[6] == 1
         assert tables.betti[1] == tables.betti[5] == 0
@@ -201,11 +191,10 @@ def test_witnesses_and_tables_reject_pairing_models(curvatures):
     # a pairing table has no Gram rows to build the pairing matrix from
     km = kummer_model()
     bundle = BundleSpec(km, tuple(parse_class(km, c) for c in curvatures))
-    for check in (find_alpha_beta, spectral_tables):
-        with pytest.raises(HypothesesNotMet) as err:
-            check(bundle)
-        assert err.value.hypothesis == "full_lattice_model"
-        assert "kummer declares pairings only" in str(err.value)
+    with pytest.raises(HypothesesNotMet) as err:
+        topology_certificate(bundle)
+    assert err.value.hypothesis == "full_lattice_model"
+    assert "kummer declares pairings only" in str(err.value)
 
 
 def test_topology_rejects_non_simply_connected():
@@ -263,10 +252,8 @@ def test_one_snf_certificate_matches_the_separate_checks(model):
         cert = topology_certificate(bundle)
         assert cert.basis_extension == basis_extension_check(model, (w1, w2))
         assert cert.spin_integral == c1_bundle_triviality(bundle)
-        witnesses = find_alpha_beta(bundle)
-        assert (cert.alpha, cert.beta) == (witnesses or (None, None))
-        assert (witnesses is not None) == cert.simply_connected_surrogate
-        if witnesses:
+        assert (cert.alpha is None) == (cert.beta is None) == (not cert.simply_connected_surrogate)
+        if cert.alpha is not None:
             assert pairings(model, bundle, cert.alpha) == [1, 0]
             assert pairings(model, bundle, cert.beta) == [0, 1]
 
