@@ -17,8 +17,10 @@ primitive vector; a search rechecking s * R for many scales s computes them
 once per ray, and `verify_cyt` rechecking a solved class finds them there.
 Q(F,F) and the ample-witness pairing are one `intersect` call each, on every
 call.  The per-curve values of a certificate are rendered on first read of
-`curve_checks`, one `intersect` call per curve, and each value's sign is
-checked against the sign the verdict read.
+`curve_checks`, one `intersect` call per curve: for a rational class an
+integer dot over F's denominator, against a Gram row `intersect` builds
+from the model's Gram matrix, never read from `cone_rows`, so each value's
+sign is an independent check of the sign the verdict read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .scalars import Scalar, exact_div, exact_sign, is_rational, ratio_terms, su
 from .surfaces import REGIME_ENUMERATE, CohClass, SurfaceModel, intersect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveCheck:
     curve: CohClass
     value: Scalar
@@ -47,9 +49,9 @@ class ConeCertificate:
 
     curve_signs holds the sign of F.C for each curve, in order.  The
     CurveCheck values are rendered on first read of curve_checks, one
-    `intersect` call per curve, and kept; a value whose exact sign disagrees
-    with curve_signs raises InvariantViolation.  A verdict read alone
-    renders nothing."""
+    `intersect` call per curve (which does not read the model's cone_rows),
+    and kept; a value whose exact sign disagrees with curve_signs raises
+    InvariantViolation.  A verdict read alone renders nothing."""
 
     self_intersection: Scalar
     self_sign: int

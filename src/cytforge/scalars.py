@@ -317,9 +317,12 @@ def format_scalar(x: Scalar) -> str:
 
 
 def _parse_fraction(part: str, text: str) -> Fraction:
-    """The Fraction of a matched 'p' or 'p/q' inside text; q = 0 is a parse error."""
+    """The Fraction of a matched 'p' or 'p/q' inside text; q = 0 is a parse
+    error.  The digits go through int() rather than Fraction's string
+    parser: the same value and type at about a third of the cost."""
+    num, _, den = part.partition("/")
     try:
-        return Fraction(part)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise ScalarParseError(f"zero denominator in {text!r}") from None
 

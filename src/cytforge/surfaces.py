@@ -45,7 +45,7 @@ from .errors import (
     UndeclaredPairing,
     ZeroClass,
 )
-from .scalars import QuadraticNumber, Scalar, exact_div, format_scalar, parse_scalar, quadratic
+from .scalars import QuadraticNumber, Scalar, format_scalar, parse_scalar, quadratic
 
 
 @dataclass(frozen=True)
@@ -384,15 +384,15 @@ def intersect(model: Model, x: CohClass, y: CohClass) -> Scalar:
     value is the canonical scalar quadratic(p/den, q/den, d), a Fraction
     when q = 0.  Pairing-table models take the scalar loop, which raises
     UndeclaredPairing on an entry the table leaves open."""
-    b = model.rank
-    if x.rank != b or y.rank != b:
+    b = len(model.basis_labels)
+    if len(x.coeffs) != b or len(y.coeffs) != b:
         raise RankMismatch(f"classes of rank {x.rank}/{y.rank} on a rank-{b} model")
     if isinstance(model, SurfaceModel):
         fx, fy = x.cleared_form, y.cleared_form
         if fx is not None and fy is not None:
             dot = sum(map(mul, fx[0], model.gram_row(fy[0])))
             d = fx[1] * fy[1]
-            return dot if d == 1 else exact_div(dot, d)
+            return dot if d == 1 else Fraction(dot, d)
         nx, mx, rx, dx = x.surd_form
         ny, my, ry, dy = y.surd_form
         row_m = None if my is None else model.gram_row(my)
@@ -643,7 +643,6 @@ def divisibility_index(model: Model, x: CohClass) -> int:
 # -- class expression parsing / printing --------------------------------
 
 _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?([A-Za-z][A-Za-z0-9]*)")
-_VECTOR_SPLIT_RE = re.compile(r",")
 
 
 def parse_class(model: Model, text: str) -> CohClass:
@@ -657,7 +656,10 @@ def parse_class(model: Model, text: str) -> CohClass:
     if s.startswith("["):
         if not s.endswith("]"):
             raise ScalarParseError(f"unterminated vector: {text!r}")
-        items = [p.strip() for p in _VECTOR_SPLIT_RE.split(s[1:-1]) if p.strip()]
+        inner = s[1:-1]
+        items = [p.strip() for p in inner.split(",")] if inner.strip() else []
+        if "" in items:
+            raise ScalarParseError(f"empty entry in vector {text!r}")
         if len(items) != model.rank:
             raise RankMismatch(f"{len(items)} coefficients on a rank-{model.rank} model")
         return CohClass.deserialize(items)

@@ -133,3 +133,61 @@ def test_to_json_never_enters_the_pure_python_encoder(monkeypatch, capsys):
     assert main(["cone-check", "--model", "blowup_cp2(8)", "--class", k8, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["results"]["cone"]["curve_checks"]) == 240
+
+
+# -- tables: lists of dicts with one key set ---------------------------------
+
+_Label = type("Label", (str,), {})
+_TABLE_KEYS = st.one_of(
+    st.sampled_from(("curve", "value", "sign", "%", "%s", "%%", "100%d", "clé", "κ", "😀", "")),
+    st.text(st.sampled_from('ab%é"\\\x00 😀'), max_size=4),
+)
+_TABLE_COLUMNS = {
+    "int": st.integers() | st.sampled_from((0, -1, 2**70, -(2**64))),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": _STRINGS,
+    "str lists": st.lists(_STRINGS, max_size=4),
+    "leaf": _LEAVES,
+    "nested": _DOCS,
+}
+
+
+@st.composite
+def _tables(draw):
+    """A list or tuple of dicts sharing one key set, which may be empty,
+    each key's column drawn from one kind, each row with its own key order;
+    sometimes held in a dict, as a certificate holds curve_checks."""
+    keys = draw(st.lists(_TABLE_KEYS, max_size=5, unique=True))
+    kinds = {k: draw(st.sampled_from(sorted(_TABLE_COLUMNS))) for k in keys}
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        cells = [(k, draw(_TABLE_COLUMNS[kinds[k]])) for k in keys]
+        rows.append(dict(draw(st.permutations(cells))))
+    table = rows if draw(st.booleans()) else tuple(rows)
+    return {"cone": {"curve_checks": table}} if draw(st.booleans()) else table
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_tables())
+def test_json_dumps_is_the_oracle_for_drawn_tables(table):
+    assert _indented(table) == oracle(table)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_tables(), st.data())
+def test_a_str_subclass_in_a_table_column_raises(table, data):
+    rows = table["cone"]["curve_checks"] if isinstance(table, dict) else table
+    if not rows[0]:
+        rows = [{"curve": "x"} for _ in rows]
+        table = rows
+    row = data.draw(st.sampled_from(rows))
+    row[data.draw(st.sampled_from(sorted(row)))] = _Label("x")
+    with pytest.raises(TypeError):
+        _indented(table)
+
+
+def test_a_table_with_one_odd_row_renders_item_by_item():
+    rows = [{"a": 1, "b": "x"}, {"a": 2, "c": "y"}, {"b": "z", "a": 3}]
+    assert _indented(rows) == oracle(rows)
+    assert _indented([{}, {}, {}]) == oracle([{}, {}, {}]) == "[\n  {},\n  {},\n  {}\n]"

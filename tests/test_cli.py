@@ -433,6 +433,23 @@ def test_a_radicand_above_the_bound_exits_2(capsys):
     assert err.startswith("error: radicand above 1000000000000 in ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone-check", "--model", "blowup_cp2(2)", "--class", "[1,,1,-1]"],
+        ["cone-check", "--model", "blowup_cp2(2)", "--class", "[,1,-1,-1]"],
+        ["cone-check", "--model", "blowup_cp2(2)", "--class", "[1,-1,-1,]"],
+        ["cone-check", "--model", "blowup_cp2(2)", "--class", "[3, ,-1]"],
+        ["verify", "--model", "quadric", "--omega", "[1,,0]", "--omega", "D", "--kahler", "C+D"],
+    ],
+)
+def test_an_empty_vector_entry_exits_2(capsys, argv):
+    # the entries used to be dropped: [1,,1,-1] certified (1, 1, -1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: empty entry in vector ") and "Traceback" not in err
+
+
 def test_the_cached_parser_keeps_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     two = ["verify", *_QUADRIC, "--kahler", "1/2C+1/2D", "--format", "json"]

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import property_suites
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cytforge import cone
 from cytforge.cone import is_kahler, negative_curves
@@ -277,3 +279,31 @@ def test_a_non_integral_curve_is_rejected(curve):
     for check in (lambda: is_kahler(m, parse_class(m, "[2,-1]")), lambda: negative_curves(m)):
         with pytest.raises(CytForgeError, match="is not integral"):
             check()
+
+
+_CURVE_CHECK_MODELS = (
+    *(blowup_cp2(k) for k in range(1, 9)),
+    *(blowup_cp2(k, "on_cubic") for k in range(9, 13)),
+    quadric(),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_curve_check_values_equal_intersect_per_curve(data):
+    """Each rendered value equals intersect(model, F, C) in value and type
+    (int, Fraction or QuadraticNumber), and a plain reference dot in value,
+    for rational classes and classes in Q(sqrt(d))."""
+    model = data.draw(st.sampled_from(_CURVE_CHECK_MODELS))
+    d = data.draw(st.sampled_from((None, 2, 3, 5, 7)))
+    if d is None:
+        f = data.draw(property_suites.classes(model.rank))
+    else:
+        f = property_suites._surd_class(data.draw, model, d)
+    cert = is_kahler(model, f)
+    assert [c.curve for c in cert.curve_checks] == list(cert.curves)
+    for check in cert.curve_checks:
+        value = intersect(model, f, check.curve)
+        assert (check.value, type(check.value)) == (value, type(value))
+        assert check.value == property_suites._reference_intersect(model, f, check.curve)
+        assert type(check.value) is property_suites._pairing_type(f, check.curve, check.value)

@@ -225,3 +225,18 @@ def test_exact_sign_matches_high_precision(data, d):
         oracle = 0 if approx == 0 else (1 if approx > 0 else -1)
     # bounded coefficients keep |x| far above the 200-bit noise floor
     assert exact_sign(x) == oracle
+
+
+# integer text as the vector syntax writes it: a sign, leading zeros, ASCII or
+# other Unicode decimal digits, up to 400 of them, with or without a denominator
+_DIGITS = st.text(st.sampled_from("0123456789") | st.characters(categories=["Nd"]), min_size=1, max_size=400)
+_INTEGER_TEXT = st.tuples(st.sampled_from(("", "+", "-")), st.sampled_from(("", "0", "000")), _DIGITS).map("".join)
+_DENOMINATOR = st.one_of(st.just(""), _DIGITS.filter(lambda t: int(t) != 0).map("/".__add__))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_INTEGER_TEXT, _DENOMINATOR)
+def test_parse_scalar_equals_fraction_on_integer_text(numerator, denominator):
+    text = numerator + denominator
+    value = parse_scalar(text)
+    assert type(value) is Fraction and value == Fraction(text)
