@@ -18,7 +18,8 @@ through json's own ASCII escaper, so writing a line costs one render and one
 hash, and reading one costs a parse, one render and one hash.  The template
 renders each field as its declared type (str text, int omegas, flags that are
 None, a bool, an int or a str) and raises TypeError on anything else, so a
-line with a float, list or object in a scalar field reads as corrupt.
+line with a float, list or object in a scalar field reads as corrupt.  So
+does an omega entry that is not a JSON integer, digest or no digest.
 ``json.dumps`` stays the oracle for these bytes in the tests.
 
 Records hold no rendered text: caching the body and digest on each record
@@ -124,10 +125,14 @@ class CatalogRecord:
         if not isinstance(flags, dict):
             raise TypeError("flags is not an object")
         kahler = doc.get("kahler")
+        omega1, omega2 = tuple(doc["omega1"]), tuple(doc["omega2"])
+        # by type: the template renders a bool as its integer value
+        if not {int}.issuperset(map(type, omega1 + omega2)):
+            raise TypeError("omega entries must be integers")
         rec = CatalogRecord(
             doc["model"],
-            tuple(map(int, doc["omega1"])),
-            tuple(map(int, doc["omega2"])),
+            omega1,
+            omega2,
             tuple(kahler) if kahler is not None else None,
             # a list, not a map: a map's unsized star-args tuple is shrunk after
             # filling, and its freed 7-tuples pile up on the tuple free list

@@ -164,8 +164,7 @@ def is_kahler(
     self_sign = exact_sign(self_int)
 
     rows, memo = model.cone_rows
-    form = f.cleared_form
-    n, m, d = (form[0], None, None) if form is not None else f.surd_form[:3]
+    n, m, d = f.surd_form[:3]
     signs = _curve_signs(n, m, d, rows, memo)
 
     if witness is not None:

@@ -76,7 +76,6 @@ class _Traces:
         if nn == 0:
             raise NullClass("Q(F,F) = 0")
         self.bundle, self.nn = bundle, nn
-        self.ff = nn if d == 1 else exact_div(nn, d * d)
         self.nums = [BASE_COMPLEX_DIMENSION * d * t for t in pairings]
         # every curvature class is integral, so its cleared form has d = 1
         ns = [w.cleared_form[0] for w in bundle.curvatures]

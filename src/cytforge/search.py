@@ -15,18 +15,19 @@ q2 d w2 = (q1^2 + q2^2) c1 - q1 d w1.  The box bounds |q2| through
 c1 / d is integral, q2 steps by m = d / gcd(d, gcd(c1)) from each root of
 q2^2 = -q1^2 mod m, O(b) steps per root.  Every candidate is then re-verified
 through the full certificate path, so emitted records never rest on the
-shortcut.  A pair pays for the verdicts only: the first plan ray whose locus
-identity holds (q1^2 + q2^2 > 0) gives its route and, on the primitive ray,
-its scale 2 (q1^2 + q2^2) / (Q(R,R) d), with no trace; the recheck's defect
-test compares integer numerators, the topology label is decided from the gcd
-of the pairing matrix's 2x2 minors, and the cone verdict reads integer signs
+shortcut.  A pair pays for the verdicts only: the first plan ray that
+generated w2 for w1 gives its route and, from the lambda = q1^2 + q2^2 > 0
+it was generated at, its scale 2 lambda / (Q(R,R) d) on the primitive ray,
+with no trace and no further dot product; the recheck's defect test
+compares integer numerators, the topology label is decided from the gcd of
+the pairing matrix's 2x2 minors, and the cone verdict reads integer signs
 against the model's curve rows, memoised per ray.  The documents (Fraction
 traces, the defect class, per-curve values, the Smith normal form and the
-witnesses) are rendered only when read, and a search reads none.  Enumeration,
-dedup and the skt and spin stages (bit masks, w1's once per w1) run on integer
-tuples, the stages ahead of the key, under whose group they are invariant;
-classes are built only for the pairs that reach the solver, balance and
-topology checks.
+witnesses) are rendered only when read, and a search reads none.
+Enumeration, dedup and the skt and spin stages (bit masks, w1's once per
+w1) run on integer tuples, the stages ahead of the key, under whose group
+they are invariant; classes are built only for the pairs that reach the
+solver, balance and topology checks.
 
 A search builds one plan per query with everything the pairs share: the
 rays, the balanced fallback class, the skt buckets, the ansatz pair, the
@@ -103,6 +104,7 @@ REJECT_STAGES = ("skt", "spin", "cyt", "balanced", "topology")
 _BRUTE_PAIR_CAP = 2_000_000
 
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
+_Source = Optional[tuple["_RayData", int]]  # a cyt candidate's ray and lambda; None for the ansatz partner
 
 
 @dataclass(frozen=True)
@@ -299,16 +301,6 @@ class _RayData:
             self.classes[s] = CohClass.from_cleared(tuple(t.numerator * v for v in self.ray_int), t.denominator)
         return self.classes[s]
 
-    def locus_scale(self, v1: tuple[int, ...], v2: tuple[int, ...]) -> Optional[Fraction]:
-        """The s > 0 with the pair CYT at s * R when d (q1 w1 + q2 w2) = (q1^2 +
-        q2^2) c1 != 0: s * unit = 2 (q1^2 + q2^2) / (r d).  None otherwise."""
-        w, dp, unit = self.w, self.d_pair, self.unit
-        q1, q2 = sum(map(mul, v1, w)), sum(map(mul, v2, w))
-        lam = q1 * q1 + q2 * q2
-        if lam and all(dp * (q1 * a + q2 * b) == lam * c for a, b, c in zip(v1, v2, self.c1)):
-            return Fraction(2 * lam * unit.denominator, self.r * dp * unit.numerator)
-        return None
-
     def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
         """The box vectors v with Q(v,R) = 0, in lexicographic order.  With
         sorted_perp only those with non-decreasing exceptional coordinates,
@@ -337,10 +329,11 @@ class _RayData:
                     self.perp.append(rest[:j] + (x,) + rest[j:])
         return self.perp
 
-    def candidates_for(self, w1: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """All w2 in the box that put (w1, w2) on the solvable locus; of the
-        trace-free ones only those perp_vectors holds."""
-        out: list[tuple[int, ...]] = []
+    def candidates_for(self, w1: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """All w2 in the box that put (w1, w2) on the solvable locus, each
+        with its lambda = q1^2 + q2^2 > 0; of the trace-free ones, where
+        lambda = q1^2, only those perp_vectors holds."""
+        out: dict[tuple[int, ...], int] = {}
         w, c1, dp, bound = self.w, self.c1, self.d_pair, self.bound
         q1 = sum(a * b for a, b in zip(w1, w))
         q1dp = q1 * dp
@@ -365,10 +358,10 @@ class _RayData:
                     break
                 vec.append(x)
             else:
-                out.append(tuple(vec))
+                out[tuple(vec)] = lam
         # parallel branch: w1 proportional to c1 frees w2 to the trace-free locus
         if w1 in self.c1_multiples:
-            out.extend(self.perp_vectors(len(w1)))
+            out.update(dict.fromkeys(self.perp_vectors(len(w1)), q1 * q1))
         return out
 
 
@@ -442,13 +435,18 @@ class _Plan:
         return q
 
     def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        """The w2 to pair with v1, in lexicographic order.  For a cyt query a
+        dict from each w2 to its source: the first plan ray that generated
+        it, with its lambda, or None for the ansatz partner."""
         if "cyt" in self.query.filters:
-            found = [data.candidates_for(v1) for data in self.rays]
-            if self.ansatz_pair is not None:
+            found: dict[tuple[int, ...], _Source] = {}
+            for data in self.rays:
+                for v2, lam in data.candidates_for(v1).items():
+                    found.setdefault(v2, (data, lam))
+            if self.ansatz_pair is not None and v1 in self.ansatz_pair:
                 a1, a2 = self.ansatz_pair
-                found.append([a2] if v1 == a1 else [a1] if v1 == a2 else [])
-            # one ray's generic (q2 != 0) and trace-free (q2 = 0) candidates are distinct
-            return sorted(found[0] if len(found) == 1 else set().union(*found))
+                found.setdefault(a2 if v1 == a1 else a1, None)
+            return dict(sorted(found.items())) if found else found
         if self.skt_buckets is not None:
             return self.skt_buckets.get(-self.square(v1), [])
         return _all_vectors(len(v1), self.query.coeff_bound)
@@ -465,7 +463,8 @@ class _Plan:
         # an orbit minimum under the key's own group is its key (see the module docstring)
         own_key = self.prune and self.sorted_v1 == self.permute
         spin = "spin" in self.screen_flags
-        if "cyt" in self.query.filters and not self.rays:
+        cyt = "cyt" in self.query.filters
+        if cyt and not self.rays:
             # only the ansatz pair has candidates: walk its vectors, not the box
             v1s: Iterable[tuple[int, ...]] = sorted({v for v in self.ansatz_pair or () if v[0] == lead})
         else:
@@ -494,7 +493,7 @@ class _Plan:
                 if key in passed_keys:
                     skipped += 1
                     continue
-                rec = self.evaluate(v1, v2, key)
+                rec = self.evaluate(v1, v2, key, cands[v2] if cyt else None)
                 if isinstance(rec, str):
                     rejected[rec] += 1
                 else:
@@ -511,8 +510,9 @@ class _Plan:
             return "spin"
         return None
 
-    def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str) -> CatalogRecord | str:
-        """The record of a pair that passed screen, or the stage that rejected it."""
+    def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str, source: _Source) -> CatalogRecord | str:
+        """The record of a pair that passed screen, or the stage that rejected
+        it; source is the pair's entry in candidates, None without cyt."""
         query = self.query
         model = query.model
         filters = query.filters
@@ -522,23 +522,18 @@ class _Plan:
         if filters & _CLASS_FILTERS:
             bundle = BundleSpec(model, (CohClass.from_cleared(v1), CohClass.from_cleared(v2)))
         if "cyt" in filters:
-            route = None
-            for data in self.rays:
-                s = data.locus_scale(v1, v2)
-                if s is None:
-                    continue
+            if source is not None:
+                # the generating ray's locus identity holds, so the pair is
+                # CYT at s * R with s * unit = 2 lambda / (r d)
+                data, lam = source
+                s = Fraction(2 * lam * data.unit.denominator, data.r * data.d_pair * data.unit.numerator)
                 kahler, route = data.at(s), data.name
                 flags["scale"] = format_scalar(s)
-                break
-            if kahler is None and self.ansatz_pair is not None and (v1, v2) in (
-                self.ansatz_pair,
-                self.ansatz_pair[::-1],
-            ):
+            else:  # the ansatz partner
                 sol = solve_symmetric_ansatz(model.rank - 1)
-                if sol is not None and verify_cyt(bundle, sol.kahler_class).verdict:
-                    kahler, route = sol.kahler_class, "ansatz"
-            if kahler is None:
-                return "cyt"
+                if sol is None or not verify_cyt(bundle, sol.kahler_class).verdict:
+                    return "cyt"
+                kahler, route = sol.kahler_class, "ansatz"
             flags["cyt"] = True
             flags["cyt_route"] = route
 

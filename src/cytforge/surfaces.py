@@ -642,7 +642,8 @@ def divisibility_index(model: Model, x: CohClass) -> int:
 
 # -- class expression parsing / printing --------------------------------
 
-_TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?([A-Za-z][A-Za-z0-9]*)")
+# a '*' only ever follows a coefficient: '3H*E1' is a bad expression, not 3H + E1
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*?)?([A-Za-z][A-Za-z0-9]*)")
 
 
 def parse_class(model: Model, text: str) -> CohClass:

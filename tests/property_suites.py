@@ -516,7 +516,7 @@ def _traced_fields(bundle, f):
         t = _traced_sum(bundle, f)
     except NullClass:
         return None
-    return t.lambdas, t.traced, t.ff, t.ff_sign(), t.trace_free, t.defect_zero(), t.scale()
+    return t.lambdas, t.traced, t.ff_sign(), t.trace_free, t.defect_zero(), t.scale()
 
 
 def _reference_lambdas(model, ws, f) -> tuple:
@@ -554,7 +554,7 @@ def _reference_traces(model, ws, f):
     s = _reference_ratio(traced.coeffs, model.c1.coeffs)
     scale = s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
     trace_free = tuple(lam == 0 for lam in lambdas)
-    return lambdas, traced, ff, exact_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale
+    return lambdas, traced, exact_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale
 
 
 # -- trace readers against the class-by-class reference ----------------------
@@ -1022,7 +1022,7 @@ def _reference_surd_traces(model, ws, f):
     s = _reference_ratio(traced.coeffs, model.c1.coeffs)
     scale = s if s is not None and is_rational(s) and exact_sign(s) > 0 else None
     trace_free = tuple(lam == 0 for lam in lambdas)
-    return lambdas, traced, ff, _mp_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale
+    return lambdas, traced, _mp_sign(ff), trace_free, (model.c1 - traced).is_zero(), scale
 
 
 def _check_surd_cone(model, f: CohClass, witness) -> None:
@@ -1097,7 +1097,6 @@ def check_surd_kernel(data) -> None:
     assert got == want
     if got is not None:
         assert [type(v) for v in got[0] + got[1].coeffs] == [type(v) for v in want[0] + want[1].coeffs]
-        assert type(got[2]) is _pairing_type(f, f, want[2])
 
 
 # -- search candidates against the box ------------------------------------
@@ -1158,7 +1157,8 @@ def candidate_rays(draw):
 def check_candidates_for(case, data) -> None:
     """candidates_for(w1), sorted, is the set of box w2 with (w1, w2) on the
     ray's locus, with the trace-free ones all of them or, with sorted_perp,
-    those with sorted exceptional coordinates.  Every generic w2 of the
+    those with sorted exceptional coordinates, and each w2 carries lambda =
+    q1^2 + q2^2 from the reference's dot products.  Every generic w2 of the
     reference satisfies the bound and the divisibility the walk relies on:
     (q1^2 + q2^2) max|c1_j| <= d b (|q1| + |q2|), so |q1| + |q2| <= 2 d b /
     max|c1_j|, and d divides (q1^2 + q2^2) gcd(c1)."""
@@ -1178,9 +1178,12 @@ def check_candidates_for(case, data) -> None:
             continue
         seen.add(w1)
         brute = reference(w1, False)
-        for rd, sorted_perp in zip(rays, (False, True)):
-            assert sorted(rd.candidates_for(w1)) == reference(w1, sorted_perp), (w1, sorted_perp)
         q1 = sum(map(mul, w1, w))
+        for rd, sorted_perp in zip(rays, (False, True)):
+            found = rd.candidates_for(w1)
+            assert sorted(found) == reference(w1, sorted_perp), (w1, sorted_perp)
+            for w2, lam in found.items():
+                assert lam == q1 * q1 + sum(map(mul, w2, w)) ** 2, (w1, w2)
         for w2 in brute:
             q2 = sum(map(mul, w2, w))
             if q2:
@@ -1227,12 +1230,13 @@ def walk_rays(draw):
 @given(walk_rays(), st.data())
 def check_walk_scales(case, data) -> None:
     """Every candidate pair of a cyt plan, the parallel branch's included,
-    takes the route of the first plan ray on which solve_scale finds a
-    scale s, the scale text format_scalar(s) and the class s * R, built
-    here from the ray's coefficients, with the cleared form of data.at(s).
-    Each ray's locus test agrees with solve_scale, also on random box pairs
-    and on pairs of trace-free vectors, where q1 = q2 = 0.  A ray
-    proportional to c1 keeps both routes, and every pair takes the first."""
+    comes from the first plan ray on which solve_scale finds a scale s, and
+    takes its route, the scale text format_scalar(s) and the class s * R,
+    built here from the ray's coefficients, with the cleared form of
+    data.at(s).  Each ray generates exactly the pairs on which solve_scale
+    finds a scale, also among random box pairs and pairs of trace-free
+    vectors, where q1 = q2 = 0.  A ray proportional to c1 keeps both routes,
+    and every pair takes the first."""
     model, ray, bound, c1_ray = case
     plan = _Plan(SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"cyt"}), ray=ray))
     assume(plan.rays)
@@ -1241,23 +1245,23 @@ def check_walk_scales(case, data) -> None:
     box = list(product(range(-bound, bound + 1), repeat=model.rank))
     w1s = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=12)) + sorted(plan.rays[0].c1_multiples)
     for w1 in w1s:
-        cands = plan.candidates(w1)
-        for w2 in cands[:: max(1, len(cands) // 6)]:
+        cands = list(plan.candidates(w1).items())
+        for w2, source in cands[:: max(1, len(cands) // 6)]:
             bundle = BundleSpec(model, (CohClass.of(w1), CohClass.of(w2)))
-            scales = [solve_scale(bundle, rd.ray) for rd in plan.rays]
-            assert [rd.locus_scale(w1, w2) is None for rd in plan.rays] == [s is None for s in scales]
-            rd, s = next((rd, s) for rd, s in zip(plan.rays, scales) if s is not None)
-            rec = plan.evaluate(w1, w2, "key")
+            rd, s = next((rd, s) for rd in plan.rays if (s := solve_scale(bundle, rd.ray)) is not None)
+            assert source[0] is rd, (w1, w2)
+            rec = plan.evaluate(w1, w2, "key", source)
             assert rec.flags.cyt_route == ("ray" if c1_ray else rd.name), (w1, w2)
             assert rec.flags.scale == format_scalar(s), (w1, w2)
-            assert rd.locus_scale(w1, w2) == s, (w1, w2)
             want = CohClass.of([s * c for c in rd.ray.coeffs])
             assert rec.kahler == tuple(want.serialize()), (w1, w2)
             assert rd.at(s).cleared_form == want.cleared_form, (w1, w2)
     for rd in plan.rays:
-        perp = rd.perp_vectors(model.rank)
+        # with every trace-free partner, whatever the plan's group
+        full = _RayData(rd.name, model, rd.ray, bound)
+        perp = full.perp_vectors(model.rank)
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(box), st.sampled_from(box)), max_size=8))
         pairs += data.draw(st.lists(st.tuples(st.sampled_from(perp), st.sampled_from(perp)), min_size=1, max_size=4))
         for w1, w2 in pairs:
             s = solve_scale(BundleSpec(model, (CohClass.of(w1), CohClass.of(w2))), rd.ray)
-            assert rd.locus_scale(w1, w2) == s, (w1, w2)
+            assert (w2 in full.candidates_for(w1)) == (s is not None), (w1, w2)

@@ -158,6 +158,10 @@ MALFORMED = {
     "float-flag-value": _with(("flags", "spin"), 1.5),
     "number-among-kahler": _with(("kahler", 0), 1),
     "object-as-model": _with(("model",), {"name": "quadric"}),
+    # with no digest to compare, only the entry's type can make these corrupt
+    "string-omega-without-digest": json.dumps({**_good_doc(), "omega1": ["1", 1]}).encode(),
+    "float-omega-without-digest": json.dumps({**_good_doc(), "omega1": [1, 2.7]}).encode(),
+    "bool-omega-without-digest": json.dumps({**_good_doc(), "omega2": [True, -1]}).encode(),
     "infinite-omega": json_line(_good_doc()).encode().replace(b'"omega1":[1,1]', b'"omega1":[1e400,1]'),
     "tampered-model": json_line(_good_doc()).encode().replace(b'"quadric"', b'"other"'),
 }

@@ -450,6 +450,14 @@ def test_an_empty_vector_entry_exits_2(capsys, argv):
     assert err.startswith("error: empty entry in vector ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["3H*E1", "3H+*E1", "*H", "-*E1"])
+def test_a_star_without_a_coefficient_exits_2(capsys, text):
+    # "3H*E1" used to certify 3H + E1, exit 1
+    code, out, err = run(capsys, "cone-check", "--model", "blowup_cp2(2)", "--class", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad class expression ") and "Traceback" not in err
+
+
 def test_the_cached_parser_keeps_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     two = ["verify", *_QUADRIC, "--kahler", "1/2C+1/2D", "--format", "json"]

@@ -239,6 +239,35 @@ def test_sorted_trace_free_catalog_bytes_frozen(tmp_path, k, digest, counts):
     assert (stats.pairs_evaluated, stats.pairs_skipped, stats.records_emitted) == counts
 
 
+def test_an_asymmetric_ray_routes_a_pair_by_the_first_ray_that_generates_it(tmp_path):
+    # the swap alone: unsorted w1, the solved-coordinate trace-free scan and
+    # two rays, with 936 of the 7768 candidates generated by both; those
+    # take the query's ray, the first plan ray, as the catalog bytes record
+    import hashlib
+    from collections import Counter
+
+    from cytforge.catalog import append_records
+
+    model = blowup_cp2(4)
+    ray = parse_class(model, "5H-2E1-E2-E3-E4")
+    q = SearchQuery(model=model, coeff_bound=3, filters=frozenset({"cyt", "topology"}), ray=ray)
+    plan = search_module._Plan(q)
+    assert [data.name for data in plan.rays] == ["ray", "anticanonical_ray"] and not plan.sorted_v1
+    found = [[data.candidates_for(v1) for data in plan.rays] for v1 in itertools.product(range(-3, 4), repeat=5)]
+    assert sum(len(on_ray.keys() & on_c1.keys()) for on_ray, on_c1 in found) == 936
+    for threads in (1, 2):
+        records, stats = search(q, threads=threads)
+        path = tmp_path / f"asym-t{threads}.jsonl"
+        append_records(str(path), records)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b22bff44122a153d6dd8669a353893af9fe9ddb3f4e71968859dbe46749f71d6"
+        )
+        assert Counter(r.flags.cyt_route for r in records) == {"ray": 320, "anticanonical_ray": 146}
+        assert (stats.pairs_evaluated, stats.pairs_skipped, stats.rejected["topology"]) == (7768, 6433, 869)
+        on_both = [r for r in records if all(r.omega2 in data.candidates_for(r.omega1) for data in plan.rays)]
+        assert {r.flags.cyt_route for r in on_both} == {"ray"}
+
+
 # -- orbit-pruned enumeration ----------------------------------------------
 
 NON_INVARIANT_GRAM = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]]
@@ -410,9 +439,9 @@ def test_orbit_minima_spell_their_own_key(monkeypatch):
         calls.append(args)
         return canonical_key(*args)
 
-    def recorded(self, v1, v2, key):
+    def recorded(self, v1, v2, key, source):
         keys.append(((v1, v2), key, self.permute))
-        return evaluate(self, v1, v2, key)
+        return evaluate(self, v1, v2, key, source)
 
     monkeypatch.setattr(s, "_canonical_key", counted_key)
     monkeypatch.setattr(s._Plan, "evaluate", recorded)
@@ -729,9 +758,9 @@ def test_reject_counts_match_the_brute_force_stages(monkeypatch, model, filters)
             evaluated.append((v1, v2))
         return stage
 
-    def recorded(plan, v1, v2, key):
+    def recorded(plan, v1, v2, key, source):
         evaluated.append((v1, v2))
-        return evaluate(plan, v1, v2, key)
+        return evaluate(plan, v1, v2, key, source)
 
     q = SearchQuery(model=model, coeff_bound=bound, filters=frozenset(filters))
     parallel = search(q, threads=2)[1]

@@ -225,10 +225,17 @@ def test_class_parsing():
     assert parse_class(q, "1/2C+1/2D") == CohClass((Fraction(1, 2), Fraction(1, 2)))
     assert parse_class(q, "[1/2,1/2]") == CohClass((Fraction(1, 2), Fraction(1, 2)))
     assert parse_class(q, "[38/1-20/1*sqrt(3),0/1]").coeffs[0] == quadratic(38, -20, 3)
+    assert parse_class(m2, "3*H-2*E1") == CohClass.of([3, -2, 0])
     with pytest.raises(ScalarParseError):
         parse_class(m2, "3X")
     with pytest.raises(RankMismatch):
         parse_class(m2, "[1,2]")
+    # a '*' with no coefficient before it is no term separator: 3H*E1 once read as 3H+E1
+    for text in ("3H*E1", "3H+*E1", "*H", "-*E1", "3H-E1*", "3**H"):
+        with pytest.raises(ScalarParseError, match="bad class expression"):
+            parse_class(m2, text)
+    with pytest.raises(ScalarParseError, match="zero denominator"):
+        parse_class(q, "1/0*C")
 
 
 def test_class_arithmetic():
