@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Optional, Sequence, Union
 
 from .errors import DegenerateAllZero, MixedFieldError, NoRealRoots, ScalarParseError
-
-_SQUAREFREE_CACHE: dict[int, bool] = {}
 
 
 def _int_sign(x) -> int:
@@ -42,8 +40,10 @@ def surd_sign(p, q, d: Optional[int]) -> int:
     return sp if t > 0 else sq if t < 0 else 0
 
 
+@lru_cache(maxsize=256)
 def square_free_decomposition(n: int) -> tuple[int, int]:
-    """Write n > 0 as s**2 * m with m square-free; returns (s, m)."""
+    """Write n > 0 as s**2 * m with m square-free; returns (s, m).  Cached:
+    trial division up to sqrt(n) runs once per n, not once per operation."""
     if n <= 0:
         raise ValueError("positive integer required")
     s, m = 1, 1
@@ -62,9 +62,7 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
 
 
 def is_square_free(d: int) -> bool:
-    if d not in _SQUAREFREE_CACHE:
-        _SQUAREFREE_CACHE[d] = d >= 1 and square_free_decomposition(d)[1] == d
-    return _SQUAREFREE_CACHE[d]
+    return d >= 1 and square_free_decomposition(d)[1] == d
 
 
 @total_ordering
@@ -340,6 +338,8 @@ def parse_scalar(text: str) -> Scalar:
     d = int(parts["d"])
     if d > MAX_RADICAND:
         raise ScalarParseError(f"radicand above {MAX_RADICAND} in {text!r}")
+    if d == 0:
+        raise ScalarParseError(f"zero radicand in {text!r}")
     return quadratic(_parse_fraction(parts.get("a", "0"), text), b, d)
 
 

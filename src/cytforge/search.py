@@ -15,9 +15,10 @@ q2 d w2 = (q1^2 + q2^2) c1 - q1 d w1.  The box bounds |q2| through
 c1 / d is integral, q2 steps by m = d / gcd(d, gcd(c1)) from each root of
 q2^2 = -q1^2 mod m, O(b) steps per root.  Every candidate is then re-verified
 through the full certificate path, so emitted records never rest on the
-shortcut.  A pair pays for the verdicts only: the first plan ray that
-generated w2 for w1 gives its route and, from the lambda = q1^2 + q2^2 > 0
-it was generated at, its scale 2 lambda / (Q(R,R) d) on the primitive ray,
+shortcut.  A pair pays for the verdicts only: each w2 carries its solved
+source (Kaehler class, route, scale text), built once per lambda = q1^2 +
+q2^2 > 0 by the first plan ray that generated it, at the scale 2 lambda /
+(Q(R,R) d) on the primitive ray, or once per plan for the ansatz partner,
 with no trace and no further dot product; the recheck's defect test
 compares integer numerators, the topology label is decided from the gcd of
 the pairing matrix's 2x2 minors, and the cone verdict reads integer signs
@@ -30,13 +31,13 @@ they are invariant; classes are built only for the pairs that reach the
 solver, balance and topology checks.
 
 A search builds one plan per query with everything the pairs share: the
-rays, the balanced fallback class, the skt buckets, the ansatz pair, the
-symmetry group and, for the topology filter, the Gram matrix's invariant
-factors.  A ray (the query's, then the anticanonical) enters it only
-if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing the condition with
-R shows that Q(c1,R) <= 0 forces s <= 0.  With no ray, only the ansatz
-pair has candidates, so a cyt search walks its two vectors, not the box,
-and runs serially.
+rays, the balanced fallback class, the skt buckets, the ansatz pair and
+its source, the symmetry group and, for the topology filter, the Gram
+matrix's invariant factors.  A ray (the query's, then the anticanonical)
+enters it only if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing
+the condition with R shows that Q(c1,R) <= 0 forces s <= 0.  With no ray,
+only the ansatz pair has candidates, so a cyt search walks its two
+vectors, not the box, and runs serially.
 Work is split by the leading coefficient of w1; every chunk, serial or in a
 pool worker, runs on that one plan, and chunks merge in order, which keeps
 parallel runs bit-identical to serial ones.
@@ -104,7 +105,9 @@ REJECT_STAGES = ("skt", "spin", "cyt", "balanced", "topology")
 _BRUTE_PAIR_CAP = 2_000_000
 
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
-_Source = Optional[tuple["_RayData", int]]  # a cyt candidate's ray and lambda; None for the ansatz partner
+# a cyt candidate's solved source: its Kaehler class, route and scale text
+# (None for the ansatz); None for an ansatz partner when the ansatz has no solution
+_Source = Optional[tuple[CohClass, str, Optional[str]]]
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,7 @@ class _RayData:
         self.c1 = model.c1.as_int_vector()
         self.d_pair = sum(a * b for a, b in zip(self.c1, self.w))  # Q(c1,R)
         self.bound = bound
-        self.classes: dict[Fraction, CohClass] = {}  # at(s), which records at one scale share
+        self.sources: dict[int, _Source] = {}  # source(lam), which records at one lambda share
         # w1 is parallel to c1 iff it is a nonzero box multiple of the
         # primitive c1; a kept ray has Q(c1,R) > 0, so each has Q(w1,R) != 0
         g1 = gcd(*self.c1)
@@ -293,19 +296,23 @@ class _RayData:
             self.roots.setdefault(s * s % m, []).append(s)
         self.q2_terms: dict[int, list[tuple[int, int]]] = {}  # q1: [(q1^2+q2^2, q2*d)]
 
-    def at(self, s: Fraction) -> CohClass:
-        """The class s * R, one object per s.  With s * unit = p/q in lowest
-        terms and ray_int primitive, its cleared form is (p * ray_int, q)."""
-        if s not in self.classes:
-            t = s * self.unit
-            self.classes[s] = CohClass.from_cleared(tuple(t.numerator * v for v in self.ray_int), t.denominator)
-        return self.classes[s]
+    def source(self, lam: int) -> _Source:
+        """The solved source of the pairs generated at lam, one tuple per
+        lam: the class s * R, where s * unit = p/q = 2 lam / (r d) in lowest
+        terms and ray_int is primitive, so its cleared form is (p * ray_int,
+        q); the route; and the scale text of s."""
+        src = self.sources.get(lam)
+        if src is None:
+            t = Fraction(2 * lam, self.r * self.d_pair)
+            f = CohClass.from_cleared(tuple(t.numerator * v for v in self.ray_int), t.denominator)
+            src = self.sources[lam] = (f, self.name, format_scalar(t / self.unit))
+        return src
 
     def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
         """The box vectors v with Q(v,R) = 0, in lexicographic order.  With
         sorted_perp only those with non-decreasing exceptional coordinates,
-        filtered from the sorted box; otherwise the coordinate j of the
-        last nonzero w_j is solved for, not scanned."""
+        filtered from the sorted box; otherwise the coordinate j of the last
+        nonzero w_j is solved for (a kept ray has r = ray_int . w > 0)."""
         if self.perp is None:
             w, bound = self.w, self.bound
             if self.sorted_perp:
@@ -316,10 +323,7 @@ class _RayData:
                     if not sum(map(mul, v, w))
                 ]
                 return self.perp
-            j = max((i for i, x in enumerate(w) if x), default=None)
-            if j is None:
-                self.perp = list(_all_vectors(rank, bound))
-                return self.perp
+            j = max(i for i, x in enumerate(w) if x)
             wj = w[j]
             w_rest = w[:j] + w[j + 1 :]
             self.perp = []
@@ -383,8 +387,8 @@ def _ansatz_pair(query: SearchQuery) -> Optional[_Pair]:
 class _Plan:
     """Everything the pairs of one query share, built once per search: the
     rays a record can stand on, the balanced filter's fallback class, the
-    skt buckets, the ansatz pair, the symmetry group, the bit mask of c1,
-    and a cache of integer self-intersections."""
+    skt buckets, the ansatz pair and its source, the symmetry group, the
+    bit mask of c1, and a cache of integer self-intersections."""
 
     def __init__(self, query: SearchQuery):
         model = query.model
@@ -395,6 +399,8 @@ class _Plan:
         self.squares: dict[tuple[int, ...], int] = {}
         self.permute = _permutes_exceptionals(model)  # canonical keys
         self.ansatz_pair = _ansatz_pair(query)
+        sol = solve_symmetric_ansatz(model.rank - 1) if self.ansatz_pair is not None else None
+        self.ansatz_source = (sol.kahler_class, "ansatz", None) if sol is not None else None
         symmetry = search_symmetry(query, self.permute, self.ansatz_pair)
         self.prune = symmetry != NO_SYMMETRY
         self.sorted_v1 = symmetry == PERMUTE_AND_SWAP
@@ -436,16 +442,17 @@ class _Plan:
 
     def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         """The w2 to pair with v1, in lexicographic order.  For a cyt query a
-        dict from each w2 to its source: the first plan ray that generated
-        it, with its lambda, or None for the ansatz partner."""
+        dict from each w2 to its solved source: the entry at its lambda of
+        the first plan ray that generated it, else the plan's ansatz source."""
         if "cyt" in self.query.filters:
             found: dict[tuple[int, ...], _Source] = {}
             for data in self.rays:
                 for v2, lam in data.candidates_for(v1).items():
-                    found.setdefault(v2, (data, lam))
+                    if v2 not in found:
+                        found[v2] = data.source(lam)
             if self.ansatz_pair is not None and v1 in self.ansatz_pair:
                 a1, a2 = self.ansatz_pair
-                found.setdefault(a2 if v1 == a1 else a1, None)
+                found.setdefault(a2 if v1 == a1 else a1, self.ansatz_source)
             return dict(sorted(found.items())) if found else found
         if self.skt_buckets is not None:
             return self.skt_buckets.get(-self.square(v1), [])
@@ -512,7 +519,9 @@ class _Plan:
 
     def evaluate(self, v1: tuple[int, ...], v2: tuple[int, ...], key: str, source: _Source) -> CatalogRecord | str:
         """The record of a pair that passed screen, or the stage that rejected
-        it; source is the pair's entry in candidates, None without cyt."""
+        it; source is the pair's entry in candidates, None without cyt.  The
+        pair is CYT at the source's class, by the generating ray's locus
+        identity or by the ansatz, and the verify_cyt recheck confirms it."""
         query = self.query
         model = query.model
         filters = query.filters
@@ -522,20 +531,10 @@ class _Plan:
         if filters & _CLASS_FILTERS:
             bundle = BundleSpec(model, (CohClass.from_cleared(v1), CohClass.from_cleared(v2)))
         if "cyt" in filters:
-            if source is not None:
-                # the generating ray's locus identity holds, so the pair is
-                # CYT at s * R with s * unit = 2 lambda / (r d)
-                data, lam = source
-                s = Fraction(2 * lam * data.unit.denominator, data.r * data.d_pair * data.unit.numerator)
-                kahler, route = data.at(s), data.name
-                flags["scale"] = format_scalar(s)
-            else:  # the ansatz partner
-                sol = solve_symmetric_ansatz(model.rank - 1)
-                if sol is None or not verify_cyt(bundle, sol.kahler_class).verdict:
-                    return "cyt"
-                kahler, route = sol.kahler_class, "ansatz"
+            if source is None:
+                return "cyt"  # the ansatz has no solution
+            kahler, flags["cyt_route"], flags["scale"] = source
             flags["cyt"] = True
-            flags["cyt_route"] = route
 
         if "balanced" in filters:
             f = kahler if kahler is not None else self.balanced_class

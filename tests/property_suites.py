@@ -1230,10 +1230,11 @@ def walk_rays(draw):
 @given(walk_rays(), st.data())
 def check_walk_scales(case, data) -> None:
     """Every candidate pair of a cyt plan, the parallel branch's included,
-    comes from the first plan ray on which solve_scale finds a scale s, and
-    takes its route, the scale text format_scalar(s) and the class s * R,
-    built here from the ray's coefficients, with the cleared form of
-    data.at(s).  Each ray generates exactly the pairs on which solve_scale
+    comes from the first plan ray on which solve_scale finds a scale s: its
+    source is that ray's memo entry at the pair's lambda, and holds the
+    class s * R, built here from the ray's coefficients, with its cleared
+    form, the route and the scale text format_scalar(s), which the record
+    takes.  Each ray generates exactly the pairs on which solve_scale
     finds a scale, also among random box pairs and pairs of trace-free
     vectors, where q1 = q2 = 0.  A ray proportional to c1 keeps both routes,
     and every pair takes the first."""
@@ -1249,13 +1250,14 @@ def check_walk_scales(case, data) -> None:
         for w2, source in cands[:: max(1, len(cands) // 6)]:
             bundle = BundleSpec(model, (CohClass.of(w1), CohClass.of(w2)))
             rd, s = next((rd, s) for rd in plan.rays if (s := solve_scale(bundle, rd.ray)) is not None)
-            assert source[0] is rd, (w1, w2)
-            rec = plan.evaluate(w1, w2, "key", source)
-            assert rec.flags.cyt_route == ("ray" if c1_ray else rd.name), (w1, w2)
-            assert rec.flags.scale == format_scalar(s), (w1, w2)
+            assert source is rd.sources[rd.candidates_for(w1)[w2]], (w1, w2)
+            kahler, route, scale = source
+            assert route == ("ray" if c1_ray else rd.name) and scale == format_scalar(s), (w1, w2)
             want = CohClass.of([s * c for c in rd.ray.coeffs])
+            assert kahler.cleared_form == want.cleared_form, (w1, w2)
+            rec = plan.evaluate(w1, w2, "key", source)
+            assert (rec.flags.cyt_route, rec.flags.scale) == (route, scale), (w1, w2)
             assert rec.kahler == tuple(want.serialize()), (w1, w2)
-            assert rd.at(s).cleared_form == want.cleared_form, (w1, w2)
     for rd in plan.rays:
         # with every trace-free partner, whatever the plan's group
         full = _RayData(rd.name, model, rd.ray, bound)

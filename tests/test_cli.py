@@ -433,6 +433,42 @@ def test_a_radicand_above_the_bound_exits_2(capsys):
     assert err.startswith("error: radicand above 1000000000000 in ") and "Traceback" not in err
 
 
+def test_a_zero_radicand_exits_2(capsys):
+    code, out, err = run(capsys, "cone-check", "--model", "quadric", "--class", "[1*sqrt(0),1]")
+    assert (code, out) == (2, "")
+    assert err == "error: zero radicand in '1*sqrt(0)'\n"
+
+
+# a prime radicand just under MAX_RADICAND: trial division up to its root
+# takes about 60 ms, so an operation on its field must not factor it again
+_PRIME_K8 = "[1000000+1*sqrt(999999999989),-2,-2,-2,-2,-2,-2,-2,-2]"
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        (["cone-check", "--model", "blowup_cp2(8)", "--class", _PRIME_K8], 0,
+         "6b7fa8fe7e6fe46bde975bfa4f908d6cf14e4b3fa7110b69c3f4837ec8bd113f"),
+        (["verify", "--model", "blowup_cp2(8)", "--omega", "[3,-1,-1,-1,-1,-1,-1,-1,-1]",
+          "--omega", "[0,1,-1,0,0,0,0,0,0]", "--kahler", _PRIME_K8], 1,
+         "20a0b1adf8130ecf3a01c9be9c7898b048d6772a4cadc3a07617eb6861fb0067"),
+    ],
+    ids=["cone-check", "verify"],
+)
+def test_a_big_radicand_is_factored_once(capsys, argv, code, digest):
+    from cytforge import scalars
+
+    factor = scalars.square_free_decomposition
+    factor.cache_clear()
+    got, out, _ = run(capsys, *argv, "--format", "json")
+    assert (got, json.loads(out)["digest"]) == (code, digest)
+    info = factor.cache_info()
+    # no argument was factored twice, and the radicand is among those factored
+    assert info.misses == info.currsize < info.maxsize
+    factor(999999999989)
+    assert factor.cache_info().misses == info.misses
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -150,6 +150,12 @@ def test_a_radicand_above_the_bound_is_a_parse_error():
             parse_scalar(text)
 
 
+def test_a_zero_radicand_is_a_parse_error():
+    for text in ("1*sqrt(0)", "2-1/3*sqrt(0)"):
+        with pytest.raises(ScalarParseError, match=r"zero radicand in "):
+            parse_scalar(text)
+
+
 def test_square_free_decomposition():
     assert square_free_decomposition(4800) == (40, 3)
     assert square_free_decomposition(456) == (2, 114)

@@ -387,6 +387,22 @@ def test_candidates_match_the_ray_condition_on_the_box(model, ray, bound, sorted
         assert sorted(data.candidates_for(w1)) == reference(w1, sorted_perp), w1
 
 
+def test_pairs_at_one_lambda_share_one_source():
+    model = blowup_cp2(3)
+    plan = search_module._Plan(
+        SearchQuery(model=model, coeff_bound=3, filters=frozenset({"cyt"}), ray=parse_class(model, "6H-2E1-2E2-2E3"))
+    )
+    assert [rd.name for rd in plan.rays] == ["ray", "anticanonical_ray"]
+    shared, pairs = {}, 0
+    for w1 in itertools.product(range(-3, 4), repeat=model.rank):
+        for w2, source in plan.candidates(w1).items():
+            rd = next(rd for rd in plan.rays if w2 in rd.candidates_for(w1))
+            assert source is shared.setdefault((rd.name, rd.candidates_for(w1)[w2]), source), (w1, w2)
+            pairs += 1
+    # every pair takes the first ray's route, and far more pairs than lambdas
+    assert {name for name, _ in shared} == {"ray"} and pairs > 10 * len(shared)
+
+
 def test_candidates_match_the_box_on_random_rays():
     property_suites.check_candidates_for()
 
@@ -575,12 +591,17 @@ def test_a_rayless_cyt_search_visits_only_the_ansatz_vectors(k, monkeypatch):
     # permutations: the box at bound 4 holds 9^(k+1) unsorted w1, and only
     # the two ansatz vectors have a candidate
     model = blowup_cp2(k, "on_cubic")
-    asked = []
+    asked, calls = [], []
     candidates = search_module._Plan.candidates
     monkeypatch.setattr(search_module._Plan, "candidates", lambda plan, v1: asked.append(v1) or candidates(plan, v1))
+    for name in ("solve_symmetric_ansatz", "verify_cyt"):
+        fn = getattr(search_module, name)
+        monkeypatch.setattr(search_module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     q = SearchQuery(model=model, coeff_bound=4, filters=frozenset({"cyt", "topology", "spin"}))
     records, stats = search(q, threads=1)
     assert sorted(asked) == sorted(search_module._ansatz_pair(q))
+    # the plan solves the ansatz once, and its record takes only the recheck
+    assert calls == ["solve_symmetric_ansatz", "verify_cyt"]
     assert (stats.pairs_evaluated, stats.pairs_skipped, stats.cyt_routes) == (2, 1, ())
     assert [(r.flags.cyt_route, r.flags.topology_label) for r in records] == [
         ("ansatz", f"{k - 1}(S²×S⁴) # {k}(S³×S³)")
