@@ -33,7 +33,6 @@ from .surfaces import (
     CohClass,
     PairingFunctionalModel,
     SurfaceModel,
-    basis_extension_check,
     blowup_cp2,
     builtin_model,
     custom_model,

@@ -111,10 +111,6 @@ class CatalogRecord:
         head, tail = self._halves()
         return head + tail
 
-    @property
-    def digest(self) -> str:
-        return _sha256(self.body_text())
-
     def to_line(self) -> str:
         head, tail = self._halves()
         return f'{head},"digest":"{_sha256(head + tail)}"{tail}'

@@ -228,7 +228,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    result = reproduce_paper(args.section, args.k, strict=False)
+    result = reproduce_paper(args.section, args.k)
     diffs = result["diffs"]
     inputs = {"section": args.section, "k": args.k}
     code = _certify(args, None, inputs, {"computed": result["computed"], "diffs": diffs}, not diffs)

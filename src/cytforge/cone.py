@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .errors import CytForgeError, InvariantViolation, MissingAmpleWitness, RankMismatch
 from .scalars import Scalar, exact_div, exact_sign, is_rational, ratio_terms, surd_sign
-from .surfaces import REGIME_ENUMERATE, CohClass, SurfaceModel, intersect
+from .surfaces import REGIME_ENUMERATE, REGIME_RULINGS, CohClass, SurfaceModel, intersect
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +114,8 @@ def _curve_signs(
 
 def negative_curves(model: SurfaceModel) -> list[CohClass]:
     """Irreducible curves of negative self-intersection on the model, the
-    objects its cone check pairs with (`SurfaceModel.negative_curves`).
+    objects its cone check pairs with: `SurfaceModel.cone_curves`, less the
+    quadric's rulings, which are null.
 
     Empty for the plane and the quadric (whose cone is carried by the two
     rulings, checked separately); exhaustive (-1)-class enumeration for
@@ -125,7 +126,7 @@ def negative_curves(model: SurfaceModel) -> list[CohClass]:
     five points of a cubic, though the conic 2H - E1 - ... - E5 pairs to -1
     with it.
     """
-    return list(model.negative_curves)
+    return [] if model.curve_regime == REGIME_RULINGS else list(model.cone_curves)
 
 
 def positively_proportional(x: CohClass, y: CohClass) -> bool:

@@ -92,13 +92,3 @@ class CorruptRecord(CytForgeError):
     def __init__(self, line_number: int, reason: str = ""):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {reason}" if reason else f"line {line_number}")
-
-
-class MismatchAgainstExpected(CytForgeError):
-    """Reproduction run disagrees with a frozen expected certificate."""
-
-    def __init__(self, target: str, diffs: list):
-        self.target = target
-        self.diffs = diffs
-        lines = "; ".join(diffs)
-        super().__init__(f"{target}: {lines}")

@@ -133,10 +133,7 @@ def snf(mat: IntMatrix) -> SnfResult:
     ws = _Worksheet(mat)
     rank = min(ws.m, ws.n)
     while True:
-        ws.diagonalize()
-        for i in range(rank):
-            if ws.a[i][i] < 0:
-                ws.negate_row(i)
+        ws.diagonalize()  # leaves every pivot >= 0
         violation = None
         for i in range(rank - 1):
             di, dj = ws.a[i][i], ws.a[i + 1][i + 1]

@@ -118,9 +118,6 @@ class QuadraticNumber:
     def __neg__(self):
         return QuadraticNumber(-self.a, -self.b, self.d)
 
-    def __pos__(self):
-        return self
-
     def __sub__(self, other):
         parts = self._parts(other)
         if parts is None:
@@ -185,9 +182,6 @@ class QuadraticNumber:
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))
-
-    def __bool__(self):
-        return True
 
     def __float__(self):
         # approximation hatch for human-readable reports only

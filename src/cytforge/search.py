@@ -169,8 +169,6 @@ def resolve_threads(requested: Optional[int] = None) -> int:
 def _permutes_exceptionals(model: SurfaceModel) -> bool:
     """True iff every permutation of the coordinates 1..k fixes the Gram
     matrix and c1, whatever the basis labels say."""
-    if model.rank < 2:
-        return False
     g, c1, rest = model.gram, model.c1.coeffs, range(1, model.rank)
     return (
         len({c1[i] for i in rest}) == 1
@@ -421,9 +419,6 @@ class _Plan:
         # None when that is null, which rejects every pair
         f = query.ray if query.ray is not None else model.c1
         self.balanced_class = f if "balanced" in query.filters and intersect(model, f, f) != 0 else None
-
-        if "topology" in query.filters:
-            model.gram_factors  # cached on the model, so pool workers inherit it
 
         self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
         if "cyt" not in query.filters and "skt" in query.filters:

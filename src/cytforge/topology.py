@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .cyt import BundleSpec, c1_bundle_triviality
 from .errors import HypothesesNotMet, InvariantViolation, WrongFiberRank
 from .intlinalg import IntegerSolver, gf2_in_span
-from .surfaces import CohClass, SurfaceModel, basis_extension_check
+from .surfaces import CohClass, SurfaceModel
 
 UNCLASSIFIED = "unclassified"
 
@@ -38,7 +38,9 @@ class TopologyCertificate:
     spin_integral are rendered on first read from one IntegerSolver of the
     pairing matrix, kept; its d1*d2 must equal minors_gcd, else
     InvariantViolation.  tables is rendered from the decided verdict: None
-    unless the witnesses exist and the curvatures extend to a basis."""
+    unless the witnesses exist.  Witnesses imply basis extension: by
+    Cauchy-Binet each 2x2 minor of P = W G is an integer combination of
+    those of W, so gcd(W) divides gcd(P) = 1."""
 
     basis_extension: bool
     simply_connected_surrogate: bool
@@ -93,7 +95,7 @@ class TopologyCertificate:
 
     @cached_property
     def tables(self) -> Optional[SpectralTables]:
-        if self.simply_connected_surrogate and self.basis_extension:
+        if self.simply_connected_surrogate:
             return _tables_for_rank(self.bundle.base.rank)
         return None
 
@@ -124,10 +126,10 @@ def diffeo_label_for(b2_of_total: int) -> str:
     return f"{m}(S²×S⁴) # {m + 1}(S³×S³)"
 
 
-def _minors_gcd(pairing: Sequence[Sequence[int]]) -> int:
+def _minors_gcd(rows: Sequence[Sequence[int]]) -> int:
     """gcd of the 2x2 minors of a 2 x n integer matrix, which is d1*d2 for
     its invariant factors; 0 when n < 2.  Stops at 1."""
-    a, b = pairing
+    a, b = rows
     g = 0
     for i, (ai, bi) in enumerate(zip(a, b)):
         if ai or bi:
@@ -140,24 +142,26 @@ def _minors_gcd(pairing: Sequence[Sequence[int]]) -> int:
 
 def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     """Assemble the topology verdict.  The diffeomorphism label is emitted
-    only when every prerequisite holds: basis extension, pairing witnesses,
-    the surjectivity surrogate for simple connectivity, and the mod-2 spin
-    check; otherwise the label is "unclassified".
+    only when the surrogate for simple connectivity and the mod-2 spin check
+    hold; the surrogate gives the pairing witnesses and basis extension with
+    it.  Otherwise the label is "unclassified".
 
     The simple-connectivity surrogate (pairing matrix of SNF diag(1,1)) stands
     in for the sphere-representative argument, which is not decidable from
     lattice data; it agrees with it on every built-in example.
 
-    The verdict is decided on integers.  P = W G (rows Q(w_l, .)) has
-    invariant factors (1, 1) iff the gcd of its 2x2 minors is 1, which is
-    the surrogate, and pairing witnesses exist iff it holds.  When the Gram
-    matrix G is unimodular, P and W have the same invariant factors (Newman,
-    Integral Matrices, 1972), so basis extension equals the surrogate; on any
-    other model it falls back to basis_extension_check, which factors W
-    itself.  spin_mod2 is gf2_in_span: c1 is 0, w1, w2 or w1 + w2 mod 2,
-    the compare of bit masks the search's spin stage makes too.  The Smith normal
-    form of P, the witnesses alpha and beta, spin_integral and the tables
-    are rendered when first read (see TopologyCertificate).
+    The verdict is decided on integers, from gcds of 2x2 minors, with no
+    Smith normal form.  P = W G (rows Q(w_l, .)) has invariant factors
+    (1, 1) iff the gcd of its 2x2 minors is 1, which is the surrogate, and
+    pairing witnesses exist iff it holds.  W extends to a Z-basis iff the
+    gcd of its own 2x2 minors is 1.  By Cauchy-Binet each 2x2 minor of P is
+    an integer combination of those of W, so gcd(W) divides gcd(P): the
+    surrogate implies basis extension, and W's minors are read only when it
+    fails (on a unimodular G the two gcds are equal).  spin_mod2 is
+    gf2_in_span: c1 is 0, w1, w2 or w1 + w2 mod 2, the compare of bit masks
+    the search's spin stage makes too.  The Smith normal form of P, the
+    witnesses alpha and beta, spin_integral and the tables are rendered when
+    first read (see TopologyCertificate).
     """
     base = bundle.base
     if not isinstance(base, SurfaceModel):
@@ -174,19 +178,12 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     pairing = [base.gram_row(v) for v in vectors]  # rows Q(w_l, .)
     minors_gcd = _minors_gcd(pairing)
     surrogate = minors_gcd == 1
-
-    if all(d == 1 for d in base.gram_factors):
-        extension = surrogate
-    else:
-        extension = basis_extension_check(base, bundle.curvatures)
     spin_mod2 = gf2_in_span(base.c1.as_int_vector(), *vectors)
-
-    classified = surrogate and extension
     return TopologyCertificate(
-        basis_extension=extension,
+        basis_extension=surrogate or _minors_gcd(vectors) == 1,
         simply_connected_surrogate=surrogate,
         spin_mod2=spin_mod2,
-        diffeo_label=diffeo_label_for(base.rank - 2) if classified and spin_mod2 else UNCLASSIFIED,
+        diffeo_label=diffeo_label_for(base.rank - 2) if surrogate and spin_mod2 else UNCLASSIFIED,
         bundle=bundle,
         pairing=tuple(map(tuple, pairing)),
         minors_gcd=minors_gcd,

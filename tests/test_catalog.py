@@ -90,17 +90,23 @@ def test_round_trip_hundred_records(tmp_path):
     assert [r.to_line() for r in loaded] == [r.to_line() for r in records]
 
 
+def _digest(record: CatalogRecord) -> str:
+    """The sha256 of the record's body, the digest its line carries."""
+    return hashlib.sha256(record.body_text().encode("utf-8")).hexdigest()
+
+
 def test_append_preserves_digests(tmp_path):
     rng = random.Random(8)
     first = [random_record(rng) for _ in range(10)]
     second = [random_record(rng) for _ in range(10)]
     path = tmp_path / "catalog.jsonl"
     append_records(str(path), first)
-    digests_before = [r.digest for r in load_catalog(str(path))[0]]
+    digests_before = [_digest(r) for r in load_catalog(str(path))[0]]
     append_records(str(path), second)
     loaded, errors = load_catalog(str(path))
     assert errors == []
-    assert [r.digest for r in loaded[:10]] == digests_before
+    assert [_digest(r) for r in loaded[:10]] == digests_before
+    assert [r.to_line() for r in loaded] == [r.to_line() for r in first + second]
     assert len(loaded) == 20
 
 

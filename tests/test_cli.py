@@ -354,6 +354,91 @@ def test_empty_gram_or_c1_exits_2(tmp_path, capsys, doc, field):
     assert code == 2 and err.startswith("error: ") and f"'{field}' must not be empty" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"c1": [3]}', "has no 'gram' field"),
+        ('{"gram": [[1]]}', "has no 'c1' field"),
+        ('{"gram": [[1.5]], "c1": [3]}', "'gram' must be a list of integer lists"),
+        ('{"gram": [1], "c1": [3]}', "'gram' must be a list of integer lists"),
+        ('{"gram": [[1]], "c1": ["3"]}', "'c1' must be a list of integers"),
+        ('{"gram": [[1]], "c1": [true]}', "'c1' must be a list of integers"),
+        ('{"gram": [[1]], "c1": [3], "curves": [[0.5]]}', "'curves' must be a list of integer lists"),
+        ('{"gram": [[1]], "c1": [3], "curves": [1]}', "'curves' must be a list of integer lists"),
+        ('{"gram": [[1]], "c1": [3], "ample_witness": ["1"]}', "'ample_witness' must be a list of integers"),
+        ('{"gram": [[1]], "c1": [3], "ample_witness": 1}', "'ample_witness' must be a list of integers"),
+        ('{"gram": [[1]], "c1": [3], "basis": 5}', "'basis' must be a list of labels"),
+        ('{"gram": [[1]], "c1": [3], "basis": [1]}', "'basis' must be a list of labels"),
+        ('{"gram": [[1]], "c1": [3], "name": 5}', "'name' must be a string"),
+        ('{"gram": [[1]], "c1": [3], "simply_connected": "false"}', "'simply_connected' must be true or false"),
+        ('{"gram": [[1]], "c1": [3], "simply_connected": 1}', "'simply_connected' must be true or false"),
+        ('{"gram": [[1]], "c1": [3], "simply_connected": null}', "'simply_connected' must be true or false"),
+    ],
+)
+def test_each_malformed_model_field_exits_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "cone-check", "--model", str(path), "--class", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: model file {path}") and err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+def test_simply_connected_text_is_no_boolean(tmp_path, capsys):
+    # "false" as a string was read through bool() as true, and certified S3 x S3
+    doc = {"gram": [[1, 0], [0, -1]], "c1": [3, -1], "basis": ["H", "E1"], "curves": [[0, 1]],
+           "ample_witness": [2, -1], "simply_connected": "false"}
+    path = tmp_path / "f.json"
+    topology = ["topology", "--model", str(path), "--omega", "[1,0]", "--omega", "[0,1]", "--format", "json"]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *topology) == (2, "", f"error: model file {path}: 'simply_connected' must be true or false\n")
+    path.write_text(json.dumps({**doc, "simply_connected": False}))
+    code, out, err = run(capsys, *topology)
+    assert (code, out) == (2, "") and "not simply connected" in err
+    path.write_text(json.dumps({**doc, "simply_connected": True}))
+    code, out, err = run(capsys, *topology)
+    cert = json.loads(out)
+    assert (code, err) == (0, "") and cert["model"]["simply_connected"] is True
+    assert cert["results"]["topology"]["diffeo_label"] == "S³×S³"
+
+
+def _capped_cli(*argv):
+    """The CLI in a subprocess with 1 GB of address space and a minute of
+    time, so a model too big to build fails the test, not the machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cytforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from cytforge.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (["cone-check", "--model", "blowup_cp2(99999999999)", "--class", "H"], 99999999999),
+        (["cone-check", "--model", "blowup_cp2(201,on_cubic)", "--class", "H"], 201),
+        (["solve-ansatz", "--k", "99999999999"], 99999999999),
+        (["search", "--model", "blowup_cp2(99999999999)", "--bound", "1", "--filter", "skt"], 99999999999),
+    ],
+)
+def test_too_many_points_exit_2_before_the_model_is_built(argv, k):
+    proc = _capped_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: 1 <= k <= 200 required, got k={k}\n"
+
+
+def test_sixty_points_on_a_cubic_fit_the_cap():
+    # the section 4.4 sweep runs to k = 60; H is nef, not ample, so the check fails
+    proc = _capped_cli("cone-check", "--model", "blowup_cp2(60,on_cubic)", "--class", "H")
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_search_into_a_closed_pipe_ends_quietly():
     # 5 133 records, far more than a pipe buffer holds, so the writer is
     # still printing when the reader goes away
@@ -1027,6 +1112,34 @@ QUADRATIC_DIGESTS = [
     # taken before these classes were paired as integer dots in surd form
     (["reproduce-paper", "--section", "4.4", "--k", "12"], 0, "78f836e5af5ef3e953cbd6b12cbd3b21a4537dec10b9a131ac9478824b4e6bfd"),
 ]
+
+
+# a Gram matrix of determinant 2, written as the CI step writes it; the
+# commands name it by the same relative path, so their digests agree
+NONUNIMODULAR = (
+    '{"name":"nonunimodular","gram":[[2,0,0],[0,-1,0],[0,0,-1]],"c1":[2,-1,-1],"basis":["A","E1","E2"],'
+    '"curves":[[0,1,0],[0,0,1]],"ample_witness":[2,-1,-1],"simply_connected":true}'
+)
+# (omegas, exit code, digest, basis_extension, surrogate), taken while basis
+# extension on a non-unimodular Gram was decided by the Smith form of W
+NONUNIMODULAR_DIGESTS = [
+    (("[1,0,0]", "[0,1,0]"), 1, "ed740958518709d93a20070cdb970b51061dcf2b98a4af32ccc9145e3d50a485", True, False),
+    (("[2,0,0]", "[0,1,0]"), 1, "da9cbc9e115141b7d8cd9bbe1917de2a6bbfaeecfae109624a9476e516a88842", False, False),
+    (("[0,1,0]", "[0,0,1]"), 0, "3a2287b87f0eca45651fc1a2220055ccee9948e3d5626beae5e5c2230ca5f4ff", True, True),
+]
+
+
+def test_nonunimodular_topology_digests_frozen(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nonunimodular.json").write_text(NONUNIMODULAR)
+    for (a, b), code, digest, extension, surrogate in NONUNIMODULAR_DIGESTS:
+        argv = ["topology", "--model", "nonunimodular.json", "--omega", a, "--omega", b, "--format", "json"]
+        got, out, err = run(capsys, *argv)
+        doc = json.loads(out)
+        topology = doc["results"]["topology"]
+        assert (got, doc["digest"], err) == (code, digest, ""), argv
+        assert (topology["basis_extension"], topology["simply_connected_surrogate"]) == (extension, surrogate)
+    assert topology["diffeo_label"] == "1(S²×S⁴) # 2(S³×S³)"
 
 
 def test_quadratic_class_digests_frozen(capsys):

@@ -840,7 +840,6 @@ def test_a_verdict_search_renders_no_documents(monkeypatch):
     from cytforge.topology import TopologyCertificate
 
     model = blowup_cp2(5)
-    model.gram_factors  # the Gram matrix is factored once per model, not per pair
     model.cone_rows[1].clear()  # a fresh sign memo for this model
     counts = Counter()
 

@@ -19,8 +19,8 @@ from cytforge.errors import (
     ZeroClass,
 )
 from cytforge.surfaces import (
+    MAX_POINTS,
     CohClass,
-    basis_extension_check,
     blowup_cp2,
     builtin_model,
     custom_model,
@@ -65,6 +65,10 @@ def test_position_validation():
         blowup_cp2(1, "on_cubic")
     with pytest.raises(InvalidPosition):
         blowup_cp2(0)
+    for k in (MAX_POINTS + 1, 99999999999):
+        with pytest.raises(InvalidPosition, match=f"1 <= k <= {MAX_POINTS} required, got k={k}"):
+            blowup_cp2(k, "on_cubic")
+    assert blowup_cp2(60, "on_cubic").rank == 61  # the section 4.4 sweep stays in range
     assert blowup_cp2(9).curve_regime == "on_cubic"  # default flips at k = 9
     assert blowup_cp2(8).curve_regime == "enumerate_neg1"
 
@@ -100,18 +104,6 @@ def test_rank_mismatch():
 def test_nonsymmetric_gram_rejected():
     with pytest.raises(NonSymmetricGram):
         custom_model("bad", [[0, 1], [2, 0]], [1, 1])
-
-
-def test_basis_extension():
-    m5 = blowup_cp2(5)
-    assert basis_extension_check(m5, [m5.c1, parse_class(m5, "E1-E2")])
-    p = projective_plane()
-    assert not basis_extension_check(p, [parse_class(p, "2H")])
-    m2 = blowup_cp2(2)
-    assert basis_extension_check(m2, [parse_class(m2, "H"), parse_class(m2, "E1")])
-    assert basis_extension_check(m2, [])
-    # linearly dependent sets never extend
-    assert not basis_extension_check(m2, [parse_class(m2, "H"), parse_class(m2, "2H")])
 
 
 def test_divisibility_index():
@@ -236,6 +228,17 @@ def test_class_parsing():
             parse_class(m2, text)
     with pytest.raises(ScalarParseError, match="zero denominator"):
         parse_class(q, "1/0*C")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty class expression"), ("  ", "empty class expression"),
+     ("[1,2", "unterminated vector"), ("+", "bad class expression near '\\+'"),
+     ("H+", "bad class expression near '\\+'")],
+)
+def test_a_class_text_without_a_term_is_a_parse_error(text, message):
+    with pytest.raises(ScalarParseError, match=message):
+        parse_class(blowup_cp2(2), text)
 
 
 def test_class_arithmetic():

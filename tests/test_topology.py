@@ -9,7 +9,6 @@ from cytforge.cyt import BundleSpec, c1_bundle_triviality, solve_symmetric_ansat
 from cytforge.errors import HypothesesNotMet, InvariantViolation, WrongFiberRank
 from cytforge.surfaces import (
     CohClass,
-    basis_extension_check,
     blowup_cp2,
     custom_model,
     intersect,
@@ -225,6 +224,27 @@ def test_non_unimodular_gram_takes_the_general_path():
     assert cert.diffeo_label == UNCLASSIFIED
 
 
+def _snf_extends(*classes):
+    """Reference: the classes extend to a Z-basis iff the Smith normal form
+    of their coefficient rows is diag(1, 1)."""
+    return intlinalg.snf([c.as_int_vector() for c in classes]).diagonal == (1, 1)
+
+
+def test_basis_extension_of_two_classes():
+    m5, m2, p = blowup_cp2(5), blowup_cp2(2), projective_plane()
+    cases = [
+        (m5, "3H-E1-E2-E3-E4-E5", "E1-E2", True),
+        (m2, "H", "E1", True),
+        (m2, "H", "2H", False),  # linearly dependent classes never extend
+        (m2, "2H", "E1", False),  # nor does a set with a divisible minor gcd
+        (p, "H", "2H", False),  # two classes on a rank-1 lattice
+    ]
+    for model, a, b, extends in cases:
+        w1, w2 = parse_class(model, a), parse_class(model, b)
+        cert = topology_certificate(BundleSpec(model, (w1, w2)))
+        assert cert.basis_extension == _snf_extends(w1, w2) == extends, (model.name, a, b)
+
+
 FULL_BUILTIN_MODELS = (
     [projective_plane(), quadric()]
     + [blowup_cp2(k) for k in range(1, 9)]
@@ -237,11 +257,23 @@ OTHER_GRAMS = (
 )
 
 
+def _degenerate_model(seed):
+    """A model with Gram A^T D A for a random (n-1) x n integer A and a
+    diagonal D of signs, n = 2..4: symmetric, of rank below n."""
+    rng = random.Random(seed)
+    n = 2 + seed % 3
+    a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+    d = [rng.choice((1, -1)) for _ in range(n - 1)]
+    gram = [[sum(a[r][i] * d[r] * a[r][j] for r in range(n - 1)) for j in range(n)] for i in range(n)]
+    return custom_model(f"degenerate{seed}", gram, [1] * n, curves=[], simply_connected=True)
+
+
 @pytest.mark.parametrize(
     "model",
     FULL_BUILTIN_MODELS
     + [custom_model(f"g{i}", g, [1] * len(g), curves=[], simply_connected=True)
-       for i, g in enumerate(OTHER_GRAMS)],
+       for i, g in enumerate(OTHER_GRAMS)]
+    + [_degenerate_model(seed) for seed in range(6)],
     ids=lambda m: m.name,
 )
 def test_one_snf_certificate_matches_the_separate_checks(model):
@@ -250,7 +282,10 @@ def test_one_snf_certificate_matches_the_separate_checks(model):
         w1, w2 = (CohClass.of([rng.randint(-3, 3) for _ in range(model.rank)]) for _ in range(2))
         bundle = BundleSpec(model, (w1, w2))
         cert = topology_certificate(bundle)
-        assert cert.basis_extension == basis_extension_check(model, (w1, w2))
+        # W's own minors decide basis extension on every Gram, and the surrogate implies it
+        assert cert.basis_extension == _snf_extends(w1, w2)
+        assert cert.basis_extension or not cert.simply_connected_surrogate
+        assert (cert.tables is not None) == cert.simply_connected_surrogate
         assert cert.spin_integral == c1_bundle_triviality(bundle)
         assert (cert.alpha is None) == (cert.beta is None) == (not cert.simply_connected_surrogate)
         if cert.alpha is not None:
@@ -265,7 +300,7 @@ def test_rendered_fields_match_the_snf_and_fraction_references():
 def test_a_label_builds_no_solver_and_a_read_builds_one(monkeypatch):
     m = blowup_cp2(5)
     bundle = BundleSpec(m, (m.c1, parse_class(m, "E1-E2")))
-    m.gram_factors  # one SNF of the Gram matrix per model, not per certificate
+    m.gram_factors  # spin_integral reads it: one SNF of the Gram matrix per model, not per certificate
     calls = {"snf": 0, "solver": 0}
     snf, init = intlinalg.snf, intlinalg.IntegerSolver.__init__
 
@@ -298,3 +333,15 @@ def test_an_snf_that_disagrees_with_the_minors_fails_the_read(monkeypatch):
         cert.pairing_snf
     with pytest.raises(InvariantViolation):
         cert.alpha  # every rendered field reads the checked solver
+
+
+@pytest.mark.parametrize("gram", [[[1, 0, 0], [0, -1, 0], [0, 0, -1]], OTHER_GRAMS[0]], ids=["unimodular", "det2"])
+def test_a_cold_model_labels_with_no_snf(monkeypatch, gram):
+    # a fresh model has no cached Gram data: the label reads minors only
+    m = custom_model("cold", gram, [3, -1, -1], curves=[], simply_connected=True)
+    calls = []
+    snf = intlinalg.snf
+    monkeypatch.setattr(intlinalg, "snf", lambda mat: calls.append(mat) or snf(mat))
+    certs = [topology_certificate(BundleSpec(m, (parse_class(m, "e1+e3"), parse_class(m, w)))) for w in ("e2", "2e1")]
+    assert [(c.basis_extension, c.diffeo_label) for c in certs] == [(True, diffeo_label_for(1)), (False, UNCLASSIFIED)]
+    assert calls == []
