@@ -43,23 +43,30 @@ pool worker, runs on that one plan, and chunks merge in order, which keeps
 parallel runs bit-identical to serial ones.
 
 Enumeration is isomorph-free up to the query's symmetry group (orderly
-generation in McKay's sense).  The pair swap always belongs to it: the ray
-condition above and every filter are symmetric in w1, w2.  The permutations
-S_k of the exceptional coordinates 1..k belong to it when the model's Gram
-matrix and c1 are fixed by them, the query's ray (if any) has equal
-exceptional coordinates, and the on-cubic ansatz pair is not in the box;
-then the candidate locus and every filter are S_k-invariant too.  The
-search visits only w1 with non-decreasing exceptional coordinates and
-evaluates a pair only when it is the lexicographic minimum of its orbit.
-That minimum is exactly the canonical key (column sort, then the least of
-the swap), and it is also the pair the unpruned lexicographic enumeration
-would emit first for the orbit, so records and catalog bytes are the same
-as without pruning.  So when the search's group is the key's own group (the
-permutations and the swap on a model they fix, the swap alone on one they
-do not), an evaluated pair spells its key as it stands.  _canonical_key
-still runs for the swap-only group on a model whose exceptionals permute (an
-unsymmetric ray, an in-box ansatz pair), where the key sorts what the orbit
-rule did not, and for every pair of the unpruned NO_SYMMETRY reference.
+generation in McKay's sense).  It holds the pair swap and the fiber sign
+changes (w1, w2) -> (+-w1, +-w2), O(2,Z), unless the on-cubic ansatz pair
+is in the box: that single pair is no sign orbit, so such a query keeps the
+swap alone and the keys it always had.  Every filter is sign-invariant: a
+sign change of w_l flips q_l and Q(w_l,F), so lambda_l w_l, the ray
+condition, the cyt and balanced verdicts, F, the scale and the route stay;
+so do the squares (skt), the mod-2 classes (spin) and, as P = W G only
+changes row signs, the minors and the topology label.  The permutations
+S_k of the exceptional coordinates 1..k join when they fix the model's
+Gram matrix and c1, the query's ray (if any) has equal exceptional
+coordinates, and no ansatz pair is in the box.  The search walks only w1
+with non-decreasing exceptional coordinates and, with the signs, only the
+leads -b..0 (a minimal pair has w1[0] <= w2[0] <= 0), and evaluates a pair
+only when it is the lexicographic minimum of its orbit.  That minimum is
+the canonical key (the least image, columns sorted) and the pair the
+unpruned enumeration would emit first for the orbit, so the catalog is the
+unpruned one reduced by the group.  When the search's group is the key's
+own group (with the permutations exactly when they fix the model), an
+evaluated pair spells its key as it stands, and each bundle is evaluated,
+rechecked and written once.  _orbit_min still spells the key when the
+search leaves out permutations that fix the model (an unsymmetric ray, an
+in-box ansatz pair), where the key sorts what the orbit rule did not, and
+for every pair of the unpruned NO_SYMMETRY reference, whose key leaves out
+the signs.
 
 Under the permutations the trace-free candidates are generated with
 non-decreasing exceptional coordinates.  They join only w1 proportional to
@@ -109,6 +116,13 @@ _Pair = tuple[tuple[int, ...], tuple[int, ...]]
 # (None for the ansatz); None for an ansatz partner when the ansatz has no solution
 _Source = Optional[tuple[CohClass, str, Optional[str]]]
 
+# the groups a search reduces by, named by their generators; search_symmetry returns
+# the last three, and NO_SYMMETRY, which evaluates every visited pair, is the tests' reference
+NO_SYMMETRY = "none"
+SWAP = "swap"
+SIGNS_AND_SWAP = "signs+swap"
+PERMUTE_SIGNS_AND_SWAP = "exceptionals+signs+swap"
+
 
 @dataclass(frozen=True)
 class SearchQuery:
@@ -144,6 +158,8 @@ class SearchStats:
     records_emitted: int
     exhausted: bool = True  # False only when --limit cut a record
     pairs_skipped: int = 0  # visited pairs not evaluated (orbit rule, merged keys)
+    symmetry: str = SWAP  # the group the catalog is reduced by, a search_symmetry name
+    chunk_records: tuple[int, ...] = ()  # records each lead chunk wrote before the merge, in lead order
     cyt_routes: tuple[str, ...] = ()  # the rays the plan kept: "ray", "anticanonical_ray"
     # evaluated pairs each stage rejected, per REJECT_STAGES name, summed over
     # the chunks in chunk order
@@ -183,57 +199,36 @@ def _pair_text(a: tuple[int, ...], b: tuple[int, ...]) -> str:
     return ",".join(map(str, a)) + "|" + ",".join(map(str, b))
 
 
-def _canonical_key(a: tuple[int, ...], b: tuple[int, ...], permute: bool) -> str:
-    """Least of the pair and its swap, with the exceptional coordinates
-    sorted column-wise when permute is set, as 'a0,a1,..|b0,b1,..'."""
-
-    def canon(x: tuple, y: tuple) -> _Pair:
-        if permute:
-            xs, ys = zip(*sorted(zip(x[1:], y[1:])))
-            return (x[0], *xs), (y[0], *ys)
-        return x, y
-
-    # the halves have equal lengths, so pairs compare as their concatenations
-    return _pair_text(*min(canon(a, b), canon(b, a)))
+def _orbit_min(v1: tuple[int, ...], v2: tuple[int, ...], permute: bool, signs: bool) -> _Pair:
+    """The least image of the pair under the swap, the sign changes (+-v1, +-v2)
+    when signs is set and the permutations of the exceptional coordinates of
+    both halves when permute is set.  Permutations fix the leads, so only
+    images of least leads are sorted; pairs compare as their concatenations."""
+    if signs:  # each half signed to a lead <= 0, both ways when its lead is 0
+        low1, low2 = ([v] if v[0] < 0 else [tuple(-c for c in v)] + [v] * (v[0] == 0) for v in (v1, v2))
+        images = [(x, y) for xs, ys in ((low1, low2), (low2, low1)) for x in xs for y in ys]
+    else:
+        images = [(v1, v2), (v2, v1)]
+    least = min((x[0], y[0]) for x, y in images)
+    images = [(x, y) for x, y in images if (x[0], y[0]) == least]
+    if permute:
+        images = [((x[0], *xs), (y[0], *ys)) for x, y in images for xs, ys in [zip(*sorted(zip(x[1:], y[1:])))]]
+    return min(images)
 
 
 # -- orbit rule ----------------------------------------------------------
 
-# search_symmetry never returns NO_SYMMETRY; it evaluates every visited pair
-# and is the unpruned reference the tests compare against
-NO_SYMMETRY = "none"
-SWAP = "swap"
-PERMUTE_AND_SWAP = "exceptionals+swap"
-
 
 def search_symmetry(query: SearchQuery, permute: bool, ansatz_pair: Optional[_Pair]) -> str:
     """The group the candidate locus and every filter of the query are
-    invariant under: always the pair swap, and the permutations of the
-    exceptional coordinates when they fix the model (permute), the ray and
-    the in-box ansatz pair (which they never fix)."""
+    invariant under: the swap alone when the ansatz pair is in the box, else
+    the swap and the signs, with the permutations of the exceptional
+    coordinates when they fix the model (permute) and the ray."""
+    if ansatz_pair is not None:
+        return SWAP
     ray = query.ray
     symmetric_ray = ray is None or all(c == ray.coeffs[1] for c in ray.coeffs[2:])
-    return PERMUTE_AND_SWAP if permute and symmetric_ray and ansatz_pair is None else SWAP
-
-
-def _equal_runs(v: tuple[int, ...]) -> list[int]:
-    """Indices i >= 1 with v[i] == v[i + 1]."""
-    return [i for i in range(1, len(v) - 1) if v[i] == v[i + 1]]
-
-
-def _is_orbit_minimum(v1: tuple, v2: tuple, runs: list[int], permute: bool) -> bool:
-    """Whether (v1, v2) is the least member of its orbit under the swap and,
-    when permute is set, the exceptional permutations; then v1 must have
-    sorted exceptional coordinates and runs = _equal_runs(v1)."""
-    if not permute:
-        return v1 <= v2
-    for i in runs:
-        if v2[i] > v2[i + 1]:
-            return False
-    if v1[0] != v2[0]:
-        return v1[0] < v2[0]
-    xs, ys = zip(*sorted(zip(v2[1:], v1[1:])))
-    return v1[1:] + v2[1:] <= xs + ys
+    return PERMUTE_SIGNS_AND_SWAP if permute and symmetric_ray else SIGNS_AND_SWAP
 
 
 # -- candidate generation ------------------------------------------------
@@ -399,9 +394,10 @@ class _Plan:
         self.ansatz_pair = _ansatz_pair(query)
         sol = solve_symmetric_ansatz(model.rank - 1) if self.ansatz_pair is not None else None
         self.ansatz_source = (sol.kahler_class, "ansatz", None) if sol is not None else None
-        symmetry = search_symmetry(query, self.permute, self.ansatz_pair)
-        self.prune = symmetry != NO_SYMMETRY
-        self.sorted_v1 = symmetry == PERMUTE_AND_SWAP
+        self.symmetry = search_symmetry(query, self.permute, self.ansatz_pair)
+        self.prune = self.symmetry != NO_SYMMETRY
+        self.sorted_v1 = "exceptionals" in self.symmetry
+        self.signs = "signs" in self.symmetry  # then a minimal w1 has lead <= 0
 
         self.rays: list[_RayData] = []
         if "cyt" in query.filters:
@@ -466,6 +462,7 @@ class _Plan:
         own_key = self.prune and self.sorted_v1 == self.permute
         spin = "spin" in self.screen_flags
         cyt = "cyt" in self.query.filters
+        top = 0 if self.signs else bound  # an orbit minimum has lead <= w2[0] <= top
         if cyt and not self.rays:
             # only the ansatz pair has candidates: walk its vectors, not the box
             v1s: Iterable[tuple[int, ...]] = sorted({v for v in self.ansatz_pair or () if v[0] == lead})
@@ -477,11 +474,16 @@ class _Plan:
             if not cands:
                 continue
             with_candidates += 1
-            runs = _equal_runs(v1) if self.sorted_v1 else []
+            # an orbit minimum's w2 is sorted on each run of equal exceptional coordinates of w1
+            runs = [i for i in range(1, rank - 1) if v1[i] == v1[i + 1]] if self.sorted_v1 else []
             m1 = _gf2_mask(v1) if spin else None
             for v2 in cands:
                 visited += 1
-                if self.prune and not _is_orbit_minimum(v1, v2, runs, self.sorted_v1):
+                if self.prune and (
+                    not lead <= v2[0] <= top
+                    or any(v2[i] > v2[i + 1] for i in runs)
+                    or _orbit_min(v1, v2, self.sorted_v1, self.signs) != (v1, v2)
+                ):
                     skipped += 1
                     continue
                 if spin or self.skt:
@@ -489,7 +491,7 @@ class _Plan:
                     if stage is not None:
                         rejected[stage] += 1
                         continue
-                key = _pair_text(v1, v2) if own_key else _canonical_key(v1, v2, self.permute)
+                key = _pair_text(*((v1, v2) if own_key else _orbit_min(v1, v2, self.permute, self.signs)))
                 # without the permutations in the group the key still merges
                 # permuted pairs; the merge keeps the first, so later ones can go
                 if key in passed_keys:
@@ -589,7 +591,7 @@ def search(
             )
 
     plan = _Plan(query)
-    leads = list(range(-bound, bound + 1))
+    leads = list(range(-bound, 1 if plan.signs else bound + 1))
     nthreads = resolve_threads(threads)
     if nthreads <= 1 or len(leads) <= 1 or ("cyt" in query.filters and not plan.rays):
         results = []
@@ -625,6 +627,8 @@ def search(
         records_emitted=len(emitted),
         exhausted=len(emitted) == len(merged),
         pairs_skipped=skipped,
+        symmetry=plan.symmetry,
+        chunk_records=tuple(len(records) for records, _, _ in results),
         cyt_routes=tuple(data.name for data in plan.rays),
         rejected=rejected,
         omega1_walked=walked,

@@ -7,14 +7,18 @@ acceptance criterion on property coverage and are also handy to run ad hoc.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import pickle
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 from typing import Callable
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -39,7 +43,7 @@ from cytforge.scalars import (
     parse_scalar,
     quadratic,
 )
-from cytforge.search import SearchQuery, _Plan, _RayData, search
+from cytforge.search import NO_SYMMETRY, VALID_FILTERS, SearchQuery, _Plan, _RayData, search
 from cytforge.skt import hodge_obstruction, verify_skt
 from cytforge.surfaces import (
     CohClass,
@@ -47,10 +51,14 @@ from cytforge.surfaces import (
     blowup_cp2,
     custom_model,
     intersect,
+    parse_class,
     projective_plane,
     quadric,
 )
 from cytforge.topology import SpectralTables, topology_certificate
+
+# the package attribute `search` is the function, so reach the module by name
+search_module = importlib.import_module("cytforge.search")
 
 SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 15, 114)
 
@@ -231,25 +239,66 @@ def run_hodge_suite(cases: int = 1000, seed: int = 106) -> int:
     return done
 
 
-def reference_key(model, v1: tuple, v2: tuple) -> str:
-    """The dedup key from its definition, sharing no code with the search:
-    the least of the pair and its swap as 'a0,a1,..|b0,b1,..', with the
-    exceptional columns sorted when every transposition of the coordinates
-    1..k fixes the Gram matrix and c1."""
-    g, c1, rank = model.gram, model.c1.coeffs, model.rank
+@lru_cache(maxsize=None)
+def _reference_permutes(g: tuple, c1: tuple) -> bool:
+    """Whether every transposition of the coordinates 1..k fixes g and c1."""
+    rank = len(c1)
 
     def fixes(i: int, j: int) -> bool:
         p = [j if a == i else i if a == j else a for a in range(rank)]
         return c1[i] == c1[j] and all(g[p[a]][p[b]] == g[a][b] for a in range(rank) for b in range(rank))
 
-    permute = all(fixes(i, j) for i, j in combinations(range(1, rank), 2))
+    return all(fixes(i, j) for i, j in combinations(range(1, rank), 2))
+
+
+def reference_key(model, v1: tuple, v2: tuple, signs: bool = True) -> str:
+    """The dedup key from its definition, sharing no code with the search:
+    the least of the pair's images under the swap and, with signs, the fiber
+    sign changes (w1, w2) -> (+-w1, +-w2), as 'a0,a1,..|b0,b1,..', with the
+    exceptional columns sorted when every transposition of the coordinates
+    1..k fixes the Gram matrix and c1."""
+    rank = model.rank
+    permute = _reference_permutes(tuple(map(tuple, model.gram)), tuple(model.c1.coeffs))
 
     def canon(x: tuple, y: tuple) -> tuple:
         columns = sorted(zip(x[1:], y[1:])) if permute else list(zip(x[1:], y[1:]))
         return (x[0], *(c[0] for c in columns), y[0], *(c[1] for c in columns))
 
-    best = min(canon(v1, v2), canon(v2, v1))
+    def negated(v: tuple) -> tuple:
+        return tuple(-c for c in v)
+
+    images = [(v1, v2), (v2, v1)]
+    if signs:
+        images += [(x, y) for a, b in images for x, y in ((negated(a), b), (a, negated(b)), (negated(a), negated(b)))]
+    best = min(canon(x, y) for x, y in images)
     return ",".join(map(str, best[:rank])) + "|" + ",".join(map(str, best[rank:]))
+
+
+@contextmanager
+def search_group(group: Callable[[str], str]):
+    """Run the search under group(its own group): for example the unpruned
+    NO_SYMMETRY reference, or the groups without the fiber signs."""
+    own = search_module.search_symmetry
+    with patch.object(search_module, "search_symmetry", lambda *args: group(own(*args))):
+        yield
+
+
+def without_signs():
+    """The search as it was before the fiber signs joined its group, S_k x
+    swap or the swap alone: it writes the v1 catalogs, keyed without signs."""
+    return search_group(lambda group: group.replace("signs+", ""))
+
+
+def sign_reduced(model, records) -> list:
+    """A catalog keyed without the fiber signs, reduced by them: the first
+    record of each key with the signs, under that key."""
+    out, seen = [], set()
+    for rec in records:
+        key = reference_key(model, rec.omega1, rec.omega2)
+        if key not in seen:
+            seen.add(key)
+            out.append(dataclasses.replace(rec, canonical_key=key))
+    return out
 
 
 def _reverify_record(model, rec) -> None:
@@ -261,6 +310,47 @@ def _reverify_record(model, rec) -> None:
         assert verify_skt(bundle).verdict == rec.flags.skt
     if rec.flags.topology_label is not None:
         assert topology_certificate(bundle).diffeo_label == rec.flags.topology_label
+
+
+# models for random queries, each with rays of positive square for a cyt
+# filter: symmetric ones and, where S_k is not trivial, unsymmetric ones; the
+# last model's diag(1,-1,-1,-2) is fixed by no permutation, so it keeps the
+# swap and the signs alone
+_ORBIT_MODELS = (
+    (blowup_cp2(1), (None, "[2,-1]")),
+    (blowup_cp2(2), (None, "[4,-1,-1]", "[4,-1,-2]")),
+    (blowup_cp2(3), (None, "[5,-1,-1,-1]", "[5,-2,-1,-1]")),
+    (quadric(), (None, "[1,2]")),
+    (custom_model("swap_only", [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]], [3, -1, -1, -1],
+                  curves=[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ample_witness=[3, -1, -1, -1], simply_connected=True),
+     (None, "[3,-1,-1,-1]")),
+)
+
+
+def run_orbit_reduction(cases: int = 40, seed: int = 107) -> int:
+    """Random small queries emit exactly one record per orbit under the fiber
+    signs of the unpruned NO_SYMMETRY reference's records: its catalog,
+    keyed without the signs, reduced by them (the first record of each key
+    with the signs), cut at the query's limit.  Serial and 2-worker catalogs
+    are byte-identical.  Covers cyt on the box or a ray, skt, balanced, spin,
+    topology, unfiltered boxes and --limit."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        model, rays = _ORBIT_MODELS[case % len(_ORBIT_MODELS)]
+        filters = frozenset(rng.sample(VALID_FILTERS, rng.randint(0, 3)) + ["cyt"] * (case % 2))
+        ray = rng.choice(rays) if "cyt" in filters or "balanced" in filters else None
+        bound = rng.randint(2, 3) if "cyt" in filters else rng.randint(1, 2) if "skt" in filters else 1
+        limit = rng.choice([None, None, rng.randint(0, 5)])
+        query = SearchQuery(model, bound, filters, ray=parse_class(model, ray) if ray else None, limit=limit)
+        with search_group(lambda group: NO_SYMMETRY):
+            reference, _ = search(dataclasses.replace(query, limit=None), threads=1)
+        want = [r.to_line() for r in sign_reduced(model, reference)]
+        for threads in (1, 2):
+            records, stats = search(query, threads=threads)
+            assert "signs" in stats.symmetry, query
+            assert [r.to_line() for r in records] == want[:limit], (query, threads)
+            assert stats.exhausted == (limit is None or limit >= len(want))
+    return cases
 
 
 def run_search_determinism_and_reverify() -> int:
@@ -276,6 +366,12 @@ def run_search_determinism_and_reverify() -> int:
                                 filters=frozenset({"skt"}))),
         (quadric(), SearchQuery(model=quadric(), coeff_bound=1,
                                 filters=frozenset({"cyt", "skt"}))),
+        # one record per bundle up to S_k and the fiber signs: larger
+        # queries keep the record count at or above a thousand
+        (blowup_cp2(3), SearchQuery(model=blowup_cp2(3), coeff_bound=2,
+                                    filters=frozenset({"skt"}))),
+        (blowup_cp2(5), SearchQuery(model=blowup_cp2(5), coeff_bound=3,
+                                    filters=frozenset({"cyt", "topology", "spin"}))),
     ]
     cases = 0
     for model, query in queries:

@@ -20,7 +20,7 @@ from cytforge.cyt import (
     verify_cyt,
 )
 from cytforge.scalars import exact_sign, quadratic
-from cytforge.search import SearchQuery, _canonical_key, _permutes_exceptionals, search
+from cytforge.search import SearchQuery, search
 from cytforge.skt import verify_skt
 from cytforge.surfaces import (
     CohClass,
@@ -200,7 +200,7 @@ def test_criterion_10_search_finds_construction():
         m = blowup_cp2(2)
         query = SearchQuery(model=m, coeff_bound=3, filters=frozenset({"cyt", "topology"}))
         records, stats = search(query, threads=4)
-        key = _canonical_key((3, -1, -1), (1, -2, -1), _permutes_exceptionals(m))
+        key = property_suites.reference_key(m, (3, -1, -1), (1, -2, -1))
         hits = [r for r in records if r.canonical_key == key]
         assert hits, "the two-point pair must appear (as its dedup representative)"
         assert hits[0].kahler_class() == 2 * m.c1

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib
 import itertools
@@ -13,7 +14,8 @@ from cytforge.intlinalg import _gf2_mask
 from cytforge.search import (
     REJECT_STAGES,
     SearchQuery,
-    _canonical_key,
+    _orbit_min,
+    _pair_text,
     _permutes_exceptionals,
     resolve_threads,
     search,
@@ -31,11 +33,16 @@ def keys_of(records):
     return [r.canonical_key for r in records]
 
 
+def orbit_key(model, v1, v2, signs=True):
+    """The search's key for the pair: its least image, spelled."""
+    return _pair_text(*_orbit_min(v1, v2, _permutes_exceptionals(model), signs))
+
+
 def test_finds_two_point_construction():
     q = SearchQuery(model=blowup_cp2(2), coeff_bound=3, filters=frozenset({"cyt", "topology"}))
     records, stats = search(q, threads=1)
     m = blowup_cp2(2)
-    key = _canonical_key((3, -1, -1), (1, -2, -1), _permutes_exceptionals(m))
+    key = orbit_key(m, (3, -1, -1), (1, -2, -1))
     hits = [r for r in records if r.canonical_key == key]
     assert hits, "the two-point construction must be discovered"
     rec = hits[0]
@@ -49,7 +56,7 @@ def test_finds_quadric_pair():
     model = quadric()
     q = SearchQuery(model=model, coeff_bound=1, filters=frozenset({"cyt", "skt"}))
     records, _ = search(q, threads=1)
-    key = _canonical_key((1, 0), (0, 1), _permutes_exceptionals(model))
+    key = orbit_key(model, (1, 0), (0, 1))
     assert key in keys_of(records)
 
 
@@ -89,19 +96,28 @@ def test_emission_is_lexicographic():
 
 
 def test_canonical_form_orbits():
-    permute = _permutes_exceptionals(blowup_cp2(3))
+    m3 = blowup_cp2(3)
     c1, e1_e2, e2_e3 = (3, -1, -1, -1), (0, 1, -1, 0), (0, 0, 1, -1)
-    a = _canonical_key(c1, e1_e2, permute)
-    assert a == _canonical_key(c1, e2_e3, permute) == _canonical_key(e2_e3, c1, permute)
-    q = _permutes_exceptionals(quadric())
-    assert _canonical_key((1, 0), (0, 1), q) == _canonical_key((0, 1), (1, 0), q)  # (C, D) and (D, C)
-    assert a != _canonical_key((1, 0, 0, 0), (0, 1, 0, 0), permute)  # (H, E1)
+
+    def neg(v):
+        return tuple(-c for c in v)
+
+    for signs in (False, True):
+        a = orbit_key(m3, c1, e1_e2, signs)
+        assert a == orbit_key(m3, c1, e2_e3, signs) == orbit_key(m3, e2_e3, c1, signs)
+        q = quadric()
+        assert orbit_key(q, (1, 0), (0, 1), signs) == orbit_key(q, (0, 1), (1, 0), signs)  # (C, D) and (D, C)
+        assert a != orbit_key(m3, (1, 0, 0, 0), (0, 1, 0, 0), signs)  # (H, E1)
+        # a fiber sign change moves the pair into the orbit only with the signs
+        flipped = {orbit_key(m3, neg(c1), e1_e2, signs), orbit_key(m3, neg(c1), neg(e2_e3), signs)}
+        assert flipped == {a} if signs else a not in flipped
+    assert orbit_key(m3, c1, e1_e2) == "-3,1,1,1|0,-1,0,1"
 
 
 def test_canonical_form_is_orbit_minimum():
     """Column-sorting must agree with brute-force minimization over the group,
     which is the swap alone when some permutation of E1..E3 moves the Gram
-    matrix or c1."""
+    matrix or c1, times the fiber sign changes when signs is set."""
     import random
 
     rng = random.Random(77)
@@ -115,18 +131,20 @@ def test_canonical_form_is_orbit_minimum():
         for _ in range(60):
             v1 = tuple(rng.randint(-2, 2) for _ in range(4))
             v2 = tuple(rng.randint(-2, 2) for _ in range(4))
-            key = _canonical_key(v1, v2, _permutes_exceptionals(m))
-            best = None
-            for perm in perms:
-                for a, b in ((v1, v2), (v2, v1)):
-                    pa = (a[0],) + tuple(a[i] for i in perm)
-                    pb = (b[0],) + tuple(b[i] for i in perm)
-                    cand = pa + pb
-                    if best is None or cand < best:
-                        best = cand
-            half = len(best) // 2
-            oracle = ",".join(map(str, best[:half])) + "|" + ",".join(map(str, best[half:]))
-            assert key == oracle == property_suites.reference_key(m, v1, v2)
+            for signs in (False, True):
+                key = orbit_key(m, v1, v2, signs)
+                best = None
+                for perm in perms:
+                    for a, b in ((v1, v2), (v2, v1)):
+                        for s1, s2 in ((1, 1), (-1, 1), (1, -1), (-1, -1)) if signs else ((1, 1),):
+                            pa = (s1 * a[0],) + tuple(s1 * a[i] for i in perm)
+                            pb = (s2 * b[0],) + tuple(s2 * b[i] for i in perm)
+                            cand = pa + pb
+                            if best is None or cand < best:
+                                best = cand
+                half = len(best) // 2
+                oracle = ",".join(map(str, best[:half])) + "|" + ",".join(map(str, best[half:]))
+                assert key == oracle == property_suites.reference_key(m, v1, v2, signs)
 
 
 def test_labels_found_for_small_k():
@@ -190,63 +208,118 @@ def test_record_must_stand_on_full_certificate(monkeypatch):
         search(q, threads=1)
 
 
-# sha256 of the catalog bytes `cytforge search --out` wrote for these queries
-# before search and topology moved to integer tuples; they must not move
-FROZEN_CATALOGS = (
-    (
-        frozenset({"cyt", "topology", "spin"}),
-        "4e6761a9ed00804bdec39da6b6964f3f304b6501e263610872b928edab65929f",
-    ),
-    (
-        frozenset({"skt"}),
-        "34d834b19d45f82414c3e96b359eac0b64d2025aa540be19f6e48a6de9862b24",
-    ),
-)
-
-
-@pytest.mark.parametrize("filters,digest", FROZEN_CATALOGS)
-def test_catalog_bytes_frozen(tmp_path, filters, digest):
+def frozen_without_and_with_signs(tmp_path, query, threads, v1, v2):
+    """Check the catalog of the query written with the fiber sign variants
+    off (v1, S_k x swap as before they joined) and on (v2), each against
+    (sha256, (visited, skipped, records)), and the v2 one against the v1 one
+    reduced by the signs; returns both record lists."""
     import hashlib
 
     from cytforge.catalog import append_records
 
-    records, _ = search(SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=filters), threads=1)
-    path = tmp_path / "catalog.jsonl"
-    append_records(str(path), records)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    runs = []
+    for group, (digest, counts) in ((property_suites.without_signs(), v1), (contextlib.nullcontext(), v2)):
+        with group:
+            records, stats = search(query, threads=threads)
+        path = tmp_path / f"catalog-{len(runs)}.jsonl"
+        path.unlink(missing_ok=True)  # append_records appends
+        append_records(str(path), records)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, len(runs)
+        assert (stats.pairs_evaluated, stats.pairs_skipped, stats.records_emitted) == counts, len(runs)
+        runs.append(records)
+    old, new = runs
+    if "signs" in stats.symmetry:
+        old = property_suites.sign_reduced(query.model, old)
+    assert [r.to_line() for r in old] == [r.to_line() for r in new]
+    return runs
+
+
+# sha256 of the catalog bytes `cytforge search --out` wrote for these queries
+# before search and topology moved to integer tuples (v1), and after the
+# fiber signs joined the group (v2), with the (visited, skipped, records)
+# of each; they must not move
+FROZEN_CATALOGS = (
+    (
+        frozenset({"cyt", "topology", "spin"}),
+        ("4e6761a9ed00804bdec39da6b6964f3f304b6501e263610872b928edab65929f", (24, 12, 12)),
+        ("d19e221cac34e4b167c29cd9aaa9e4bf1bdc3d793e8650535e948c911de6029c", (12, 9, 3)),
+    ),
+    (
+        frozenset({"skt"}),
+        ("34d834b19d45f82414c3e96b359eac0b64d2025aa540be19f6e48a6de9862b24", (2665, 1892, 773)),
+        ("4b628ce0719b0ed80901ed9abbd9cef48116cb5a04391f9b32cc6b1707b4e67c", (1425, 1226, 199)),
+    ),
+)
+
+
+@pytest.mark.parametrize("filters,v1,v2", FROZEN_CATALOGS, ids=[f"filters{i}-{c[1][0]}" for i, c in enumerate(FROZEN_CATALOGS)])
+def test_catalog_bytes_frozen(tmp_path, filters, v1, v2):
+    query = SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=filters)
+    frozen_without_and_with_signs(tmp_path, query, 1, v1, v2)
 
 
 # sha256 of the `cytforge search --out` catalogs for blowup_cp2(k) at bound 3
 # with cyt+topology+spin, written before the trace-free candidates were
-# generated sorted; (visited, skipped, records) are the counts after it
+# generated sorted (v1, with the counts after it), and after the fiber
+# signs joined the group (v2); (visited, skipped, records) with each
 FROZEN_WALL_CATALOGS = (
-    (5, "1f24e4e1b4d28f689618406d5f77ad2960b8f56ea23c8265611ac6e86722550d", (904, 446, 346)),
-    (6, "9d3d190f6972b5938e8f00ec769fe17b5aa41dedf903281fedfb5190e9e2c661", (1200, 590, 526)),
+    (
+        5,
+        ("1f24e4e1b4d28f689618406d5f77ad2960b8f56ea23c8265611ac6e86722550d", (904, 446, 346)),
+        ("fe9b3a4c3398f4c7787ebd34aca1b8ee9eb5d02fb16ec21b39b9feca5a643e11", (512, 391, 89)),
+    ),
+    (
+        6,
+        ("9d3d190f6972b5938e8f00ec769fe17b5aa41dedf903281fedfb5190e9e2c661", (1200, 590, 526)),
+        ("67ba5602a68b7dedb5ffa806991f20778fa5ac30a43bd30a8151ad135ec12e08", (658, 493, 138)),
+    ),
 )
 
 
-@pytest.mark.parametrize("k,digest,counts", FROZEN_WALL_CATALOGS)
-def test_sorted_trace_free_catalog_bytes_frozen(tmp_path, k, digest, counts):
-    import hashlib
-
-    from cytforge.catalog import append_records
-
+@pytest.mark.parametrize(
+    "k,v1,v2", FROZEN_WALL_CATALOGS, ids=[f"{c[0]}-{c[1][0]}-counts{i}" for i, c in enumerate(FROZEN_WALL_CATALOGS)]
+)
+def test_sorted_trace_free_catalog_bytes_frozen(tmp_path, k, v1, v2):
     filters = frozenset({"cyt", "topology", "spin"})
-    records, stats = search(SearchQuery(model=blowup_cp2(k), coeff_bound=3, filters=filters), threads=2)
-    path = tmp_path / "catalog.jsonl"
-    append_records(str(path), records)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    assert (stats.pairs_evaluated, stats.pairs_skipped, stats.records_emitted) == counts
+    query = SearchQuery(model=blowup_cp2(k), coeff_bound=3, filters=filters)
+    frozen_without_and_with_signs(tmp_path, query, 2, v1, v2)
+
+
+# the catalogs CI writes with `cytforge search --out` (model, bound, filters;
+# the v1 and v2 digests with their counts, as its stderr line states them):
+# the search wall, the spin filter without cyt and the one-shot skt catalog.
+# CI checks the v2 side, serial and on 2 workers; this checks both sides
+_WALL = ("cyt", "topology", "spin")
+CI_CATALOGS = [
+    (7, 3, _WALL, ("447db0049faab6f5622630af1a550aba36f0dc245f262e55de2562d2b1d56d8e", (2784, 1382, 1238)),
+     ("eefb5e7fc1680a3f746971fc549b34772cea81b296afce46d68fbd807bf42432", (1564, 1201, 316))),
+    (8, 3, _WALL, ("8e22a89f54449fc13ccc3a034e0f19ab08f6cde5fea3db44225421076a093a7d", (3424, 1697, 1604)),
+     ("0af8598312fe03f9d9d9c9dc24544bb7852f4eff2e767703491b7f5bf6e472d6", (1863, 1410, 414))),
+    (8, 4, _WALL, ("51ecb1293e007bc7be76b753735da9d5216870ee38ccf1527fbd93d4ac884dd6", (16156, 8043, 6938)),
+     ("0a9647b267b87a2f5588cc157fa30b08977bee3258f8f95e9bebfa27fa929c23", (8604, 6532, 1760))),
+    (8, 5, _WALL, ("a7ddfa24543779efa3e0f075affe9646ae516abf86177b89a7875b60c6a53ce2", (59872, 29866, 24646)),
+     ("9a7bc8d9b6c72d61ed396e1447c506a2a213fe0ee95d542b6be251f5203cf693", (31450, 23868, 6213))),
+    (3, 2, ("spin", "topology"), ("bb3cbee06323e5da37919e18675d951ff01664e2a0ccb4260b9f8c2d859b4745", (109375, 72600, 3376)),
+     ("cec7b4747f3c1f44ba8d20928f573296a1cc21fc3560ad909629f2e5b6c6ad58", (65625, 56270, 849))),
+    (4, 2, ("skt", "spin"), ("2b565f5a845426162391d340cd5446f31b78f16bfc71ff2fb6170aba76ca4946", (8349, 6467, 64)),
+     ("f16af4bf6b1280925e57d4ff5ea5e03540f3ccb8a8c8364576a501566b45a53e", (4384, 3901, 16))),
+    (3, 3, ("skt",), ("3c93af7fcfa642fcf814391d00b7750da75a23845b060d6ef37b5a18a4dd085e", (15253, 10120, 5133)),
+     ("e53631831716964d7f2c9535f31d12ff9617a4eddb33b8ee56e64aff364c6364", (8015, 6716, 1299))),
+]
+
+
+@pytest.mark.parametrize("k,bound,filters,v1,v2", CI_CATALOGS, ids=[f"k{c[0]}-b{c[1]}-{'+'.join(c[2])}" for c in CI_CATALOGS])
+def test_ci_catalogs_without_and_with_signs(tmp_path, k, bound, filters, v1, v2):
+    query = SearchQuery(model=blowup_cp2(k), coeff_bound=bound, filters=frozenset(filters))
+    frozen_without_and_with_signs(tmp_path, query, 2, v1, v2)
 
 
 def test_an_asymmetric_ray_routes_a_pair_by_the_first_ray_that_generates_it(tmp_path):
-    # the swap alone: unsorted w1, the solved-coordinate trace-free scan and
-    # two rays, with 936 of the 7768 candidates generated by both; those
-    # take the query's ray, the first plan ray, as the catalog bytes record
-    import hashlib
+    # signs and swap, no permutations: unsorted w1, the solved-coordinate
+    # trace-free scan and two rays, with 936 of the box candidates generated
+    # by both; those take the query's ray, the first plan ray, as the catalog
+    # bytes record, with the signs (v2) and without (v1)
     from collections import Counter
-
-    from cytforge.catalog import append_records
 
     model = blowup_cp2(4)
     ray = parse_class(model, "5H-2E1-E2-E3-E4")
@@ -255,17 +328,20 @@ def test_an_asymmetric_ray_routes_a_pair_by_the_first_ray_that_generates_it(tmp_
     assert [data.name for data in plan.rays] == ["ray", "anticanonical_ray"] and not plan.sorted_v1
     found = [[data.candidates_for(v1) for data in plan.rays] for v1 in itertools.product(range(-3, 4), repeat=5)]
     assert sum(len(on_ray.keys() & on_c1.keys()) for on_ray, on_c1 in found) == 936
+    v1 = ("b22bff44122a153d6dd8669a353893af9fe9ddb3f4e71968859dbe46749f71d6", (7768, 6433, 466))
+    v2 = ("dc07d720866b09b336dd8379bcd2508349561c579e822248d6ef3b60b6791a4f", (4417, 4080, 119))
     for threads in (1, 2):
-        records, stats = search(q, threads=threads)
-        path = tmp_path / f"asym-t{threads}.jsonl"
-        append_records(str(path), records)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "b22bff44122a153d6dd8669a353893af9fe9ddb3f4e71968859dbe46749f71d6"
-        )
-        assert Counter(r.flags.cyt_route for r in records) == {"ray": 320, "anticanonical_ray": 146}
-        assert (stats.pairs_evaluated, stats.pairs_skipped, stats.rejected["topology"]) == (7768, 6433, 869)
-        on_both = [r for r in records if all(r.omega2 in data.candidates_for(r.omega1) for data in plan.rays)]
-        assert {r.flags.cyt_route for r in on_both} == {"ray"}
+        old, records = frozen_without_and_with_signs(tmp_path, q, threads, v1, v2)
+        assert Counter(r.flags.cyt_route for r in old) == {"ray": 320, "anticanonical_ray": 146}
+        assert Counter(r.flags.cyt_route for r in records) == {"ray": 77, "anticanonical_ray": 42}
+        assert search(q, threads=threads)[1].rejected["topology"] == 218
+        on_both = [[r for r in catalog if all(r.omega2 in data.candidates_for(r.omega1) for data in plan.rays)]
+                   for catalog in (old, records)]
+        assert len(on_both[0]) == 12 and {r.flags.cyt_route for r in on_both[0]} == {"ray"}
+        # the key merges permuted pairs, and with the signs an earlier pair on one ray leads each of those keys
+        assert on_both[1] == []
+    with property_suites.without_signs():
+        assert search(q, threads=1)[1].rejected["topology"] == 869
 
 
 # -- orbit-pruned enumeration ----------------------------------------------
@@ -293,35 +369,43 @@ def test_symmetry_predicate():
 
     m3 = blowup_cp2(3)
     cyt = frozenset({"cyt"})
-    assert group(SearchQuery(model=m3, coeff_bound=2, filters=cyt)) == s.PERMUTE_AND_SWAP
+    assert group(SearchQuery(model=m3, coeff_bound=2, filters=cyt)) == s.PERMUTE_SIGNS_AND_SWAP
     sym_ray = SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-E1-E2-E3"))
-    assert group(sym_ray) == s.PERMUTE_AND_SWAP
+    assert group(sym_ray) == s.PERMUTE_SIGNS_AND_SWAP
     odd_ray = SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-2E1-E2-E3"))
-    assert group(odd_ray) == s.SWAP
+    assert group(odd_ray) == s.SIGNS_AND_SWAP
     custom = custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1], basis_labels=["H", "E1", "E2", "E3"])
-    assert group(SearchQuery(model=custom, coeff_bound=2, filters=cyt)) == s.SWAP
-    # the ansatz pair 4H-2(E1+..+E4)-(E5+..+E9), -H+E1+..+E4 is in the box at bound 4
+    assert group(SearchQuery(model=custom, coeff_bound=2, filters=cyt)) == s.SIGNS_AND_SWAP
+    # the ansatz pair 4H-2(E1+..+E4)-(E5+..+E9), -H+E1+..+E4 is in the box at
+    # bound 4, and neither its sign changes nor its permutations are candidates
     cubic = blowup_cp2(9, "on_cubic")
     assert group(SearchQuery(model=cubic, coeff_bound=4, filters=cyt)) == s.SWAP
-    assert group(SearchQuery(model=cubic, coeff_bound=3, filters=cyt)) == s.PERMUTE_AND_SWAP
-    assert group(SearchQuery(model=cubic, coeff_bound=4, filters=frozenset({"skt"}))) == s.PERMUTE_AND_SWAP
+    assert group(SearchQuery(model=cubic, coeff_bound=3, filters=cyt)) == s.PERMUTE_SIGNS_AND_SWAP
+    assert group(SearchQuery(model=cubic, coeff_bound=4, filters=frozenset({"skt"}))) == s.PERMUTE_SIGNS_AND_SWAP
 
 
 def test_orbit_minimum_matches_the_canonical_key():
+    # the least image is the oracle's key, and the walk's sorted w1 and its
+    # leads, and the rule's lead range and runs test, are necessary
+    # conditions for a pair to be its own orbit minimum
     import random
 
     rng = random.Random(5)
-    for permute in (True, False) * 3000:
-        k = rng.randint(1, 5)
-        v1 = (rng.randint(-2, 2),) + tuple(rng.randint(-2, 2) for _ in range(k))
-        if permute:
-            v1 = v1[:1] + tuple(sorted(v1[1:]))
-        v2 = tuple(rng.randint(-2, 2) for _ in range(k + 1))
-        runs = search_module._equal_runs(v1) if permute else []
-        is_min = search_module._canonical_key(v1, v2, permute) == (
-            ",".join(map(str, v1)) + "|" + ",".join(map(str, v2))
-        )
-        assert search_module._is_orbit_minimum(v1, v2, runs, permute) == is_min, (v1, v2)
+    for permute, signs in itertools.product((False, True), repeat=2):
+        for _ in range(1500):
+            k = rng.randint(1, 5)
+            v1, v2 = (tuple(rng.randint(-2, 2) for _ in range(k + 1)) for _ in "12")
+            x, y = _orbit_min(v1, v2, permute, signs)
+            assert _orbit_min(x, y, permute, signs) == (x, y) == _orbit_min(y, x, permute, signs)
+            assert x[0] <= y[0] and (not signs or y[0] <= 0), (v1, v2)
+            if permute:
+                assert list(x[1:]) == sorted(x[1:])
+                assert all(y[i] <= y[i + 1] for i in range(1, k) if x[i] == x[i + 1])
+            # the oracle keys on a model the permutations fix, or on one whose
+            # last exceptional square -2 keeps every permutation from fixing it
+            diagonal = [[(1 if i == 0 else -1 - (i == k)) * (i == j) for j in range(k + 1)] for i in range(k + 1)]
+            model = blowup_cp2(k) if permute else custom_model("m", diagonal, [3] + [-1] * k)
+            assert _pair_text(x, y) == property_suites.reference_key(model, v1, v2, signs), (v1, v2)
 
 
 @pytest.mark.parametrize("bound", [1, 3])
@@ -403,6 +487,10 @@ def test_pairs_at_one_lambda_share_one_source():
     assert {name for name, _ in shared} == {"ray"} and pairs > 10 * len(shared)
 
 
+def test_one_record_per_sign_orbit_of_the_unpruned_reference():
+    assert property_suites.run_orbit_reduction() == 40
+
+
 def test_candidates_match_the_box_on_random_rays():
     property_suites.check_candidates_for()
 
@@ -428,6 +516,9 @@ PRUNING_CASES = [
 
 @pytest.mark.parametrize("model,bound,filters,ray", PRUNING_CASES)
 def test_pruning_changes_no_output(monkeypatch, model, bound, filters, ray):
+    # the unpruned reference and the swap alone key without the signs, so
+    # their catalogs are reduced by them; the signs without the permutations
+    # key like the search, and the key merges what the orbit rule kept
     q = SearchQuery(
         model=model,
         coeff_bound=bound,
@@ -436,55 +527,64 @@ def test_pruning_changes_no_output(monkeypatch, model, bound, filters, ray):
     )
     records, stats = search(q, threads=1)
     lines = [r.to_line() for r in records]
-    assert stats.pairs_skipped > 0
-    for group in (search_module.SWAP, search_module.NO_SYMMETRY):
+    assert stats.pairs_skipped > 0 and "signs" in stats.symmetry
+    for group in (search_module.SIGNS_AND_SWAP, search_module.SWAP, search_module.NO_SYMMETRY):
         monkeypatch.setattr(search_module, "search_symmetry", lambda *args, group=group: group)
         unpruned, unpruned_stats = search(q, threads=1)
+        if group != search_module.SIGNS_AND_SWAP:
+            assert len({r.canonical_key for r in unpruned}) == len(unpruned) >= len(records), group
+            unpruned = property_suites.sign_reduced(model, unpruned)
         assert [r.to_line() for r in unpruned] == lines, group
         assert unpruned_stats.pairs_evaluated >= stats.pairs_evaluated
+        assert unpruned_stats.symmetry == group
 
 
 def test_orbit_minima_spell_their_own_key(monkeypatch):
     s = search_module
-    canonical_key = s._canonical_key
+    orbit_min = s._orbit_min
     calls = []
-    keys = []  # (pair, key, permute) of every evaluated pair
+    keys = []  # (model, pair, key, signs) of every evaluated pair
     evaluate = s._Plan.evaluate
 
-    def counted_key(*args):
+    def counted(*args):
         calls.append(args)
-        return canonical_key(*args)
+        return orbit_min(*args)
 
     def recorded(self, v1, v2, key, source):
-        keys.append(((v1, v2), key, self.permute))
+        keys.append((self.query.model, (v1, v2), key, self.signs))
         return evaluate(self, v1, v2, key, source)
 
-    monkeypatch.setattr(s, "_canonical_key", counted_key)
+    monkeypatch.setattr(s, "_orbit_min", counted)
     monkeypatch.setattr(s._Plan, "evaluate", recorded)
     custom = custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1])
     m3 = blowup_cp2(3)
     skt, cyt = frozenset({"skt"}), frozenset({"cyt"})
     cases = [
-        (SearchQuery(model=m3, coeff_bound=2, filters=skt), s.PERMUTE_AND_SWAP, False),
-        (SearchQuery(model=custom, coeff_bound=2, filters=skt), s.SWAP, False),
-        # swap only on a model whose exceptionals permute: the key sorts what the orbit rule did not
-        (SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-2E1-E2-E3")), s.SWAP, True),
+        (SearchQuery(model=m3, coeff_bound=2, filters=skt), s.PERMUTE_SIGNS_AND_SWAP, True),
+        (SearchQuery(model=custom, coeff_bound=2, filters=skt), s.SIGNS_AND_SWAP, True),
+        # no permutations on a model whose exceptionals permute: the key sorts what the orbit rule did not
+        (SearchQuery(model=m3, coeff_bound=2, filters=cyt, ray=parse_class(m3, "5H-2E1-E2-E3")), s.SIGNS_AND_SWAP, False),
     ]
-    for q, group, keyed in cases:
+    for q, group, own in cases:
         assert s.search_symmetry(q, s._permutes_exceptionals(q.model), s._ansatz_pair(q)) == group
         calls.clear()
         keys.clear()
-        assert search(q, threads=1)[0]
-        assert bool(calls) == keyed, (q.model.name, group)
-        assert keys and all(key == canonical_key(*pair, permute) for pair, key, permute in keys)
-    # the unpruned reference writes the canonical key of every pair it evaluates
+        records, stats = search(q, threads=1)
+        assert records and stats.symmetry == group
+        assert keys and all(key == property_suites.reference_key(m, *pair) for m, pair, key, _ in keys)
+        if own:
+            assert all(key == _pair_text(*pair) for _, pair, key, _ in keys), q.model.name
+        else:  # the rule's calls leave the permutations out, the key's sort them
+            assert {permute for _, _, permute, _ in calls} == {False, True}
+    # the unpruned reference writes the key of every pair it evaluates, without the signs
     monkeypatch.setattr(s, "search_symmetry", lambda *args: s.NO_SYMMETRY)
     for q, _, _ in cases:
         calls.clear()
         keys.clear()
         _, stats = search(q, threads=1)
         assert keys and len(calls) == stats.pairs_evaluated  # one key per visited pair
-        assert all(key == canonical_key(*pair, permute) for pair, key, permute in keys)
+        assert all(key == property_suites.reference_key(m, *pair, signs) for m, pair, key, signs in keys)
+        assert not any(signs for _, _, _, signs in keys)
 
 
 # -- one plan per query ------------------------------------------------------
@@ -492,12 +592,14 @@ def test_orbit_minima_spell_their_own_key(monkeypatch):
 
 def test_limit_cuts_records_not_counts():
     q = SearchQuery(model=quadric(), coeff_bound=1, filters=frozenset({"skt"}))
+    with property_suites.without_signs():
+        assert len(search(q, threads=1)[0]) == 19
     full, full_stats = search(q, threads=1)
-    assert len(full) == 19 and full_stats.exhausted
-    exact, stats = search(dataclasses.replace(q, limit=19), threads=1)
+    assert len(full) == 7 and full_stats.exhausted
+    exact, stats = search(dataclasses.replace(q, limit=7), threads=1)
     assert exact == full and stats.exhausted
-    cut, stats = search(dataclasses.replace(q, limit=18), threads=1)
-    assert cut == full[:18] and stats.records_emitted == 18 and not stats.exhausted
+    cut, stats = search(dataclasses.replace(q, limit=6), threads=1)
+    assert cut == full[:6] and stats.records_emitted == 6 and not stats.exhausted
     # every chunk runs, so the visited and skipped counts do not depend on the limit
     q = SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"skt"}))
     _, full_stats = search(q, threads=1)
@@ -585,11 +687,22 @@ def test_plan_keeps_only_rays_a_record_can_stand_on():
     assert stats.pairs_evaluated == 0 and stats.exhausted
 
 
+# sha256 of the `cytforge search --out` catalog of blowup_cp2(k, on_cubic) at
+# bound 4 with cyt+topology+spin, one ansatz record each, as written before
+# the fiber signs joined the group of every other search
+ANSATZ_CATALOGS = {
+    9: "587168a62d7b3652c9d2ac0ac3e2964964938f91748cc8f72f969f2b82d87347",
+    10: "d8a82060a961ec513a240d5b1df77288da84d0dd5bf3f3578fbccaec71d2624f",
+    11: "eee4ba58bb0f7eaa8cc461e9f867c23da373f1401028490af3ae9131ca167088",
+    12: "1ecc198f29492dcbaa9ca9e3e4c148d52a7dbc96076281b9fd0a551a0d320388",
+}
+
+
 @pytest.mark.parametrize("k", [9, 10, 11, 12])
-def test_a_rayless_cyt_search_visits_only_the_ansatz_vectors(k, monkeypatch):
+def test_a_rayless_cyt_search_visits_only_the_ansatz_vectors(k, monkeypatch, tmp_path):
     # c1^2 = 9 - k <= 0 leaves no ray, and the in-box ansatz pair drops the
-    # permutations: the box at bound 4 holds 9^(k+1) unsorted w1, and only
-    # the two ansatz vectors have a candidate
+    # permutations and the signs: the box at bound 4 holds 9^(k+1) unsorted
+    # w1, and only the two ansatz vectors have a candidate
     model = blowup_cp2(k, "on_cubic")
     asked, calls = [], []
     candidates = search_module._Plan.candidates
@@ -606,6 +719,10 @@ def test_a_rayless_cyt_search_visits_only_the_ansatz_vectors(k, monkeypatch):
     assert [(r.flags.cyt_route, r.flags.topology_label) for r in records] == [
         ("ansatz", f"{k - 1}(S²×S⁴) # {k}(S³×S³)")
     ]
+    # the swap alone, so the catalog keeps the bytes it had before the signs
+    digest = ANSATZ_CATALOGS[k]
+    assert stats.symmetry == search_module.SWAP
+    frozen_without_and_with_signs(tmp_path, q, 1, (digest, (2, 1, 1)), (digest, (2, 1, 1)))
 
     # two vectors are too few for a pool: threads=2 runs serially
     def refuse(*args, **kwargs):
@@ -702,27 +819,28 @@ def _brute_stage(model, filters, v1, v2, ray=None):
     return VerdictFlags(**flags)
 
 
-def _brute_records(model, bound, filters, ray=None):
+def _brute_records(model, bound, filters, ray=None, signs=True):
     box = list(itertools.product(range(-bound, bound + 1), repeat=model.rank))
     seen, out = set(), []
     for v1, v2 in itertools.product(box, repeat=2):
         flags = _brute_stage(model, filters, v1, v2, ray)
         if isinstance(flags, str):
             continue
-        key = property_suites.reference_key(model, v1, v2)
+        key = property_suites.reference_key(model, v1, v2, signs)
         if key not in seen:
             seen.add(key)
             out.append((v1, v2, key, flags))
     return out
 
 
-# record counts at bound 1 on blowup_cp2(1), blowup_cp2(2) and the quadric
+# record counts at bound 1 on blowup_cp2(1), blowup_cp2(2) and the quadric,
+# keyed without the fiber signs (v1) and with them (v2)
 BOX_SEARCH_COUNTS = {
-    ("balanced",): (1, 4, 6),
-    ("topology",): (20, 94, 20),
-    ("spin",): (34, 124, 45),
-    ("balanced", "spin"): (0, 0, 6),
-    ("skt", "spin"): (18, 12, 19),
+    ("balanced",): ((1, 4, 6), (1, 3, 3)),
+    ("topology",): ((20, 94, 20), (5, 25, 5)),
+    ("spin",): ((34, 124, 45), (10, 35, 15)),
+    ("balanced", "spin"): ((0, 0, 6), (0, 0, 3)),
+    ("skt", "spin"): ((18, 12, 19), (6, 3, 7)),
 }
 BOX_SEARCH_CASES = [
     (model, filters)
@@ -733,18 +851,20 @@ BOX_SEARCH_CASES = [
 
 @pytest.mark.parametrize("model,filters", BOX_SEARCH_CASES, ids=lambda v: "+".join(v) if isinstance(v, tuple) else v.name)
 def test_box_searches_match_the_brute_force_filter(model, filters):
-    want = _brute_records(model, 1, filters)
+    wants = [_brute_records(model, 1, filters, signs=signs) for signs in (False, True)]
     q = SearchQuery(model=model, coeff_bound=1, filters=frozenset(filters))
     for threads in (1, 2):
-        records, stats = search(q, threads=threads)
-        got = [(r.omega1, r.omega2, r.canonical_key, r.flags) for r in records]
-        assert got == want, threads
-        assert stats.exhausted and all(r.kahler is None for r in records)
+        for group, want in zip((property_suites.without_signs(), contextlib.nullcontext()), wants):
+            with group:
+                records, stats = search(q, threads=threads)
+            got = [(r.omega1, r.omega2, r.canonical_key, r.flags) for r in records]
+            assert got == want, threads
+            assert stats.exhausted and all(r.kahler is None for r in records)
     if model is NULL_C1:
-        assert want == []
+        assert wants == [[], []]
     else:
         index = [blowup_cp2(1).name, blowup_cp2(2).name, quadric().name].index(model.name)
-        assert len(want) == BOX_SEARCH_COUNTS[filters][index]
+        assert tuple(len(want) for want in wants) == tuple(counts[index] for counts in BOX_SEARCH_COUNTS[filters])
 
 
 def test_box_balanced_search_tests_against_the_ray():
@@ -784,24 +904,40 @@ def test_reject_counts_match_the_brute_force_stages(monkeypatch, model, filters)
         return evaluate(plan, v1, v2, key, source)
 
     q = SearchQuery(model=model, coeff_bound=bound, filters=frozenset(filters))
-    parallel = search(q, threads=2)[1]
-    monkeypatch.setattr(search_module._Plan, "screen", screened)
-    monkeypatch.setattr(search_module._Plan, "evaluate", recorded)
-    records, serial = search(q, threads=1)
-    want = dict.fromkeys(REJECT_STAGES, 0)
-    for v1, v2 in evaluated:
-        stage = _brute_stage(model, filters, v1, v2)
-        if isinstance(stage, str):
-            want[stage] += 1
-    if "cyt" in filters:
-        both = [pair for pair in evaluated if _brute_stage(model, ("spin",), *pair) == "spin"]
-        assert want["skt"] > 0 and want["spin"] > 0 and len(both) - want["spin"] == 3
-    for stats in (serial, parallel):
-        assert stats.rejected == want
-        assert list(stats.rejected) == list(REJECT_STAGES)
-        # every visited pair is skipped, rejected by one stage or a record
-        assert sum(stats.rejected.values()) + stats.records_emitted + stats.pairs_skipped == stats.pairs_evaluated
-    assert len(evaluated) == sum(want.values()) + len(records)
+    box = list(itertools.product(range(-bound, bound + 1), repeat=model.rank))
+    # (group, pairs that fail both skt and spin in the cyt case) without the signs and with them
+    for signs, group, both_failing in ((False, property_suites.without_signs(), 3), (True, contextlib.nullcontext(), 1)):
+        evaluated.clear()
+        with group:
+            parallel = search(q, threads=2)[1]
+            with monkeypatch.context() as patched:
+                patched.setattr(search_module._Plan, "screen", screened)
+                patched.setattr(search_module._Plan, "evaluate", recorded)
+                records, serial = search(q, threads=1)
+        want = dict.fromkeys(REJECT_STAGES, 0)
+        for v1, v2 in evaluated:
+            stage = _brute_stage(model, filters, v1, v2)
+            if isinstance(stage, str):
+                want[stage] += 1
+        if "cyt" in filters:
+            both = [pair for pair in evaluated if _brute_stage(model, ("spin",), *pair) == "spin"]
+            assert want["skt"] > 0 and want["spin"] > 0 and len(both) - want["spin"] == both_failing
+        else:
+            # the brute side reduced by the same group: the box pairs that are
+            # their own key (skt buckets hold only the partners that pass it)
+            minima = [
+                (v1, v2)
+                for v1, v2 in itertools.product(box, repeat=2)
+                if property_suites.reference_key(model, v1, v2, signs) == _pair_text(v1, v2)
+                and ("skt" not in filters or _brute_stage(model, ("skt",), v1, v2) != "skt")
+            ]
+            assert sorted(evaluated) == minima, signs
+        for stats in (serial, parallel):
+            assert stats.rejected == want
+            assert list(stats.rejected) == list(REJECT_STAGES)
+            # every visited pair is skipped, rejected by one stage or a record
+            assert sum(stats.rejected.values()) + stats.records_emitted + stats.pairs_skipped == stats.pairs_evaluated
+        assert len(evaluated) == sum(want.values()) + len(records)
 
 
 @pytest.mark.parametrize("model", [blowup_cp2(1), blowup_cp2(2), quadric()], ids=lambda m: m.name)
@@ -861,16 +997,41 @@ def test_a_verdict_search_renders_no_documents(monkeypatch):
         monkeypatch.setattr(module, "solve_scale", counted("solve_scale", cyt.solve_scale))
     monkeypatch.setattr(search_module, "verify_cyt", counted("verify_cyt", cyt.verify_cyt))
     records, stats = search(SearchQuery(model, 3, frozenset({"cyt", "topology", "spin"})), threads=1)
-    assert len(records) == 346 and stats.cyt_routes == ("anticanonical_ray",)
+    assert len(records) == 89 and stats.cyt_routes == ("anticanonical_ray",)
     # the plan's ray check computes the signs of the ray; every record's
     # class is a positive multiple of it.  The walk gives each pair its
-    # scale, so solve_scale never runs, and the recheck runs once a record
-    assert counts == {"curve signs": 1, "verify_cyt": 346}
+    # scale, so solve_scale never runs, and the recheck runs once a record:
+    # one per bundle up to S_k and the fiber signs
+    assert counts == {"curve signs": 1, "verify_cyt": 89}
 
 
 def test_search_stats_count_the_w1_walked():
-    # k = 5, bound 3: 7 leads times the 462 sorted exceptional tails
+    # k = 5, bound 3: 462 sorted exceptional tails per lead, 7 leads without
+    # the signs and the 4 leads -3..0 with them
     q = SearchQuery(blowup_cp2(5), 3, frozenset({"cyt", "topology", "spin"}))
     for threads in (1, 2):
-        stats = search(q, threads=threads)[1]
+        with property_suites.without_signs():
+            stats = search(q, threads=threads)[1]
         assert (stats.omega1_walked, stats.omega1_with_candidates) == (3234, 304), threads
+        stats = search(q, threads=threads)[1]
+        assert (stats.omega1_walked, stats.omega1_with_candidates) == (1848, 182), threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_stats_name_the_group_and_the_records_per_chunk(monkeypatch, threads):
+    m3 = blowup_cp2(3)
+    cases = [
+        (SearchQuery(blowup_cp2(5), 3, frozenset({"cyt", "topology", "spin"})), "exceptionals+signs+swap", (72, 17, 0, 0)),
+        (SearchQuery(m3, 2, frozenset({"cyt"}), ray=parse_class(m3, "5H-2E1-E2-E3")), "signs+swap", (3, 0, 0)),
+        (SearchQuery(blowup_cp2(9, "on_cubic"), 4, frozenset({"cyt"})), "swap", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ]
+    for q, group, per_chunk in cases:
+        records, stats = search(q, threads=threads)
+        assert (stats.symmetry, stats.chunk_records, stats.chunks) == (group, per_chunk, len(per_chunk))
+        assert sum(per_chunk) == len(records)
+    # the unpruned reference writes every permuted and swapped pair it keys
+    # first in its chunk, and the merge keeps the first of each key
+    monkeypatch.setattr(search_module, "search_symmetry", lambda *args: search_module.NO_SYMMETRY)
+    records, stats = search(cases[0][0], threads=threads)
+    assert stats.symmetry == "none" and len(stats.chunk_records) == 7
+    assert sum(stats.chunk_records) > len(records) == 346
