@@ -184,9 +184,9 @@ def compute_maxroot() -> dict:
     scale = solve_scale(bundle, parse_class(plane, "H"))
     cyt = verify_cyt(bundle, scale * parse_class(plane, "H"))
     return {
-        "root_cp2": divisibility_index(plane, plane.c1),
-        "root_quadric": divisibility_index(quad, quad.c1),
-        "root_blowups": [divisibility_index(blowup_cp2(k), blowup_cp2(k).c1) for k in range(1, 9)],
+        "root_cp2": divisibility_index(plane.c1),
+        "root_quadric": divisibility_index(quad.c1),
+        "root_blowups": [divisibility_index(blowup_cp2(k).c1) for k in range(1, 9)],
         "scale": format_scalar(scale),
         "cyt_verdict": cyt.verdict,
     }

@@ -31,9 +31,9 @@ they are invariant; classes are built only for the pairs that reach the
 solver, balance and topology checks.
 
 A search builds one plan per query with everything the pairs share: the
-rays, the balanced fallback class, the skt buckets, the ansatz pair and
-its source, the symmetry group and, for the topology filter, the Gram
-matrix's invariant factors.  A ray (the query's, then the anticanonical)
+rays, the balanced fallback class, the skt buckets (its one table of
+squares), the ansatz pair and its source, the symmetry group and the bit
+mask of c1.  A ray (the query's, then the anticanonical)
 enters it only if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing
 the condition with R shows that Q(c1,R) <= 0 forces s <= 0.  With no ray,
 only the ansatz pair has candidates, so a cyt search walks its two
@@ -110,6 +110,7 @@ _CLASS_FILTERS = frozenset({"cyt", "balanced", "topology"})  # the ones that rea
 REJECT_STAGES = ("skt", "spin", "cyt", "balanced", "topology")
 
 _BRUTE_PAIR_CAP = 2_000_000
+MAX_RAY_MODULUS = 4_000_000  # a cyt ray tables a root per residue mod m, in time and memory O(m)
 
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
 # a cyt candidate's solved source: its Kaehler class, route and scale text
@@ -284,6 +285,8 @@ class _RayData:
         # candidates_for steps q2 = Q(w2,R) by m from each root of q2^2 = -q1^2
         # mod m (see the module docstring), and memoises the steps per q1
         self.m = m = self.d_pair // gcd(self.d_pair, g1) if self.d_pair > 0 else 1
+        if m > MAX_RAY_MODULUS:
+            raise BoundTooLarge(f"{name} modulus m = {m} above MAX_RAY_MODULUS = {MAX_RAY_MODULUS}")
         self.roots: dict[int, list[int]] = {}  # the s mod m by s^2 mod m
         for s in range(m):
             self.roots.setdefault(s * s % m, []).append(s)
@@ -380,8 +383,8 @@ def _ansatz_pair(query: SearchQuery) -> Optional[_Pair]:
 class _Plan:
     """Everything the pairs of one query share, built once per search: the
     rays a record can stand on, the balanced filter's fallback class, the
-    skt buckets, the ansatz pair and its source, the symmetry group, the
-    bit mask of c1, and a cache of integer self-intersections."""
+    skt buckets, the ansatz pair and its source, the symmetry group and the
+    bit mask of c1."""
 
     def __init__(self, query: SearchQuery):
         model = query.model
@@ -389,7 +392,6 @@ class _Plan:
         self.query = query
         self.c1_mask = _gf2_mask(model.c1.as_int_vector())
         self.screen_flags = {name: True for name in ("skt", "spin") if name in query.filters}
-        self.squares: dict[tuple[int, ...], int] = {}
         self.permute = _permutes_exceptionals(model)  # canonical keys
         self.ansatz_pair = _ansatz_pair(query)
         sol = solve_symmetric_ansatz(model.rank - 1) if self.ansatz_pair is not None else None
@@ -425,11 +427,7 @@ class _Plan:
         self.skt = "skt" in query.filters and self.skt_buckets is None
 
     def square(self, v: tuple[int, ...]) -> int:
-        q = self.squares.get(v)
-        if q is None:
-            q = sum(map(mul, v, self.query.model.gram_row(v)))
-            self.squares[v] = q
-        return q
+        return sum(map(mul, v, self.query.model.gram_row(v)))
 
     def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         """The w2 to pair with v1, in lexicographic order.  For a cyt query a

@@ -620,7 +620,7 @@ def resolve_model(spec: str) -> Model:
 # -- lattice services ---------------------------------------------------
 
 
-def divisibility_index(model: Model, x: CohClass) -> int:
+def divisibility_index(x: CohClass) -> int:
     """Largest r with x/r still integral."""
     vec = x.as_int_vector()
     if all(v == 0 for v in vec):

@@ -168,11 +168,11 @@ def test_criterion_07_kummer():
 def test_criterion_08_maximal_root():
     with criterion(8, "anti-canonical roots 3/2/1 and the plane bundle solving at 2/3", 1.0):
         plane = projective_plane()
-        assert divisibility_index(plane, plane.c1) == 3
-        assert divisibility_index(quadric(), quadric().c1) == 2
+        assert divisibility_index(plane.c1) == 3
+        assert divisibility_index(quadric().c1) == 2
         for k in range(1, 9):
             m = blowup_cp2(k)
-            assert divisibility_index(m, m.c1) == 1
+            assert divisibility_index(m.c1) == 1
         bundle = BundleSpec(plane, (parse_class(plane, "H"), CohClass.zero(1)))
         scale = solve_scale(bundle, parse_class(plane, "H"))
         assert scale == Fraction(2, 3)

@@ -443,6 +443,24 @@ def test_sixty_points_on_a_cubic_fit_the_cap():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+def test_a_huge_ray_exits_2_before_its_root_table_is_built():
+    # m = Q(c1,R) = 3*10^11 - 1: a root table that size would not fit the cap
+    proc = _capped_cli("search", "--model", "blowup_cp2(1)", "--bound", "1", "--filter", "cyt",
+                       "--ray", "100000000000H-E1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: ray modulus m = 299999999999 above MAX_RAY_MODULUS = 4000000\n"
+
+
+def test_a_model_files_anticanonical_ray_meets_the_modulus_cap(tmp_path, capsys):
+    # c1 is ample, with Q(c1,c1) = 3000^2 - 1 and gcd(c1) = 1
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"name": "steep", "gram": [[1, 0], [0, -1]], "c1": [3000, -1], "curves": [[0, 1]],
+                                "ample_witness": [3000, -1], "simply_connected": True}))
+    code, out, err = run(capsys, "search", "--model", str(path), "--bound", "1", "--filter", "cyt")
+    assert (code, out) == (2, "")
+    assert err == "error: anticanonical_ray modulus m = 8999999 above MAX_RAY_MODULUS = 4000000\n"
+
+
 def test_search_into_a_closed_pipe_ends_quietly():
     # 5 133 records, far more than a pipe buffer holds, so the writer is
     # still printing when the reader goes away

@@ -172,6 +172,25 @@ def test_bound_guards():
         SearchQuery(model=quadric(), coeff_bound=1, filters=frozenset({"bogus"}))
 
 
+def test_the_ray_modulus_cap_admits_m_itself(monkeypatch):
+    # on blowup_cp2(4), 10H-E1-E2-E3-E4 has m = Q(c1,R) = 26 and c1 has m = 5;
+    # the query's ray is built first, the anticanonical ray after it
+    model = blowup_cp2(4)
+    cyt = frozenset({"cyt"})
+    with_ray = SearchQuery(model=model, coeff_bound=1, filters=cyt, ray=parse_class(model, "10H-E1-E2-E3-E4"))
+    rayless = SearchQuery(model=model, coeff_bound=1, filters=cyt)
+    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 26)
+    assert search(with_ray, threads=1)[1].cyt_routes == ("ray", "anticanonical_ray")
+    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 25)
+    with pytest.raises(BoundTooLarge, match=r"^ray modulus m = 26 above MAX_RAY_MODULUS = 25$"):
+        search(with_ray, threads=1)
+    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 5)
+    assert search(rayless, threads=1)[1].cyt_routes == ("anticanonical_ray",)
+    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 4)
+    with pytest.raises(BoundTooLarge, match=r"^anticanonical_ray modulus m = 5 above MAX_RAY_MODULUS = 4$"):
+        search(rayless, threads=1)
+
+
 def test_limit_and_threads_env(monkeypatch):
     q = SearchQuery(model=quadric(), coeff_bound=1, filters=frozenset({"skt"}), limit=3)
     records, stats = search(q, threads=1)
@@ -256,6 +275,30 @@ FROZEN_CATALOGS = (
 def test_catalog_bytes_frozen(tmp_path, filters, v1, v2):
     query = SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=filters)
     frozen_without_and_with_signs(tmp_path, query, 1, v1, v2)
+
+
+# sha256 of the `cytforge search --out` skt catalogs for blowup_cp2(k) at
+# bound 3, where the bucketed partners are many, with (visited, skipped, records)
+FROZEN_SKT_CATALOGS = {
+    4: ("667d9af800752d40b858fb8fd9df3533b8eff304141af7f61a1377101b49861a", (51690, 46257, 5433)),
+    5: ("e791e4de15629d91d4b646d40fe3bbb543a8a91ca23a5f3295c1197d84dd346e", (230822, 214771, 16051)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("k", sorted(FROZEN_SKT_CATALOGS))
+def test_skt_catalog_bytes_frozen(tmp_path, k, threads):
+    import hashlib
+
+    from cytforge.catalog import append_records
+
+    query = SearchQuery(model=blowup_cp2(k), coeff_bound=3, filters=frozenset({"skt"}))
+    records, stats = search(query, threads=threads)
+    path = tmp_path / "catalog.jsonl"
+    append_records(str(path), records)
+    digest, counts = FROZEN_SKT_CATALOGS[k]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert (stats.pairs_evaluated, stats.pairs_skipped, stats.records_emitted) == counts
 
 
 # sha256 of the `cytforge search --out` catalogs for blowup_cp2(k) at bound 3

@@ -107,13 +107,13 @@ def test_nonsymmetric_gram_rejected():
 
 
 def test_divisibility_index():
-    assert divisibility_index(projective_plane(), projective_plane().c1) == 3
-    assert divisibility_index(quadric(), quadric().c1) == 2
+    assert divisibility_index(projective_plane().c1) == 3
+    assert divisibility_index(quadric().c1) == 2
     for k in range(1, 13):
         m = blowup_cp2(k) if k <= 8 else blowup_cp2(k, "on_cubic")
-        assert divisibility_index(m, m.c1) == 1
+        assert divisibility_index(m.c1) == 1
     with pytest.raises(ZeroClass):
-        divisibility_index(quadric(), CohClass.zero(2))
+        divisibility_index(CohClass.zero(2))
 
 
 def test_kummer_pairing_table():
