@@ -30,6 +30,15 @@ w1) run on integer tuples, the stages ahead of the key, under whose group
 they are invariant; classes are built only for the pairs that reach the
 solver, balance and topology checks.
 
+A cyt chunk walks only the w1 that can have a candidate: the ansatz
+vectors and, on each plan ray, the q1 slice, the w1 whose q1 has a nonempty
+q2 walk.  A multiple of c1 is among them, as it pairs with itself.
+_RayData.slice generates the box vectors of one lead with Q(v,R) in a set
+of values coordinate by coordinate, and drops a prefix once no value is in
+the range of Q over its continuations; the trace-free list is its q = 0
+slice over every lead.  The walk is in the box's order and holds every w1
+with a candidate, so it visits the same pairs as a walk of the whole box.
+
 A search builds one plan per query with everything the pairs share: the
 rays, the balanced fallback class, the skt buckets (its one table of
 squares), the ansatz pair and its source, the symmetry group and the bit
@@ -80,6 +89,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -280,10 +290,26 @@ class _RayData:
         self.c1_multiples = frozenset(
             tuple(m * x for x in prim) for m in range(-top, top + 1) if m
         )
-        self.sorted_perp = sorted_perp  # perp holds only sorted exceptionals
+        self.sorted_perp = sorted_perp  # perp and slice hold only sorted exceptionals
+        # slice's table, per coordinate j and value x: x, its share w_j x of Q and
+        # the range of Q over the later coordinates, each in the box or, with
+        # sorted_perp, a non-decreasing tail from x (from -b after the lead),
+        # whose extremes are at the tails p..p b..b of that order polytope
+        w, n = self.w, len(self.w)
+        tail = [sum(w[i:]) for i in range(n + 1)]
+        self.slice_rows: list[list[tuple[int, int, int, int]]] = []
+        for j, wj in enumerate(w):
+            spread = bound * sum(map(abs, w[j + 1 :]))
+            row = []
+            for x in range(-bound, bound + 1):
+                p = x if j else -bound
+                ends = [p * (tail[j + 1] - tail[t]) + bound * tail[t] for t in range(j + 1, n + 1)]
+                lo, hi = (min(ends), max(ends)) if sorted_perp else (-spread, spread)
+                row.append((x, wj * x, lo, hi))
+            self.slice_rows.append(row)
         self.perp: Optional[list[tuple[int, ...]]] = None  # lazy: {v : Q(v,R)=0}
-        # candidates_for steps q2 = Q(w2,R) by m from each root of q2^2 = -q1^2
-        # mod m (see the module docstring), and memoises the steps per q1
+        # q2_walk steps q2 = Q(w2,R) by m from each root of q2^2 = -q1^2 mod m
+        # (see the module docstring), memoised per q1
         self.m = m = self.d_pair // gcd(self.d_pair, g1) if self.d_pair > 0 else 1
         if m > MAX_RAY_MODULUS:
             raise BoundTooLarge(f"{name} modulus m = {m} above MAX_RAY_MODULUS = {MAX_RAY_MODULUS}")
@@ -291,6 +317,7 @@ class _RayData:
         for s in range(m):
             self.roots.setdefault(s * s % m, []).append(s)
         self.q2_terms: dict[int, list[tuple[int, int]]] = {}  # q1: [(q1^2+q2^2, q2*d)]
+        self.q1_slice: Optional[list[int]] = None  # lazy: the q1 whose q2 walk is not empty
 
     def source(self, lam: int) -> _Source:
         """The solved source of the pairs generated at lam, one tuple per
@@ -304,30 +331,62 @@ class _RayData:
             src = self.sources[lam] = (f, self.name, format_scalar(t / self.unit))
         return src
 
-    def perp_vectors(self, rank: int) -> list[tuple[int, ...]]:
-        """The box vectors v with Q(v,R) = 0, in lexicographic order.  With
-        sorted_perp only those with non-decreasing exceptional coordinates,
-        filtered from the sorted box; otherwise the coordinate j of the last
-        nonzero w_j is solved for (a kept ray has r = ray_int . w > 0)."""
+    def slice(self, lead: int, targets: list[int]) -> list[tuple[int, ...]]:
+        """The box vectors v with first coordinate lead and Q(v,R) in the
+        sorted list targets, in lexicographic order; with sorted_perp only
+        those with non-decreasing exceptional coordinates.  Coordinates are
+        chosen one at a time, and a prefix is dropped once no target lies in
+        the range of Q over its continuations (see slice_rows)."""
+        b, sorted_rest, count = self.bound, self.sorted_perp, len(targets)
+        level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for j, row in enumerate(self.slice_rows):
+            if not j:
+                row = row[lead + b : lead + b + 1]
+            grown = []
+            for v, q in level:
+                for x, wx, lo, hi in row[v[-1] + b :] if sorted_rest and j > 1 else row:
+                    t = q + wx
+                    i = bisect_left(targets, t + lo)
+                    if i < count and targets[i] <= t + hi:
+                        grown.append((v + (x,), t))
+            level = grown
+        return [v for v, _ in level]
+
+    def perp_vectors(self) -> list[tuple[int, ...]]:
+        """The box vectors v with Q(v,R) = 0, in lexicographic order; with
+        sorted_perp only those with non-decreasing exceptional coordinates."""
         if self.perp is None:
-            w, bound = self.w, self.bound
-            if self.sorted_perp:
-                self.perp = [
-                    v
-                    for lead in range(-bound, bound + 1)
-                    for v in _vectors_with_lead(lead, rank, bound, sorted_rest=True)
-                    if not sum(map(mul, v, w))
-                ]
-                return self.perp
-            j = max(i for i, x in enumerate(w) if x)
-            wj = w[j]
-            w_rest = w[:j] + w[j + 1 :]
-            self.perp = []
-            for rest in _all_vectors(rank - 1, bound):
-                x, rem = divmod(-sum(a * b for a, b in zip(rest, w_rest)), wj)
-                if not rem and -bound <= x <= bound:
-                    self.perp.append(rest[:j] + (x,) + rest[j:])
+            self.perp = [v for lead in range(-self.bound, self.bound + 1) for v in self.slice(lead, [0])]
         return self.perp
+
+    def partnered_q1(self) -> list[int]:
+        """The values q1 = Q(w1,R) on the box, sorted, whose q2 walk in
+        candidates_for is not empty: a w1 with a generic candidate has one."""
+        if self.q1_slice is None:
+            values = {0}
+            for wj in self.w:
+                values = {q + wj * x for q in values for x in range(-self.bound, self.bound + 1)}
+            self.q1_slice = [q1 for q1 in sorted(values) if self.q2_walk(q1)]
+        return self.q1_slice
+
+    def q2_walk(self, q1: int) -> list[tuple[int, int]]:
+        """The memoised terms (q1^2 + q2^2, q2 d) of the q2 = Q(w2,R) that
+        candidates_for tries for q1: |q2| is at most the larger root t of
+        c*t^2 - d*b*t + c*q1^2 - d*b*|q1| = 0, c = max|c1_j|, and q2 steps by
+        m from each root of q2^2 = -q1^2 mod m."""
+        terms = self.q2_terms.get(q1)
+        if terms is None:
+            dp, c, m = self.d_pair, max(map(abs, self.c1)), self.m
+            db = dp * self.bound
+            disc = db * db - 4 * c * (c * q1 * q1 - db * abs(q1))
+            top = (db + isqrt(disc)) // (2 * c) if disc >= 0 else 0
+            terms = self.q2_terms[q1] = [
+                (q1 * q1 + q2 * q2, q2 * dp)
+                for s in self.roots.get(-q1 * q1 % m, ())
+                for q2 in range(s - (top + s) // m * m, top + 1, m)
+                if q2
+            ]
+        return terms
 
     def candidates_for(self, w1: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """All w2 in the box that put (w1, w2) on the solvable locus, each
@@ -337,20 +396,7 @@ class _RayData:
         w, c1, dp, bound = self.w, self.c1, self.d_pair, self.bound
         q1 = sum(a * b for a, b in zip(w1, w))
         q1dp = q1 * dp
-        # generic branch: |q2| is at most the larger root t of
-        # c*t^2 - d*b*t + c*q1^2 - d*b*|q1| = 0, c = max|c1_j|
-        terms = self.q2_terms.get(q1)
-        if terms is None:
-            c, db, m = max(map(abs, c1)), dp * bound, self.m
-            disc = db * db - 4 * c * (c * q1 * q1 - db * abs(q1))
-            top = (db + isqrt(disc)) // (2 * c) if disc >= 0 else 0
-            terms = self.q2_terms[q1] = [
-                (q1 * q1 + q2 * q2, q2 * dp)
-                for s in self.roots.get(-q1 * q1 % m, ())
-                for q2 in range(s - (top + s) // m * m, top + 1, m)
-                if q2
-            ]
-        for lam, den in terms:
+        for lam, den in self.q2_walk(q1):
             vec = []
             for j in range(len(w1)):
                 x, rem = divmod(lam * c1[j] - q1dp * w1[j], den)
@@ -361,7 +407,7 @@ class _RayData:
                 out[tuple(vec)] = lam
         # parallel branch: w1 proportional to c1 frees w2 to the trace-free locus
         if w1 in self.c1_multiples:
-            out.update(dict.fromkeys(self.perp_vectors(len(w1)), q1 * q1))
+            out.update(dict.fromkeys(self.perp_vectors(), q1 * q1))
         return out
 
 
@@ -447,6 +493,20 @@ class _Plan:
             return self.skt_buckets.get(-self.square(v1), [])
         return _all_vectors(len(v1), self.query.coeff_bound)
 
+    def walk(self, lead: int) -> Iterable[tuple[int, ...]]:
+        """The w1 with first coordinate lead that chunk pairs, in
+        lexicographic order, each with non-decreasing exceptional
+        coordinates under the permutations.  For a cyt query only those that
+        can have a candidate: the q1 slice of each ray (its partnered_q1)
+        and the ansatz vectors.  A multiple of c1 is in its slice, as it
+        pairs with itself at q2 = q1."""
+        if "cyt" not in self.query.filters:
+            return _vectors_with_lead(lead, self.query.model.rank, self.query.coeff_bound, self.sorted_v1)
+        found = {v for v in self.ansatz_pair or () if v[0] == lead}
+        for data in self.rays:
+            found.update(data.slice(lead, data.partnered_q1()))
+        return sorted(found)
+
     def chunk(self, lead: int) -> tuple[list[CatalogRecord], tuple[int, ...], dict[str, int]]:
         """Records of the pairs whose w1 starts with lead, with the counts of
         visited pairs, of those not evaluated, of w1 walked and of those
@@ -461,12 +521,7 @@ class _Plan:
         spin = "spin" in self.screen_flags
         cyt = "cyt" in self.query.filters
         top = 0 if self.signs else bound  # an orbit minimum has lead <= w2[0] <= top
-        if cyt and not self.rays:
-            # only the ansatz pair has candidates: walk its vectors, not the box
-            v1s: Iterable[tuple[int, ...]] = sorted({v for v in self.ansatz_pair or () if v[0] == lead})
-        else:
-            v1s = _vectors_with_lead(lead, rank, bound, self.sorted_v1)
-        for v1 in v1s:
+        for v1 in self.walk(lead):
             walked += 1
             cands = self.candidates(v1)
             if not cands:

@@ -1290,6 +1290,87 @@ def check_candidates_for(case, data) -> None:
         todo.extend(brute[:8])
 
 
+# the permutations do not fix it (E3 squares to -2); its curves are the Ei
+UNEQUAL = custom_model(
+    "unequal",
+    [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -2]],
+    [3, -1, -1, -1],
+    curves=[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ample_witness=[3, -1, -1, -1],
+)
+
+
+SLICE_MODELS = [(blowup_cp2(k), (3,) + (-1,) * k) for k in (2, 3, 4, 5)] + [
+    (quadric(), (1, 1)),
+    (UNEQUAL, (3, -1, -1, -1)),
+]
+
+
+def run_slices(seed: int = 108) -> int:
+    """_RayData.slice(lead, targets) against the box filter, and each lead's
+    walk of a cyt plan against box_candidates, on every model of
+    SLICE_MODELS at the bounds 1..3 whose box has at most 16 807 vectors
+    (the walks at most 3 125), along a rational ray R = t A + P near the
+    model's anchor A with Q(R,R) > 0, its exceptional coordinates shifted as
+    one (symmetric) or one by one.  With and without sorted_perp, slice
+    gives for each lead and value q the box vectors with that lead and
+    Q(v,R) = q in lexicographic order, with sorted exceptional coordinates
+    under sorted_perp; none for a value the lead misses; for a random set
+    of values their sorted union; and perp_vectors is q = 0 over every
+    lead.  Under the plan's own group, without the signs or unpruned, in
+    turn, each walk is in lexicographic order and in the box, its tails
+    sorted under the permutations, and holds every w1 of that lead with a
+    candidate on one of the plan's rays."""
+    rng = random.Random(seed)
+    groups = (lambda own: own, lambda own: own.replace("signs+", ""), lambda own: NO_SYMMETRY)
+    cases = 0
+    for model, anchor in SLICE_MODELS:
+        for bound, symmetric in product((1, 2, 3), (True, False)):
+            size = (2 * bound + 1) ** model.rank
+            if size > 16807:
+                continue
+            ray = CohClass.of([0] * model.rank)
+            while _oracle_pairing(model, ray, ray) <= 0:
+                shifts = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in anchor]
+                if symmetric:
+                    shifts[2:] = [shifts[1]] * (model.rank - 2)
+                t = rng.randint(1, 3)
+                ray = CohClass.of([t * a + p for a, p in zip(anchor, shifts)])
+            box = list(product(range(-bound, bound + 1), repeat=model.rank))
+            for sorted_perp in (False, True):
+                _check_slice(_RayData("ray", model, ray, bound, sorted_perp), box, rng)
+            if size <= 3125:
+                with search_group(groups[cases % 3]):
+                    plan = _Plan(SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"cyt"}), ray=ray))
+                _check_walk(plan, box)
+            cases += 1
+    return cases
+
+
+def _check_slice(rd: _RayData, box: list, rng: random.Random) -> None:
+    by_lead: dict = {}
+    for v in box:
+        if not rd.sorted_perp or list(v[1:]) == sorted(v[1:]):
+            by_lead.setdefault(v[0], {}).setdefault(sum(map(mul, v, rd.w)), []).append(v)
+    for lead, by_q in by_lead.items():
+        for q, vs in by_q.items():
+            assert rd.slice(lead, [q]) == vs, (rd.ray, lead, q, rd.sorted_perp)
+        assert rd.slice(lead, [max(by_q) + 1]) == rd.slice(lead, []) == [], (rd.ray, lead, rd.sorted_perp)
+        targets = sorted(rng.sample(sorted(by_q), rng.randint(1, len(by_q))))
+        assert rd.slice(lead, targets) == sorted(v for q in targets for v in by_q[q]), (rd.ray, lead, targets)
+    assert rd.perp_vectors() == [v for lead in sorted(by_lead) for v in by_lead[lead].get(0, [])], rd.ray
+
+
+def _check_walk(plan: _Plan, box: list) -> None:
+    references = [box_candidates(rd, box) for rd in plan.rays]
+    for lead in range(-plan.query.coeff_bound, 1 if plan.signs else plan.query.coeff_bound + 1):
+        walk = plan.walk(lead)
+        within = [v for v in box if v[0] == lead and (not plan.sorted_v1 or list(v[1:]) == sorted(v[1:]))]
+        assert walk == sorted(set(walk)) and set(walk) <= set(within), (plan.query, lead)
+        missed = set(within) - set(walk)
+        assert not any(ref(v, plan.sorted_v1) for v in missed for ref in references), (plan.query, lead)
+
+
 # -- the walk's scale against solve_scale ----------------------------------
 #
 # The search takes a candidate's scale on the primitive ray, t = 2 (q1^2 +
@@ -1357,7 +1438,7 @@ def check_walk_scales(case, data) -> None:
     for rd in plan.rays:
         # with every trace-free partner, whatever the plan's group
         full = _RayData(rd.name, model, rd.ray, bound)
-        perp = full.perp_vectors(model.rank)
+        perp = full.perp_vectors()
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(box), st.sampled_from(box)), max_size=8))
         pairs += data.draw(st.lists(st.tuples(st.sampled_from(perp), st.sampled_from(perp)), min_size=1, max_size=4))
         for w1, w2 in pairs:

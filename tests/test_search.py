@@ -358,8 +358,8 @@ def test_ci_catalogs_without_and_with_signs(tmp_path, k, bound, filters, v1, v2)
 
 
 def test_an_asymmetric_ray_routes_a_pair_by_the_first_ray_that_generates_it(tmp_path):
-    # signs and swap, no permutations: unsorted w1, the solved-coordinate
-    # trace-free scan and two rays, with 936 of the box candidates generated
+    # signs and swap, no permutations: unsorted w1, the unsorted
+    # trace-free slice and two rays, with 936 of the box candidates generated
     # by both; those take the query's ray, the first plan ray, as the catalog
     # bytes record, with the signs (v2) and without (v1)
     from collections import Counter
@@ -465,7 +465,7 @@ def test_perp_vectors_match_the_box_filter(model, ray, bound):
         if sum(a * b for a, b in zip(v, w)) == 0
     ]
     assert 0 in w
-    assert data.perp_vectors(model.rank) == brute
+    assert data.perp_vectors() == brute
 
 
 @pytest.mark.parametrize("bound", [1, 3])
@@ -488,7 +488,7 @@ def test_sorted_perp_vectors_match_the_sorted_box_filter(model, ray, bound):
         if list(v[1:]) == sorted(v[1:]) and sum(a * b for a, b in zip(v, w)) == 0
     ]
     assert len(set(w[1:])) == 1
-    assert data.perp_vectors(model.rank) == brute
+    assert data.perp_vectors() == brute
 
 
 @pytest.mark.parametrize("sorted_perp", [False, True])
@@ -536,6 +536,10 @@ def test_one_record_per_sign_orbit_of_the_unpruned_reference():
 
 def test_candidates_match_the_box_on_random_rays():
     property_suites.check_candidates_for()
+
+
+def test_slices_and_walks_match_the_box_on_random_rays():
+    assert property_suites.run_slices() == 34
 
 
 def test_walk_scales_match_solve_scale_on_random_rays():
@@ -1049,15 +1053,27 @@ def test_a_verdict_search_renders_no_documents(monkeypatch):
 
 
 def test_search_stats_count_the_w1_walked():
-    # k = 5, bound 3: 462 sorted exceptional tails per lead, 7 leads without
-    # the signs and the 4 leads -3..0 with them
+    # k = 5, bound 3, along c1 (d = Q(c1,c1) = 4, max|c1_j| = 3): the walk
+    # takes the sorted w1 whose q1 = Q(w1,c1) = 3 w1[0] + sum(w1[1:]) admits
+    # a q2 != 0 within the bound and divisibility of the module docstring,
+    # +-c1 among them; the leads -3..3 without the signs, -3..0 with
     q = SearchQuery(blowup_cp2(5), 3, frozenset({"cyt", "topology", "spin"}))
+    box = [v for v in itertools.product(range(-3, 4), repeat=6) if list(v[1:]) == sorted(v[1:])]
+    partnered = {
+        q1
+        for q1 in range(-24, 25)
+        for q2 in range(-24, 25)
+        if q2 and (q1 * q1 + q2 * q2) * 3 <= 4 * 3 * (abs(q1) + abs(q2)) and (q1 * q1 + q2 * q2) % 4 == 0
+    }
+    walk = [v for v in box if 3 * v[0] + sum(v[1:]) in partnered]
+    assert sorted(partnered) == [-4, -2, 0, 2, 4] and {(3,) + (-1,) * 5, (-3,) + (1,) * 5} <= set(walk)
     for threads in (1, 2):
         with property_suites.without_signs():
             stats = search(q, threads=threads)[1]
-        assert (stats.omega1_walked, stats.omega1_with_candidates) == (3234, 304), threads
+        assert (stats.omega1_walked, stats.omega1_with_candidates) == (len(walk), 304) == (704, 304), threads
         stats = search(q, threads=threads)[1]
-        assert (stats.omega1_walked, stats.omega1_with_candidates) == (1848, 182), threads
+        walked = sum(v[0] <= 0 for v in walk)
+        assert (stats.omega1_walked, stats.omega1_with_candidates) == (walked, 182) == (423, 182), threads
 
 
 @pytest.mark.parametrize("threads", [1, 2])
