@@ -86,6 +86,11 @@ class InvariantViolation(CytForgeError):
     never a verdict.  Raised explicitly so it survives ``python -O``."""
 
 
+class WorkerDied(CytForgeError):
+    """A forked search worker ended, by a signal or an exit, without sending
+    its chunks back."""
+
+
 class CorruptRecord(CytForgeError):
     """Unreadable catalog line; .line_number is 1-based."""
 

@@ -47,9 +47,12 @@ enters it only if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing
 the condition with R shows that Q(c1,R) <= 0 forces s <= 0.  With no ray,
 only the ansatz pair has candidates, so a cyt search walks its two
 vectors, not the box, and runs serially.
-Work is split by the leading coefficient of w1; every chunk, serial or in a
-pool worker, runs on that one plan, and chunks merge in order, which keeps
-parallel runs bit-identical to serial ones.
+Work is split by the leading coefficient of w1 into chunks, which all run
+on that one plan.  On w > 1 workers the search forks w - 1 children after
+the plan is built, so they inherit it, and the calling process works a
+share too; every worker claims leads in order from one pipe (forkjoin).
+Without os.fork the search runs serially.  Chunks merge in lead order,
+which keeps parallel runs bit-identical to serial ones.
 
 Enumeration is isomorph-free up to the query's symmetry group (orderly
 generation in McKay's sense).  It holds the pair swap and the fiber sign
@@ -181,7 +184,9 @@ class SearchStats:
 
 def resolve_threads(requested: Optional[int] = None) -> int:
     cap = os.environ.get("CYT_FORGE_THREADS")
-    n = requested if requested is not None else min(4, os.cpu_count() or 1)
+    n = requested
+    if n is None:  # the CPUs this process may run on, where the platform tells
+        n = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if cap is not None:
         try:
             n = min(n, max(1, int(cap)))
@@ -613,18 +618,6 @@ class _Plan:
         )
 
 
-_worker_plan: Optional[_Plan] = None  # set in each pool worker as it starts
-
-
-def _start_worker(plan: _Plan) -> None:
-    global _worker_plan
-    _worker_plan = plan
-
-
-def _worker_chunk(lead: int) -> tuple[list[CatalogRecord], tuple[int, ...], dict[str, int]]:
-    return _worker_plan.chunk(lead)
-
-
 def search(
     query: SearchQuery,
     threads: Optional[int] = None,
@@ -645,21 +638,19 @@ def search(
 
     plan = _Plan(query)
     leads = list(range(-bound, 1 if plan.signs else bound + 1))
-    nthreads = resolve_threads(threads)
-    if nthreads <= 1 or len(leads) <= 1 or ("cyt" in query.filters and not plan.rays):
+    workers = min(resolve_threads(threads), len(leads))
+    if workers > 1 and hasattr(os, "fork") and ("cyt" not in query.filters or plan.rays):
+        from .forkjoin import fork_join  # only a forked search pays for its imports
+
+        results = fork_join(plan.chunk, leads, workers)
+        if progress:
+            progress(f"{len(leads)} chunks done on {workers} workers")
+    else:
         results = []
         for lead in leads:
             results.append(plan.chunk(lead))
             if progress:
                 progress(f"chunk {len(results)}/{len(leads)} done")
-    else:
-        from multiprocessing import Pool  # only a pooled search pays for the import
-
-        workers = min(nthreads, len(leads))
-        with Pool(processes=workers, initializer=_start_worker, initargs=(plan,)) as pool:
-            results = pool.map(_worker_chunk, leads)
-        if progress:
-            progress(f"{len(leads)} chunks done on {workers} workers")
 
     merged: list[CatalogRecord] = []
     seen: set[str] = set()

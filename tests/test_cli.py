@@ -481,7 +481,7 @@ def test_search_into_a_closed_pipe_ends_quietly():
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # only a search on more than one worker needs a process pool
+    # no command needs it: a search forks its workers itself
     src = str(Path(cytforge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
@@ -489,6 +489,26 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
         capture_output=True, text=True, env=env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_a_two_worker_search_forks_with_no_thread_and_no_multiprocessing(tmp_path):
+    # Python 3.12+ warns when a process with threads forks, and as an error
+    # the warning reaches stderr: a clean stderr pins that the search holds
+    # no helper thread when it forks its worker
+    src = str(Path(cytforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("CYT_FORGE_THREADS", None)
+    script = "import sys; from cytforge.cli import main; code = main(); print('multiprocessing' in sys.modules); sys.exit(code)"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", script, "search", "--model", "blowup_cp2(3)",
+         "--bound", "2", "--filter", "cyt", "--threads", "2", "--out", str(tmp_path / "k3.jsonl")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert proc.stderr.splitlines() == [
+        "3 chunks done on 2 workers",
+        "search exhausted coefficient bound 2: 12 pairs visited, 9 skipped by symmetry, 3 records",
+    ]
 
 
 def test_unreadable_paths_exit_2(tmp_path, capsys):

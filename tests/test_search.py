@@ -2,11 +2,18 @@ import contextlib
 import dataclasses
 import importlib
 import itertools
-import multiprocessing
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import property_suites
 import pytest
 
+from cytforge import forkjoin
 from cytforge.catalog import VerdictFlags
 from cytforge.cyt import BundleSpec, verify_cyt
 from cytforge.errors import BoundTooLarge
@@ -217,8 +224,6 @@ def test_skt_records_verify():
 
 
 def test_record_must_stand_on_full_certificate(monkeypatch):
-    from types import SimpleNamespace
-
     from cytforge.errors import InvariantViolation
 
     monkeypatch.setattr(search_module, "verify_cyt", lambda bundle, f: SimpleNamespace(verdict=False))
@@ -685,6 +690,172 @@ def test_serial_equals_two_workers(monkeypatch, model, bound, filters, ray):
         assert parallel_stats == serial_stats
 
 
+@pytest.mark.parametrize("claims", [forkjoin._CLAIMS, 2])
+@pytest.mark.parametrize(
+    "model,bound,filters",
+    [
+        (blowup_cp2(3), 2, {"cyt", "topology", "spin"}),
+        (blowup_cp2(3), 2, {"skt", "spin"}),
+    ],
+)
+def test_serial_and_forked_searches_are_byte_identical(monkeypatch, model, bound, filters, claims):
+    # leads -2..0: four workers are more than the leads, and two claims
+    # hand out runs of two leads and one
+    monkeypatch.delenv("CYT_FORGE_THREADS", raising=False)
+    monkeypatch.setattr(forkjoin, "_CLAIMS", claims)
+    q = SearchQuery(model=model, coeff_bound=bound, filters=frozenset(filters))
+    serial, serial_stats = search(q, threads=1)
+    assert serial and serial_stats.chunks == 3
+    for threads in (2, 3, 4):
+        messages = []
+        records, stats = search(q, threads=threads, progress=messages.append)
+        assert messages == [f"3 chunks done on {min(threads, 3)} workers"]
+        assert [r.to_line() for r in records] == [r.to_line() for r in serial], threads
+        assert stats == serial_stats, threads
+
+
+@pytest.mark.parametrize("claims", [forkjoin._CLAIMS, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fork_join_works_every_lead_once(tmp_path, monkeypatch, workers, claims):
+    # every call appends its lead to one file, from whichever process made
+    # it; three claims hand out runs of three, three and one of the 7 leads
+    monkeypatch.setattr(forkjoin, "_CLAIMS", claims)
+    calls = tmp_path / "calls"
+    log = os.open(calls, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def work(lead):
+        os.write(log, f"{lead}\n".encode())
+        return -lead
+
+    leads = list(range(-3, 4))
+    try:
+        assert forkjoin.fork_join(work, leads, workers) == [-lead for lead in leads]
+    finally:
+        os.close(log)
+    assert sorted(map(int, calls.read_text().split())) == leads
+
+
+def test_a_search_forks_one_child_per_extra_worker(monkeypatch):
+    monkeypatch.delenv("CYT_FORGE_THREADS", raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    q = SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"cyt"}))
+    expected = search(q, threads=1)
+    assert forks == []
+    for threads, children in ((2, 1), (3, 2), (4, 2)):
+        forks.clear()
+        assert search(q, threads=threads) == expected
+        assert forks == [os.getpid()] * children, threads
+    # without os.fork the search takes the serial path
+    monkeypatch.delattr(os, "fork")
+    messages = []
+    assert search(q, threads=2, progress=messages.append) == expected
+    assert messages == ["chunk 1/3 done", "chunk 2/3 done", "chunk 3/3 done"]
+
+
+def test_a_worker_exception_reaches_the_caller_and_every_worker_is_reaped(monkeypatch):
+    from cytforge.errors import InvariantViolation
+
+    class Unpicklable(Exception):  # a local class: pickle cannot find it by name
+        pass
+
+    parent = os.getpid()
+    chunk = search_module._Plan.chunk
+
+    def slow_caller(plan, lead):
+        if os.getpid() == parent:
+            time.sleep(0.3)  # so the forked worker claims a lead
+        return chunk(plan, lead)
+
+    monkeypatch.setattr(search_module._Plan, "chunk", slow_caller)
+    # leads -3..0, and the first two hold records: the worker rechecks one
+    q = SearchQuery(model=blowup_cp2(3), coeff_bound=3, filters=frozenset({"cyt"}))
+    assert search(q, threads=1)[1].chunk_records[:2] == (24, 6)
+    monkeypatch.setattr(search_module, "verify_cyt", lambda bundle, f: SimpleNamespace(verdict=os.getpid() == parent))
+    with pytest.raises(InvariantViolation, match=r"^search record \S+ on blowup_cp2\(3,general\) does not stand on the full cyt certificate$"):
+        search(q, threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def unpicklable(plan, lead):
+        if os.getpid() != parent:
+            raise Unpicklable(f"lead {lead}")
+        return slow_caller(plan, lead)
+
+    monkeypatch.setattr(search_module._Plan, "chunk", unpicklable)
+    with pytest.raises(RuntimeError, match=r"(?s)^Traceback .*Unpicklable: lead -[23]\n$"):
+        search(q, threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def caller_fails(plan, lead):
+        if os.getpid() == parent:
+            time.sleep(0.3)
+            raise InvariantViolation(f"caller at lead {lead}")
+        time.sleep(60)
+        return chunk(plan, lead)
+
+    # the caller's own error kills the worker still busy, and reaps it
+    monkeypatch.setattr(search_module._Plan, "chunk", caller_fails)
+    start = time.monotonic()
+    with pytest.raises(InvariantViolation, match=r"^caller at lead -[23]$"):
+        search(q, threads=2)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a 2-worker search whose forked worker is killed by SIGKILL on lead 0; the
+# caller sleeps in its first chunk, so the worker claims the other two leads
+KILLED_WORKER = """
+import importlib, os, signal, time
+from cytforge.surfaces import blowup_cp2
+search = importlib.import_module("cytforge.search")
+parent, chunk = os.getpid(), search._Plan.chunk
+
+def dying(plan, lead):
+    if os.getpid() == parent:
+        time.sleep(0.5)
+    elif lead == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return chunk(plan, lead)
+
+search._Plan.chunk = dying
+query = search.SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"cyt"}))
+try:
+    search.search(query, threads=2)
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+def test_a_killed_worker_fails_the_search_instead_of_hanging_it():
+    src = str(Path(search_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("CYT_FORGE_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert re.fullmatch(
+        r"WorkerDied: search worker \d+ was killed by SIGKILL: no chunk came back for leads -[12], 0\n", proc.stdout
+    ), proc.stdout
+
+
+def test_resolve_threads_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("CYT_FORGE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_threads() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert resolve_threads() == 3
+    monkeypatch.setenv("CYT_FORGE_THREADS", "2")
+    assert resolve_threads() == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert resolve_threads() == 2
+    monkeypatch.delenv("CYT_FORGE_THREADS")
+    assert resolve_threads() == 4
+
+
 def test_plan_is_built_once_per_search(monkeypatch):
     import os
 
@@ -694,7 +865,7 @@ def test_plan_is_built_once_per_search(monkeypatch):
 
     def counting_init(self, query):
         if os.getpid() != parent:
-            raise RuntimeError("a pool worker rebuilt the plan")
+            raise RuntimeError("a forked worker rebuilt the plan")
         built.append(query)
         original(self, query)
 
@@ -771,11 +942,11 @@ def test_a_rayless_cyt_search_visits_only_the_ansatz_vectors(k, monkeypatch, tmp
     assert stats.symmetry == search_module.SWAP
     frozen_without_and_with_signs(tmp_path, q, 1, (digest, (2, 1, 1)), (digest, (2, 1, 1)))
 
-    # two vectors are too few for a pool: threads=2 runs serially
+    # two vectors are too few to share: threads=2 runs serially
     def refuse(*args, **kwargs):
-        raise RuntimeError("a ray-less search started a pool")
+        raise RuntimeError("a ray-less search forked a worker")
 
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     assert search(q, threads=2) == (records, stats)
 
 
