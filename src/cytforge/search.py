@@ -39,11 +39,18 @@ the range of Q over its continuations; the trace-free list is its q = 0
 slice over every lead.  The walk is in the box's order and holds every w1
 with a candidate, so it visits the same pairs as a walk of the whole box.
 
+A search with skt and without cyt takes each w2 from its square,
+Q(w2,w2) = -Q(w1,w1).  On a diagonal Gram, _Plan.skt_tails generates the
+exceptional coordinates of w2 for each lead in the orbit rule's window
+the way _RayData.slice does, sorted on each run of equal exceptional
+coordinates of w1 under the permutations, memoised per (runs, square).
+Other Grams (the quadric) file every box vector by its square instead.
+
 A search builds one plan per query with everything the pairs share: the
-rays, the balanced fallback class, the skt buckets (its one table of
-squares), the ansatz pair and its source, the symmetry group and the bit
-mask of c1.  A ray (the query's, then the anticanonical)
-enters it only if it is Kaehler with Q(R,R) > 0 and Q(c1,R) > 0; pairing
+rays, the balanced fallback class, the skt partner tables, the ansatz
+pair and its source, the symmetry group and the bit mask of c1.  A ray
+(the query's, then the anticanonical) enters it only if it is Kaehler
+with Q(R,R) > 0 and Q(c1,R) > 0; pairing
 the condition with R shows that Q(c1,R) <= 0 forces s <= 0.  With no ray,
 only the ansatz pair has candidates, so a cyt search walks its two
 vectors, not the box, and runs serially.
@@ -68,7 +75,10 @@ Gram matrix and c1, the query's ray (if any) has equal exceptional
 coordinates, and no ansatz pair is in the box.  The search walks only w1
 with non-decreasing exceptional coordinates and, with the signs, only the
 leads -b..0 (a minimal pair has w1[0] <= w2[0] <= 0), and evaluates a pair
-only when it is the lexicographic minimum of its orbit.  That minimum is
+only when it is the lexicographic minimum of its orbit.  Of the w2 in
+the lead window and sorted on the runs, only one whose leads tie (w2[0] =
+w1[0], or 0 with the signs) can fail that: the others are the one image of
+their least leads, so _is_orbit_min tests the ties alone.  That minimum is
 the canonical key (the least image, columns sorted) and the pair the
 unpruned enumeration would emit first for the orbit, so the catalog is the
 unpruned one reduced by the group.  When the search's group is the key's
@@ -96,7 +106,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
+from operator import mul, neg
 from typing import Callable, Iterable, Optional
 
 from .catalog import CatalogRecord, _flags
@@ -215,6 +225,12 @@ def _pair_text(a: tuple[int, ...], b: tuple[int, ...]) -> str:
     return ",".join(map(str, a)) + "|" + ",".join(map(str, b))
 
 
+def _columns_sorted(x: tuple[int, ...], y: tuple[int, ...]) -> _Pair:
+    """The pair with its exceptional columns (x_i, y_i) sorted."""
+    xs, ys = zip(*sorted(zip(x[1:], y[1:])))
+    return (x[0], *xs), (y[0], *ys)
+
+
 def _orbit_min(v1: tuple[int, ...], v2: tuple[int, ...], permute: bool, signs: bool) -> _Pair:
     """The least image of the pair under the swap, the sign changes (+-v1, +-v2)
     when signs is set and the permutations of the exceptional coordinates of
@@ -228,8 +244,40 @@ def _orbit_min(v1: tuple[int, ...], v2: tuple[int, ...], permute: bool, signs: b
     least = min((x[0], y[0]) for x, y in images)
     images = [(x, y) for x, y in images if (x[0], y[0]) == least]
     if permute:
-        images = [((x[0], *xs), (y[0], *ys)) for x, y in images for xs, ys in [zip(*sorted(zip(x[1:], y[1:])))]]
+        images = [_columns_sorted(x, y) for x, y in images]
     return min(images)
+
+
+def _is_orbit_min(v1: tuple[int, ...], v2: tuple[int, ...], permute: bool, signs: bool) -> bool:
+    """Whether _orbit_min(v1, v2, permute, signs) is the pair itself, read
+    from the images with the pair's own leads, which it must have: none may
+    sort below it.  With v1[0] < v2[0], and v2[0] < 0 under the signs, the
+    pair is the only one, so its sorted columns decide.  Under the
+    permutations an image's first half is its sorted x, so an image is
+    sorted whole only when that half ties with v1."""
+    a, c = v1[0], v2[0]
+    if a > c or signs and c > 0:
+        return False
+    pair = (v1, v2)
+    images = [(v2, v1)] * (a == c)
+    if signs and not c:  # a lead 0 takes either sign
+        m1, m2 = tuple(map(neg, v1)), tuple(map(neg, v2))
+        images += [(v1, m2)] + [(m1, v2), (m1, m2), (v2, m1), (m2, v1), (m2, m1)] * (not a)
+    if permute:
+        columns, first = list(zip(v1[1:], v2[1:])), list(v1[1:])
+        if columns != sorted(columns):
+            return False
+    for x, y in images:
+        if permute:
+            xs = sorted(x[1:])
+            if xs != first:
+                if xs < first:
+                    return False
+                continue
+            x, y = _columns_sorted(x, y)
+        if (x, y) < pair:
+            return False
+    return True
 
 
 # -- orbit rule ----------------------------------------------------------
@@ -268,6 +316,32 @@ def _vectors_with_lead(
         yield (lead,) + rest
 
 
+def _grow(
+    rows: list[list[tuple[int, int, int, int]]], targets: list[int], sorted_at: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """The vectors that take an entry (x, share, lo, hi) of each row as
+    their coordinates, in lexicographic order, whose shares sum to a value
+    in the sorted list targets; for j in sorted_at, coordinate j is not
+    below coordinate j - 1, and row j lists its x in steps of 1 upward.
+    Coordinates are chosen one at a time, and a prefix is dropped once no
+    target lies in [sum + lo, sum + hi], the range of the sum over its
+    continuations that its last entry states."""
+    if not rows:
+        return [()] if 0 in targets else []
+    count = len(targets)
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for j, row in enumerate(rows):
+        grown = []
+        for v, q in level:
+            for x, share, lo, hi in row[v[-1] - row[0][0] :] if j in sorted_at else row:
+                t = q + share
+                i = bisect_left(targets, t + lo)
+                if i < count and targets[i] <= t + hi:
+                    grown.append((v + (x,), t))
+        level = grown
+    return [v for v, _ in level]
+
+
 class _RayData:
     """One cyt route along a ray: its name and class, with the integer data
     for solver-aware candidate generation."""
@@ -296,7 +370,7 @@ class _RayData:
             tuple(m * x for x in prim) for m in range(-top, top + 1) if m
         )
         self.sorted_perp = sorted_perp  # perp and slice hold only sorted exceptionals
-        # slice's table, per coordinate j and value x: x, its share w_j x of Q and
+        # slice's rows for _grow, per coordinate j and value x: x, its share w_j x of Q and
         # the range of Q over the later coordinates, each in the box or, with
         # sorted_perp, a non-decreasing tail from x (from -b after the lead),
         # whose extremes are at the tails p..p b..b of that order polytope
@@ -339,23 +413,11 @@ class _RayData:
     def slice(self, lead: int, targets: list[int]) -> list[tuple[int, ...]]:
         """The box vectors v with first coordinate lead and Q(v,R) in the
         sorted list targets, in lexicographic order; with sorted_perp only
-        those with non-decreasing exceptional coordinates.  Coordinates are
-        chosen one at a time, and a prefix is dropped once no target lies in
-        the range of Q over its continuations (see slice_rows)."""
-        b, sorted_rest, count = self.bound, self.sorted_perp, len(targets)
-        level: list[tuple[tuple[int, ...], int]] = [((), 0)]
-        for j, row in enumerate(self.slice_rows):
-            if not j:
-                row = row[lead + b : lead + b + 1]
-            grown = []
-            for v, q in level:
-                for x, wx, lo, hi in row[v[-1] + b :] if sorted_rest and j > 1 else row:
-                    t = q + wx
-                    i = bisect_left(targets, t + lo)
-                    if i < count and targets[i] <= t + hi:
-                        grown.append((v + (x,), t))
-            level = grown
-        return [v for v, _ in level]
+        those with non-decreasing exceptional coordinates (see _grow and
+        slice_rows)."""
+        b, rows = self.bound, self.slice_rows
+        sorted_at = range(2, len(rows)) if self.sorted_perp else ()
+        return _grow([rows[0][lead + b : lead + b + 1], *rows[1:]], targets, sorted_at)
 
     def perp_vectors(self) -> list[tuple[int, ...]]:
         """The box vectors v with Q(v,R) = 0, in lexicographic order; with
@@ -434,8 +496,8 @@ def _ansatz_pair(query: SearchQuery) -> Optional[_Pair]:
 class _Plan:
     """Everything the pairs of one query share, built once per search: the
     rays a record can stand on, the balanced filter's fallback class, the
-    skt buckets, the ansatz pair and its source, the symmetry group and the
-    bit mask of c1."""
+    skt rows and tails or buckets, the ansatz pair and its source, the
+    symmetry group and the bit mask of c1."""
 
     def __init__(self, query: SearchQuery):
         model = query.model
@@ -469,13 +531,26 @@ class _Plan:
         f = query.ray if query.ray is not None else model.c1
         self.balanced_class = f if "balanced" in query.filters and intersect(model, f, f) != 0 else None
 
+        # skt without cyt takes each w2 from its square: on a diagonal Gram
+        # from skt_tails, else from buckets, every box vector by its square
+        skt_only = "skt" in query.filters and "cyt" not in query.filters
+        diag = model._gram_diagonal
+        self.skt_rows: Optional[list[list[tuple[int, int, int, int]]]] = None
         self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
-        if "cyt" not in query.filters and "skt" in query.filters:
+        if skt_only and diag is not None:
+            # _grow's rows, per exceptional coordinate j and box value x: x, its
+            # share g_jj x^2 and the range [lo, hi] of sum g_ii x_i^2 over the i > j
+            self.skt_rows = []
+            lo = hi = 0
+            for g in reversed(diag[1:]):
+                self.skt_rows.insert(0, [(x, g * x * x, lo, hi) for x in range(-bound, bound + 1)])
+                lo, hi = lo + min(0, g * bound * bound), hi + max(0, g * bound * bound)
+            self.skt_memo: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+        elif skt_only:
             self.skt_buckets = {}
             for v in _all_vectors(rank, bound):
                 self.skt_buckets.setdefault(self.square(v), []).append(v)
-        # a bucket holds only the partners that pass skt, so only solver pairs are screened for it
-        self.skt = "skt" in query.filters and self.skt_buckets is None
+        self.skt = "skt" in query.filters and not skt_only  # a partner from its square passes skt
 
     def square(self, v: tuple[int, ...]) -> int:
         return sum(map(mul, v, self.query.model.gram_row(v)))
@@ -494,9 +569,27 @@ class _Plan:
                 a1, a2 = self.ansatz_pair
                 found.setdefault(a2 if v1 == a1 else a1, self.ansatz_source)
             return dict(sorted(found.items())) if found else found
+        if self.skt_rows is not None:
+            b, g0, square, runs = self.query.coeff_bound, self.query.model.gram[0][0], -self.square(v1), self.runs(v1)
+            leads = range(v1[0], (0 if self.signs else b) + 1) if self.prune else range(-b, b + 1)
+            return [(a, *t) for a in leads for t in self.skt_tails(runs, square - g0 * a * a)]
         if self.skt_buckets is not None:
             return self.skt_buckets.get(-self.square(v1), [])
         return _all_vectors(len(v1), self.query.coeff_bound)
+
+    def runs(self, v1: tuple[int, ...]) -> tuple[int, ...]:
+        """Under the permutations, the i >= 1 with v1[i] = v1[i + 1]: an orbit
+        minimum's w2 is sorted on each run of equal exceptional coordinates."""
+        return tuple(i for i in range(1, len(v1) - 1) if v1[i] == v1[i + 1]) if self.sorted_v1 else ()
+
+    def skt_tails(self, runs: tuple[int, ...], square: int) -> list[tuple[int, ...]]:
+        """The exceptional coordinates t_1..t_k in the box with sum g_jj t_j^2
+        = square on the diagonal Gram and t_(i+1) >= t_i for i in runs, in
+        lexicographic order (see _grow and skt_rows), memoised."""
+        tails = self.skt_memo.get((runs, square))
+        if tails is None:  # row i of skt_rows is t_(i+1)
+            tails = self.skt_memo[(runs, square)] = _grow(self.skt_rows, [square], runs)
+        return tails
 
     def walk(self, lead: int) -> Iterable[tuple[int, ...]]:
         """The w1 with first coordinate lead that chunk pairs, in
@@ -520,27 +613,31 @@ class _Plan:
         visited = skipped = walked = with_candidates = 0
         rejected = dict.fromkeys(REJECT_STAGES, 0)
         passed_keys: set[str] = set()
-        rank, bound = self.query.model.rank, self.query.coeff_bound
+        bound = self.query.coeff_bound
         # an orbit minimum under the key's own group is its key (see the module docstring)
         own_key = self.prune and self.sorted_v1 == self.permute
         spin = "spin" in self.screen_flags
         cyt = "cyt" in self.query.filters
         top = 0 if self.signs else bound  # an orbit minimum has lead <= w2[0] <= top
+        # the skt_tails partners are in the rule's lead window and sorted on the runs
+        windowed = self.prune and self.skt_rows is None
         for v1 in self.walk(lead):
             walked += 1
             cands = self.candidates(v1)
             if not cands:
                 continue
             with_candidates += 1
-            # an orbit minimum's w2 is sorted on each run of equal exceptional coordinates of w1
-            runs = [i for i in range(1, rank - 1) if v1[i] == v1[i + 1]] if self.sorted_v1 else []
+            runs = self.runs(v1) if windowed else ()
             m1 = _gf2_mask(v1) if spin else None
             for v2 in cands:
                 visited += 1
+                c = v2[0]
+                # past the window and runs a pair is its own orbit minimum
+                # unless it ties on the leads (see _is_orbit_min)
                 if self.prune and (
-                    not lead <= v2[0] <= top
-                    or any(v2[i] > v2[i + 1] for i in runs)
-                    or _orbit_min(v1, v2, self.sorted_v1, self.signs) != (v1, v2)
+                    windowed and (not lead <= c <= top or any(v2[i] > v2[i + 1] for i in runs))
+                    or (c == lead or self.signs and not c)
+                    and not _is_orbit_min(v1, v2, self.sorted_v1, self.signs)
                 ):
                     skipped += 1
                     continue

@@ -172,7 +172,7 @@ class CohClass:
 REGIME_NONE = "none"  # no curves of negative self-intersection
 REGIME_RULINGS = "rulings"  # quadric: cone cut out by the two rulings
 REGIME_ENUMERATE = "enumerate_neg1"  # del Pezzo: exhaustive (-1)-class enumeration
-REGIME_ON_CUBIC = "on_cubic"  # blow-up along a cubic: explicit curve families
+REGIME_ON_CUBIC = "on_cubic"  # blow-up along a cubic: (-1)-classes to k = 8, then explicit families
 REGIME_EXPLICIT = "explicit"  # custom model with a user-supplied list
 
 
@@ -260,6 +260,11 @@ class SurfaceModel:
                     raise CytForgeError(f"{self.name}: the curve {c.serialize()} is not integral")
             return self.curves
         k = self.rank - 1
+        # with k <= 8 points general on a smooth cubic the surface is del
+        # Pezzo, whose negative curves are exactly its (-1)-classes
+        if regime == REGIME_ENUMERATE or regime == REGIME_ON_CUBIC and k <= 8:
+            vecs = _neg1_classes(k, degree_bound=6)
+            return tuple(CohClass.of([a] + [-b for b in bs]) for a, *bs in vecs)
         if regime == REGIME_ON_CUBIC:
             # E_i, then H - E_i - E_j, with their cleared forms seeded: the list
             # runs to k(k+1)/2 curves, and reading back their coefficients cost
@@ -277,9 +282,6 @@ class SurfaceModel:
             if k >= 10:
                 curves.append(self.c1)  # proper transform of the cubic, class -K
             return tuple(curves)
-        if regime == REGIME_ENUMERATE:
-            vecs = _neg1_classes(k, degree_bound=6)
-            return tuple(CohClass.of([a] + [-b for b in bs]) for a, *bs in vecs)
         raise MissingCurveData(f"unknown curve regime {regime!r}")
 
     @cached_property

@@ -63,11 +63,6 @@ def test_on_cubic_curves():
     assert len(negative_curves(m9)) == 9 + 36
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the on_cubic curve list has no conic: a known soundness gap in the cone check",
-)
 def test_on_cubic_cone_check_sees_the_conic():
     m = blowup_cp2(5, "on_cubic")
     f = parse_class(m, "10H-21/5E1-21/5E2-21/5E3-21/5E4-21/5E5")

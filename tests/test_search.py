@@ -261,7 +261,8 @@ def frozen_without_and_with_signs(tmp_path, query, threads, v1, v2):
 # sha256 of the catalog bytes `cytforge search --out` wrote for these queries
 # before search and topology moved to integer tuples (v1), and after the
 # fiber signs joined the group (v2), with the (visited, skipped, records)
-# of each; they must not move
+# of each; the digests must not move.  The skt counts are those of the
+# partners generated from their square, in the rule's lead window and runs
 FROZEN_CATALOGS = (
     (
         frozenset({"cyt", "topology", "spin"}),
@@ -270,8 +271,8 @@ FROZEN_CATALOGS = (
     ),
     (
         frozenset({"skt"}),
-        ("34d834b19d45f82414c3e96b359eac0b64d2025aa540be19f6e48a6de9862b24", (2665, 1892, 773)),
-        ("4b628ce0719b0ed80901ed9abbd9cef48116cb5a04391f9b32cc6b1707b4e67c", (1425, 1226, 199)),
+        ("34d834b19d45f82414c3e96b359eac0b64d2025aa540be19f6e48a6de9862b24", (961, 188, 773)),
+        ("4b628ce0719b0ed80901ed9abbd9cef48116cb5a04391f9b32cc6b1707b4e67c", (319, 120, 199)),
     ),
 )
 
@@ -283,10 +284,11 @@ def test_catalog_bytes_frozen(tmp_path, filters, v1, v2):
 
 
 # sha256 of the `cytforge search --out` skt catalogs for blowup_cp2(k) at
-# bound 3, where the bucketed partners are many, with (visited, skipped, records)
+# bound 3, written when every box vector was bucketed by its square, with
+# the (visited, skipped, records) of the partners generated from it
 FROZEN_SKT_CATALOGS = {
-    4: ("667d9af800752d40b858fb8fd9df3533b8eff304141af7f61a1377101b49861a", (51690, 46257, 5433)),
-    5: ("e791e4de15629d91d4b646d40fe3bbb543a8a91ca23a5f3295c1197d84dd346e", (230822, 214771, 16051)),
+    4: ("667d9af800752d40b858fb8fd9df3533b8eff304141af7f61a1377101b49861a", (8019, 2586, 5433)),
+    5: ("e791e4de15629d91d4b646d40fe3bbb543a8a91ca23a5f3295c1197d84dd346e", (24931, 8880, 16051)),
 }
 
 
@@ -349,10 +351,10 @@ CI_CATALOGS = [
      ("9a7bc8d9b6c72d61ed396e1447c506a2a213fe0ee95d542b6be251f5203cf693", (31450, 23868, 6213))),
     (3, 2, ("spin", "topology"), ("bb3cbee06323e5da37919e18675d951ff01664e2a0ccb4260b9f8c2d859b4745", (109375, 72600, 3376)),
      ("cec7b4747f3c1f44ba8d20928f573296a1cc21fc3560ad909629f2e5b6c6ad58", (65625, 56270, 849))),
-    (4, 2, ("skt", "spin"), ("2b565f5a845426162391d340cd5446f31b78f16bfc71ff2fb6170aba76ca4946", (8349, 6467, 64)),
-     ("f16af4bf6b1280925e57d4ff5ea5e03540f3ccb8a8c8364576a501566b45a53e", (4384, 3901, 16))),
-    (3, 3, ("skt",), ("3c93af7fcfa642fcf814391d00b7750da75a23845b060d6ef37b5a18a4dd085e", (15253, 10120, 5133)),
-     ("e53631831716964d7f2c9535f31d12ff9617a4eddb33b8ee56e64aff364c6364", (8015, 6716, 1299))),
+    (4, 2, ("skt", "spin"), ("2b565f5a845426162391d340cd5446f31b78f16bfc71ff2fb6170aba76ca4946", (2416, 534, 64)),
+     ("f16af4bf6b1280925e57d4ff5ea5e03540f3ccb8a8c8364576a501566b45a53e", (789, 306, 16))),
+    (3, 3, ("skt",), ("3c93af7fcfa642fcf814391d00b7750da75a23845b060d6ef37b5a18a4dd085e", (5995, 862, 5133)),
+     ("e53631831716964d7f2c9535f31d12ff9617a4eddb33b8ee56e64aff364c6364", (1837, 538, 1299))),
 ]
 
 
@@ -454,6 +456,71 @@ def test_orbit_minimum_matches_the_canonical_key():
             diagonal = [[(1 if i == 0 else -1 - (i == k)) * (i == j) for j in range(k + 1)] for i in range(k + 1)]
             model = blowup_cp2(k) if permute else custom_model("m", diagonal, [3] + [-1] * k)
             assert _pair_text(x, y) == property_suites.reference_key(model, v1, v2, signs), (v1, v2)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [blowup_cp2(2), blowup_cp2(3), custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1])],
+    ids=lambda m: m.name,
+)
+def test_the_lean_orbit_rule_is_the_least_image_test(model):
+    # on every pair of a small box, for each group: the rule reads the
+    # images with the pair's own leads alone, and the walk's pairs whose
+    # leads do not tie, which the chunk never tests, are their own minima.
+    # Two leads 0 give the most images, so those pairs span a wider box too
+    bound = 1 if model.rank > 3 else 2
+    box = list(itertools.product(range(-bound, bound + 1), repeat=model.rank))
+    zeros = [(0, *rest) for rest in itertools.product(range(-bound - 1, bound + 2), repeat=model.rank - 1)]
+    pairs = [*itertools.product(box, repeat=2), *itertools.product(zeros, repeat=2)]
+    own = _permutes_exceptionals(model)
+    for group in (search_module.SWAP, search_module.SIGNS_AND_SWAP, search_module.PERMUTE_SIGNS_AND_SWAP):
+        permute, signs = "exceptionals" in group, "signs" in group
+        for v1, v2 in pairs:
+            minimal = search_module._is_orbit_min(v1, v2, permute, signs)
+            assert minimal == (_orbit_min(v1, v2, permute, signs) == (v1, v2)), (group, v1, v2)
+            if permute == own:
+                assert minimal == (property_suites.reference_key(model, v1, v2, signs) == _pair_text(v1, v2))
+            walked = (not permute or list(v1[1:]) == sorted(v1[1:])) and (not signs or v1[0] <= 0)
+            windowed = v1[0] < v2[0] and (not signs or v2[0] < 0)
+            runs = not permute or all(v2[i] <= v2[i + 1] for i in range(1, model.rank - 1) if v1[i] == v1[i + 1])
+            if walked and windowed and runs:
+                assert minimal, (group, v1, v2)
+
+
+@pytest.mark.parametrize(
+    "model,bounds",
+    [(blowup_cp2(k), (1, 2, 3)) for k in range(1, 6)] + [(custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1]), (1, 2))],
+    ids=lambda v: v.name if hasattr(v, "name") else "-".join(map(str, v)),
+)
+def test_skt_partners_from_their_square_are_the_bucket_filter(model, bounds):
+    # the partners of every walked w1, with the signs and without them, are
+    # the box vectors of the opposite square in the orbit rule's lead window
+    # and sorted on each run of w1 under the permutations
+    pairs = 0
+    for bound in bounds:
+        box = itertools.product(range(-bound, bound + 1), repeat=model.rank)
+        buckets = {}
+        for v in box:
+            buckets.setdefault(sum(g * x * x for g, x in zip(model._gram_diagonal, v)), []).append(v)
+        for group in (property_suites.without_signs(), contextlib.nullcontext()):
+            with group:
+                plan = search_module._Plan(SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"skt"})))
+            assert plan.skt_rows is not None and plan.skt_buckets is None and not plan.skt
+            top = 0 if plan.signs else bound
+            for lead in range(-bound, top + 1):
+                for v1 in plan.walk(lead):
+                    runs = plan.runs(v1)
+                    want = [
+                        v2
+                        for v2 in buckets.get(-plan.square(v1), [])
+                        if lead <= v2[0] <= top and all(v2[i] <= v2[i + 1] for i in runs)
+                    ]
+                    assert plan.candidates(v1) == want, (bound, plan.symmetry, v1)
+                    pairs += len(want)
+    assert pairs > 0
+    # a Gram that is not diagonal keeps the buckets
+    plan = search_module._Plan(SearchQuery(model=quadric(), coeff_bound=2, filters=frozenset({"skt"})))
+    assert plan.skt_rows is None and plan.skt_buckets is not None
 
 
 @pytest.mark.parametrize("bound", [1, 3])
@@ -593,20 +660,20 @@ def test_pruning_changes_no_output(monkeypatch, model, bound, filters, ray):
 
 def test_orbit_minima_spell_their_own_key(monkeypatch):
     s = search_module
-    orbit_min = s._orbit_min
-    calls = []
+    calls = []  # (function name, permute) of every orbit rule test and spelled key
     keys = []  # (model, pair, key, signs) of every evaluated pair
     evaluate = s._Plan.evaluate
 
-    def counted(*args):
-        calls.append(args)
-        return orbit_min(*args)
+    def counted(name):
+        fn = getattr(s, name)
+        return lambda v1, v2, permute, signs: calls.append((name, permute)) or fn(v1, v2, permute, signs)
 
     def recorded(self, v1, v2, key, source):
         keys.append((self.query.model, (v1, v2), key, self.signs))
         return evaluate(self, v1, v2, key, source)
 
-    monkeypatch.setattr(s, "_orbit_min", counted)
+    for name in ("_orbit_min", "_is_orbit_min"):
+        monkeypatch.setattr(s, name, counted(name))
     monkeypatch.setattr(s._Plan, "evaluate", recorded)
     custom = custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1])
     m3 = blowup_cp2(3)
@@ -624,17 +691,18 @@ def test_orbit_minima_spell_their_own_key(monkeypatch):
         records, stats = search(q, threads=1)
         assert records and stats.symmetry == group
         assert keys and all(key == property_suites.reference_key(m, *pair) for m, pair, key, _ in keys)
-        if own:
+        if own:  # no least image is spelled: the rule tests pairs with tied leads alone
             assert all(key == _pair_text(*pair) for _, pair, key, _ in keys), q.model.name
+            assert set(calls) == {("_is_orbit_min", "exceptionals" in group)}
         else:  # the rule's calls leave the permutations out, the key's sort them
-            assert {permute for _, _, permute, _ in calls} == {False, True}
+            assert ("_orbit_min", True) in calls and set(calls) <= {("_is_orbit_min", False), ("_orbit_min", True)}
     # the unpruned reference writes the key of every pair it evaluates, without the signs
     monkeypatch.setattr(s, "search_symmetry", lambda *args: s.NO_SYMMETRY)
     for q, _, _ in cases:
         calls.clear()
         keys.clear()
         _, stats = search(q, threads=1)
-        assert keys and len(calls) == stats.pairs_evaluated  # one key per visited pair
+        assert keys and [name for name, _ in calls] == ["_orbit_min"] * stats.pairs_evaluated  # one key per visited pair
         assert all(key == property_suites.reference_key(m, *pair, signs) for m, pair, key, signs in keys)
         assert not any(signs for _, _, _, signs in keys)
 
