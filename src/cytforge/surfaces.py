@@ -8,7 +8,9 @@ and a Kummer-surface fragment given by a partial pairing table.
 
 A lattice model owns its curves, cached on it and freed with it: the
 integral list its regime gives (`SurfaceModel.cone_curves`), and their Gram
-rows with the cone check's sign memo (`SurfaceModel.cone_rows`).
+rows with the cone check's sign memo (`SurfaceModel.cone_rows`).  Every
+model also keeps the certificate text that depends on it alone
+(`SurfaceModel.certificate_store`).
 
 Pairings on a lattice model run on integer Gram rows: a rational class
 caches its cleared form (integer numerators over the least common
@@ -156,12 +158,13 @@ class CohClass:
         return list(self.cleared_form[0])
 
     @cached_property
-    def _text(self) -> tuple[str, ...]:
+    def text(self) -> tuple[str, ...]:
+        """The coefficients in the exact scalar format."""
         return tuple(map(format_scalar, self.coeffs))
 
     def serialize(self) -> list[str]:
         """The coefficients in the exact scalar format, as a fresh list."""
-        return list(self._text)
+        return list(self.text)
 
     @staticmethod
     def deserialize(items: Sequence[str]) -> "CohClass":
@@ -296,6 +299,12 @@ class SurfaceModel:
             rows.append(tuple(self.gram_row(c.cleared_form[0])))
         return tuple(rows), {}
 
+    @cached_property
+    def certificate_store(self) -> dict:
+        """What certificates render alike on this model, filled by the
+        certificate writer on first use (`certificates.Certificate`)."""
+        return {}
+
     def __post_init__(self):
         b = self.rank
         if len(self.gram) != b or any(len(row) != b for row in self.gram):
@@ -346,6 +355,12 @@ class PairingFunctionalModel:
     @property
     def gram(self):
         return self.table
+
+    @cached_property
+    def certificate_store(self) -> dict:
+        """What certificates render alike on this model, filled by the
+        certificate writer on first use (`certificates.Certificate`)."""
+        return {}
 
 
 Model = Union[SurfaceModel, PairingFunctionalModel]

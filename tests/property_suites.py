@@ -541,7 +541,7 @@ def _check_surd_form(x: CohClass) -> None:
 def _check_caches_stay_private(x: CohClass, digest: int) -> None:
     """With both caches filled, x equals and hashes as a bare class of its
     coefficients, and a pickle round trip carries the coefficients alone."""
-    assert {"_text", "cleared_form"} <= set(vars(x))
+    assert {"text", "cleared_form"} <= set(vars(x))
     bare = CohClass(x.coeffs)
     assert x == bare and hash(x) == hash(bare) == digest
     back = pickle.loads(pickle.dumps(x))

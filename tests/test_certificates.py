@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import hashlib
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,12 @@ from hypothesis import strategies as st
 from test_catalog import TEXTS
 from test_cli import FROZEN_COMMANDS
 
-from cytforge.certificates import Certificate, _indented, build_certificate, digest_of
+from cytforge import certificates
+from cytforge.certificates import Certificate, _render, build_certificate, cone_doc, cyt_doc, digest_of
 from cytforge.cli import main
+from cytforge.cone import is_kahler
 from cytforge.cyt import BundleSpec, verify_cyt
-from cytforge.certificates import cyt_doc
-from cytforge.surfaces import blowup_cp2, parse_class
+from cytforge.surfaces import blowup_cp2, custom_model, parse_class
 
 
 def sample_certificate():
@@ -69,6 +73,14 @@ def oracle(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def compact_oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _indented(doc) -> str:
+    return _render(doc, "")
+
+
 def test_json_dumps_is_the_oracle_for_every_frozen_certificate(monkeypatch, capsys):
     seen = []
     to_json = Certificate.to_json
@@ -86,6 +98,79 @@ def test_json_dumps_is_the_oracle_for_every_frozen_certificate(monkeypatch, caps
         out = capsys.readouterr().out
         printed += "json" in argv and out != ""
     assert len(seen) == printed == 19
+
+
+def test_every_frozen_digest_is_the_sha256_of_the_compact_json_dumps(monkeypatch, capsys):
+    built = []
+    build = certificates.build_certificate
+    monkeypatch.setattr(certificates, "build_certificate", lambda *args: built.append(build(*args)) or built[-1])
+    for argv in FROZEN_COMMANDS:
+        main(list(argv))
+        capsys.readouterr()
+    assert len(built) == 38  # the certifying commands, in json and in text
+    for cert in built:
+        doc = cert.to_doc()
+        body = {k: v for k, v in doc.items() if k not in ("digest", "timestamp")}
+        assert doc["digest"] == hashlib.sha256(compact_oracle(body).encode()).hexdigest(), cert.command
+        if doc["model"] is not None:
+            assert doc["model_digest"] == hashlib.sha256(compact_oracle(doc["model"]).encode()).hexdigest()
+
+
+def _cone_certificate(model, expr: str) -> Certificate:
+    cone = is_kahler(model, parse_class(model, expr))
+    cert = build_certificate(["cone-check"], model, {"class": expr}, {"cone": cone_doc(cone)}, cone.verdict)
+    cert.timestamp = "2000-01-01T00:00:00+00:00"
+    return cert
+
+
+def test_mutating_a_certificate_changes_only_its_own_text():
+    m = blowup_cp2(8)
+    k8 = "[31/3,-10/3,-3,-3,-3,-3,-3,-3,-3]"
+    before = _cone_certificate(m, k8).to_json()
+    for mutate in (
+        lambda doc: doc["model"]["gram"][0].__setitem__(0, 2),
+        lambda doc: doc["model"]["basis"].append("E9"),
+        lambda doc: doc["model"].__setitem__("simply_connected", 1),  # == True, and JSON 1
+        lambda doc: doc["model"].__setitem__("name", type("Label", (str,), {})("k8")),
+        lambda doc: doc["results"]["cone"]["curve_checks"][0]["curve"].__setitem__(0, "9/1"),
+        lambda doc: doc["results"]["cone"]["curve_checks"][-1].__setitem__("sign", -1),
+    ):
+        cert = _cone_certificate(m, k8)
+        mutate({"model": cert.model, "results": cert.results})
+        if type(cert.model["name"]) is str:
+            doc = cert.to_doc()
+            body = {k: v for k, v in doc.items() if k not in ("digest", "timestamp")}
+            assert doc["digest"] == hashlib.sha256(compact_oracle(body).encode()).hexdigest()
+            assert cert.to_json() == oracle(doc) + "\n" != before
+        else:  # the writer takes no str subclass, in either form
+            for render in (cert.to_doc, cert.to_json):
+                with pytest.raises(TypeError):
+                    render()
+        again = _cone_certificate(m, k8)
+        assert again.to_json() == before
+        assert again.to_doc()["digest"] == json.loads(before)["digest"]
+
+
+def test_a_parsed_certificate_renders_the_printed_text(capsys):
+    k8 = "[30/1,-10/1,-10/1,-10/1,-10/1,-10/1,-10/1,-10/1,-10/1]"
+    assert main(["cone-check", "--model", "blowup_cp2(8)", "--class", k8, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    parsed = Certificate(**{f.name: doc[f.name] for f in dataclasses.fields(Certificate)})
+    assert parsed.to_json() == text
+    assert parsed.to_doc() == doc
+
+
+def test_a_custom_model_is_freed_after_a_certificate_on_it():
+    m = custom_model("freed", [[1, 0], [0, -1]], [3, -1], curves=[[0, 1]], ample_witness=[2, -1])
+    cert = _cone_certificate(m, "[2,-1]")
+    text = cert.to_json()
+    assert m.certificate_store
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None  # the rendered parts live on the model, not in a cache keyed on it
+    assert cert.to_json() == text
 
 
 _STRINGS = st.one_of(
@@ -118,10 +203,17 @@ def test_json_dumps_is_the_oracle_for_drawn_documents(doc):
     assert _indented(doc) == oracle(doc)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_DOCS)
+def test_json_dumps_is_the_compact_oracle_for_drawn_documents(doc):
+    assert _render(doc, None) == compact_oracle(doc)
+
+
 @pytest.mark.parametrize("bad", [1.5, [0, 2.0], {"a": {1: "b"}}, {"a", "b"}, ["a", {"x"}], [type("Label", (str,), {})("x")]])
 def test_a_value_outside_the_certificate_types_raises(bad):
-    with pytest.raises(TypeError):
-        _indented(bad)
+    for indent in ("", None):
+        with pytest.raises(TypeError):
+            _render(bad, indent)
 
 
 def test_to_json_never_enters_the_pure_python_encoder(monkeypatch, capsys):
@@ -172,6 +264,7 @@ def _tables(draw):
 @given(_tables())
 def test_json_dumps_is_the_oracle_for_drawn_tables(table):
     assert _indented(table) == oracle(table)
+    assert _render(table, None) == compact_oracle(table)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -188,6 +281,11 @@ def test_a_str_subclass_in_a_table_column_raises(table, data):
 
 
 def test_a_table_with_one_odd_row_renders_item_by_item():
-    rows = [{"a": 1, "b": "x"}, {"a": 2, "c": "y"}, {"b": "z", "a": 3}]
-    assert _indented(rows) == oracle(rows)
+    for rows in (
+        [{"a": 1, "b": "x"}, {"a": 2, "c": "y"}, {"b": "z", "a": 3}],
+        [{"a": 1}, {"a": 2, "b": "y"}, {"a": 3}],  # one row with a key more
+        [{"a": 1, "b": "x"}, {"a": 2}],  # one with a key less
+    ):
+        assert _indented(rows) == oracle(rows)
+        assert _render(rows, None) == compact_oracle(rows)
     assert _indented([{}, {}, {}]) == oracle([{}, {}, {}]) == "[\n  {},\n  {},\n  {}\n]"
