@@ -265,10 +265,11 @@ def ansatz_curvatures(k: int) -> tuple[CohClass, CohClass]:
 
 def solve_symmetric_ansatz(k: int) -> Optional[AnsatzSolution]:
     """Solve the ansatz for k >= 9; None when no root gives a cone class with
-    n > 3.  The smallest qualifying root is chosen."""
+    n > 3, and for k = 1..8.  The smallest qualifying root is chosen.  Any
+    other k raises InvalidPosition, as blowup_cp2 does."""
+    base = blowup_cp2(k, "on_cubic" if k >= 9 else None)
     if k < 9:
         return None
-    base = blowup_cp2(k, "on_cubic")
     w1, w2 = ansatz_curvatures(k)
     roots = solve_quadratic(3 * k - 28, 112 - 4 * k, -(20 * k + 64))
     for n in roots:  # ascending, so the first qualifying root is the smallest

@@ -10,10 +10,11 @@ solver-aware: along a ray R the condition forces
 so for fixed w1 the admissible w2 are finitely many explicit integer vectors
 plus the trace-free ones, Q(w2,R) = 0, when w1 is proportional to c1.  With
 q_l = Q(w_l,R) and d = Q(c1,R) > 0, each q2 != 0 fixes at most one w2, as
-q2 d w2 = (q1^2 + q2^2) c1 - q1 d w1.  The box bounds |q2| through
-(q1^2 + q2^2) max|c1_j| <= d b (|q1| + |q2|); as q1 w1 + q2 w2 = (q1^2 + q2^2)
-c1 / d is integral, q2 steps by m = d / gcd(d, gcd(c1)) from each root of
-q2^2 = -q1^2 mod m, O(b) steps per root.  Every candidate is then re-verified
+q2 d w2 = (q1^2 + q2^2) c1 - q1 d w1.  On j0, the first coordinate with
+c = c1_j0 != 0, it reads c (q1^2 + q2^2) = d (q1 x + q2 y) for x = w1_j0 and
+y = w2_j0: each y in [-b, b] gives at most two integer q2, from one isqrt.
+As q1 w1 + q2 w2 = (q1^2 + q2^2) c1 / d is integral, m = d / gcd(d,
+gcd(c1)) divides q1^2 + q2^2.  Every candidate is then re-verified
 through the full certificate path, so emitted records never rest on the
 shortcut.  A pair pays for the verdicts only: each w2 carries its solved
 source (Kaehler class, route, scale text), built once per lambda = q1^2 +
@@ -32,7 +33,8 @@ solver, balance and topology checks.
 
 A cyt chunk walks only the w1 that can have a candidate: the ansatz
 vectors and, on each plan ray, the q1 slice, the w1 whose q1 has a nonempty
-q2 walk.  A multiple of c1 is among them, as it pairs with itself.
+q2 walk at x = w1_j0 (at some box x when j0 > 0, as the slice fixes only the
+lead).  A multiple of c1 is among them, as it pairs with itself.
 _RayData.slice generates the box vectors of one lead with Q(v,R) in a set
 of values coordinate by coordinate, and drops a prefix once no value is in
 the range of Q over its continuations; the trace-free list is its q = 0
@@ -133,7 +135,6 @@ _CLASS_FILTERS = frozenset({"cyt", "balanced", "topology"})  # the ones that rea
 REJECT_STAGES = ("skt", "spin", "cyt", "balanced", "topology")
 
 _BRUTE_PAIR_CAP = 2_000_000
-MAX_RAY_MODULUS = 4_000_000  # a cyt ray tables a root per residue mod m, in time and memory O(m)
 
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
 # a cyt candidate's solved source: its Kaehler class, route and scale text
@@ -387,16 +388,10 @@ class _RayData:
                 row.append((x, wj * x, lo, hi))
             self.slice_rows.append(row)
         self.perp: Optional[list[tuple[int, ...]]] = None  # lazy: {v : Q(v,R)=0}
-        # q2_walk steps q2 = Q(w2,R) by m from each root of q2^2 = -q1^2 mod m
-        # (see the module docstring), memoised per q1
-        self.m = m = self.d_pair // gcd(self.d_pair, g1) if self.d_pair > 0 else 1
-        if m > MAX_RAY_MODULUS:
-            raise BoundTooLarge(f"{name} modulus m = {m} above MAX_RAY_MODULUS = {MAX_RAY_MODULUS}")
-        self.roots: dict[int, list[int]] = {}  # the s mod m by s^2 mod m
-        for s in range(m):
-            self.roots.setdefault(s * s % m, []).append(s)
-        self.q2_terms: dict[int, list[tuple[int, int]]] = {}  # q1: [(q1^2+q2^2, q2*d)]
-        self.q1_slice: Optional[list[int]] = None  # lazy: the q1 whose q2 walk is not empty
+        # q2_walk solves the locus on coordinate j0 (see the module docstring)
+        self.j0 = next((j for j, c in enumerate(self.c1) if c), 0)
+        self.m = self.d_pair // gcd(self.d_pair, g1) if self.d_pair > 0 else 1
+        self.q2_terms: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (q1, x): [(q1^2+q2^2, q2*d)]
 
     def source(self, lam: int) -> _Source:
         """The solved source of the pairs generated at lam, one tuple per
@@ -426,44 +421,48 @@ class _RayData:
             self.perp = [v for lead in range(-self.bound, self.bound + 1) for v in self.slice(lead, [0])]
         return self.perp
 
-    def partnered_q1(self) -> list[int]:
-        """The values q1 = Q(w1,R) on the box, sorted, whose q2 walk in
-        candidates_for is not empty: a w1 with a generic candidate has one."""
-        if self.q1_slice is None:
-            values = {0}
-            for wj in self.w:
-                values = {q + wj * x for q in values for x in range(-self.bound, self.bound + 1)}
-            self.q1_slice = [q1 for q1 in sorted(values) if self.q2_walk(q1)]
-        return self.q1_slice
+    def partnered_q1(self, lead: int) -> list[int]:
+        """The values q1 = Q(w1,R) of the box vectors with first coordinate
+        lead, sorted, whose q2 walk is not empty at x = lead, or at some box
+        x when j0 > 0: a w1 with a generic candidate has one."""
+        b = self.bound
+        values = {self.w[0] * lead}
+        for wj in self.w[1:]:
+            values = {q + wj * x for q in values for x in range(-b, b + 1)}
+        xs = range(-b, b + 1) if self.j0 else (lead,)
+        return [q1 for q1 in sorted(values) if any(self.q2_walk(q1, x) for x in xs)]
 
-    def q2_walk(self, q1: int) -> list[tuple[int, int]]:
+    def q2_walk(self, q1: int, x: int) -> list[tuple[int, int]]:
         """The memoised terms (q1^2 + q2^2, q2 d) of the q2 = Q(w2,R) that
-        candidates_for tries for q1: |q2| is at most the larger root t of
-        c*t^2 - d*b*t + c*q1^2 - d*b*|q1| = 0, c = max|c1_j|, and q2 steps by
-        m from each root of q2^2 = -q1^2 mod m."""
-        terms = self.q2_terms.get(q1)
+        candidates_for tries for a w1 with q1 = Q(w1,R) and w1_j0 = x: for
+        each y = w2_j0 in the box, the integer roots q2 != 0 of c q2^2 -
+        d y q2 + c q1^2 - d q1 x = 0, c = c1_j0, with m | q1^2 + q2^2."""
+        terms = self.q2_terms.get((q1, x))
         if terms is None:
-            dp, c, m = self.d_pair, max(map(abs, self.c1)), self.m
-            db = dp * self.bound
-            disc = db * db - 4 * c * (c * q1 * q1 - db * abs(q1))
-            top = (db + isqrt(disc)) // (2 * c) if disc >= 0 else 0
-            terms = self.q2_terms[q1] = [
-                (q1 * q1 + q2 * q2, q2 * dp)
-                for s in self.roots.get(-q1 * q1 % m, ())
-                for q2 in range(s - (top + s) // m * m, top + 1, m)
-                if q2
+            d, c, b = self.d_pair, self.c1[self.j0], self.bound
+            const = 4 * c * (c * q1 * q1 - d * q1 * x)
+            found = set()
+            for dy in range(-d * b, d * b + 1, d):
+                disc = dy * dy - const
+                if disc >= 0 and (s := isqrt(disc)) * s == disc:
+                    found.update((dy + t) // (2 * c) for t in (s, -s) if (dy + t) % (2 * c) == 0)
+            terms = self.q2_terms[(q1, x)] = [
+                (q1 * q1 + q2 * q2, q2 * d) for q2 in found if q2 and (q1 * q1 + q2 * q2) % self.m == 0
             ]
         return terms
 
     def candidates_for(self, w1: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """All w2 in the box that put (w1, w2) on the solvable locus, each
-        with its lambda = q1^2 + q2^2 > 0; of the trace-free ones, where
-        lambda = q1^2, only those perp_vectors holds."""
+        with its lambda = q1^2 + q2^2 > 0: the generic ones, q2 != 0, from
+        the q2 walk at (q1, w1_j0), each kept when every coordinate of
+        (lambda c1 - q1 d w1) / (q2 d) is an integer in the box; and, when
+        w1 is a multiple of c1, the trace-free ones, where lambda = q1^2,
+        only those perp_vectors holds."""
         out: dict[tuple[int, ...], int] = {}
         w, c1, dp, bound = self.w, self.c1, self.d_pair, self.bound
         q1 = sum(a * b for a, b in zip(w1, w))
         q1dp = q1 * dp
-        for lam, den in self.q2_walk(q1):
+        for lam, den in self.q2_walk(q1, w1[self.j0]):
             vec = []
             for j in range(len(w1)):
                 x, rem = divmod(lam * c1[j] - q1dp * w1[j], den)
@@ -602,7 +601,7 @@ class _Plan:
             return _vectors_with_lead(lead, self.query.model.rank, self.query.coeff_bound, self.sorted_v1)
         found = {v for v in self.ansatz_pair or () if v[0] == lead}
         for data in self.rays:
-            found.update(data.slice(lead, data.partnered_q1()))
+            found.update(data.slice(lead, data.partnered_q1(lead)))
         return sorted(found)
 
     def chunk(self, lead: int) -> tuple[list[CatalogRecord], tuple[int, ...], dict[str, int]]:

@@ -1229,6 +1229,12 @@ def box_candidates(data: _RayData, box: list) -> Callable[[tuple, bool], list]:
 # the largest |c1_j| sits at index 2, and e3 is a positive direction
 OFF_LEAD = custom_model("off_lead", [[-1, 0, 0], [0, -1, 1], [0, 1, 2]], [1, -1, 3])
 
+# c1_0 = 0, so the walk solves the locus on coordinate 1; c1 is nef, not
+# ample (it pairs to 0 with e1), so the anchor is twice the ample witness
+ZERO_LEAD = custom_model(
+    "zero_lead", [[-2, 0, 0], [0, 1, 0], [0, 0, -1]], [0, 3, -1], curves=[[1, 0, 0], [0, 0, 1]], ample_witness=[-1, 3, -1]
+)
+
 
 @st.composite
 def candidate_rays(draw):
@@ -1238,7 +1244,7 @@ def candidate_rays(draw):
     model, anchor = draw(
         st.sampled_from(
             [(blowup_cp2(k), (3,) + (-1,) * k) for k in (2, 3, 4)]
-            + [(quadric(), (1, 1)), (OFF_LEAD, (0, 0, 1))]
+            + [(quadric(), (1, 1)), (OFF_LEAD, (0, 0, 1)), (ZERO_LEAD, (-2, 6, -2))]
         )
     )
     t = draw(st.integers(1, 3))
@@ -1255,9 +1261,11 @@ def check_candidates_for(case, data) -> None:
     ray's locus, with the trace-free ones all of them or, with sorted_perp,
     those with sorted exceptional coordinates, and each w2 carries lambda =
     q1^2 + q2^2 from the reference's dot products.  Every generic w2 of the
-    reference satisfies the bound and the divisibility the walk relies on:
-    (q1^2 + q2^2) max|c1_j| <= d b (|q1| + |q2|), so |q1| + |q2| <= 2 d b /
-    max|c1_j|, and d divides (q1^2 + q2^2) gcd(c1)."""
+    reference satisfies the equation the walk solves, c (q1^2 + q2^2) = d
+    (q1 x + q2 y) with c = c1_j0, x = w1_j0 and y = w2_j0 on the first
+    coordinate j0 with c1_j0 != 0, and the divisibility it filters by, d
+    divides (q1^2 + q2^2) gcd(c1); and the box bound (q1^2 + q2^2)
+    max|c1_j| <= d b (|q1| + |q2|), so |q1| + |q2| <= 2 d b / max|c1_j|."""
     model, ray, bound = case
     rays = [_RayData("ray", model, ray, bound, sorted_perp) for sorted_perp in (False, True)]
     w, c1, d = rays[0].w, rays[0].c1, rays[0].d_pair
@@ -1287,6 +1295,9 @@ def check_candidates_for(case, data) -> None:
                 assert lam * c_max <= d * bound * (abs(q1) + abs(q2)), (w1, w2)
                 assert (abs(q1) + abs(q2)) * c_max <= 2 * d * bound, (w1, w2)
                 assert lam * g % d == 0, (w1, w2)
+                j0 = rays[0].j0
+                assert c1[j0] and not any(c1[:j0]), c1
+                assert c1[j0] * lam == d * (q1 * w1[j0] + q2 * w2[j0]), (w1, w2)
         todo.extend(brute[:8])
 
 
@@ -1303,6 +1314,7 @@ UNEQUAL = custom_model(
 SLICE_MODELS = [(blowup_cp2(k), (3,) + (-1,) * k) for k in (2, 3, 4, 5)] + [
     (quadric(), (1, 1)),
     (UNEQUAL, (3, -1, -1, -1)),
+    (ZERO_LEAD, (-2, 6, -2)),
 ]
 
 

@@ -429,6 +429,8 @@ def _capped_cli(*argv):
         (["cone-check", "--model", "blowup_cp2(201,on_cubic)", "--class", "H"], 201),
         (["solve-ansatz", "--k", "99999999999"], 99999999999),
         (["search", "--model", "blowup_cp2(99999999999)", "--bound", "1", "--filter", "skt"], 99999999999),
+        (["solve-ansatz", "--k", "0"], 0),
+        (["solve-ansatz", "--k", "-3"], -3),
     ],
 )
 def test_too_many_points_exit_2_before_the_model_is_built(argv, k):
@@ -443,22 +445,29 @@ def test_sixty_points_on_a_cubic_fit_the_cap():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-def test_a_huge_ray_exits_2_before_its_root_table_is_built():
-    # m = Q(c1,R) = 3*10^11 - 1: a root table that size would not fit the cap
+def test_a_huge_ray_searches_to_no_record_within_the_cap():
+    # m = Q(c1,R) = 3*10^11 - 1: the walk solves q2 on one coordinate, so
+    # nothing of size m is built, and at bound 1 no pair is on the locus
     proc = _capped_cli("search", "--model", "blowup_cp2(1)", "--bound", "1", "--filter", "cyt",
                        "--ray", "100000000000H-E1")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: ray modulus m = 299999999999 above MAX_RAY_MODULUS = 4000000\n"
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines()[-1] == (
+        "search exhausted coefficient bound 1: 0 pairs visited, 0 skipped by symmetry, 0 records"
+    )
 
 
-def test_a_model_files_anticanonical_ray_meets_the_modulus_cap(tmp_path, capsys):
-    # c1 is ample, with Q(c1,c1) = 3000^2 - 1 and gcd(c1) = 1
+def test_a_model_files_steep_anticanonical_ray_searches_to_no_record(tmp_path, capsys):
+    # c1 is ample, with Q(c1,c1) = 3000^2 - 1 and gcd(c1) = 1, so m = 8 999 999
     path = tmp_path / "steep.json"
     path.write_text(json.dumps({"name": "steep", "gram": [[1, 0], [0, -1]], "c1": [3000, -1], "curves": [[0, 1]],
                                 "ample_witness": [3000, -1], "simply_connected": True}))
-    code, out, err = run(capsys, "search", "--model", str(path), "--bound", "1", "--filter", "cyt")
-    assert (code, out) == (2, "")
-    assert err == "error: anticanonical_ray modulus m = 8999999 above MAX_RAY_MODULUS = 4000000\n"
+    for threads in ("1", "2"):
+        code, out, err = run(capsys, "search", "--model", str(path), "--bound", "1", "--filter", "cyt",
+                             "--threads", threads)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            "search exhausted coefficient bound 1: 0 pairs visited, 0 skipped by symmetry, 0 records"
+        )
 
 
 def test_search_into_a_closed_pipe_ends_quietly():

@@ -15,7 +15,7 @@ from cytforge.cyt import (
     solve_symmetric_ansatz,
     verify_cyt,
 )
-from cytforge.errors import InvalidBundle, InvariantViolation, NotPositiveRay, RankMismatch
+from cytforge.errors import InvalidBundle, InvalidPosition, InvariantViolation, NotPositiveRay, RankMismatch
 from cytforge.scalars import exact_sign, quadratic
 from cytforge.surfaces import (
     CohClass,
@@ -201,6 +201,9 @@ def test_ansatz_inequalities():
 def test_ansatz_out_of_range():
     assert solve_symmetric_ansatz(8) is None
     assert solve_symmetric_ansatz(1) is None
+    for k in (0, -3, 201):
+        with pytest.raises(InvalidPosition, match=rf"^1 <= k <= 200 required, got k={k}$"):
+            solve_symmetric_ansatz(k)
 
 
 def test_c1_bundle_triviality():

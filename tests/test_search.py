@@ -179,23 +179,27 @@ def test_bound_guards():
         SearchQuery(model=quadric(), coeff_bound=1, filters=frozenset({"bogus"}))
 
 
-def test_the_ray_modulus_cap_admits_m_itself(monkeypatch):
-    # on blowup_cp2(4), 10H-E1-E2-E3-E4 has m = Q(c1,R) = 26 and c1 has m = 5;
-    # the query's ray is built first, the anticanonical ray after it
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_large_modulus_ray_keeps_its_catalog(tmp_path, threads):
+    # on blowup_cp2(4), 1000000H-E1-E2-E3-E4 has m = Q(c1,R) = 2 999 996; the
+    # walk solves each q2 from one coordinate, so no table of size m is built.
+    # The catalog is the one the search wrote when it tabled the roots mod m
+    import hashlib
+
+    from cytforge.catalog import append_records
+
     model = blowup_cp2(4)
-    cyt = frozenset({"cyt"})
-    with_ray = SearchQuery(model=model, coeff_bound=1, filters=cyt, ray=parse_class(model, "10H-E1-E2-E3-E4"))
-    rayless = SearchQuery(model=model, coeff_bound=1, filters=cyt)
-    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 26)
-    assert search(with_ray, threads=1)[1].cyt_routes == ("ray", "anticanonical_ray")
-    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 25)
-    with pytest.raises(BoundTooLarge, match=r"^ray modulus m = 26 above MAX_RAY_MODULUS = 25$"):
-        search(with_ray, threads=1)
-    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 5)
-    assert search(rayless, threads=1)[1].cyt_routes == ("anticanonical_ray",)
-    monkeypatch.setattr(search_module, "MAX_RAY_MODULUS", 4)
-    with pytest.raises(BoundTooLarge, match=r"^anticanonical_ray modulus m = 5 above MAX_RAY_MODULUS = 4$"):
-        search(rayless, threads=1)
+    ray = parse_class(model, "1000000H-E1-E2-E3-E4")
+    assert search_module._RayData("ray", model, ray, 3).m == 2_999_996
+    query = SearchQuery(model=model, coeff_bound=3, filters=frozenset({"cyt", "topology"}), ray=ray)
+    records, stats = search(query, threads=threads)
+    path = tmp_path / "catalog.jsonl"
+    append_records(str(path), records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "70b1e5b67e96b704174e32ccd2c0048f47f0bb59752067a385323c535bdf697c"
+    )
+    assert (stats.pairs_evaluated, stats.pairs_skipped, stats.records_emitted) == (268, 200, 42)
+    assert stats.cyt_routes == ("ray", "anticanonical_ray")
 
 
 def test_limit_and_threads_env(monkeypatch):
@@ -611,7 +615,7 @@ def test_candidates_match_the_box_on_random_rays():
 
 
 def test_slices_and_walks_match_the_box_on_random_rays():
-    assert property_suites.run_slices() == 34
+    assert property_suites.run_slices() == 40
 
 
 def test_walk_scales_match_solve_scale_on_random_rays():
@@ -1292,27 +1296,30 @@ def test_a_verdict_search_renders_no_documents(monkeypatch):
 
 
 def test_search_stats_count_the_w1_walked():
-    # k = 5, bound 3, along c1 (d = Q(c1,c1) = 4, max|c1_j| = 3): the walk
+    # k = 5, bound 3, along c1 (d = Q(c1,c1) = 4, m = 4, c1_0 = 3): the walk
     # takes the sorted w1 whose q1 = Q(w1,c1) = 3 w1[0] + sum(w1[1:]) admits
-    # a q2 != 0 within the bound and divisibility of the module docstring,
+    # a q2 != 0 on the locus read on the lead, 3 (q1^2 + q2^2) = 4 (q1 x +
+    # q2 y) with x = w1[0] and y = w2[0] in the box, and 4 | q1^2 + q2^2;
     # +-c1 among them; the leads -3..3 without the signs, -3..0 with
     q = SearchQuery(blowup_cp2(5), 3, frozenset({"cyt", "topology", "spin"}))
     box = [v for v in itertools.product(range(-3, 4), repeat=6) if list(v[1:]) == sorted(v[1:])]
     partnered = {
-        q1
+        (q1, x)
         for q1 in range(-24, 25)
         for q2 in range(-24, 25)
-        if q2 and (q1 * q1 + q2 * q2) * 3 <= 4 * 3 * (abs(q1) + abs(q2)) and (q1 * q1 + q2 * q2) % 4 == 0
+        for x in range(-3, 4)
+        for y in range(-3, 4)
+        if q2 and 3 * (q1 * q1 + q2 * q2) == 4 * (q1 * x + q2 * y) and (q1 * q1 + q2 * q2) % 4 == 0
     }
-    walk = [v for v in box if 3 * v[0] + sum(v[1:]) in partnered]
-    assert sorted(partnered) == [-4, -2, 0, 2, 4] and {(3,) + (-1,) * 5, (-3,) + (1,) * 5} <= set(walk)
+    walk = [v for v in box if (3 * v[0] + sum(v[1:]), v[0]) in partnered]
+    assert {(3,) + (-1,) * 5, (-3,) + (1,) * 5} <= set(walk)
     for threads in (1, 2):
         with property_suites.without_signs():
             stats = search(q, threads=threads)[1]
-        assert (stats.omega1_walked, stats.omega1_with_candidates) == (len(walk), 304) == (704, 304), threads
+        assert (stats.omega1_walked, stats.omega1_with_candidates) == (len(walk), 304) == (400, 304), threads
         stats = search(q, threads=threads)[1]
         walked = sum(v[0] <= 0 for v in walk)
-        assert (stats.omega1_walked, stats.omega1_with_candidates) == (walked, 182) == (423, 182), threads
+        assert (stats.omega1_walked, stats.omega1_with_candidates) == (walked, 182) == (246, 182), threads
 
 
 @pytest.mark.parametrize("threads", [1, 2])
