@@ -13,8 +13,9 @@ p = n.(G.n_C) and q = m.(G.n_C), two integer dots over den, and its sign is
 decided on integers from the signs of p and q, or else by comparing p^2
 with q^2 d (`scalars.surd_sign`).  The signs depend only on the direction
 of n (of (n, m) for a Q(sqrt(d)) class), so the memo keys them on the
-primitive vector; a search rechecking s * R for many scales s computes them
-once per ray, and `verify_cyt` rechecking a solved class finds them there.
+primitive vector; a search certifying s * R for many scales s computes them
+once per ray.  It certifies each solved class once, and its recheck of
+every pair on that class reads that certificate.
 Q(F,F) and the ample-witness pairing are one `intersect` call each, on every
 call.  The per-curve values of a certificate are rendered on first read of
 `curve_checks`, one `intersect` call per curve: for a rational class an

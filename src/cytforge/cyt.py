@@ -179,7 +179,17 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
     class are rendered only when read.
     BundleSpec admits integral curvatures only, so curvatures_integral is
     always true."""
+    return cyt_certificate(bundle, f, None)
+
+
+def cyt_certificate(bundle: BundleSpec, f: CohClass, cone: Optional[ConeCertificate]) -> CytCertificate:
+    """verify_cyt's certificate, reading cone, when given, in place of
+    is_kahler(bundle.base, f): one cone check for every bundle on a solved
+    class.  A cone of another class object or model raises
+    InvariantViolation."""
     base = bundle.base
+    if cone is not None and (cone.kahler_class is not f or cone.model is not base):
+        raise InvariantViolation("a cone certificate handed in is not the one of this class on this model")
     try:
         traces = _traced_sum(bundle, f)
     except NullClass:
@@ -197,7 +207,8 @@ def verify_cyt(bundle: BundleSpec, f: CohClass) -> CytCertificate:
         cert.__dict__.update(lambdas=(), defect=base.c1)  # nothing to render
         return cert
     defect_zero = traces.defect_zero()
-    cone = is_kahler(base, f) if isinstance(base, SurfaceModel) else None
+    if cone is None and isinstance(base, SurfaceModel):
+        cone = is_kahler(base, f)
     verdict = defect_zero and cone is not None and cone.verdict
 
     solved_scale = None

@@ -17,13 +17,13 @@ As q1 w1 + q2 w2 = (q1^2 + q2^2) c1 / d is integral, m = d / gcd(d,
 gcd(c1)) divides q1^2 + q2^2.  Every candidate is then re-verified
 through the full certificate path, so emitted records never rest on the
 shortcut.  A pair pays for the verdicts only: each w2 carries its solved
-source (Kaehler class, route, scale text), built once per lambda = q1^2 +
-q2^2 > 0 by the first plan ray that generated it, at the scale 2 lambda /
-(Q(R,R) d) on the primitive ray, or once per plan for the ansatz partner,
-with no trace and no further dot product; the recheck's defect test
-compares integer numerators, the topology label is decided from the gcd of
-the pairing matrix's 2x2 minors, and the cone verdict reads integer signs
-against the model's curve rows, memoised per ray.  The documents (Fraction
+source (Kaehler class, route, scale text and is_kahler of the class),
+built once per lambda = q1^2 + q2^2 > 0 by the first plan ray that
+generated it, at the scale 2 lambda / (Q(R,R) d) on the primitive ray, or
+once per plan for the ansatz partner, with no trace and no further dot
+product; the recheck (cyt_certificate) reads that cone certificate, its
+defect test compares integer numerators, and the topology label is
+decided from the gcd of the pairing matrix's 2x2 minors.  The documents (Fraction
 traces, the defect class, per-curve values, the Smith normal form and the
 witnesses) are rendered only when read, and a search reads none.
 Enumeration, dedup and the skt and spin stages (bit masks, w1's once per
@@ -92,18 +92,25 @@ in-box ansatz pair), where the key sorts what the orbit rule did not, and
 for every pair of the unpruned NO_SYMMETRY reference, whose key leaves out
 the signs.
 
+A pruned cyt chunk, like the skt generator, forms only w2 in the orbit
+rule's lead window (_Plan.window); the unpruned reference forms every box
+partner.  With j0 = 0 a q2 term's y is w2's lead, so a term outside the
+window forms no vector.
+
 Under the permutations the trace-free candidates are generated with
 non-decreasing exceptional coordinates.  They join only w1 proportional to
 c1, whose exceptional coordinates are all equal like those of c1, and the
 orbit rule rejects every unsorted w2 for such a w1, so the evaluated pairs
 are the same as with the full trace-free list.  The generic candidates need
 no such step: with c1 fixed by S_k they are already constant on the runs of
-equal coordinates of w1.  The visited count covers only generated pairs.
+equal coordinates of w1.  So a cyt chunk tests no run, and the visited
+count covers only generated pairs.
 """
 from __future__ import annotations
 
 import itertools
 import os
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -112,14 +119,14 @@ from operator import mul, neg
 from typing import Callable, Iterable, Optional
 
 from .catalog import CatalogRecord, _flags
-from .cone import is_kahler
+from .cone import ConeCertificate, is_kahler
 from .cyt import (  # noqa: F401  solve_scale stays bound here for perfbench's tracer test
     BundleSpec,
     ansatz_curvatures,
     balanced_check,
+    cyt_certificate,
     solve_scale,
     solve_symmetric_ansatz,
-    verify_cyt,
 )
 from .errors import BoundTooLarge, InvariantViolation, NotPositiveRay
 from .intlinalg import _gf2_mask, _gf2_spanned
@@ -135,11 +142,13 @@ _CLASS_FILTERS = frozenset({"cyt", "balanced", "topology"})  # the ones that rea
 REJECT_STAGES = ("skt", "spin", "cyt", "balanced", "topology")
 
 _BRUTE_PAIR_CAP = 2_000_000
+MAX_COEFF_BOUND = 1000  # the largest coeff_bound a query takes on any model
 
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
-# a cyt candidate's solved source: its Kaehler class, route and scale text
-# (None for the ansatz); None for an ansatz partner when the ansatz has no solution
-_Source = Optional[tuple[CohClass, str, Optional[str]]]
+# a cyt candidate's solved source: its Kaehler class, route, scale text (None
+# for the ansatz) and the class's is_kahler certificate on the query's model;
+# None for an ansatz partner when the ansatz has no solution
+_Source = Optional[tuple[CohClass, str, Optional[str], ConeCertificate]]
 
 # the groups a search reduces by, named by their generators; search_symmetry returns
 # the last three, and NO_SYMMETRY, which evaluates every visited pair, is the tests' reference
@@ -167,6 +176,8 @@ class SearchQuery:
         bad = self.filters - set(VALID_FILTERS)
         if bad:
             raise ValueError(f"unknown filters: {sorted(bad)}")
+        if self.coeff_bound > MAX_COEFF_BOUND:
+            raise BoundTooLarge(f"coeff_bound <= {MAX_COEFF_BOUND} required")
         if self.model.rank > 6 and self.coeff_bound > 6:
             raise BoundTooLarge("coeff_bound <= 6 required for models of rank > 6")
         if self.limit is not None and self.limit < 0:
@@ -191,6 +202,8 @@ class SearchStats:
     rejected: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECT_STAGES, 0))
     omega1_walked: int = 0  # w1 the chunks walked, summed over the chunks
     omega1_with_candidates: int = 0  # of those, the w1 with any candidate
+    # wall time of each lead chunk in the worker that ran it, in lead order
+    chunk_seconds: tuple[float, ...] = field(default=(), compare=False)
 
 
 def resolve_threads(requested: Optional[int] = None) -> int:
@@ -351,6 +364,7 @@ class _RayData:
         self, name: str, model: SurfaceModel, ray: CohClass, bound: int, sorted_perp: bool = False
     ):
         self.name = name
+        self.model = model
         self.ray = ray
         ints, den = ray.cleared_form  # SearchQuery admits rational rays only
         g = gcd(*ints)
@@ -387,22 +401,23 @@ class _RayData:
                 lo, hi = (min(ends), max(ends)) if sorted_perp else (-spread, spread)
                 row.append((x, wj * x, lo, hi))
             self.slice_rows.append(row)
-        self.perp: Optional[list[tuple[int, ...]]] = None  # lazy: {v : Q(v,R)=0}
+        self.perp: dict[int, list[tuple[int, ...]]] = {}  # lazy, per lead: {v : Q(v,R)=0}
         # q2_walk solves the locus on coordinate j0 (see the module docstring)
         self.j0 = next((j for j, c in enumerate(self.c1) if c), 0)
         self.m = self.d_pair // gcd(self.d_pair, g1) if self.d_pair > 0 else 1
-        self.q2_terms: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (q1, x): [(q1^2+q2^2, q2*d)]
+        self.q2_terms: dict[tuple[int, int], list[tuple[int, int, int]]] = {}  # (q1, x): [(q1^2+q2^2, q2*d, y)]
 
     def source(self, lam: int) -> _Source:
         """The solved source of the pairs generated at lam, one tuple per
         lam: the class s * R, where s * unit = p/q = 2 lam / (r d) in lowest
         terms and ray_int is primitive, so its cleared form is (p * ray_int,
-        q); the route; and the scale text of s."""
+        q); the route; the scale text of s; and is_kahler of the class, which
+        every recheck at lam reads."""
         src = self.sources.get(lam)
         if src is None:
             t = Fraction(2 * lam, self.r * self.d_pair)
             f = CohClass.from_cleared(tuple(t.numerator * v for v in self.ray_int), t.denominator)
-            src = self.sources[lam] = (f, self.name, format_scalar(t / self.unit))
+            src = self.sources[lam] = (f, self.name, format_scalar(t / self.unit), is_kahler(self.model, f))
         return src
 
     def slice(self, lead: int, targets: list[int]) -> list[tuple[int, ...]]:
@@ -414,12 +429,18 @@ class _RayData:
         sorted_at = range(2, len(rows)) if self.sorted_perp else ()
         return _grow([rows[0][lead + b : lead + b + 1], *rows[1:]], targets, sorted_at)
 
-    def perp_vectors(self) -> list[tuple[int, ...]]:
-        """The box vectors v with Q(v,R) = 0, in lexicographic order; with
+    def perp_vectors(self, window: Optional[tuple[int, int]] = None) -> list[tuple[int, ...]]:
+        """The box vectors v with Q(v,R) = 0 and lo <= v[0] <= hi for the
+        window (lo, hi), the box's by default, in lexicographic order; with
         sorted_perp only those with non-decreasing exceptional coordinates."""
-        if self.perp is None:
-            self.perp = [v for lead in range(-self.bound, self.bound + 1) for v in self.slice(lead, [0])]
-        return self.perp
+        lo, hi = window or (-self.bound, self.bound)
+        out = []
+        for lead in range(lo, hi + 1):
+            vs = self.perp.get(lead)
+            if vs is None:
+                vs = self.perp[lead] = self.slice(lead, [0])
+            out += vs
+        return out
 
     def partnered_q1(self, lead: int) -> list[int]:
         """The values q1 = Q(w1,R) of the box vectors with first coordinate
@@ -432,8 +453,8 @@ class _RayData:
         xs = range(-b, b + 1) if self.j0 else (lead,)
         return [q1 for q1 in sorted(values) if any(self.q2_walk(q1, x) for x in xs)]
 
-    def q2_walk(self, q1: int, x: int) -> list[tuple[int, int]]:
-        """The memoised terms (q1^2 + q2^2, q2 d) of the q2 = Q(w2,R) that
+    def q2_walk(self, q1: int, x: int) -> list[tuple[int, int, int]]:
+        """The memoised terms (q1^2 + q2^2, q2 d, y) of the q2 = Q(w2,R) that
         candidates_for tries for a w1 with q1 = Q(w1,R) and w1_j0 = x: for
         each y = w2_j0 in the box, the integer roots q2 != 0 of c q2^2 -
         d y q2 + c q1^2 - d q1 x = 0, c = c1_j0, with m | q1^2 + q2^2."""
@@ -441,28 +462,35 @@ class _RayData:
         if terms is None:
             d, c, b = self.d_pair, self.c1[self.j0], self.bound
             const = 4 * c * (c * q1 * q1 - d * q1 * x)
-            found = set()
-            for dy in range(-d * b, d * b + 1, d):
+            found = {}
+            for y in range(-b, b + 1):
+                dy = d * y
                 disc = dy * dy - const
                 if disc >= 0 and (s := isqrt(disc)) * s == disc:
-                    found.update((dy + t) // (2 * c) for t in (s, -s) if (dy + t) % (2 * c) == 0)
+                    found.update(((dy + t) // (2 * c), y) for t in (s, -s) if (dy + t) % (2 * c) == 0)
             terms = self.q2_terms[(q1, x)] = [
-                (q1 * q1 + q2 * q2, q2 * d) for q2 in found if q2 and (q1 * q1 + q2 * q2) % self.m == 0
+                (q1 * q1 + q2 * q2, q2 * d, y) for q2, y in found.items() if q2 and (q1 * q1 + q2 * q2) % self.m == 0
             ]
         return terms
 
-    def candidates_for(self, w1: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """All w2 in the box that put (w1, w2) on the solvable locus, each
+    def candidates_for(
+        self, w1: tuple[int, ...], window: Optional[tuple[int, int]] = None
+    ) -> dict[tuple[int, ...], int]:
+        """All w2 in the box with a first coordinate in the window (lo, hi),
+        the box's by default, that put (w1, w2) on the solvable locus, each
         with its lambda = q1^2 + q2^2 > 0: the generic ones, q2 != 0, from
         the q2 walk at (q1, w1_j0), each kept when every coordinate of
         (lambda c1 - q1 d w1) / (q2 d) is an integer in the box; and, when
         w1 is a multiple of c1, the trace-free ones, where lambda = q1^2,
         only those perp_vectors holds."""
         out: dict[tuple[int, ...], int] = {}
-        w, c1, dp, bound = self.w, self.c1, self.d_pair, self.bound
+        w, c1, dp, bound, j0 = self.w, self.c1, self.d_pair, self.bound, self.j0
+        lo, hi = window or (-bound, bound)
         q1 = sum(a * b for a, b in zip(w1, w))
         q1dp = q1 * dp
-        for lam, den in self.q2_walk(q1, w1[self.j0]):
+        for lam, den, y in self.q2_walk(q1, w1[j0]):
+            if not j0 and not lo <= y <= hi:
+                continue
             vec = []
             for j in range(len(w1)):
                 x, rem = divmod(lam * c1[j] - q1dp * w1[j], den)
@@ -470,10 +498,11 @@ class _RayData:
                     break
                 vec.append(x)
             else:
-                out[tuple(vec)] = lam
+                if lo <= vec[0] <= hi:
+                    out[tuple(vec)] = lam
         # parallel branch: w1 proportional to c1 frees w2 to the trace-free locus
         if w1 in self.c1_multiples:
-            out.update(dict.fromkeys(self.perp_vectors(), q1 * q1))
+            out.update(dict.fromkeys(self.perp_vectors((lo, hi)), q1 * q1))
         return out
 
 
@@ -507,7 +536,9 @@ class _Plan:
         self.permute = _permutes_exceptionals(model)  # canonical keys
         self.ansatz_pair = _ansatz_pair(query)
         sol = solve_symmetric_ansatz(model.rank - 1) if self.ansatz_pair is not None else None
-        self.ansatz_source = (sol.kahler_class, "ansatz", None) if sol is not None else None
+        self.ansatz_source: _Source = None
+        if sol is not None:  # its cone certificate on this very model
+            self.ansatz_source = (sol.kahler_class, "ansatz", None, is_kahler(model, sol.kahler_class))
         self.symmetry = search_symmetry(query, self.permute, self.ansatz_pair)
         self.prune = self.symmetry != NO_SYMMETRY
         self.sorted_v1 = "exceptionals" in self.symmetry
@@ -554,24 +585,34 @@ class _Plan:
     def square(self, v: tuple[int, ...]) -> int:
         return sum(map(mul, v, self.query.model.gram_row(v)))
 
+    def window(self, lead: int) -> tuple[int, int]:
+        """The least and largest lead of a w2 that the chunk of lead keeps:
+        an orbit minimum has lead <= w2[0] <= 0 with the signs, <= b
+        without; the whole box for the unpruned reference."""
+        b = self.query.coeff_bound
+        return (lead, 0 if self.signs else b) if self.prune else (-b, b)
+
     def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         """The w2 to pair with v1, in lexicographic order.  For a cyt query a
-        dict from each w2 to its solved source: the entry at its lambda of
-        the first plan ray that generated it, else the plan's ansatz source."""
+        dict from each w2 in the window of v1's lead to its solved source:
+        the entry at its lambda of the first plan ray that generated it, else
+        the plan's ansatz source."""
+        lo, hi = self.window(v1[0])
         if "cyt" in self.query.filters:
             found: dict[tuple[int, ...], _Source] = {}
             for data in self.rays:
-                for v2, lam in data.candidates_for(v1).items():
+                for v2, lam in data.candidates_for(v1, (lo, hi)).items():
                     if v2 not in found:
                         found[v2] = data.source(lam)
             if self.ansatz_pair is not None and v1 in self.ansatz_pair:
                 a1, a2 = self.ansatz_pair
-                found.setdefault(a2 if v1 == a1 else a1, self.ansatz_source)
+                v2 = a2 if v1 == a1 else a1
+                if lo <= v2[0] <= hi:
+                    found.setdefault(v2, self.ansatz_source)
             return dict(sorted(found.items())) if found else found
         if self.skt_rows is not None:
-            b, g0, square, runs = self.query.coeff_bound, self.query.model.gram[0][0], -self.square(v1), self.runs(v1)
-            leads = range(v1[0], (0 if self.signs else b) + 1) if self.prune else range(-b, b + 1)
-            return [(a, *t) for a in leads for t in self.skt_tails(runs, square - g0 * a * a)]
+            g0, square, runs = self.query.model.gram[0][0], -self.square(v1), self.runs(v1)
+            return [(a, *t) for a in range(lo, hi + 1) for t in self.skt_tails(runs, square - g0 * a * a)]
         if self.skt_buckets is not None:
             return self.skt_buckets.get(-self.square(v1), [])
         return _all_vectors(len(v1), self.query.coeff_bound)
@@ -604,22 +645,24 @@ class _Plan:
             found.update(data.slice(lead, data.partnered_q1(lead)))
         return sorted(found)
 
-    def chunk(self, lead: int) -> tuple[list[CatalogRecord], tuple[int, ...], dict[str, int]]:
+    def chunk(self, lead: int) -> tuple[list[CatalogRecord], tuple[int, ...], dict[str, int], float]:
         """Records of the pairs whose w1 starts with lead, with the counts of
         visited pairs, of those not evaluated, of w1 walked and of those
-        with a candidate, and of the evaluated pairs each stage rejected."""
+        with a candidate, of the evaluated pairs each stage rejected, and
+        the chunk's wall time in seconds."""
+        start = time.perf_counter()
         records: list[CatalogRecord] = []
         visited = skipped = walked = with_candidates = 0
         rejected = dict.fromkeys(REJECT_STAGES, 0)
         passed_keys: set[str] = set()
-        bound = self.query.coeff_bound
         # an orbit minimum under the key's own group is its key (see the module docstring)
         own_key = self.prune and self.sorted_v1 == self.permute
         spin = "spin" in self.screen_flags
         cyt = "cyt" in self.query.filters
-        top = 0 if self.signs else bound  # an orbit minimum has lead <= w2[0] <= top
-        # the skt_tails partners are in the rule's lead window and sorted on the runs
-        windowed = self.prune and self.skt_rows is None
+        top = self.window(lead)[1]  # an orbit minimum has lead <= w2[0] <= top
+        # the cyt and skt_tails partners are generated in the rule's lead window
+        # and sorted on the runs (a generic cyt w2 is constant on them, as c1 is)
+        windowed = self.prune and self.skt_rows is None and not cyt
         for v1 in self.walk(lead):
             walked += 1
             cands = self.candidates(v1)
@@ -657,7 +700,7 @@ class _Plan:
                 else:
                     passed_keys.add(key)
                     records.append(rec)
-        return records, (visited, skipped, walked, with_candidates), rejected
+        return records, (visited, skipped, walked, with_candidates), rejected, time.perf_counter() - start
 
     def screen(self, v1: tuple[int, ...], v2: tuple[int, ...], m1: Optional[int]) -> Optional[str]:
         """The tuple stage, skt then spin, that rejects the pair, or None; m1
@@ -672,19 +715,21 @@ class _Plan:
         """The record of a pair that passed screen, or the stage that rejected
         it; source is the pair's entry in candidates, None without cyt.  The
         pair is CYT at the source's class, by the generating ray's locus
-        identity or by the ansatz, and the verify_cyt recheck confirms it."""
+        identity or by the ansatz, and the recheck confirms it: verify_cyt's
+        certificate, with the source's cone certificate as its cone."""
         query = self.query
         model = query.model
         filters = query.filters
         flags = self.screen_flags.copy()
 
         kahler: Optional[CohClass] = None
+        cone: Optional[ConeCertificate] = None
         if filters & _CLASS_FILTERS:
             bundle = BundleSpec(model, (CohClass.from_cleared(v1), CohClass.from_cleared(v2)))
         if "cyt" in filters:
             if source is None:
                 return "cyt"  # the ansatz has no solution
-            kahler, flags["cyt_route"], flags["scale"] = source
+            kahler, flags["cyt_route"], flags["scale"], cone = source
             flags["cyt"] = True
 
         if "balanced" in filters:
@@ -699,7 +744,7 @@ class _Plan:
                 return "topology"
             flags["topology_label"] = cert.diffeo_label
 
-        if flags.get("cyt") and not verify_cyt(bundle, kahler).verdict:
+        if flags.get("cyt") and not cyt_certificate(bundle, kahler, cone).verdict:
             raise InvariantViolation(
                 f"search record {key} on {model.name} does not stand on the full cyt certificate"
             )
@@ -750,9 +795,9 @@ def search(
 
     merged: list[CatalogRecord] = []
     seen: set[str] = set()
-    visited, skipped, walked, with_candidates = map(sum, zip(*(counts for _, counts, _ in results)))
+    visited, skipped, walked, with_candidates = map(sum, zip(*(counts for _, counts, _, _ in results)))
     rejected = dict.fromkeys(REJECT_STAGES, 0)
-    for records, _, chunk_rejected in results:
+    for records, _, chunk_rejected, _ in results:
         for stage, count in chunk_rejected.items():
             rejected[stage] += count
         for rec in records:
@@ -768,10 +813,11 @@ def search(
         exhausted=len(emitted) == len(merged),
         pairs_skipped=skipped,
         symmetry=plan.symmetry,
-        chunk_records=tuple(len(records) for records, _, _ in results),
+        chunk_records=tuple(len(records) for records, _, _, _ in results),
         cyt_routes=tuple(data.name for data in plan.rays),
         rejected=rejected,
         omega1_walked=walked,
         omega1_with_candidates=with_candidates,
+        chunk_seconds=tuple(seconds for _, _, _, seconds in results),
     )
     return emitted, stats

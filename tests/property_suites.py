@@ -1301,6 +1301,28 @@ def check_candidates_for(case, data) -> None:
         todo.extend(brute[:8])
 
 
+@KERNEL_SETTINGS
+@given(candidate_rays(), st.data())
+def check_windowed_candidates(case, data) -> None:
+    """candidates_for(w1, (lo, hi)) is candidates_for(w1) cut to the w2 with
+    lo <= w2[0] <= hi, with the same lambdas, and perp_vectors((lo, hi)) the
+    trace-free list cut so, with and without sorted_perp, for the windows
+    of the orbit rule, (w1[0], 0) with the signs and (w1[0], b) without, and
+    a random window; with j0 > 0 (ZERO_LEAD) a term's y is not the lead."""
+    model, ray, bound = case
+    box = list(product(range(-bound, bound + 1), repeat=model.rank))
+    leads = st.integers(-bound, bound)
+    for sorted_perp in (False, True):
+        rd = _RayData("ray", model, ray, bound, sorted_perp)
+        w1s = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=20)) + sorted(rd.c1_multiples)
+        for w1 in w1s:
+            full = rd.candidates_for(w1)
+            for lo, hi in ((w1[0], 0), (w1[0], bound), tuple(sorted(data.draw(st.tuples(leads, leads))))):
+                cut = {w2: lam for w2, lam in full.items() if lo <= w2[0] <= hi}
+                assert rd.candidates_for(w1, (lo, hi)) == cut, (w1, lo, hi, sorted_perp)
+                assert rd.perp_vectors((lo, hi)) == [v for v in rd.perp_vectors() if lo <= v[0] <= hi], (lo, hi)
+
+
 # the permutations do not fix it (E3 squares to -2); its curves are the Ei
 UNEQUAL = custom_model(
     "unequal",
@@ -1415,20 +1437,33 @@ def walk_rays(draw):
     return model, ray, draw(st.integers(1, 2 if model.rank > 4 else 3)), kind == "c1"
 
 
+def check_carried_cone(model, kahler, cone) -> None:
+    """A source's cone certificate is the one of that very class object on
+    that very model, with the verdict, curve signs, Q(F,F) and ample pairing
+    of a fresh is_kahler(model, kahler)."""
+    fresh = is_kahler(model, kahler)
+    assert cone.kahler_class is kahler and cone.model is model, kahler
+    facts = (cone.verdict, cone.curve_signs, cone.self_intersection, cone.ample_value)
+    assert facts == (fresh.verdict, fresh.curve_signs, fresh.self_intersection, fresh.ample_value), kahler
+
+
 @KERNEL_SETTINGS
 @given(walk_rays(), st.data())
 def check_walk_scales(case, data) -> None:
-    """Every candidate pair of a cyt plan, the parallel branch's included,
-    comes from the first plan ray on which solve_scale finds a scale s: its
-    source is that ray's memo entry at the pair's lambda, and holds the
-    class s * R, built here from the ray's coefficients, with its cleared
-    form, the route and the scale text format_scalar(s), which the record
-    takes.  Each ray generates exactly the pairs on which solve_scale
-    finds a scale, also among random box pairs and pairs of trace-free
-    vectors, where q1 = q2 = 0.  A ray proportional to c1 keeps both routes,
-    and every pair takes the first."""
+    """Every candidate pair of an unpruned cyt plan, which generates every
+    box partner, the parallel branch's included, comes from the first plan
+    ray on which solve_scale finds a scale s: its source is that ray's memo
+    entry at the pair's lambda, and holds the class s * R, built here from
+    the ray's coefficients, with its cleared form, the route, the scale
+    text format_scalar(s), which the record takes, and the cone certificate
+    of that class object on the model, equal to a fresh is_kahler of it.
+    Each ray generates exactly the pairs on which solve_scale finds a
+    scale, also among random box pairs and pairs of trace-free vectors,
+    where q1 = q2 = 0.  A ray proportional to c1 keeps both routes, and
+    every pair takes the first."""
     model, ray, bound, c1_ray = case
-    plan = _Plan(SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"cyt"}), ray=ray))
+    with search_group(lambda own: NO_SYMMETRY):
+        plan = _Plan(SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"cyt"}), ray=ray))
     assume(plan.rays)
     if c1_ray:
         assert [rd.name for rd in plan.rays] == ["ray", "anticanonical_ray"]
@@ -1440,13 +1475,16 @@ def check_walk_scales(case, data) -> None:
             bundle = BundleSpec(model, (CohClass.of(w1), CohClass.of(w2)))
             rd, s = next((rd, s) for rd in plan.rays if (s := solve_scale(bundle, rd.ray)) is not None)
             assert source is rd.sources[rd.candidates_for(w1)[w2]], (w1, w2)
-            kahler, route, scale = source
+            kahler, route, scale, _ = source
             assert route == ("ray" if c1_ray else rd.name) and scale == format_scalar(s), (w1, w2)
             want = CohClass.of([s * c for c in rd.ray.coeffs])
             assert kahler.cleared_form == want.cleared_form, (w1, w2)
             rec = plan.evaluate(w1, w2, "key", source)
             assert (rec.flags.cyt_route, rec.flags.scale) == (route, scale), (w1, w2)
             assert rec.kahler == tuple(want.serialize()), (w1, w2)
+    for rd in plan.rays:
+        for kahler, _, _, cone in rd.sources.values():
+            check_carried_cone(model, kahler, cone)
     for rd in plan.rays:
         # with every trace-free partner, whatever the plan's group
         full = _RayData(rd.name, model, rd.ray, bound)

@@ -456,6 +456,14 @@ def test_a_huge_ray_searches_to_no_record_within_the_cap():
     )
 
 
+@pytest.mark.parametrize("filter_", ["cyt", "skt"])
+def test_a_huge_bound_exits_2_before_any_table_is_built(filter_):
+    # a bound of 10^7 used to fill the address space with the walk's rows
+    # or the skt tails and die with MemoryError; the query refuses it
+    proc = _capped_cli("search", "--model", "blowup_cp2(3)", "--bound", "10000000", "--filter", filter_)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: coeff_bound <= 1000 required\n")
+
+
 def test_a_model_files_steep_anticanonical_ray_searches_to_no_record(tmp_path, capsys):
     # c1 is ample, with Q(c1,c1) = 3000^2 - 1 and gcd(c1) = 1, so m = 8 999 999
     path = tmp_path / "steep.json"
@@ -516,7 +524,7 @@ def test_a_two_worker_search_forks_with_no_thread_and_no_multiprocessing(tmp_pat
     assert (proc.returncode, proc.stdout) == (0, "False\n")
     assert proc.stderr.splitlines() == [
         "3 chunks done on 2 workers",
-        "search exhausted coefficient bound 2: 12 pairs visited, 9 skipped by symmetry, 3 records",
+        "search exhausted coefficient bound 2: 3 pairs visited, 0 skipped by symmetry, 3 records",
     ]
 
 
@@ -1074,19 +1082,20 @@ FROZEN_VIEWS = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'error: search ray needs positive self-intersection',
     ),
-    # one record per bundle up to S_k and the fiber signs; V1_SEARCH_VIEWS
+    # one record per bundle up to S_k and the fiber signs, and the pairs
+    # visited are the partners in the orbit rule's lead window; V1_SEARCH_VIEWS
     # holds these lines as they read before the signs joined the group
     'search --threads 1 --model blowup_cp2(2) --bound 3 --filter cyt --ray H': (
         0,
         None,
         '0fda92e4575c8b688744788e78bdf91317ac7858d357e12f9a548b7c19dbb4f4',
-        'search exhausted coefficient bound 3: 30 pairs visited, 20 skipped by symmetry, 10 records',
+        'search exhausted coefficient bound 3: 10 pairs visited, 0 skipped by symmetry, 10 records',
     ),
     'search --threads 1 --model blowup_cp2(2) --bound 3 --filter cyt --filter topology': (
         0,
         None,
         '8ea2a5a74a27f7bd2897560d568e826d2ac19486f80fc0f26aacec378ede1037',
-        'search exhausted coefficient bound 3: 30 pairs visited, 20 skipped by symmetry, 3 records',
+        'search exhausted coefficient bound 3: 10 pairs visited, 0 skipped by symmetry, 3 records',
     ),
     'search --threads 1 --model quadric --bound 1 --filter skt --limit 2': (
         0,
@@ -1116,13 +1125,13 @@ V1_SEARCH_VIEWS = {
         0,
         None,
         'f7e3ce152a3dc1e6f3e444e1be30d31e0f2791960447e68b6289e3dea15d76dd',
-        'search exhausted coefficient bound 3: 52 pairs visited, 23 skipped by symmetry, 29 records',
+        'search exhausted coefficient bound 3: 29 pairs visited, 0 skipped by symmetry, 29 records',
     ),
     'search --threads 1 --model blowup_cp2(2) --bound 3 --filter cyt --filter topology': (
         0,
         None,
         '448deab26edba5d3d2c2c24e452941ed145b46dd97ef5089647bef6b99fcff78',
-        'search exhausted coefficient bound 3: 52 pairs visited, 23 skipped by symmetry, 10 records',
+        'search exhausted coefficient bound 3: 29 pairs visited, 0 skipped by symmetry, 10 records',
     ),
     'search --threads 1 --model quadric --bound 1 --filter skt --limit 2': (
         0,

@@ -5,6 +5,7 @@ import pytest
 
 import property_suites
 from cytforge import cyt
+from cytforge.cone import is_kahler
 
 from cytforge.cyt import (
     BundleSpec,
@@ -350,3 +351,25 @@ def test_a_wrong_rendered_defect_fails_the_read(monkeypatch):
     monkeypatch.setattr(cyt._Traces, "traced", property(lambda self: self.bundle.base.c1))
     with pytest.raises(InvariantViolation, match="against defect_zero=False"):
         scaled.defect
+
+
+def test_a_handed_cone_certificate_stands_in_only_for_its_own_class(monkeypatch):
+    m, bundle = dp2_bundle()
+    f = 2 * m.c1
+    cone = is_kahler(m, f)
+    calls = []
+    monkeypatch.setattr(cyt, "is_kahler", lambda *args: calls.append(args) or is_kahler(*args))
+    handed = cyt.cyt_certificate(bundle, f, cone)
+    assert calls == [] and handed.cone is cone and handed.verdict
+    assert handed == verify_cyt(bundle, f) and len(calls) == 1
+    # an equal class that is another object, and the class on another model of the same rank
+    foreign = [is_kahler(m, CohClass.of(list(f.coeffs))), is_kahler(blowup_cp2(2, "on_cubic"), f)]
+    null = parse_class(m, "H-E1")  # checked before the null class is found
+    for cone, g in [(foreign[0], f), (foreign[1], f), (is_kahler(m, null), CohClass.of([1, -1, 0]))]:
+        with pytest.raises(InvariantViolation, match="^a cone certificate handed in is not the one of this class"):
+            cyt.cyt_certificate(bundle, g, cone)
+    # a class the defect test passes keeps its handed cone's failing verdict
+    q = custom_model("q", [[0, 1], [1, 0]], [2, 2], curves=[[1, -1]], ample_witness=[1, 1])
+    g = Fraction(1, 2) * CohClass.of([1, 1])
+    cert = cyt.cyt_certificate(BundleSpec(q, (CohClass.of([1, 0]), CohClass.of([0, 1]))), g, is_kahler(q, g))
+    assert cert.defect_zero and not cert.verdict and cert.reason == "not_kahler"
