@@ -23,9 +23,10 @@ generated it, at the scale 2 lambda / (Q(R,R) d) on the primitive ray, or
 once per plan for the ansatz partner, with no trace and no further dot
 product; the recheck (cyt_certificate) reads that cone certificate, its
 defect test compares integer numerators, and the topology label is
-decided from the gcd of the pairing matrix's 2x2 minors.  The documents (Fraction
-traces, the defect class, per-curve values, the Smith normal form and the
-witnesses) are rendered only when read, and a search reads none.
+decided from the gcd of the pairing matrix's 2x2 minors.  The documents
+(Fraction traces, the defect class, per-curve values, the Smith normal
+form and the witnesses) are rendered only when read, and a search reads
+none.
 Enumeration, dedup and the skt and spin stages (bit masks, w1's once per
 w1) run on integer tuples, the stages ahead of the key, under whose group
 they are invariant; classes are built only for the pairs that reach the

@@ -670,7 +670,8 @@ def test_a_plan_generates_the_partners_of_its_lead_window(model, bound, ray):
     # the walk's w1 with the signs (leads <= 0) and without them, where the
     # window runs to b; an asymmetric ray keeps both plan rays and the
     # unsorted trace-free slice
-    q = SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"cyt"}), ray=parse_class(model, ray) if ray else None)
+    ray = parse_class(model, ray) if ray else None
+    q = SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"cyt"}), ray=ray)
     for group, top in ((contextlib.nullcontext(), 0), (property_suites.without_signs(), bound)):
         with group:
             plan = search_module._Plan(q)
