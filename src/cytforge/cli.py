@@ -328,6 +328,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CytForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # raised here or sent back by a search worker
+        pass
+    # reported once the handler has ended, which frees the frames its traceback held
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -42,15 +42,8 @@ the range of Q over its continuations; the trace-free list is its q = 0
 slice over every lead.  The walk is in the box's order and holds every w1
 with a candidate, so it visits the same pairs as a walk of the whole box.
 
-A search with skt and without cyt takes each w2 from its square,
-Q(w2,w2) = -Q(w1,w1).  On a diagonal Gram, _Plan.skt_tails generates the
-exceptional coordinates of w2 for each lead in the orbit rule's window
-the way _RayData.slice does, sorted on each run of equal exceptional
-coordinates of w1 under the permutations, memoised per (runs, square).
-Other Grams (the quadric) file every box vector by its square instead.
-
 A search builds one plan per query with everything the pairs share: the
-rays, the balanced fallback class, the skt partner tables, the ansatz
+rays, the balanced fallback class, the partner tables, the ansatz
 pair and its source, the symmetry group and the bit mask of c1.  A ray
 (the query's, then the anticanonical) enters it only if it is Kaehler
 with Q(R,R) > 0 and Q(c1,R) > 0; pairing
@@ -74,14 +67,15 @@ condition, the cyt and balanced verdicts, F, the scale and the route stay;
 so do the squares (skt), the mod-2 classes (spin) and, as P = W G only
 changes row signs, the minors and the topology label.  The permutations
 S_k of the exceptional coordinates 1..k join when they fix the model's
-Gram matrix and c1, the query's ray (if any) has equal exceptional
-coordinates, and no ansatz pair is in the box.  The search walks only w1
-with non-decreasing exceptional coordinates and, with the signs, only the
-leads -b..0 (a minimal pair has w1[0] <= w2[0] <= 0), and evaluates a pair
-only when it is the lexicographic minimum of its orbit.  Of the w2 in
-the lead window and sorted on the runs, only one whose leads tie (w2[0] =
-w1[0], or 0 with the signs) can fail that: the others are the one image of
-their least leads, so _is_orbit_min tests the ties alone.  That minimum is
+Gram matrix and c1, the query's ray (if a cyt or balanced filter reads
+it) has equal exceptional coordinates, and no ansatz pair is in the box.
+The search walks only w1 with non-decreasing exceptional coordinates and,
+with the signs, only the leads -b..0 (a minimal pair has w1[0] <= w2[0] <=
+0), and evaluates a pair only when it is the lexicographic minimum of its
+orbit.  Of the w2 in the lead window and sorted on the runs (the generator
+rule below), only one whose leads tie (w2[0] = w1[0], or 0 with the signs)
+can fail that: the others are the one image of their least leads, so
+_is_orbit_min tests the ties alone.  That minimum is
 the canonical key (the least image, columns sorted) and the pair the
 unpruned enumeration would emit first for the orbit, so the catalog is the
 unpruned one reduced by the group.  When the search's group is the key's
@@ -93,19 +87,21 @@ in-box ansatz pair), where the key sorts what the orbit rule did not, and
 for every pair of the unpruned NO_SYMMETRY reference, whose key leaves out
 the signs.
 
-A pruned cyt chunk, like the skt generator, forms only w2 in the orbit
-rule's lead window (_Plan.window); the unpruned reference forms every box
-partner.  With j0 = 0 a q2 term's y is w2's lead, so a term outside the
-window forms no vector.
-
-Under the permutations the trace-free candidates are generated with
-non-decreasing exceptional coordinates.  They join only w1 proportional to
-c1, whose exceptional coordinates are all equal like those of c1, and the
-orbit rule rejects every unsorted w2 for such a w1, so the evaluated pairs
-are the same as with the full trace-free list.  The generic candidates need
-no such step: with c1 fixed by S_k they are already constant on the runs of
-equal coordinates of w1.  So a cyt chunk tests no run, and the visited
-count covers only generated pairs.
+Every query generates only the w2 of the orbit rule's lead window
+(_Plan.window) that are sorted on the runs of w1, the i with w1_i =
+w1_(i+1) under the permutations; the unpruned reference forms every box
+partner.  A cyt w2 is cut to the window as it is formed: with j0 = 0 a q2
+term's y is w2's lead, so a term outside the window forms no vector.  A
+generic cyt w2 is constant on the runs already, as S_k fixes c1; the
+trace-free ones join only multiples of c1, and are generated sorted under
+the permutations.  Without cyt, w2 is a lead a in the window and a tail of
+exceptional coordinates that _Plan.tails generates the way _RayData.slice
+does, sorted on the runs and memoised per (runs, square): its shares g_j
+t_j^2 sum to -Q(w1,w1) - g_0 a^2 on a diagonal Gram with skt, so w2 comes
+from its square, Q(w2,w2) = -Q(w1,w1), and are all 0 without skt.  skt on
+another Gram (the quadric) files the box by (lead, square) and keeps a
+bucket's vectors sorted on the runs.  So a chunk tests only the lead ties,
+and the visited count covers only generated pairs.
 """
 from __future__ import annotations
 
@@ -302,19 +298,16 @@ def search_symmetry(query: SearchQuery, permute: bool, ansatz_pair: Optional[_Pa
     """The group the candidate locus and every filter of the query are
     invariant under: the swap alone when the ansatz pair is in the box, else
     the swap and the signs, with the permutations of the exceptional
-    coordinates when they fix the model (permute) and the ray."""
+    coordinates when they fix the model (permute) and the ray, if a cyt or
+    balanced filter reads it."""
     if ansatz_pair is not None:
         return SWAP
-    ray = query.ray
+    ray = query.ray if query.filters & {"cyt", "balanced"} else None  # no other filter reads it
     symmetric_ray = ray is None or all(c == ray.coeffs[1] for c in ray.coeffs[2:])
     return PERMUTE_SIGNS_AND_SWAP if permute and symmetric_ray else SIGNS_AND_SWAP
 
 
 # -- candidate generation ------------------------------------------------
-
-
-def _all_vectors(rank: int, bound: int) -> Iterable[tuple[int, ...]]:
-    return itertools.product(range(-bound, bound + 1), repeat=rank)
 
 
 def _vectors_with_lead(
@@ -525,8 +518,9 @@ def _ansatz_pair(query: SearchQuery) -> Optional[_Pair]:
 class _Plan:
     """Everything the pairs of one query share, built once per search: the
     rays a record can stand on, the balanced filter's fallback class, the
-    skt rows and tails or buckets, the ansatz pair and its source, the
-    symmetry group and the bit mask of c1."""
+    partner tables of a query without cyt (the tail rows and their memo, or
+    the skt buckets), the ansatz pair and its source, the symmetry group and
+    the bit mask of c1."""
 
     def __init__(self, query: SearchQuery):
         model = query.model
@@ -562,26 +556,27 @@ class _Plan:
         f = query.ray if query.ray is not None else model.c1
         self.balanced_class = f if "balanced" in query.filters and intersect(model, f, f) != 0 else None
 
-        # skt without cyt takes each w2 from its square: on a diagonal Gram
-        # from skt_tails, else from buckets, every box vector by its square
-        skt_only = "skt" in query.filters and "cyt" not in query.filters
-        diag = model._gram_diagonal
-        self.skt_rows: Optional[list[list[tuple[int, int, int, int]]]] = None
-        self.skt_buckets: Optional[dict[int, list[tuple[int, ...]]]] = None
-        if skt_only and diag is not None:
+        # without cyt each w2 comes from tails, skt's from its square: the
+        # shares are the diagonal Gram's with skt, else 0; skt on another Gram
+        # (the quadric) takes buckets of the box by (lead, square) instead
+        cyt, skt, diag = "cyt" in query.filters, "skt" in query.filters, model._gram_diagonal
+        self.skt = skt and cyt  # a partner from its square passes skt
+        self.tail_rows: Optional[list[list[tuple[int, int, int, int]]]] = None
+        self.buckets: Optional[dict[tuple[int, int], list[tuple[int, ...]]]] = None
+        if skt and diag is None and not cyt:
+            self.buckets = {}
+            for v in itertools.product(range(-bound, bound + 1), repeat=rank):
+                self.buckets.setdefault((v[0], self.square(v)), []).append(v)
+        elif not cyt:
             # _grow's rows, per exceptional coordinate j and box value x: x, its
-            # share g_jj x^2 and the range [lo, hi] of sum g_ii x_i^2 over the i > j
-            self.skt_rows = []
+            # share g_j x^2 and the range [lo, hi] of sum g_i x_i^2 over the i > j
+            self.shares = diag if skt else (0,) * rank
+            self.tail_rows = []
             lo = hi = 0
-            for g in reversed(diag[1:]):
-                self.skt_rows.insert(0, [(x, g * x * x, lo, hi) for x in range(-bound, bound + 1)])
+            for g in reversed(self.shares[1:]):
+                self.tail_rows.insert(0, [(x, g * x * x, lo, hi) for x in range(-bound, bound + 1)])
                 lo, hi = lo + min(0, g * bound * bound), hi + max(0, g * bound * bound)
-            self.skt_memo: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
-        elif skt_only:
-            self.skt_buckets = {}
-            for v in _all_vectors(rank, bound):
-                self.skt_buckets.setdefault(self.square(v), []).append(v)
-        self.skt = "skt" in query.filters and not skt_only  # a partner from its square passes skt
+            self.tail_memo: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
 
     def square(self, v: tuple[int, ...]) -> int:
         return sum(map(mul, v, self.query.model.gram_row(v)))
@@ -594,10 +589,13 @@ class _Plan:
         return (lead, 0 if self.signs else b) if self.prune else (-b, b)
 
     def candidates(self, v1: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        """The w2 to pair with v1, in lexicographic order.  For a cyt query a
-        dict from each w2 in the window of v1's lead to its solved source:
+        """The w2 to pair with v1, in lexicographic order: those with a lead
+        in the window of v1's lead, sorted on the runs of v1 (see the module
+        docstring).  For a cyt query a dict from each to its solved source:
         the entry at its lambda of the first plan ray that generated it, else
-        the plan's ansatz source."""
+        the plan's ansatz source.  Else a list: each lead in the window with
+        each of the tails at the opposite square, or, for skt on a Gram that
+        is not diagonal, the bucket of each lead in the window at that square."""
         lo, hi = self.window(v1[0])
         if "cyt" in self.query.filters:
             found: dict[tuple[int, ...], _Source] = {}
@@ -611,25 +609,27 @@ class _Plan:
                 if lo <= v2[0] <= hi:
                     found.setdefault(v2, self.ansatz_source)
             return dict(sorted(found.items())) if found else found
-        if self.skt_rows is not None:
-            g0, square, runs = self.query.model.gram[0][0], -self.square(v1), self.runs(v1)
-            return [(a, *t) for a in range(lo, hi + 1) for t in self.skt_tails(runs, square - g0 * a * a)]
-        if self.skt_buckets is not None:
-            return self.skt_buckets.get(-self.square(v1), [])
-        return _all_vectors(len(v1), self.query.coeff_bound)
+        runs = self.runs(v1)
+        if self.buckets is not None:
+            square = -self.square(v1)
+            pool = (v2 for a in range(lo, hi + 1) for v2 in self.buckets.get((a, square), ()))
+            return [v2 for v2 in pool if all(v2[i] <= v2[i + 1] for i in runs)]
+        g = self.shares
+        square = -sum(map(mul, g, map(mul, v1, v1)))
+        return [(a, *t) for a in range(lo, hi + 1) for t in self.tails(runs, square - g[0] * a * a)]
 
     def runs(self, v1: tuple[int, ...]) -> tuple[int, ...]:
         """Under the permutations, the i >= 1 with v1[i] = v1[i + 1]: an orbit
         minimum's w2 is sorted on each run of equal exceptional coordinates."""
         return tuple(i for i in range(1, len(v1) - 1) if v1[i] == v1[i + 1]) if self.sorted_v1 else ()
 
-    def skt_tails(self, runs: tuple[int, ...], square: int) -> list[tuple[int, ...]]:
-        """The exceptional coordinates t_1..t_k in the box with sum g_jj t_j^2
-        = square on the diagonal Gram and t_(i+1) >= t_i for i in runs, in
-        lexicographic order (see _grow and skt_rows), memoised."""
-        tails = self.skt_memo.get((runs, square))
-        if tails is None:  # row i of skt_rows is t_(i+1)
-            tails = self.skt_memo[(runs, square)] = _grow(self.skt_rows, [square], runs)
+    def tails(self, runs: tuple[int, ...], square: int) -> list[tuple[int, ...]]:
+        """The exceptional coordinates t_1..t_k in the box with sum g_j t_j^2
+        = square for the shares g and t_(i+1) >= t_i for i in runs, in
+        lexicographic order (see _grow and tail_rows), memoised."""
+        tails = self.tail_memo.get((runs, square))
+        if tails is None:  # row i of tail_rows is t_(i+1)
+            tails = self.tail_memo[(runs, square)] = _grow(self.tail_rows, [square], runs)
         return tails
 
     def walk(self, lead: int) -> Iterable[tuple[int, ...]]:
@@ -660,28 +660,19 @@ class _Plan:
         own_key = self.prune and self.sorted_v1 == self.permute
         spin = "spin" in self.screen_flags
         cyt = "cyt" in self.query.filters
-        top = self.window(lead)[1]  # an orbit minimum has lead <= w2[0] <= top
-        # the cyt and skt_tails partners are generated in the rule's lead window
-        # and sorted on the runs (a generic cyt w2 is constant on them, as c1 is)
-        windowed = self.prune and self.skt_rows is None and not cyt
         for v1 in self.walk(lead):
             walked += 1
             cands = self.candidates(v1)
             if not cands:
                 continue
             with_candidates += 1
-            runs = self.runs(v1) if windowed else ()
             m1 = _gf2_mask(v1) if spin else None
             for v2 in cands:
                 visited += 1
-                c = v2[0]
-                # past the window and runs a pair is its own orbit minimum
-                # unless it ties on the leads (see _is_orbit_min)
-                if self.prune and (
-                    windowed and (not lead <= c <= top or any(v2[i] > v2[i + 1] for i in runs))
-                    or (c == lead or self.signs and not c)
-                    and not _is_orbit_min(v1, v2, self.sorted_v1, self.signs)
-                ):
+                # a candidate is in the window and sorted on the runs, so it is
+                # its own orbit minimum unless it ties on the leads (see _is_orbit_min)
+                tie = v2[0] == lead or self.signs and not v2[0]
+                if self.prune and tie and not _is_orbit_min(v1, v2, self.sorted_v1, self.signs):
                     skipped += 1
                     continue
                 if spin or self.skt:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import property_suites
@@ -526,6 +527,32 @@ def test_a_two_worker_search_forks_with_no_thread_and_no_multiprocessing(tmp_pat
         "3 chunks done on 2 workers",
         "search exhausted coefficient bound 2: 3 pairs visited, 0 skipped by symmetry, 3 records",
     ]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_search_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, threads):
+    # the search, or a forked worker's chunk, raising MemoryError ends in one
+    # error line, exit 2 and no new catalog, as any input error does
+    search_module = sys.modules["cytforge.search"]
+    parent, chunk = os.getpid(), search_module._Plan.chunk
+
+    def starved(plan, lead):  # on 2 workers only in the forked one
+        if threads == "1" or os.getpid() != parent:
+            raise MemoryError
+        time.sleep(0.3)  # so the forked worker claims a lead
+        return chunk(plan, lead)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    argv = ["search", "--model", "blowup_cp2(3)", "--bound", "2", "--filter", "skt", "--threads", threads]
+    for name, owner, raiser in (("search", cli, no_memory), ("chunk", search_module._Plan, starved)):
+        out = tmp_path / f"{name}.jsonl"
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, raiser)
+            code, out_text, err = run(capsys, *argv, "--out", str(out))
+        assert (code, out_text, err) == (2, "", "error: out of memory\n"), name
+        assert not out.exists()
 
 
 def test_unreadable_paths_exit_2(tmp_path, capsys):
@@ -1101,7 +1128,7 @@ FROZEN_VIEWS = {
         0,
         None,
         'dc55e6cca6e1100477358da982a9040f8365b91770f72609347643458558c646',
-        'search stopped at --limit 2: 24 pairs visited, 17 skipped by symmetry, 2 records',
+        'search stopped at --limit 2: 15 pairs visited, 8 skipped by symmetry, 2 records',
     ),
     'search --threads 1 --model quadric --bound 1 --filter bogus': (
         2,
@@ -1137,7 +1164,7 @@ V1_SEARCH_VIEWS = {
         0,
         None,
         '9c6c8f8766029792d69fb6963febc2ae305042d2f78b44d7bb61d5c1a0fc336b',
-        'search stopped at --limit 2: 33 pairs visited, 14 skipped by symmetry, 2 records',
+        'search stopped at --limit 2: 24 pairs visited, 5 skipped by symmetry, 2 records',
     ),
 }
 

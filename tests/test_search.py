@@ -28,7 +28,7 @@ from cytforge.search import (
     search,
 )
 from cytforge.skt import verify_skt
-from cytforge.surfaces import CohClass, blowup_cp2, custom_model, parse_class, quadric
+from cytforge.surfaces import CohClass, blowup_cp2, custom_model, parse_class, projective_plane, quadric
 from cytforge.topology import UNCLASSIFIED, topology_certificate
 
 
@@ -392,8 +392,8 @@ CI_CATALOGS = [
      ("0a9647b267b87a2f5588cc157fa30b08977bee3258f8f95e9bebfa27fa929c23", (2706, 634, 1760))),
     (8, 5, _WALL, ("a7ddfa24543779efa3e0f075affe9646ae516abf86177b89a7875b60c6a53ce2", (32806, 2800, 24646)),
      ("9a7bc8d9b6c72d61ed396e1447c506a2a213fe0ee95d542b6be251f5203cf693", (9676, 2094, 6213))),
-    (3, 2, ("spin", "topology"), ("bb3cbee06323e5da37919e18675d951ff01664e2a0ccb4260b9f8c2d859b4745", (109375, 72600, 3376)),
-     ("cec7b4747f3c1f44ba8d20928f573296a1cc21fc3560ad909629f2e5b6c6ad58", (65625, 56270, 849))),
+    (3, 2, ("spin", "topology"), ("bb3cbee06323e5da37919e18675d951ff01664e2a0ccb4260b9f8c2d859b4745", (43875, 7100, 3376)),
+     ("cec7b4747f3c1f44ba8d20928f573296a1cc21fc3560ad909629f2e5b6c6ad58", (17550, 8195, 849))),
     (4, 2, ("skt", "spin"), ("2b565f5a845426162391d340cd5446f31b78f16bfc71ff2fb6170aba76ca4946", (2416, 534, 64)),
      ("f16af4bf6b1280925e57d4ff5ea5e03540f3ccb8a8c8364576a501566b45a53e", (789, 306, 16))),
     (3, 3, ("skt",), ("3c93af7fcfa642fcf814391d00b7750da75a23845b060d6ef37b5a18a4dd085e", (5995, 862, 5133)),
@@ -475,6 +475,22 @@ def test_symmetry_predicate():
     assert group(SearchQuery(model=cubic, coeff_bound=4, filters=cyt)) == s.SWAP
     assert group(SearchQuery(model=cubic, coeff_bound=3, filters=cyt)) == s.PERMUTE_SIGNS_AND_SWAP
     assert group(SearchQuery(model=cubic, coeff_bound=4, filters=frozenset({"skt"}))) == s.PERMUTE_SIGNS_AND_SWAP
+    # only the cyt and balanced filters read the ray
+    for filters, want in (({"balanced"}, s.SIGNS_AND_SWAP), ({"skt", "spin", "topology"}, s.PERMUTE_SIGNS_AND_SWAP)):
+        assert group(dataclasses.replace(odd_ray, filters=frozenset(filters))) == want, filters
+
+
+def test_a_ray_no_filter_reads_leaves_the_search_as_it_is():
+    # skt with an asymmetric ray keeps the permutations: the same catalog,
+    # visited and skipped counts as the ray-less query, serial and on 2 workers
+    m3 = blowup_cp2(3)
+    q = SearchQuery(model=m3, coeff_bound=2, filters=frozenset({"skt"}))
+    for threads in (1, 2):
+        records, stats = search(q, threads=threads)
+        with_ray, ray_stats = search(dataclasses.replace(q, ray=parse_class(m3, "5H-2E1-E2-E3")), threads=threads)
+        assert [r.to_line() for r in with_ray] == [r.to_line() for r in records] and ray_stats == stats
+        assert (stats.pairs_evaluated, stats.pairs_skipped, stats.records_emitted) == (319, 120, 199)
+        assert stats.symmetry == search_module.PERMUTE_SIGNS_AND_SWAP
 
 
 def test_orbit_minimum_matches_the_canonical_key():
@@ -530,40 +546,58 @@ def test_the_lean_orbit_rule_is_the_least_image_test(model):
                 assert minimal, (group, v1, v2)
 
 
-@pytest.mark.parametrize(
-    "model,bounds",
-    [(blowup_cp2(k), (1, 2, 3)) for k in range(1, 6)] + [(custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1]), (1, 2))],
-    ids=lambda v: v.name if hasattr(v, "name") else "-".join(map(str, v)),
-)
-def test_skt_partners_from_their_square_are_the_bucket_filter(model, bounds):
+# exceptionals that permute on a Gram that is not diagonal: the skt buckets
+# are the one partner source that has to test the runs of w1
+PERMUTING_NON_DIAGONAL_GRAM = [[1, 1, 1, 1], [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]]
+
+PARTNER_CASES = [
+    *[pytest.param(blowup_cp2(k), (1, 2, 3), "skt", id=f"{blowup_cp2(k).name}-1-2-3") for k in range(1, 6)],
+    pytest.param(custom_model("m", NON_INVARIANT_GRAM, [3, -1, -1, -1]), (1, 2), "skt", id="m-1-2"),
+    pytest.param(quadric(), (1, 2, 3), "skt", id="quadric-1-2-3-skt"),
+    pytest.param(custom_model("n", PERMUTING_NON_DIAGONAL_GRAM, [3, -1, -1, -1]), (1, 2), "skt", id="n-1-2-skt"),
+    *[
+        pytest.param(model, (1, 2), name, id=f"{model.name}-1-2-{name or 'none'}")
+        for model in (projective_plane(), blowup_cp2(1), blowup_cp2(2), blowup_cp2(3))
+        for name in ("spin", "topology", None)
+    ],
+]
+
+
+@pytest.mark.parametrize("model,bounds,name", PARTNER_CASES)
+def test_skt_partners_from_their_square_are_the_bucket_filter(model, bounds, name):
     # the partners of every walked w1, with the signs and without them, are
-    # the box vectors of the opposite square in the orbit rule's lead window
-    # and sorted on each run of w1 under the permutations
-    pairs = 0
+    # the box vectors in the orbit rule's lead window, sorted on each run of
+    # w1 under the permutations and, with skt, of the opposite square: the
+    # plan's tails on any Gram, or its buckets for skt on a Gram that is not
+    # diagonal
+    filters = frozenset({name} - {None})
+    skt = "skt" in filters
+
+    def square(v):  # Q(v,v), taken as 0 without skt
+        return sum(x * y for x, y in zip(v, model.gram_row(v))) if skt else 0
+
+    pairs = unsorted = 0
     for bound in bounds:
-        box = itertools.product(range(-bound, bound + 1), repeat=model.rank)
-        buckets = {}
-        for v in box:
-            buckets.setdefault(sum(g * x * x for g, x in zip(model._gram_diagonal, v)), []).append(v)
+        buckets = {}  # the box by (lead, square)
+        for v in itertools.product(range(-bound, bound + 1), repeat=model.rank):
+            buckets.setdefault((v[0], square(v)), []).append(v)
         for group in (property_suites.without_signs(), contextlib.nullcontext()):
             with group:
-                plan = search_module._Plan(SearchQuery(model=model, coeff_bound=bound, filters=frozenset({"skt"})))
-            assert plan.skt_rows is not None and plan.skt_buckets is None and not plan.skt
+                plan = search_module._Plan(SearchQuery(model=model, coeff_bound=bound, filters=filters))
+            from_buckets = skt and model._gram_diagonal is None
+            assert (plan.buckets is not None, plan.tail_rows is None, plan.skt) == (from_buckets, from_buckets, False)
             top = 0 if plan.signs else bound
             for lead in range(-bound, top + 1):
                 for v1 in plan.walk(lead):
                     runs = plan.runs(v1)
-                    want = [
-                        v2
-                        for v2 in buckets.get(-plan.square(v1), [])
-                        if lead <= v2[0] <= top and all(v2[i] <= v2[i + 1] for i in runs)
-                    ]
+                    window = [v2 for a in range(lead, top + 1) for v2 in buckets.get((a, -square(v1)), [])]
+                    want = [v2 for v2 in window if all(v2[i] <= v2[i + 1] for i in runs)]
                     assert plan.candidates(v1) == want, (bound, plan.symmetry, v1)
                     pairs += len(want)
+                    unsorted += len(window) - len(want)
     assert pairs > 0
-    # a Gram that is not diagonal keeps the buckets
-    plan = search_module._Plan(SearchQuery(model=quadric(), coeff_bound=2, filters=frozenset({"skt"})))
-    assert plan.skt_rows is None and plan.skt_buckets is not None
+    # the runs cut partners wherever two or more exceptionals permute
+    assert (unsorted > 0) == (model.rank > 2 and _permutes_exceptionals(model))
 
 
 @pytest.mark.parametrize("bound", [1, 3])
