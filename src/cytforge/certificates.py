@@ -27,14 +27,16 @@ from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape  # the C escaper of json.dumps
 from operator import itemgetter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .cone import ConeCertificate
-from .cyt import CytCertificate
 from .scalars import format_scalar
-from .skt import SktReport
 from .surfaces import CohClass, Model, model_to_dict
-from .topology import SpectralTables, TopologyCertificate
+
+if TYPE_CHECKING:  # named in annotations only, so rendering loads no solver layer
+    from .cone import ConeCertificate
+    from .cyt import CytCertificate
+    from .skt import SktReport
+    from .topology import SpectralTables, TopologyCertificate
 
 TOOL_VERSION = "0.1.0"
 

@@ -11,6 +11,9 @@ between them: the parser is built on the first call and reused (argparse
 returns a fresh namespace per parse), a builtin blow-up model is built once
 per spec with its curve list, and a class renders its exact scalar text
 once.
+
+A command loads only the layers it runs: this module imports what the parser
+needs, and each `_cmd_*` imports its own layers when it is called.
 """
 
 from __future__ import annotations
@@ -21,23 +24,13 @@ import os
 import sys
 from typing import Optional
 
-from . import catalog as catalog_io
-from . import certificates as certs
-from .cyt import (
-    BundleSpec,
-    balanced_check,
-    solve_scale,
-    solve_symmetric_ansatz,
-    verify_cyt,
-)
-from .cone import is_kahler
 from .errors import CytForgeError
-from .reproduce import SECTIONS, reproduce_paper
 from .scalars import approx_str, format_scalar
-from .search import VALID_FILTERS, SearchQuery, search
-from .skt import hodge_obstruction, verify_skt
 from .surfaces import SurfaceModel, parse_class, resolve_model
-from .topology import UNCLASSIFIED, topology_certificate
+
+# the choices of search and reproduce, which parsing does not load (a test pins them)
+VALID_FILTERS = ("cyt", "skt", "balanced", "topology", "spin")
+SECTIONS = ("4.1", "4.2", "4.3", "4.4", "5", "6.1", "maxroot")
 
 _CLASS_FLAGS = {"--omega", "--kahler", "--class", "--ray", "--witness"}
 
@@ -86,6 +79,8 @@ def _render_text(doc: dict, indent: int = 0, out=None):
 def _certify(args, model, inputs: dict, results: dict, verdict: bool, text_head=()) -> int:
     """Emit a subcommand's certificate as JSON, or as text after its head
     lines, and map the verdict to exit code 0 or 1."""
+    from . import certificates as certs
+
     cert = certs.build_certificate(args.command_echo, model, inputs, results, verdict)
     if args.format == "json":
         sys.stdout.write(cert.to_json())
@@ -96,13 +91,17 @@ def _certify(args, model, inputs: dict, results: dict, verdict: bool, text_head=
     return 0 if verdict else 1
 
 
-def _bundle(args, model) -> tuple[BundleSpec, dict]:
+def _bundle(args, model):
     """The bundle of the --omega classes, and the certificate inputs naming them."""
+    from .cyt import BundleSpec
+
     bundle = BundleSpec(model, tuple(parse_class(model, w) for w in args.omega))
     return bundle, {"omegas": [w.serialize() for w in bundle.curvatures]}
 
 
 def _cmd_verify(args) -> int:
+    from . import certificates as certs, cyt
+
     model = resolve_model(args.model)
     bundle, inputs = _bundle(args, model)
     f = parse_class(model, args.kahler) if args.kahler else None
@@ -110,43 +109,51 @@ def _cmd_verify(args) -> int:
     if f is None and args.expect != "skt":
         raise CytForgeError(f"--expect {args.expect} needs --kahler")
     if args.expect == "cyt":
-        cyt = verify_cyt(bundle, f)
-        return _certify(args, model, inputs, {"cyt": certs.cyt_doc(cyt)}, cyt.verdict)
+        cert = cyt.verify_cyt(bundle, f)
+        return _certify(args, model, inputs, {"cyt": certs.cyt_doc(cert)}, cert.verdict)
     if args.expect == "skt":
+        from .skt import hodge_obstruction, verify_skt
+
         if f is not None and isinstance(model, SurfaceModel):
             report = hodge_obstruction(bundle, f)
         else:
             report = verify_skt(bundle)
         return _certify(args, model, inputs, {"skt": certs.skt_doc(report)}, report.verdict)
-    verdict = balanced_check(bundle, f)
+    verdict = cyt.balanced_check(bundle, f)
     return _certify(args, model, inputs, {"balanced": {"verdict": verdict}}, verdict)
 
 
 def _cmd_cone_check(args) -> int:
+    from . import certificates as certs, cone
+
     model = resolve_model(args.model)
     f = parse_class(model, getattr(args, "class"))
     witness = parse_class(model, args.witness) if args.witness else None
-    cone = is_kahler(model, f, witness)
-    return _certify(args, model, {"class": f.serialize()}, {"cone": certs.cone_doc(cone)}, cone.verdict)
+    cert = cone.is_kahler(model, f, witness)
+    return _certify(args, model, {"class": f.serialize()}, {"cone": certs.cone_doc(cert)}, cert.verdict)
 
 
 def _cmd_solve_scale(args) -> int:
+    from . import certificates as certs, cyt
+
     model = resolve_model(args.model)
     bundle, inputs = _bundle(args, model)
     ray = parse_class(model, args.ray)
     inputs["ray"] = ray.serialize()
-    scale = solve_scale(bundle, ray)
+    scale = cyt.solve_scale(bundle, ray)
     results = {"scale": format_scalar(scale) if scale is not None else None}
     if scale is not None:
         f = scale * ray
         results["kahler"] = f.serialize()
-        results["cyt"] = certs.cyt_doc(verify_cyt(bundle, f))
+        results["cyt"] = certs.cyt_doc(cyt.verify_cyt(bundle, f))
     head = [f"scale = {scale if scale is not None else 'NONE'}"]
     return _certify(args, model, inputs, results, scale is not None, head)
 
 
 def _cmd_solve_ansatz(args) -> int:
-    sol = solve_symmetric_ansatz(args.k)
+    from . import certificates as certs, cyt
+
+    sol = cyt.solve_symmetric_ansatz(args.k)
     if sol is None:
         print(f"no symmetric-ansatz solution for k={args.k}", file=sys.stderr)
         return 1
@@ -167,14 +174,19 @@ def _cmd_solve_ansatz(args) -> int:
 
 
 def _cmd_topology(args) -> int:
+    from . import certificates as certs, topology
+
     model = resolve_model(args.model)
     bundle, inputs = _bundle(args, model)
-    cert = topology_certificate(bundle)
+    cert = topology.topology_certificate(bundle)
     results = {"topology": certs.topology_doc(cert)}
-    return _certify(args, model, inputs, results, cert.diffeo_label != UNCLASSIFIED)
+    return _certify(args, model, inputs, results, cert.diffeo_label != topology.UNCLASSIFIED)
 
 
 def _cmd_search(args) -> int:
+    from .catalog import append_records
+    from .search import SearchQuery, search
+
     model = resolve_model(args.model)
     query = SearchQuery(
         model=model,
@@ -186,18 +198,21 @@ def _cmd_search(args) -> int:
     created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
         open(args.out, "a").close()  # a catalog that cannot be written fails before the search
+    error = None
     try:
         records, stats = search(
             query,
             threads=args.threads,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
-    except BaseException:
+    except BaseException as exc:
+        error = exc.with_traceback(None) if isinstance(exc, MemoryError) else exc  # frees the walk's frames
+    if error is not None:
         if created:
-            os.remove(args.out)  # a query the search rejects leaves no empty catalog behind
-        raise
+            os.remove(args.out)  # once the handler has ended: a failed search leaves no new catalog
+        raise error
     if args.out:
-        catalog_io.append_records(args.out, records)
+        append_records(args.out, records)
     else:
         try:
             for rec in records:
@@ -228,7 +243,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    result = reproduce_paper(args.section, args.k)
+    from . import reproduce
+
+    result = reproduce.reproduce_paper(args.section, args.k)
     diffs = result["diffs"]
     inputs = {"section": args.section, "k": args.k}
     code = _certify(args, None, inputs, {"computed": result["computed"], "diffs": diffs}, not diffs)

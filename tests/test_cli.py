@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -498,15 +499,101 @@ def test_search_into_a_closed_pipe_ends_quietly():
     assert "error:" not in err and "Traceback" not in err and "Exception ignored" not in err
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # no command needs it: a search forks its workers itself
+def _fresh_python(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a new interpreter that imports cytforge from these sources."""
     src = str(Path(cytforge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cytforge.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True, text=True, env=env,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    env.pop("CYT_FORGE_THREADS", None)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+
+
+_PARSER_LAYERS = {"cli", "errors", "intlinalg", "scalars", "surfaces"}
+_CERTIFIER = _PARSER_LAYERS | {"certificates", "cone"}
+_SEARCHER = _PARSER_LAYERS | {"catalog", "cone", "cyt", "search", "topology"}
+_K8_AMPLE = "[30/1,-10/1,-10/1,-10/1,-10/1,-10/1,-10/1,-10/1,-10/1]"
+
+# (entry point, the cytforge modules it loads): a command loads only the
+# layers it runs, and none loads multiprocessing (a search forks its workers
+# itself)
+_ENTRY_POINTS = [
+    ("import cytforge", set()),
+    ("import cytforge.cli", _PARSER_LAYERS),
+    (["cone-check", "--model", "blowup_cp2(8)", "--class", _K8_AMPLE], _CERTIFIER),
+    (["topology", "--model", "blowup_cp2(5)", "--omega", "E1-E2", "--omega", "E3-E4"], _CERTIFIER | {"cyt", "topology"}),
+    (["verify", "--model", "quadric", "--omega", "C", "--omega", "D", "--kahler", "1/2C+1/2D"], _CERTIFIER | {"cyt"}),
+    (["verify", "--model", "quadric", "--omega", "C", "--omega", "-D", "--expect", "skt"], _CERTIFIER | {"cyt", "skt"}),
+    (["search", "--model", "quadric", "--bound", "1", "--filter", "skt", "--threads", "1"], _SEARCHER),
+    (["search", "--model", "blowup_cp2(3)", "--bound", "2", "--filter", "cyt", "--threads", "2"], _SEARCHER | {"forkjoin"}),
+]
+
+
+def test_each_entry_point_loads_only_the_layers_it_runs():
+    for entry, layers in _ENTRY_POINTS:
+        if isinstance(entry, list):
+            entry = f"from cytforge.cli import main; main({entry!r})"
+        proc = _fresh_python(
+            f"import sys; {entry}; "
+            "print(sorted(m for m in sys.modules if m.startswith('cytforge.')), 'multiprocessing' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = f"{sorted('cytforge.' + layer for layer in layers)} False"
+        assert proc.stdout.splitlines()[-1] == expected, entry
+
+
+# the names `cytforge` exported when its __init__ imported each of them
+_EXPORTED = {
+    "catalog": "CatalogRecord VerdictFlags append_records load_catalog",
+    "certificates": "Certificate build_certificate",
+    "cone": "ConeCertificate is_kahler negative_curves",
+    "cyt": "AnsatzSolution BundleSpec CytCertificate balanced_check c1_bundle_triviality "
+    "primitive_route_check solve_scale solve_symmetric_ansatz verify_cyt",
+    "errors": "CytForgeError",
+    "reproduce": "reproduce_paper",
+    "scalars": "QuadraticNumber Scalar exact_sign format_scalar parse_scalar quadratic solve_quadratic",
+    "search": "SearchQuery search",
+    "skt": "SktReport hodge_obstruction verify_skt",
+    "surfaces": "CohClass PairingFunctionalModel SurfaceModel blowup_cp2 builtin_model custom_model "
+    "divisibility_index intersect kummer_model load_model parse_class projective_plane quadric",
+    "topology": "SpectralTables TopologyCertificate topology_certificate",
+}
+
+
+def test_the_package_exports_resolve_to_the_defining_modules_objects():
+    # in a fresh interpreter, so `cytforge.search` is read both before and
+    # after the submodule of that name is first imported
+    proc = _fresh_python(f"""
+import importlib, sys, types
+import cytforge
+from cytforge import search
+assert isinstance(search, types.FunctionType) and cytforge.search is search
+import cytforge.search
+from cytforge import search as again
+assert cytforge.search is again is search is sys.modules["cytforge.search"].search
+exported = {_EXPORTED!r}
+names = {{name: layer for layer, text in exported.items() for name in text.split()}}
+assert len(names) == 48 and sorted(cytforge.__all__) == sorted(names) and set(names) <= set(dir(cytforge))
+for name, layer in names.items():
+    assert getattr(cytforge, name) is getattr(importlib.import_module("cytforge." + layer), name), name
+star = {{}}
+exec("from cytforge import *", star)
+assert all(star[name] is getattr(cytforge, name) for name in names)
+# a lookup returns what the module holds now, as a patch or a tracer swaps it
+for layer, name in (("cone", "is_kahler"), ("search", "search")):
+    module = sys.modules["cytforge." + layer]
+    original = getattr(module, name)
+    setattr(module, name, stand_in := lambda *args: None)
+    assert getattr(cytforge, name) is stand_in, name
+    setattr(module, name, original)
+    assert getattr(cytforge, name) is original, name
+print("ok")
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_the_parsers_choices_are_the_layers_own():
+    # the parser keeps its own copies, so that parsing loads neither layer
+    assert cli.VALID_FILTERS == importlib.import_module("cytforge.search").VALID_FILTERS
+    assert cli.SECTIONS == importlib.import_module("cytforge.reproduce").SECTIONS
 
 
 def test_a_two_worker_search_forks_with_no_thread_and_no_multiprocessing(tmp_path):
@@ -533,7 +620,7 @@ def test_a_two_worker_search_forks_with_no_thread_and_no_multiprocessing(tmp_pat
 def test_a_search_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, threads):
     # the search, or a forked worker's chunk, raising MemoryError ends in one
     # error line, exit 2 and no new catalog, as any input error does
-    search_module = sys.modules["cytforge.search"]
+    search_module = importlib.import_module("cytforge.search")
     parent, chunk = os.getpid(), search_module._Plan.chunk
 
     def starved(plan, lead):  # on 2 workers only in the forked one
@@ -546,7 +633,7 @@ def test_a_search_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, threads):
         raise MemoryError
 
     argv = ["search", "--model", "blowup_cp2(3)", "--bound", "2", "--filter", "skt", "--threads", threads]
-    for name, owner, raiser in (("search", cli, no_memory), ("chunk", search_module._Plan, starved)):
+    for name, owner, raiser in (("search", search_module, no_memory), ("chunk", search_module._Plan, starved)):
         out = tmp_path / f"{name}.jsonl"
         with monkeypatch.context() as m:
             m.setattr(owner, name, raiser)
@@ -568,7 +655,7 @@ def test_an_unwritable_catalog_fails_before_the_search(tmp_path, capsys, monkeyp
     out = tmp_path / "missing" / "x.jsonl"
     search = ["search", "--model", "blowup_cp2(3)", "--bound", "3", "--filter", "skt", "--threads", "2"]
     with monkeypatch.context() as m:
-        m.setattr(cli, "search", lambda *args, **kwargs: pytest.fail("the search ran"))
+        m.setattr(importlib.import_module("cytforge.search"), "search", lambda *args, **kwargs: pytest.fail("the search ran"))
         code, out_text, err = run(capsys, *search, "--out", str(out))
     assert (code, out_text) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
@@ -743,6 +830,7 @@ FROZEN_COMMANDS = [
     [*_SEARCH, "--model", "blowup_cp2(2)", "--bound", "3", "--filter", "cyt", "--filter", "topology"],
     [*_SEARCH, "--model", "quadric", "--bound", "1", "--filter", "skt", "--limit", "2"],
     [*_SEARCH, "--model", "quadric", "--bound", "1", "--filter", "bogus"],
+    ["reproduce-paper", "--section", "9.9", "--format", "json"],
 ]
 
 
@@ -1135,6 +1223,13 @@ FROZEN_VIEWS = {
         None,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         "cytforge search: error: argument --filter: invalid choice: 'bogus' (choose from 'cyt', 'skt', 'balanced', 'topology', 'spin')",
+    ),
+    'reproduce-paper --section 9.9 --format json': (
+        2,
+        None,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        "cytforge reproduce-paper: error: argument --section: invalid choice: '9.9' "
+        "(choose from '4.1', '4.2', '4.3', '4.4', '5', '6.1', 'maxroot')",
     ),
 }
 

@@ -982,12 +982,19 @@ def test_a_worker_exception_reaches_the_caller_and_every_worker_is_reaped(monkey
 
 
 # a 2-worker search whose forked worker is killed by SIGKILL on lead 0; the
-# caller sleeps in its first chunk, so the worker claims the other two leads
+# worker waits before its first claim, and the caller sleeps in its first
+# chunk, so the worker claims the other two leads
 KILLED_WORKER = """
 import importlib, os, signal, time
 from cytforge.surfaces import blowup_cp2
 search = importlib.import_module("cytforge.search")
-parent, chunk = os.getpid(), search._Plan.chunk
+parent, chunk, fork = os.getpid(), search._Plan.chunk, os.fork
+
+def fork_then_wait():
+    pid = fork()
+    if not pid:
+        time.sleep(0.2)
+    return pid
 
 def dying(plan, lead):
     if os.getpid() == parent:
@@ -996,7 +1003,7 @@ def dying(plan, lead):
         os.kill(os.getpid(), signal.SIGKILL)
     return chunk(plan, lead)
 
-search._Plan.chunk = dying
+search._Plan.chunk, os.fork = dying, fork_then_wait
 query = search.SearchQuery(model=blowup_cp2(3), coeff_bound=2, filters=frozenset({"cyt"}))
 try:
     search.search(query, threads=2)

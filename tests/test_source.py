@@ -22,12 +22,10 @@ def test_no_assert_statements_in_the_package():
 
 
 def _modules() -> dict[str, ast.Module]:
-    """Every module of the package but __init__.py, whose imports are the
-    exports, parsed."""
+    """Every module of the package, parsed."""
     return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
     }
 
 
