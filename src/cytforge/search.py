@@ -81,11 +81,11 @@ unpruned enumeration would emit first for the orbit, so the catalog is the
 unpruned one reduced by the group.  When the search's group is the key's
 own group (with the permutations exactly when they fix the model), an
 evaluated pair spells its key as it stands, and each bundle is evaluated,
-rechecked and written once.  _orbit_min still spells the key when the
-search leaves out permutations that fix the model (an unsymmetric ray, an
-in-box ansatz pair), where the key sorts what the orbit rule did not, and
-for every pair of the unpruned NO_SYMMETRY reference, whose key leaves out
-the signs.
+rechecked and written once, with no key set.  _orbit_min still spells the
+key when the search leaves out permutations that fix the model (an
+unsymmetric ray, an in-box ansatz pair), where the key sorts what the orbit
+rule did not, and for every pair of the unpruned NO_SYMMETRY reference,
+whose key leaves out the signs.
 
 Every query generates only the w2 of the orbit rule's lead window
 (_Plan.window) that are sorted on the runs of w1, the i with w1_i =
@@ -538,6 +538,7 @@ class _Plan:
         self.prune = self.symmetry != NO_SYMMETRY
         self.sorted_v1 = "exceptionals" in self.symmetry
         self.signs = "signs" in self.symmetry  # then a minimal w1 has lead <= 0
+        self.own_key = self.prune and self.sorted_v1 == self.permute  # see the module docstring
 
         self.rays: list[_RayData] = []
         if "cyt" in query.filters:
@@ -655,9 +656,7 @@ class _Plan:
         records: list[CatalogRecord] = []
         visited = skipped = walked = with_candidates = 0
         rejected = dict.fromkeys(REJECT_STAGES, 0)
-        passed_keys: set[str] = set()
-        # an orbit minimum under the key's own group is its key (see the module docstring)
-        own_key = self.prune and self.sorted_v1 == self.permute
+        passed_keys: set[str] = set()  # stays empty with own keys, which never repeat
         spin = "spin" in self.screen_flags
         cyt = "cyt" in self.query.filters
         for v1 in self.walk(lead):
@@ -680,7 +679,7 @@ class _Plan:
                     if stage is not None:
                         rejected[stage] += 1
                         continue
-                key = _pair_text(*((v1, v2) if own_key else _orbit_min(v1, v2, self.permute, self.signs)))
+                key = _pair_text(*((v1, v2) if self.own_key else _orbit_min(v1, v2, self.permute, self.signs)))
                 # without the permutations in the group the key still merges
                 # permuted pairs; the merge keeps the first, so later ones can go
                 if key in passed_keys:
@@ -690,7 +689,8 @@ class _Plan:
                 if isinstance(rec, str):
                     rejected[rec] += 1
                 else:
-                    passed_keys.add(key)
+                    if not self.own_key:
+                        passed_keys.add(key)
                     records.append(rec)
         return records, (visited, skipped, walked, with_candidates), rejected, time.perf_counter() - start
 
@@ -792,6 +792,9 @@ def search(
     for records, _, chunk_rejected, _ in results:
         for stage, count in chunk_rejected.items():
             rejected[stage] += count
+        if plan.own_key:  # the chunks repeat no key
+            merged += records
+            continue
         for rec in records:
             if rec.canonical_key not in seen:
                 seen.add(rec.canonical_key)

@@ -244,6 +244,12 @@ class SurfaceModel:
         return intlinalg.snf(self.gram).diagonal
 
     @cached_property
+    def unimodular(self) -> bool:
+        """|det G| = 1, read off a diagonal Gram with no Smith normal form."""
+        diag = self._gram_diagonal
+        return all(g in (1, -1) for g in diag) if diag is not None else set(self.gram_factors) == {1}
+
+    @cached_property
     def cone_curves(self) -> tuple[CohClass, ...]:
         """The curves a cone check pairs a class with, in certificate order,
         listed once per model: the two rulings on the quadric, else the

@@ -156,12 +156,12 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     pairing witnesses exist iff it holds.  W extends to a Z-basis iff the
     gcd of its own 2x2 minors is 1.  By Cauchy-Binet each 2x2 minor of P is
     an integer combination of those of W, so gcd(W) divides gcd(P): the
-    surrogate implies basis extension, and W's minors are read only when it
-    fails (on a unimodular G the two gcds are equal).  spin_mod2 is
-    gf2_in_span: c1 is 0, w1, w2 or w1 + w2 mod 2, the compare of bit masks
-    the search's spin stage makes too.  The Smith normal form of P, the
-    witnesses alpha and beta, spin_integral and the tables are rendered when
-    first read (see TopologyCertificate).
+    surrogate implies basis extension.  On a unimodular G, W = P G^-1 is
+    integral too, so the gcds are equal: W's minors are read only off a Gram
+    that is not unimodular.  spin_mod2 is gf2_in_span: c1 is 0, w1, w2 or
+    w1 + w2 mod 2, the bit masks the search's spin stage compares too.  The
+    Smith normal form of P, the witnesses alpha and beta, spin_integral and
+    the tables are rendered when first read (see TopologyCertificate).
     """
     base = bundle.base
     if not isinstance(base, SurfaceModel):
@@ -180,7 +180,7 @@ def topology_certificate(bundle: BundleSpec) -> TopologyCertificate:
     surrogate = minors_gcd == 1
     spin_mod2 = gf2_in_span(base.c1.as_int_vector(), *vectors)
     return TopologyCertificate(
-        basis_extension=surrogate or _minors_gcd(vectors) == 1,
+        basis_extension=surrogate or not base.unimodular and _minors_gcd(vectors) == 1,
         simply_connected_surrogate=surrogate,
         spin_mod2=spin_mod2,
         diffeo_label=diffeo_label_for(base.rank - 2) if surrogate and spin_mod2 else UNCLASSIFIED,

@@ -269,6 +269,7 @@ def test_the_ansatz_source_carries_its_own_cone_certificate():
         plan = search_module._Plan(SearchQuery(model=model, coeff_bound=4, filters=frozenset({"cyt"})))
         kahler, route, scale, cone = plan.ansatz_source
         assert (route, scale, cone.verdict) == ("ansatz", None, True), k
+        assert not plan.own_key, k  # the swap alone, with permutations in the key
         property_suites.check_carried_cone(model, kahler, cone)
 
 
@@ -407,6 +408,26 @@ def test_ci_catalogs_without_and_with_signs(tmp_path, k, bound, filters, v1, v2)
     frozen_without_and_with_signs(tmp_path, query, 2, v1, v2)
 
 
+OWN_KEY_QUERIES = (
+    [(3, 2, filters) for filters, _, _ in FROZEN_CATALOGS]
+    + [(k, 3, frozenset({"skt"})) for k in FROZEN_SKT_CATALOGS]
+    + [(k, 3, frozenset(_WALL)) for k, _, _ in FROZEN_WALL_CATALOGS]
+)
+
+
+@pytest.mark.parametrize("k,bound,filters", OWN_KEY_QUERIES, ids=[f"k{c[0]}-{'+'.join(sorted(c[2]))}" for c in OWN_KEY_QUERIES])
+def test_an_own_key_search_repeats_no_key(k, bound, filters):
+    # under the key's own group each evaluated pair is its key, so the chunks
+    # repeat no key and the search merges them with no key set
+    query = SearchQuery(model=blowup_cp2(k), coeff_bound=bound, filters=filters)
+    plan = search_module._Plan(query)
+    assert plan.own_key
+    chunked = [rec for lead in range(-bound, 1) for rec in plan.chunk(lead)[0]]
+    keys = [rec.canonical_key for rec in chunked]
+    assert len(set(keys)) == len(keys) > 0
+    assert search(query, threads=1)[0] == chunked
+
+
 def test_an_asymmetric_ray_routes_a_pair_by_the_first_ray_that_generates_it(tmp_path):
     # signs and swap, no permutations: unsorted w1, the unsorted
     # trace-free slice and two rays, with 936 of the box candidates generated
@@ -419,6 +440,7 @@ def test_an_asymmetric_ray_routes_a_pair_by_the_first_ray_that_generates_it(tmp_
     q = SearchQuery(model=model, coeff_bound=3, filters=frozenset({"cyt", "topology"}), ray=ray)
     plan = search_module._Plan(q)
     assert [data.name for data in plan.rays] == ["ray", "anticanonical_ray"] and not plan.sorted_v1
+    assert not plan.own_key  # the key sorts what the orbit rule did not: the key sets stay
     found = [[data.candidates_for(v1) for data in plan.rays] for v1 in itertools.product(range(-3, 4), repeat=5)]
     assert sum(len(on_ray.keys() & on_c1.keys()) for on_ray, on_c1 in found) == 936
     v1 = ("b22bff44122a153d6dd8669a353893af9fe9ddb3f4e71968859dbe46749f71d6", (4243, 2908, 466))

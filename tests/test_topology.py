@@ -4,7 +4,7 @@ import random
 import pytest
 
 import property_suites
-from cytforge import intlinalg
+from cytforge import intlinalg, topology
 from cytforge.cyt import BundleSpec, c1_bundle_triviality, solve_symmetric_ansatz
 from cytforge.errors import HypothesesNotMet, InvariantViolation, WrongFiberRank
 from cytforge.surfaces import (
@@ -17,7 +17,7 @@ from cytforge.surfaces import (
     projective_plane,
     quadric,
 )
-from cytforge.topology import UNCLASSIFIED, diffeo_label_for, topology_certificate
+from cytforge.topology import UNCLASSIFIED, _minors_gcd, diffeo_label_for, topology_certificate
 
 
 def dp2_bundle():
@@ -217,7 +217,7 @@ def test_non_unimodular_gram_takes_the_general_path():
     m = custom_model("diag2", [[2, 0, 0], [0, -1, 0], [0, 0, -1]], [1, 1, 1],
                      curves=[], ample_witness=[1, 0, 0], simply_connected=True)
     cert = topology_certificate(BundleSpec(m, (parse_class(m, "e1"), parse_class(m, "e2"))))
-    assert cert.basis_extension
+    assert not m.unimodular and cert.basis_extension
     assert cert.pairing_snf == (1, 2)
     assert not cert.simply_connected_surrogate
     assert cert.alpha is None and cert.beta is None
@@ -291,6 +291,31 @@ def test_one_snf_certificate_matches_the_separate_checks(model):
         if cert.alpha is not None:
             assert pairings(model, bundle, cert.alpha) == [1, 0]
             assert pairings(model, bundle, cert.beta) == [0, 1]
+
+
+UNIMODULAR_MODELS = (
+    [blowup_cp2(k) for k in range(1, 9)]
+    + [quadric()]
+    + [custom_model("skew", [[2, 1, 0], [1, 1, 0], [0, 0, -1]], [1, 1, 1], curves=[], simply_connected=True)]
+)
+
+
+@pytest.mark.parametrize("model", UNIMODULAR_MODELS, ids=lambda m: m.name)
+def test_a_unimodular_gram_gives_w_and_p_one_minors_gcd(model, monkeypatch):
+    # P = W G and W = P G^-1 are both integral, so by Cauchy-Binet each gcd
+    # divides the other: basis extension is the surrogate, read with no W minors
+    assert model.unimodular
+    rng = random.Random(model.name)
+    pairs = [[[rng.randint(-4, 4) for _ in range(model.rank)] for _ in range(2)] for _ in range(200)]
+    for vectors in pairs:
+        assert _minors_gcd(vectors) == _minors_gcd([model.gram_row(v) for v in vectors]), vectors
+    read = []
+    monkeypatch.setattr(topology, "_minors_gcd", lambda rows: read.append(rows) or _minors_gcd(rows))
+    for vectors in pairs:
+        w1, w2 = map(CohClass.of, vectors)
+        cert = topology_certificate(BundleSpec(model, (w1, w2)))
+        assert cert.basis_extension == cert.simply_connected_surrogate == _snf_extends(w1, w2), vectors
+    assert len(read) == len(pairs)  # P's minors alone
 
 
 def test_rendered_fields_match_the_snf_and_fraction_references():
