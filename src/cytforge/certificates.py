@@ -5,17 +5,17 @@ The digest covers the canonical JSON of everything except the timestamp, so
 re-running the echoed command reproduces the certificate byte for byte up to
 that field.
 
-One writer, ``_render``, renders the compact text the digests hash and the
-indented text ``Certificate.to_json`` prints: byte for byte what json.dumps
-writes with ``sort_keys=True`` and ``separators=(",", ":")`` or
-``indent=2``, its oracle in the tests.  CPython before 3.13 runs any
-``indent=`` encode in pure Python; the writer sends every string through
-json's C escaper and renders a list of dicts with one key set, such as the
-240 curve checks on the blow-up at 8 points, as a table (``_table``).  Each
-top-level field is rendered once compact for the digest and once indented.
-A model's block (texts and digest) and the escaped items of its cone curves
-are rendered once per model and kept in its store, so a curve table renders
-only its value and sign columns per certificate.
+One walk, ``_texts``, renders both texts of a value: the compact text the
+digests hash and the indented text ``Certificate.to_json`` prints, byte
+for byte what json.dumps writes with ``sort_keys=True`` and
+``separators=(",", ":")`` or ``indent=2``, its oracle in the tests.  CPython
+before 3.13 runs any ``indent=`` encode in pure Python; the walk escapes each
+string once with json's C escaper and renders a list of dicts with one key
+set, such as the 240 curve checks on the blow-up at 8 points, as a table
+whose columns are taken and type-checked once (`_table`).  A model's block
+(texts and digest) is rendered once per model, and its cone curves' cells
+once per model and line prefix, both kept in its store, so a curve table
+renders only its value and sign columns per certificate.
 """
 
 from __future__ import annotations
@@ -64,30 +64,37 @@ def _pads(indent: Optional[str]) -> tuple[Optional[str], str, str]:
     return (None, "", "") if indent is None else (indent + "  ", f"\n{indent}  ", "\n" + indent)
 
 
-def _column(values: list, indent: Optional[str], cells: Optional[dict]) -> list[str]:
-    """The rendered values of one table column: in one map when they are all str,
-    all int or all non-empty lists of str (curves: from their escaped items
-    newline-joined, which cells keeps for a model's cone curves), else one by one."""
+def _curve_cells(store: dict, indent: Optional[str]) -> dict:
+    """The model's cone-curve cells at a line prefix, text -> both texts,
+    rendered on the first table at that prefix and kept in its store."""
+    cells = store["cells"]
+    if indent not in cells:
+        cells[indent] = {text: _texts(list(text), indent) for text in store["curves"]}
+    return cells[indent]
+
+
+def _column(values: list, indent: Optional[str], store: Optional[dict]) -> tuple:
+    """Both texts of each value of one table column: in one map when they are
+    all str or all int, from the model's cells for a column of lists of str
+    that are its cone curves, else one by one."""
     types = set(map(type, values))
-    if types == _STR_ONLY:
-        return list(map(_escape, values))
-    if types == _INT_ONLY:
-        return list(map(int.__repr__, values))
-    if types == _LIST_ONLY and all(values) and set(map(type, chain.from_iterable(values))) == _STR_ONLY:
-        joined = list(map((cells or {}).get, map(tuple, values)))
-        if None in joined:
-            joined = [j or "\n".join(map(_escape, v)) for j, v in zip(joined, values)]
-        _, pad, end = _pads(indent)
-        sep = "," + pad  # an escaped item holds no newline
-        return ["[" + pad + j.replace("\n", sep) + end + "]" for j in joined]
-    return [_render(v, indent, cells) for v in values]
+    if types == _STR_ONLY or types == _INT_ONLY:
+        texts = list(map(_escape if types == _STR_ONLY else int.__repr__, values))
+        return texts, texts
+    if store and "curves" in store and types == _LIST_ONLY and set(map(type, chain.from_iterable(values))) == _STR_ONLY:
+        pairs = list(map(_curve_cells(store, indent).get, map(tuple, values)))
+        if None in pairs:
+            pairs = [p or _texts(v, indent) for p, v in zip(pairs, values)]
+    else:
+        pairs = [_texts(v, indent, store) for v in values]
+    return tuple(zip(*pairs))
 
 
-def _table(rows, indent: Optional[str], cells: Optional[dict]) -> Optional[str]:
-    """The items of a non-empty list of dicts, each at ``indent``, when the
-    dicts share one non-empty key set, else None: the sorted keys are
-    escaped once into a row template, and the values are rendered column by
-    column (`_column`)."""
+def _table(rows, indent: Optional[str], store: Optional[dict]) -> Optional[tuple]:
+    """Both texts of each item of a non-empty list of dicts, at ``indent``,
+    when the dicts share one non-empty key set, else None: the sorted keys
+    are escaped once into a row template of each form, and the values are
+    taken and rendered column by column (`_column`)."""
     keys = rows[0].keys()
     key_types = set(map(type, keys)) - _STR_ONLY
     if key_types:
@@ -101,58 +108,66 @@ def _table(rows, indent: Optional[str], cells: Optional[dict]) -> Optional[str]:
     except KeyError:
         return None
     inner, pad, end = _pads(indent)
-    colon = ":" if indent is None else ": "
-    entries = ("," + pad).join([_escape(k).replace("%", "%%") + colon + "%s" for k in names])
-    template = f"{{{pad}{entries}{end}}}"
-    cells_by_row = zip(*[_column(column, inner, cells) for column in columns])
-    return ("," if indent is None else ",\n" + indent).join([template % row for row in cells_by_row])
+    escaped = [_escape(k).replace("%", "%%") for k in names]
+    compacts, indenteds = zip(*[_column(column, inner, store) for column in columns])
+    row = "{" + ",".join([k + ":%s" for k in escaped]) + "}"
+    compact = [row % cells for cells in zip(*compacts)]
+    if indent is None:
+        return compact, None
+    row = f"{{{pad}{(',' + pad).join([k + ': %s' for k in escaped])}{end}}}"
+    return compact, [row % cells for cells in zip(*indenteds)]
 
 
-def _render(o, indent: Optional[str] = None, cells: Optional[dict] = None) -> str:
-    """``json.dumps(o, sort_keys=True, separators=(",", ":"))`` at indent None,
-    ``json.dumps(o, sort_keys=True, indent=2)`` at a str indent (the prefix of
-    o's own line), for str, int, bool, None, and lists, tuples and str-keyed
-    dicts of them; any other type raises TypeError, and so does a str or int
-    subclass other than bool.  A list of dicts with one key set is a table."""
+def _texts(o, indent: Optional[str] = None, store: Optional[dict] = None) -> tuple[str, Optional[str]]:
+    """Both texts of o in one walk: ``json.dumps(o, sort_keys=True,
+    separators=(",", ":"))`` and, at a str indent (the prefix of o's own
+    line), ``json.dumps(o, sort_keys=True, indent=2)``; at indent None a
+    container's indented text is None.  Takes str, int, bool, None, and
+    lists, tuples and str-keyed dicts of them; any other type raises
+    TypeError, and so does a str or int subclass other than bool.  A list of
+    dicts with one key set is a table (`_table`)."""
     t = type(o)
     if t is str:
-        return _escape(o)
+        text = _escape(o)
+        return text, text
     if o is None:
-        return "null"
+        return "null", "null"
     if o is True:
-        return "true"
+        return "true", "true"
     if o is False:
-        return "false"
+        return "false", "false"
     if t is int:
-        return int.__repr__(o)
+        text = int.__repr__(o)
+        return text, text
     if t is not list and t is not tuple and t is not dict:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
     if not o:
-        return "{}" if t is dict else "[]"
+        text = "{}" if t is dict else "[]"
+        return text, text
     inner, pad, end = _pads(indent)
     sep = "," + pad
     if t is dict:
         key_types = set(map(type, o)) - _STR_ONLY
         if key_types:
             raise TypeError(f"keys of type {key_types.pop().__name__} are not JSON serializable")
-        colon = ":" if indent is None else ": "
-        body = sep.join([f"{_escape(k)}{colon}{_render(v, inner, cells)}" for k, v in sorted(o.items())])
-        return f"{{{pad}{body}{end}}}"
+        items = [(_escape(k), *_texts(v, inner, store)) for k, v in sorted(o.items())]
+        compact = f"{{{','.join([f'{k}:{c}' for k, c, _ in items])}}}"
+        if indent is None:
+            return compact, None
+        return compact, f"{{{pad}{sep.join([f'{k}: {i}' for k, _, i in items])}{end}}}"
     item_types = set(map(type, o))
-    if item_types == _STR_ONLY:
-        body = sep.join(map(_escape, o))
-    elif item_types == _INT_ONLY:
-        body = sep.join(map(int.__repr__, o))
+    if item_types == _STR_ONLY or item_types == _INT_ONLY:
+        compacts = indenteds = list(map(_escape if item_types == _STR_ONLY else int.__repr__, o))
     else:
-        body = _table(o, inner, cells) if item_types == _DICT_ONLY else None
-        if body is None:
-            body = sep.join([_render(x, inner, cells) for x in o])
-    return f"[{pad}{body}{end}]"
+        table = _table(o, inner, store) if item_types == _DICT_ONLY else None
+        compacts, indenteds = table or zip(*[_texts(x, inner, store) for x in o])
+    compact = f"[{','.join(compacts)}]"
+    return compact, None if indent is None else f"[{pad}{sep.join(indenteds)}{end}]"
 
 
 def digest_of(doc: dict) -> str:
     trimmed = {k: v for k, v in doc.items() if k != "timestamp"}
-    return hashlib.sha256(_render(trimmed).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_texts(trimmed)[0].encode("utf-8")).hexdigest()
 
 
 def class_doc(c: Optional[CohClass]) -> Optional[list[str]]:
@@ -161,12 +176,12 @@ def class_doc(c: Optional[CohClass]) -> Optional[list[str]]:
 
 def cone_doc(cert: Optional[ConeCertificate]) -> Optional[dict]:
     """The cone certificate's fields.  The first on a model keeps in its store
-    each cone curve's escaped items newline-joined, keyed by its text."""
+    the texts of its cone curves, whose cells `_curve_cells` renders."""
     if cert is None:
         return None
     store = cert.model.certificate_store
-    if "cells" not in store:
-        store["cells"] = {c.text: "\n".join(map(_escape, c.text)) for c in cert.curves}
+    if "curves" not in store:
+        store["curves"], store["cells"] = [c.text for c in cert.curves], {}
     return {
         "self_intersection": format_scalar(cert.self_intersection),
         "self_sign": cert.self_sign,
@@ -249,10 +264,12 @@ _DOC_KEYS = ("command", "tool_version", "model", "model_digest", "inputs", "resu
 
 @dataclass
 class Certificate:
-    """Top-level record a CLI run emits.  One built on a model (``source``)
-    renders its model block and curve tables from the model's store: the
-    block as the model dict's marshal bytes, compact text, digest and
-    indented text, and the cells of the cone curves (`cone_doc`)."""
+    """Top-level record a CLI run emits.  Each field is rendered in one walk
+    (`_texts`) to its compact text, which the digest hashes, and, for
+    `to_json`, its indented text.  One built on a model (``source``) renders
+    its model block and curve tables from the model's store: the block as
+    the model dict's marshal bytes, compact and indented texts and digest,
+    and the cells of the cone curves at each prefix (`_curve_cells`)."""
 
     command: list[str]
     model: Optional[dict]
@@ -268,42 +285,37 @@ class Certificate:
         self._store = source.certificate_store if source is not None else {}
         if source is not None and "block" not in self._store:
             doc = model_to_dict(source)
-            self._store["block"] = (marshal.dumps(doc, 2), _render(doc), digest_of(doc), _render(doc, "  "))
+            self._store["block"] = (marshal.dumps(doc, 2), *_texts(doc, "  "), digest_of(doc))
 
-    def _fields(self) -> tuple[dict, Optional[str], Optional[dict]]:
-        """The document's fields with the digest of their compact texts, the
-        model block's indented text if stored, and the store's curve cells."""
-        block, cells = self._store.get("block"), self._store.get("cells")
+    def _fields(self, indent: Optional[str]) -> tuple[dict, dict]:
+        """The document's fields with the digest of their compact texts, and
+        each field's texts at ``indent`` (`_texts`), the digest's excepted."""
+        block = self._store.get("block")
         try:  # marshal tells True from 1 and 1 from 1.0, which == does not
             cached = block is not None and marshal.dumps(self.model, 2) == block[0]
         except ValueError:  # a str or int subclass, which marshal does not write
             cached = False
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         if cached:
-            _, model_text, model_digest, model_indented = block
+            model, doc["model_digest"] = block[1:3], block[3]
         else:
-            model_text, model_indented = _render(self.model), None
-            model_digest = digest_of(self.model) if self.model else None
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timestamp"}
-        doc["model_digest"] = model_digest
-        texts = [f'"{k}":{model_text if k == "model" else _render(v, None, cells)}'
-                 for k, v in sorted(doc.items())]
-        compact = "{" + ",".join(texts) + "}"
-        doc.update(digest=hashlib.sha256(compact.encode("utf-8")).hexdigest(), timestamp=self.timestamp)
-        return doc, model_indented, cells
+            model = _texts(self.model, indent)
+            doc["model_digest"] = digest_of(self.model) if self.model else None
+        texts = {k: model if k == "model" else _texts(v, indent, self._store) for k, v in doc.items()}
+        compact = "{" + ",".join([f'"{k}":{texts[k][0]}' for k in sorted(texts) if k != "timestamp"]) + "}"
+        doc["digest"] = hashlib.sha256(compact.encode("utf-8")).hexdigest()
+        return doc, texts
 
     def to_doc(self) -> dict:
-        doc, _, _ = self._fields()
+        doc, _ = self._fields(None)
         return {k: doc[k] for k in _DOC_KEYS}
 
     def to_json(self) -> str:
         """The document as ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
         newline, byte for byte (the tests hold json.dumps as the oracle)."""
-        doc, model_indented, cells = self._fields()
-        texts = [
-            f'"{k}": {model_indented if k == "model" and model_indented else _render(v, "  ", cells)}'
-            for k, v in sorted(doc.items())
-        ]
-        return "{\n  " + ",\n  ".join(texts) + "\n}\n"
+        doc, texts = self._fields("  ")
+        texts["digest"] = _texts(doc["digest"])
+        return "{\n  " + ",\n  ".join([f'"{k}": {texts[k][1]}' for k in sorted(texts)]) + "\n}\n"
 
 
 def build_certificate(

@@ -214,7 +214,12 @@ def is_rational(x: Scalar) -> bool:
 
 
 def exact_sign(x: Scalar) -> int:
-    """Sign in {-1, 0, +1} of the real number x, decided exactly."""
+    """Sign in {-1, 0, +1} of the real number x, decided exactly; an int,
+    or a Fraction by its numerator, takes two int compares."""
+    t = type(x)
+    if t is int or t is Fraction:
+        n = x if t is int else x.numerator
+        return (n > 0) - (n < 0)
     if isinstance(x, QuadraticNumber):
         return x.sign()
     return _int_sign(x)

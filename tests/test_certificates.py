@@ -11,11 +11,11 @@ from test_catalog import TEXTS
 from test_cli import FROZEN_COMMANDS
 
 from cytforge import certificates
-from cytforge.certificates import Certificate, _render, build_certificate, cone_doc, cyt_doc, digest_of
+from cytforge.certificates import Certificate, _texts, build_certificate, cone_doc, cyt_doc, digest_of
 from cytforge.cli import main
 from cytforge.cone import is_kahler
 from cytforge.cyt import BundleSpec, verify_cyt
-from cytforge.surfaces import blowup_cp2, custom_model, parse_class
+from cytforge.surfaces import blowup_cp2, builtin_model, custom_model, parse_class
 
 
 def sample_certificate():
@@ -78,7 +78,11 @@ def compact_oracle(doc) -> str:
 
 
 def _indented(doc) -> str:
-    return _render(doc, "")
+    return _texts(doc, "")[1]
+
+
+def _compact(doc) -> str:
+    return _texts(doc)[0]
 
 
 def test_json_dumps_is_the_oracle_for_every_frozen_certificate(monkeypatch, capsys):
@@ -173,6 +177,73 @@ def test_a_custom_model_is_freed_after_a_certificate_on_it():
     assert cert.to_json() == text
 
 
+def _body_digest(doc: dict) -> str:
+    body = {k: v for k, v in doc.items() if k not in ("digest", "timestamp")}
+    return hashlib.sha256(compact_oracle(body).encode()).hexdigest()
+
+
+def test_a_curve_table_renders_from_the_models_cells_at_each_depth(monkeypatch):
+    m = blowup_cp2(8)
+    cone = _cone_certificate(m, "[31/3,-10/3,-3,-3,-3,-3,-3,-3,-3]")  # the table under results.cone
+    bundle = BundleSpec(m, (parse_class(m, "[-3,-3,-3,0,3,3,3,3,3]"), parse_class(m, "[3,-1,-1,-1,-1,-1,-1,-1,-1]")))
+    cyt = verify_cyt(bundle, parse_class(m, "[6,-2,-2,-2,-2,-2,-2,-2,-2]"))
+    cyt = build_certificate(["verify"], m, {}, {"cyt": cyt_doc(cyt)}, cyt.verdict)  # under results.cyt.cone
+    tables = [cone.results["cone"]["curve_checks"], cyt.results["cyt"]["cone"]["curve_checks"]]
+    for rows in tables:
+        assert len(rows) == 240
+        rows[0]["curve"] = ["77/1"] * 9  # a miss
+        rows[1]["curve"] = list(rows[2]["curve"])  # a hit at another row's place
+        rows.append(dict(rows[3], curve=["-77/1"] + rows[3]["curve"][1:]))  # a miss, one item off
+    for cert in (cone, cyt):
+        cert.to_json()  # the first table at each depth renders the model's cells there
+    assert {None, " " * 10, " " * 12} <= set(m.certificate_store["cells"])
+    escape, escaped = certificates._escape, []
+    monkeypatch.setattr(certificates, "_escape", lambda s: escaped.append(s) or escape(s))
+    for cert in (cone, cyt):
+        escaped.clear()
+        doc = cert.to_doc()
+        assert doc["digest"] == _body_digest(doc)
+        assert cert.to_json() == oracle(doc) + "\n"
+        # each miss's items escaped once for to_doc and once for to_json, and no hit's
+        assert escaped.count("77/1") == 9 * escaped.count("-77/1") == 9 * 2
+        assert len(escaped) < 9 * 241
+    for cert, rows in zip((cone, cyt), tables):
+        rows[5]["curve"][0] = _Label(rows[5]["curve"][0])  # equal to a cone curve's text, but no str
+        for render in (cert.to_doc, cert.to_json):
+            with pytest.raises(TypeError):
+                render()
+
+
+def test_a_list_column_equal_to_a_cone_curve_renders_as_json_dumps(capsys):
+    m = builtin_model("blowup_cp2(3)")  # the model the CLI resolves
+    assert main(["cone-check", "--model", "blowup_cp2(3)", "--class", "[3,-1,-1,-1]", "--format", "json"]) == 0
+    capsys.readouterr()
+    e1 = ("0/1", "1/1", "0/1", "0/1")
+    assert e1 in m.certificate_store["curves"] and e1 in m.certificate_store["cells"][" " * 10]
+    argv = ["verify", "--model", "blowup_cp2(3)", "--omega", "[0,1,0,0]", "--omega", "[1,-1,-1,-1]"]
+    argv += ["--kahler", "[3,-1,-1,-1]", "--expect", "skt", "--format", "json"]
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    hodge = doc["results"]["skt"]["hodge"]
+    assert [row["omega"] for row in hodge] == [list(e1), ["1/1", "-1/1", "-1/1", "-1/1"]]  # a hit and a miss
+    assert text == oracle(doc) + "\n" and doc["digest"] == _body_digest(doc)
+
+
+def test_a_custom_models_cells_never_reach_another_model():
+    a = custom_model("a", [[1, 0], [0, -1]], [3, -1], curves=[[0, 1]], ample_witness=[2, -1])
+    b = custom_model("b", [[1, 0], [0, -1]], [3, -1], curves=[[1, -1]], ample_witness=[2, -1])
+    first = _cone_certificate(a, "[2,-1]")
+    assert first.to_json() == oracle(first.to_doc()) + "\n"
+    assert "cells" not in b.certificate_store
+    second = _cone_certificate(b, "[2,-1]")
+    assert second.to_json() == oracle(second.to_doc()) + "\n"
+    assert a.certificate_store["curves"] == [("0/1", "1/1")] and b.certificate_store["curves"] == [("1/1", "-1/1")]
+    for store, curves in ((a.certificate_store, {("0/1", "1/1")}), (b.certificate_store, {("1/1", "-1/1")})):
+        assert all(set(cells) == curves for cells in store["cells"].values())
+    assert first.to_json() == _cone_certificate(a, "[2,-1]").to_json()
+
+
 _STRINGS = st.one_of(
     st.sampled_from(TEXTS),
     st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\x00\x1f\x7f\u2028\udcff😀'))),
@@ -206,14 +277,14 @@ def test_json_dumps_is_the_oracle_for_drawn_documents(doc):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_DOCS)
 def test_json_dumps_is_the_compact_oracle_for_drawn_documents(doc):
-    assert _render(doc, None) == compact_oracle(doc)
+    assert _compact(doc) == compact_oracle(doc)
 
 
 @pytest.mark.parametrize("bad", [1.5, [0, 2.0], {"a": {1: "b"}}, {"a", "b"}, ["a", {"x"}], [type("Label", (str,), {})("x")]])
 def test_a_value_outside_the_certificate_types_raises(bad):
     for indent in ("", None):
         with pytest.raises(TypeError):
-            _render(bad, indent)
+            _texts(bad, indent)
 
 
 def test_to_json_never_enters_the_pure_python_encoder(monkeypatch, capsys):
@@ -264,7 +335,43 @@ def _tables(draw):
 @given(_tables())
 def test_json_dumps_is_the_oracle_for_drawn_tables(table):
     assert _indented(table) == oracle(table)
-    assert _render(table, None) == compact_oracle(table)
+    assert _compact(table) == compact_oracle(table)
+
+
+def _str_lists(o):
+    """Every list or tuple of str in o, as a tuple."""
+    if isinstance(o, dict):
+        o = list(o.values())
+    if not isinstance(o, (list, tuple)):
+        return []
+    if o and all(type(x) is str for x in o):
+        return [tuple(o)]
+    return [t for x in o for t in _str_lists(x)]
+
+
+_CURVE_TABLES = st.lists(
+    st.fixed_dictionaries(
+        {"curve": st.lists(st.sampled_from(("1/1", "-1/1", "0/1", "é")), max_size=3), "sign": st.integers(-1, 1)}
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_DOCS, _tables(), _CURVE_TABLES), st.integers(0, 5), st.data())
+def test_one_walk_gives_both_json_dumps_texts_at_a_drawn_prefix(doc, depth, data):
+    """The compact text and the indented text at a prefix, with a store whose
+    curves are some of the document's lists of str (cells hit and missed)."""
+    prefix = "  " * depth
+    curves = data.draw(st.lists(st.sampled_from(_str_lists(doc) or [("x",)]), max_size=4))
+    store = data.draw(st.sampled_from([None, {}, {"curves": curves, "cells": {}}]))
+    for _ in range(2):  # the second walk reads the cells the first rendered
+        compact, indented = _texts(doc, prefix, store)
+        assert compact == compact_oracle(doc)
+        assert indented == oracle(doc).replace("\n", "\n" + prefix)
+        leaf = type(doc) not in (list, tuple, dict) or not doc  # an empty container's text is a leaf's
+        assert _texts(doc, None, store) == (compact, compact if leaf else None)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -287,5 +394,5 @@ def test_a_table_with_one_odd_row_renders_item_by_item():
         [{"a": 1, "b": "x"}, {"a": 2}],  # one with a key less
     ):
         assert _indented(rows) == oracle(rows)
-        assert _render(rows, None) == compact_oracle(rows)
+        assert _compact(rows) == compact_oracle(rows)
     assert _indented([{}, {}, {}]) == oracle([{}, {}, {}]) == "[\n  {},\n  {},\n  {}\n]"
